@@ -251,6 +251,7 @@ def test_criterion_08_casimir_theorems():
             m,
             complement_coords=dec.complement_basis,
             full_coords=[alg.basis_vector(i) for i in range(alg.dim)],
+            test_functions=standard_test_suite(m, max_harmonic_degree=3, random_count=8),
         )
         ok &= verdicts["complement"] and verdicts["full_algebra"]
     report(

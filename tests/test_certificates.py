@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from sphere_sos.certificates import (
+    _weighted_sum,
     certificate_sum,
     certificate_words,
     delta_power,
@@ -12,7 +13,7 @@ from sphere_sos.certificates import (
     sos_certificate,
     verify_certificate,
 )
-from sphere_sos.harmonics import stereographic_harmonic
+from sphere_sos.harmonics import CapDomain, HarmonicFunction, stereographic_harmonic
 from sphere_sos.polynomials import (
     Polynomial,
     SphereFunction,
@@ -159,6 +160,28 @@ class TestVerifyCertificate:
         shuffled = list(terms)
         rng.shuffle(shuffled)
         assert forward == backward == certificate_sum(shuffled, 2)
+
+
+class TestCertificateNegativeControl:
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_non_harmonic_input_fails_equality(self, k):
+        # x3 wrapped without the construction-time harmonicity proof.
+        x3 = SphereFunction.from_polynomial(SpherePolynomial(var(3, 3)))
+        fake = HarmonicFunction(value=x3, domain=CapDomain(), provenance="control:x3")
+        report = verify_certificate(fake, k, sample_count=4)
+        assert report.equality_verified is False
+        assert report.terms_harmonic is False
+        assert report.passed is False
+
+    def test_dropping_any_nonzero_square_breaks_equality(self):
+        h = stereographic_harmonic(2, "re")
+        lhs = delta_power(h.value * h.value, 2)
+        squares = [t * t for t in sos_certificate(h, 2)]
+        assert _weighted_sum(squares, 2) == lhs
+        nonzero = [i for i, sq in enumerate(squares) if not sq.is_zero()]
+        assert nonzero
+        for i in nonzero:
+            assert _weighted_sum(squares[:i] + squares[i + 1:], 2) != lhs
 
 
 class TestGeneralizedLeibniz:

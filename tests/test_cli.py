@@ -246,6 +246,22 @@ class TestGrowth:
         )
         assert code == 2
 
+    def test_non_finite_center_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "growth", "--family", "stereo:k=1:re", "--center", "nan,nan,nan"
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err and "Traceback" not in err
+
+    def test_non_finite_rmax_rejected(self, capsys):
+        code, out, err = run(
+            capsys, "growth", "--family", "stereo:k=1:re", "--rmax", "nan"
+        )
+        assert code == 2
+        assert out == ""
+        assert "finite" in err and "Traceback" not in err
+
     def test_determinism(self, capsys, tmp_path):
         outs = []
         for name in ("a", "b"):

@@ -1,10 +1,13 @@
+import dataclasses
 import random
 from fractions import Fraction
 
 import pytest
 
+from sphere_sos.cli import IDENTITY_CASES
 from sphere_sos.lie import (
     casimir_element,
+    killing_form,
     orthogonal_decomposition,
     so_algebra,
     so_subalgebra_fixing_last_axis,
@@ -15,6 +18,7 @@ from sphere_sos.lie import (
 from sphere_sos.polynomials import Polynomial, SphereFunction, SpherePolynomial
 from sphere_sos.realization import (
     RealizedField,
+    jet_functions,
     realization_antihomomorphism_defect,
     realize_so_field,
     realize_su2_element,
@@ -26,7 +30,7 @@ from sphere_sos.realization import (
     verify_group_case_identity,
     verify_lap_eq_casimir,
 )
-from sphere_sos.sphere_ops import RotationField, apply_rotation_field
+from sphere_sos.sphere_ops import RotationField, apply_rotation_field, laplace_sphere
 
 from conftest import random_polynomial
 
@@ -253,3 +257,110 @@ class TestGroupCase:
             ru, rv = realize_su2_element(u), realize_su2_element(v)
             defect = bracket_field(f) + ru(rv(f)) - rv(ru(f))
             assert defect.is_zero()
+
+
+def case_verdicts(case, suite=lambda m: None):
+    """The realization verdicts of one shipped identity case.
+
+    ``suite(m)`` supplies the test functions; None keeps each verifier's
+    default, the 2-jet proof.
+    """
+    if case == "su2-group":
+        cas = casimir_element(su2_algebra(), su2_round_form())
+        return {
+            "group_case": verify_group_case_identity(suite(4)),
+            "lap_eq_casimir": verify_lap_eq_casimir(cas, 4, suite(4), algebra="su2"),
+        }
+    m = int(case[2])
+    alg = so_algebra(m)
+    verdicts = {
+        "lap_eq_casimir": verify_lap_eq_casimir(
+            casimir_element(alg, trace_form(m)), m, suite(m)
+        ),
+        "lap_eq_killing": verify_lap_eq_casimir(
+            casimir_element(alg, killing_form(alg).scale(-1)),
+            m,
+            suite(m),
+            scale=Fraction(1, 2 * (m - 2)),
+        ),
+    }
+    if "-over-" in case:
+        dec = orthogonal_decomposition(alg, so_subalgebra_fixing_last_axis(m), trace_form(m))
+        verdicts.update(
+            verify_commutation_theorem(
+                casimir_element(alg, trace_form(m)),
+                m,
+                complement_coords=dec.complement_basis,
+                full_coords=[alg.basis_vector(i) for i in range(alg.dim)],
+                test_functions=suite(m),
+            )
+        )
+    return verdicts
+
+
+def agrees_on_jets(lhs, rhs, m):
+    return all(lhs(f) == rhs(f) for f in jet_functions(m))
+
+
+class TestJetProof:
+    @pytest.mark.parametrize("m", [2, 3, 5])
+    def test_jets_are_the_linear_and_quadratic_monomials(self, m):
+        jets = jet_functions(m)
+        assert len(jets) == m + m * (m + 1) // 2
+        assert jets[0] == sphere_var(m, 1)
+        assert jets[-1] == sphere_var(m, m) * sphere_var(m, m)
+        assert all(f.is_polynomial() for f in jets)
+
+    @pytest.mark.parametrize("case", IDENTITY_CASES)
+    def test_jet_verdicts_match_the_sampled_suite(self, case):
+        jet = case_verdicts(case)
+        sampled = case_verdicts(
+            case, lambda m: standard_test_suite(m, max_harmonic_degree=3, random_count=6)
+        )
+        assert jet == sampled
+        assert all(jet.values())
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_scaled_operator_fails(self, m):
+        cas = casimir_element(so_algebra(m), trace_form(m))
+        assert not verify_lap_eq_casimir(cas, m, scale=Fraction(2))
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_casimir_with_a_pair_dropped_fails(self, m):
+        alg = so_algebra(m)
+        cas = casimir_element(alg, trace_form(m))
+        dropped = dataclasses.replace(cas, pairs=cas.pairs[1:])
+        assert not verify_lap_eq_casimir(dropped, m)
+        verdicts = verify_commutation_theorem(
+            dropped,
+            m,
+            complement_coords=[],
+            full_coords=[alg.basis_vector(i) for i in range(alg.dim)],
+        )
+        assert not verdicts["full_algebra"]
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_casimir_plus_first_order_field_fails(self, m):
+        operator = projected_casimir(casimir_element(so_algebra(m), trace_form(m)), m)
+        field = realize_so_field([1] + [0] * (m * (m - 1) // 2 - 1), m)
+        assert agrees_on_jets(operator, laplace_sphere, m)
+        assert not agrees_on_jets(lambda f: operator(f) + field(f), laplace_sphere, m)
+
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_cross_term_seen_only_by_quadratic_jets(self, m):
+        # X12 X34 kills every x_i, so only the x_i x_j jets can see it.
+        x12, x34 = RotationField(1, 2), RotationField(3, 4)
+
+        def operator(f):
+            return laplace_sphere(f) + apply_rotation_field(x12, apply_rotation_field(x34, f))
+
+        assert all(operator(f) == laplace_sphere(f) for f in jet_functions(m)[:m])
+        assert not agrees_on_jets(operator, laplace_sphere, m)
+
+    def test_group_sum_missing_a_field_fails(self):
+        fields = su2_fields()
+        for dropped in range(3):
+            kept = fields[:dropped] + fields[dropped + 1:]
+            assert not agrees_on_jets(
+                lambda f: sum_of_field_squares(kept, f), laplace_sphere, 4
+            )
