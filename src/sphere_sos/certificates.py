@@ -107,14 +107,10 @@ def sos_certificate(h: HarmonicFunction, k: int) -> list[SphereFunction]:
     return terms
 
 
-def certificate_sum(terms: Sequence[SphereFunction], k: int) -> SphereFunction:
-    """2^k times the sum of the squared terms, accumulated in word order."""
-    if not terms:
-        raise ValueError("certificate needs at least one term")
-    return _weighted_sum([t * t for t in terms], k)
-
-
 def _weighted_sum(squares: Sequence[SphereFunction], k: int) -> SphereFunction:
+    """2^k times the sum of the squared terms, accumulated in word order."""
+    if not squares:
+        raise ValueError("certificate needs at least one term")
     total = None
     for sq in squares:
         total = sq if total is None else total + sq

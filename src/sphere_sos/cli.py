@@ -23,7 +23,7 @@ from .certificates import (
     verify_certificate,
 )
 from .growth import analyze_growth
-from .harmonics import stereographic_harmonic
+from .harmonics import HarmonicFunction, stereographic_harmonic
 from .lie import (
     ad_invariance_witness,
     casimir_element,
@@ -77,18 +77,8 @@ class UsageError(ValueError):
 # ----------------------------------------------------------------------
 
 
-def resolve_family(descriptor: str) -> tuple[SphereFunction, str, bool]:
-    """Map a family descriptor to (function, canonical descriptor, is_harmonic).
-
-    ``stereo:k=K:re|im`` are the certified harmonic pullbacks; the
-    non-subharmonic control is a named negative case for the growth checker.
-    """
-    if descriptor == NON_SUBHARMONIC_CONTROL:
-        x3 = SpherePolynomial.variable(3, 3)
-        value = SphereFunction.from_polynomial(
-            SpherePolynomial.one(3) - x3 * x3
-        )
-        return value, descriptor, False
+def resolve_harmonic(descriptor: str) -> HarmonicFunction:
+    """Parse ``stereo:k=K:re|im``, the certified harmonic pullbacks."""
     parts = descriptor.split(":")
     if len(parts) == 3 and parts[0] == "stereo" and parts[1].startswith("k="):
         try:
@@ -97,21 +87,19 @@ def resolve_family(descriptor: str) -> tuple[SphereFunction, str, bool]:
             raise UsageError(f"bad family descriptor {descriptor!r}") from None
         if k < 0 or parts[2] not in ("re", "im"):
             raise UsageError(f"bad family descriptor {descriptor!r}")
-        h = stereographic_harmonic(k, parts[2])
-        return h.value, h.provenance, True
-    raise UsageError(f"unknown family {descriptor!r}")
-
-
-def resolve_harmonic(descriptor: str):
-    parts = descriptor.split(":")
-    if len(parts) == 3 and parts[0] == "stereo" and parts[1].startswith("k="):
-        try:
-            k = int(parts[1][2:])
-        except ValueError:
-            raise UsageError(f"bad family descriptor {descriptor!r}") from None
-        if k >= 0 and parts[2] in ("re", "im"):
-            return stereographic_harmonic(k, parts[2])
+        return stereographic_harmonic(k, parts[2])
     raise UsageError(f"unknown harmonic family {descriptor!r}")
+
+
+def resolve_family(descriptor: str) -> tuple[SphereFunction, str]:
+    """Map a family descriptor to (function, canonical descriptor): a harmonic
+    family, or the non-subharmonic control, a named negative case for the
+    growth checker."""
+    if descriptor == NON_SUBHARMONIC_CONTROL:
+        x3 = SpherePolynomial.variable(3, 3)
+        return SphereFunction.from_polynomial(SpherePolynomial.one(3) - x3 * x3), descriptor
+    h = resolve_harmonic(descriptor)
+    return h.value, h.provenance
 
 
 # ----------------------------------------------------------------------
@@ -230,22 +218,33 @@ def _identity_suite(case: str, form_kind: str) -> list[dict]:
         results.append(entry)
 
     if case == "su2-group":
-        algebra = su2_algebra()
-        if form_kind == "trace":
-            form = su2_round_form()
-        elif form_kind == "killing":
-            form = killing_form(algebra).scale(-1)
-        else:
-            form = perturbed_form(su2_round_form())
-        record("jacobi", algebra.check_jacobi())
-        record("antisymmetry", algebra.check_antisymmetry())
-        witness = ad_invariance_witness(algebra, form)
-        record(
-            "ad_invariance",
-            witness is None,
-            witness=_format_witness(algebra.labels, witness),
-        )
-        record("positive_definite", form.is_positive_definite())
+        m, algebra, invariant = 4, su2_algebra(), su2_round_form()
+    else:
+        m = int(case[2])
+        algebra, invariant = so_algebra(m), trace_form(m)
+    if form_kind == "trace":
+        form = invariant
+    elif form_kind == "killing":
+        # The Killing form of a compact simple algebra is negative definite;
+        # its negative is a positive Ad-invariant form, a scalar multiple of
+        # the invariant one.
+        form = killing_form(algebra).scale(-1)
+    elif form_kind == "perturbed":
+        form = perturbed_form(invariant)
+    else:
+        raise UsageError(f"unknown form {form_kind!r}")
+
+    record("jacobi", algebra.check_jacobi())
+    record("antisymmetry", algebra.check_antisymmetry())
+    witness = ad_invariance_witness(algebra, form)
+    record(
+        "ad_invariance",
+        witness is None,
+        witness=_format_witness(algebra.labels, witness),
+    )
+    record("positive_definite", form.is_positive_definite())
+
+    if case == "su2-group":
         record("group_sum_of_squares_equals_laplacian", verify_group_case_identity())
         vi, vj, vk = su2_fields()
         x1 = SphereFunction.from_polynomial(SpherePolynomial.variable(4, 1))
@@ -264,32 +263,9 @@ def _identity_suite(case: str, form_kind: str) -> list[dict]:
             casimir = casimir_element(algebra, form)
             record(
                 "laplacian_equals_projected_casimir",
-                verify_lap_eq_casimir(casimir, 4, algebra="su2"),
+                verify_lap_eq_casimir(casimir, m, algebra="su2"),
             )
         return results
-
-    m = int(case[2])
-    algebra = so_algebra(m)
-    if form_kind == "trace":
-        form = trace_form(m)
-    elif form_kind == "killing":
-        # The Killing form of so(m) is negative definite; the positive
-        # Ad-invariant form is its negative, a scalar multiple of the default.
-        form = killing_form(algebra).scale(-1)
-    elif form_kind == "perturbed":
-        form = perturbed_form(trace_form(m))
-    else:
-        raise UsageError(f"unknown form {form_kind!r}")
-
-    record("jacobi", algebra.check_jacobi())
-    record("antisymmetry", algebra.check_antisymmetry())
-    witness = ad_invariance_witness(algebra, form)
-    record(
-        "ad_invariance",
-        witness is None,
-        witness=_format_witness(algebra.labels, witness),
-    )
-    record("positive_definite", form.is_positive_definite())
 
     casimir = None
     if witness is None:
@@ -400,7 +376,7 @@ WORKING_CAP_RADIUS = 3.0  # default cap about the south pole; keeps 1 - x3 bound
 
 
 def cmd_growth(args) -> int:
-    value, descriptor, _ = resolve_family(args.family)
+    value, descriptor = resolve_family(args.family)
     center = _resolve_center(args.center)
     if args.grid < 2:
         raise UsageError(f"grid must have at least 2 radii, got {args.grid}")

@@ -1,44 +1,71 @@
 """Exact Lie-algebra infrastructure.
 
-Algebras are given by rational structure constants on a labelled basis;
-forms are symmetric rational matrices.  Everything needed downstream is
-exact: brackets, trace and Killing forms, invariance checks with explicit
-counterexample witnesses, orthogonal reductive decompositions, and Casimir
-elements as (dual vector, basis vector) pairs.
+Algebras are given by rational structure constants on a labelled basis,
+stored sparsely: for each basis pair (i, j) only the nonzero (k, c) with
+[X_i, X_j] = sum_k c X_k, sorted by k.  Only this module knows that layout;
+``LieAlgebraData.from_brackets`` builds it and ``bracket`` returns dense
+coordinate tuples.  so(m) comes straight from the closed form of the
+matrix-unit commutators, its trace form is diagonal, and the Killing form is
+read from the constants, so no m x m matrix is ever multiplied.  Forms are
+symmetric rational matrices.  Everything downstream is exact: brackets,
+invariance checks with explicit counterexample witnesses, orthogonal
+reductive decompositions, and Casimir elements as (dual vector, basis vector)
+pairs.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from typing import Sequence
+from itertools import combinations, product
+from typing import Mapping, Sequence
 
 from . import linalg
 
 Vector = tuple[Fraction, ...]
+Sparse = tuple[tuple[int, Fraction], ...]
 
 
 def _vec(values: Sequence) -> Vector:
     return tuple(Fraction(v) for v in values)
 
 
+def _sparse(coeffs: Mapping[int, Fraction]) -> Sparse:
+    return tuple((k, Fraction(c)) for k, c in sorted(coeffs.items()) if c != 0)
+
+
 @dataclass(frozen=True)
 class LieAlgebraData:
-    """Structure constants c[i][j][k] with [X_i, X_j] = sum_k c[i][j][k] X_k."""
+    """Sparse structure constants: structure[i][j] lists the nonzero (k, c)
+    with [X_i, X_j] = sum_k c X_k, in increasing k."""
 
     dim: int
     labels: tuple[str, ...]
-    structure: tuple[tuple[Vector, ...], ...]
+    structure: tuple[tuple[Sparse, ...], ...]
 
     def __post_init__(self):
         if len(self.labels) != self.dim:
             raise ValueError("label count does not match dimension")
         if len(self.structure) != self.dim or any(
-            len(row) != self.dim or any(len(v) != self.dim for v in row)
+            len(row) != self.dim or any(entry != _sparse(dict(entry)) for entry in row)
             for row in self.structure
         ):
-            raise ValueError("structure constant tensor must be dim x dim x dim")
+            raise ValueError("structure constants must be dim x dim sorted nonzero (k, c) lists")
+        if any(not 0 <= k < self.dim for row in self.structure for entry in row for k, _ in entry):
+            raise ValueError("structure constant index out of range")
+
+    @classmethod
+    def from_brackets(
+        cls, labels: Sequence[str], brackets: Mapping[tuple[int, int], Mapping[int, Fraction]]
+    ) -> "LieAlgebraData":
+        """Algebra with [X_i, X_j] = sum_k brackets[i, j][k] X_k; pairs not
+        listed bracket to zero (so antisymmetry is the caller's to state)."""
+        dim = len(labels)
+        structure = tuple(
+            tuple(_sparse(brackets.get((i, j), {})) for j in range(dim)) for i in range(dim)
+        )
+        return cls(dim=dim, labels=tuple(labels), structure=structure)
 
     def basis_vector(self, index: int) -> Vector:
         return _vec(1 if k == index else 0 for k in range(self.dim))
@@ -55,44 +82,29 @@ class LieAlgebraData:
             for j, cj in enumerate(v):
                 if cj == 0:
                     continue
-                for k, c in enumerate(self.structure[i][j]):
-                    if c != 0:
-                        out[k] += ci * cj * c
+                for k, c in self.structure[i][j]:
+                    out[k] += ci * cj * c
         return tuple(out)
 
-    def ad_matrix(self, u: Sequence) -> list[list[Fraction]]:
-        """Matrix of ad(u): columns are [u, X_j] in basis coordinates."""
-        cols = [self.bracket(u, self.basis_vector(j)) for j in range(self.dim)]
-        return [[cols[j][k] for j in range(self.dim)] for k in range(self.dim)]
-
     def check_antisymmetry(self) -> bool:
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if any(
-                    self.structure[i][j][k] != -self.structure[j][i][k]
-                    for k in range(self.dim)
-                ):
-                    return False
-        return True
+        s = self.structure
+        return all(
+            s[i][j] == tuple((k, -c) for k, c in s[j][i])
+            for i, j in product(range(self.dim), repeat=2)
+        )
 
     def check_jacobi(self) -> bool:
         """Jacobi identity on all basis triples, exactly."""
-        for i in range(self.dim):
-            ei = self.basis_vector(i)
-            for j in range(self.dim):
-                ej = self.basis_vector(j)
-                for k in range(self.dim):
-                    ek = self.basis_vector(k)
-                    total = [
-                        a + b + c
-                        for a, b, c in zip(
-                            self.bracket(ei, self.bracket(ej, ek)),
-                            self.bracket(ej, self.bracket(ek, ei)),
-                            self.bracket(ek, self.bracket(ei, ej)),
-                        )
-                    ]
-                    if any(t != 0 for t in total):
-                        return False
+        s = self.structure
+        for i, j, k in product(range(self.dim), repeat=3):
+            total: defaultdict[int, Fraction] = defaultdict(Fraction)
+            for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+                # [X_a, [X_b, X_c]]
+                for n, x in s[b][c]:
+                    for t, y in s[a][n]:
+                        total[t] += x * y
+            if any(total.values()):
+                return False
         return True
 
 
@@ -154,58 +166,36 @@ def so_basis_matrix(m: int, i: int, j: int) -> list[list[Fraction]]:
     return rows
 
 
-def _mat_mul(a, b):
-    n = len(a)
-    return [
-        [sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)
-    ]
-
-
-def _mat_sub(a, b):
-    return [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def so_algebra(m: int) -> LieAlgebraData:
-    """so(m) on the basis {E_ij}_{i<j}, structure constants from matrix commutators."""
+    """so(m) on the basis {E_ij}_{i<j}, from the closed form
+    [E_ij, E_kl] = d_jk E_il - d_ik E_jl - d_jl E_ik + d_il E_jk
+    of the matrix-unit commutators, with E_ji = -E_ij and E_ii = 0."""
     if m < 3:
         raise ValueError(f"need m >= 3, got {m}")
     pairs = list(combinations(range(1, m + 1), 2))
-    mats = [so_basis_matrix(m, i, j) for i, j in pairs]
-    index = {p: k for k, p in enumerate(pairs)}
-    dim = len(pairs)
-    structure = []
-    for a in range(dim):
-        row = []
-        for b in range(dim):
-            comm = _mat_sub(_mat_mul(mats[a], mats[b]), _mat_mul(mats[b], mats[a]))
-            coords = [Fraction(0)] * dim
-            for (i, j), k in index.items():
-                coords[k] = comm[i - 1][j - 1]
-            # Sanity: the commutator must be exactly the claimed combination.
-            recon = [[Fraction(0)] * m for _ in range(m)]
-            for (i, j), k in index.items():
-                if coords[k] != 0:
-                    recon[i - 1][j - 1] += coords[k]
-                    recon[j - 1][i - 1] -= coords[k]
-            if recon != comm:
-                raise AssertionError("so(m) commutator fell outside the E_ij span")
-            row.append(tuple(coords))
-        structure.append(tuple(row))
-    return LieAlgebraData(dim=dim, labels=tuple(so_basis_labels(m)), structure=tuple(structure))
+    index = {p: n for n, p in enumerate(pairs)}
+    brackets = {}
+    for (a, (i, j)), (b, (k, l)) in product(enumerate(pairs), repeat=2):
+        coeffs: defaultdict[int, int] = defaultdict(int)
+        for delta, sign, (p, q) in (
+            (j == k, 1, (i, l)),
+            (i == k, -1, (j, l)),
+            (j == l, -1, (i, k)),
+            (i == l, 1, (j, k)),
+        ):
+            if delta and p != q:
+                coeffs[index[min(p, q), max(p, q)]] += sign if p < q else -sign
+        brackets[a, b] = coeffs
+    return LieAlgebraData.from_brackets(so_basis_labels(m), brackets)
 
 
 def su2_algebra() -> LieAlgebraData:
     """su(2) abstractly: [e1, e2] = e3 and cyclic permutations."""
-    dim = 3
-    structure = [[[Fraction(0)] * 3 for _ in range(3)] for _ in range(3)]
+    brackets = {}
     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
-        structure[i][j][k] = Fraction(1)
-        structure[j][i][k] = Fraction(-1)
-    return LieAlgebraData(
-        dim=dim,
-        labels=("e1", "e2", "e3"),
-        structure=tuple(tuple(tuple(v) for v in row) for row in structure),
-    )
+        brackets[i, j] = {k: 1}
+        brackets[j, i] = {k: -1}
+    return LieAlgebraData.from_brackets(("e1", "e2", "e3"), brackets)
 
 
 def su2_round_form() -> BilinearForm:
@@ -220,34 +210,28 @@ def su2_round_form() -> BilinearForm:
 def trace_form(m: int, scale=Fraction(-1, 2)) -> BilinearForm:
     """B(X, Y) = scale * trace(XY) on the E_ij basis of so(m).
 
-    The default scale -1/2 makes {E_ij} orthonormal, which is the
-    normalization under which the projected Casimir reproduces the round
-    Laplacian with constant exactly one.
+    trace(E_ij E_kl) is -2 on equal pairs and 0 otherwise, so B is the
+    diagonal -2 * scale * I.  The default scale -1/2 makes {E_ij}
+    orthonormal, which is the normalization under which the projected
+    Casimir reproduces the round Laplacian with constant exactly one.
     """
-    pairs = list(combinations(range(1, m + 1), 2))
-    mats = [so_basis_matrix(m, i, j) for i, j in pairs]
-    s = Fraction(scale)
-    rows = []
-    for a in mats:
-        row = []
-        for b in mats:
-            prod = _mat_mul(a, b)
-            row.append(s * sum(prod[i][i] for i in range(m)))
-        rows.append(row)
-    return BilinearForm.from_rows(rows)
+    dim = m * (m - 1) // 2
+    diagonal = -2 * Fraction(scale)
+    return BilinearForm.from_rows(
+        [[diagonal if a == b else 0 for b in range(dim)] for a in range(dim)]
+    )
 
 
 def killing_form(algebra: LieAlgebraData) -> BilinearForm:
-    """K(X, Y) = trace(ad X . ad Y), exactly, from the structure constants."""
-    mats = [algebra.ad_matrix(algebra.basis_vector(i)) for i in range(algebra.dim)]
-    rows = []
-    for a in mats:
-        row = []
-        for b in mats:
-            prod = _mat_mul(a, b)
-            row.append(sum(prod[i][i] for i in range(algebra.dim)))
-        rows.append(row)
-    return BilinearForm.from_rows(rows)
+    """K(X_a, X_b) = trace(ad X_a ad X_b) = sum_{k,l} c_akl c_blk, exactly,
+    read from the structure constants."""
+    s, dim = algebra.structure, algebra.dim
+    lookup = [[dict(entry) for entry in row] for row in s]
+
+    def entry(a: int, b: int) -> Fraction:
+        return sum(c * lookup[b][l].get(k, 0) for k in range(dim) for l, c in s[a][k])
+
+    return BilinearForm.from_rows([[entry(a, b) for b in range(dim)] for a in range(dim)])
 
 
 def perturbed_form(base: BilinearForm, index: int = 0, bump=Fraction(1)) -> BilinearForm:
@@ -268,15 +252,10 @@ def ad_invariance_witness(
     """First basis triple (z, x, y) violating B([Z,X],Y) + B(X,[Z,Y]) = 0, or None."""
     if form.dim != algebra.dim:
         raise ValueError("form and algebra dimensions differ")
-    for z in range(algebra.dim):
-        ez = algebra.basis_vector(z)
-        for x in range(algebra.dim):
-            ex = algebra.basis_vector(x)
-            bzx = algebra.bracket(ez, ex)
-            for y in range(algebra.dim):
-                ey = algebra.basis_vector(y)
-                if form(bzx, ey) + form(ex, algebra.bracket(ez, ey)) != 0:
-                    return (z, x, y)
+    s, b = algebra.structure, form.matrix
+    for z, x, y in product(range(algebra.dim), repeat=3):
+        if sum(c * b[k][y] for k, c in s[z][x]) + sum(c * b[x][k] for k, c in s[z][y]) != 0:
+            return (z, x, y)
     return None
 
 

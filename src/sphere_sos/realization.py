@@ -222,6 +222,16 @@ def jet_functions(m: int) -> list[SphereFunction]:
     return [SphereFunction.from_polynomial(p) for p in xs + products]
 
 
+def _proof_set(m: int, test_functions: Sequence[SphereFunction] | None) -> list[SphereFunction]:
+    """The 2-jets by default; an explicitly empty set proves nothing, so it is rejected."""
+    if test_functions is None:
+        return jet_functions(m)
+    functions = list(test_functions)
+    if not functions:
+        raise ValueError("an empty test function set proves nothing")
+    return functions
+
+
 def verify_lap_eq_casimir(
     casimir: CasimirElement,
     m: int,
@@ -232,7 +242,7 @@ def verify_lap_eq_casimir(
     """True iff the projected Casimir equals scale * laplace_sphere on every
     test function, exactly; on the default 2-jets this is a proof."""
     operator = projected_casimir(casimir, m, algebra)
-    for f in jet_functions(m) if test_functions is None else test_functions:
+    for f in _proof_set(m, test_functions):
         if operator(f) != laplace_sphere(f).scale(scale):
             return False
     return True
@@ -254,8 +264,7 @@ def verify_commutation_theorem(
     default 2-jets the verdicts are proofs.
     """
     operator = projected_casimir(casimir, m)
-    functions = jet_functions(m) if test_functions is None else test_functions
-    images = [(f, operator(f)) for f in functions]
+    images = [(f, operator(f)) for f in _proof_set(m, test_functions)]
 
     def all_commute(coord_list) -> bool:
         for coords in coord_list:
@@ -286,7 +295,7 @@ def verify_group_case_identity(
     """The three-field and six-field sums of squares agree exactly on S^3;
     on the default 2-jets this is a proof."""
     fields = su2_fields()
-    for f in jet_functions(4) if test_functions is None else test_functions:
+    for f in _proof_set(4, test_functions):
         if sum_of_field_squares(fields, f) != laplace_sphere(f):
             return False
     return True

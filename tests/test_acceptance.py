@@ -13,7 +13,6 @@ from fractions import Fraction
 import pytest
 
 from sphere_sos.certificates import (
-    certificate_sum,
     delta_power,
     euclid_delta_power,
     sos_certificate,

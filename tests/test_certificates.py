@@ -5,7 +5,6 @@ import pytest
 
 from sphere_sos.certificates import (
     _weighted_sum,
-    certificate_sum,
     certificate_words,
     delta_power,
     euclid_certificate,
@@ -119,7 +118,7 @@ class TestVerifyCertificate:
                 h = stereographic_harmonic(k_family, part)
                 for power in (1, 2):
                     lhs = delta_power(h.value * h.value, power)
-                    rhs = certificate_sum(sos_certificate(h, power), power)
+                    rhs = _weighted_sum([t * t for t in sos_certificate(h, power)], power)
                     assert lhs == rhs, (k_family, part, power)
 
     def test_exact_identity_extends_to_degree_six_members(self):
@@ -128,7 +127,7 @@ class TestVerifyCertificate:
                 h = stereographic_harmonic(k_family, part)
                 for power in (1, 2, 3):
                     lhs = delta_power(h.value * h.value, power)
-                    rhs = certificate_sum(sos_certificate(h, power), power)
+                    rhs = _weighted_sum([t * t for t in sos_certificate(h, power)], power)
                     assert lhs == rhs, (k_family, part, power)
 
     def test_workers_do_not_change_results(self):
@@ -154,12 +153,16 @@ class TestVerifyCertificate:
         # The k = 2 certificate value must not depend on summation order.
         h = stereographic_harmonic(2, "re")
         terms = sos_certificate(h, 2)
-        forward = certificate_sum(terms, 2)
-        backward = certificate_sum(list(reversed(terms)), 2)
+        forward = _weighted_sum([t * t for t in terms], 2)
+        backward = _weighted_sum([t * t for t in reversed(terms)], 2)
         rng = random.Random(17)
         shuffled = list(terms)
         rng.shuffle(shuffled)
-        assert forward == backward == certificate_sum(shuffled, 2)
+        assert forward == backward == _weighted_sum([t * t for t in shuffled], 2)
+
+    def test_empty_sum_rejected(self):
+        with pytest.raises(ValueError):
+            _weighted_sum([], 1)
 
 
 class TestCertificateNegativeControl:

@@ -7,6 +7,7 @@ import pytest
 from sphere_sos import linalg
 from sphere_sos.lie import (
     BilinearForm,
+    LieAlgebraData,
     ad_invariance_witness,
     casimir_element,
     check_ad_invariance,
@@ -44,7 +45,7 @@ class TestSoAlgebra:
         )  # [E12, E13] = -E23
         assert all(c == 0 for c in alg.bracket(e12, e12))
 
-    @pytest.mark.parametrize("m", [3, 4, 5])
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
     def test_structure_constants_match_matrix_commutators(self, m):
         # Oracle: recompute each bracket as a matrix commutator directly.
         alg = so_algebra(m)
@@ -69,6 +70,27 @@ class TestSoAlgebra:
         alg = so_algebra(m)
         assert alg.check_antisymmetry()
         assert alg.check_jacobi()
+
+    def test_checks_reject_bad_constants(self):
+        # [a, b] = a alone is not antisymmetric; [a, b] = a, [a, c] = b and
+        # [b, c] = 0 leave -b as the Jacobi sum of (a, b, c).
+        one_sided = LieAlgebraData.from_brackets(("a", "b"), {(0, 1): {0: 1}})
+        assert not one_sided.check_antisymmetry()
+        brackets = {}
+        for i, j, k in ((0, 1, 0), (0, 2, 1)):
+            brackets[i, j] = {k: 1}
+            brackets[j, i] = {k: -1}
+        broken = LieAlgebraData.from_brackets(("a", "b", "c"), brackets)
+        assert broken.check_antisymmetry()
+        assert not broken.check_jacobi()
+
+    def test_malformed_constants_rejected(self):
+        with pytest.raises(ValueError):
+            LieAlgebraData.from_brackets(("a", "b"), {(0, 1): {2: 1}})
+        with pytest.raises(ValueError):
+            LieAlgebraData(
+                dim=2, labels=("a", "b"), structure=(((), ()), ((), ((1, Fraction(0)),)))
+            )
 
     def test_su2_jacobi(self):
         alg = su2_algebra()
@@ -97,6 +119,16 @@ class TestForms:
             tuple(Fraction(1) if i == j else Fraction(0) for j in range(3))
             for i in range(3)
         )
+
+    @pytest.mark.parametrize("m", [3, 4, 5, 6])
+    def test_trace_form_matches_matrix_trace(self, m):
+        # Oracle: tr(E_a E_b) from the matrix units themselves.
+        mats = [so_basis_matrix(m, *p) for p in combinations(range(1, m + 1), 2)]
+        expected = tuple(
+            tuple(sum(_mat_mul(a, b)[i][i] for i in range(m)) for b in mats)
+            for a in mats
+        )
+        assert trace_form(m, scale=1).matrix == expected
 
     def test_killing_form_so3(self):
         K = killing_form(so_algebra(3))
@@ -162,13 +194,7 @@ class TestAdInvariance:
         assert defect != 0
 
     def test_abelian_algebra_always_invariant(self):
-        from sphere_sos.lie import LieAlgebraData
-
-        zero = tuple(
-            tuple(tuple(Fraction(0) for _ in range(2)) for _ in range(2))
-            for _ in range(2)
-        )
-        abelian = LieAlgebraData(dim=2, labels=("a", "b"), structure=zero)
+        abelian = LieAlgebraData.from_brackets(("a", "b"), {})
         skew = BilinearForm.from_rows([[2, 1], [1, 3]])
         assert check_ad_invariance(abelian, skew)
 

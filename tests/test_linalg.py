@@ -1,0 +1,182 @@
+"""Exact linear algebra against sympy.Matrix on seeded random rational matrices."""
+
+import random
+from fractions import Fraction
+
+import pytest
+import sympy
+
+from sphere_sos import linalg
+from sphere_sos.lie import BilinearForm
+
+
+def random_matrix(rng, n_rows, n_cols, rank=None):
+    """Random rationals; with ``rank`` given, a product of two random factors
+    of that inner size (so rank at most ``rank``, almost surely equal)."""
+
+    def entry():
+        return Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+
+    if rank is None:
+        return [[entry() for _ in range(n_cols)] for _ in range(n_rows)]
+    left = [[entry() for _ in range(rank)] for _ in range(n_rows)]
+    right = [[entry() for _ in range(n_cols)] for _ in range(rank)]
+    return [
+        [sum((left[i][t] * right[t][j] for t in range(rank)), Fraction(0)) for j in range(n_cols)]
+        for i in range(n_rows)
+    ]
+
+
+def to_sympy(rows):
+    return sympy.Matrix([[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows])
+
+
+def from_sympy(matrix):
+    return [[Fraction(int(x.p), int(x.q)) for x in matrix.row(i)] for i in range(matrix.rows)]
+
+
+def matvec(rows, vec):
+    return [sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in rows]
+
+
+SHAPES = [
+    (n_rows, n_cols, rank)
+    for n_rows, n_cols in ((3, 3), (4, 6), (6, 4), (5, 5))
+    for rank in (None, 2)
+]
+
+# Invertible, but the first pivot is zero, so elimination must swap rows.
+NEEDS_SWAP = [
+    [[0, 1], [1, 0]],
+    [[0, 2, 1], [3, 1, 0], [1, 0, 0]],
+    [[0, 0, 1], [0, 1, 0], [1, 0, 0]],
+]
+
+SINGULAR = [
+    [[1, 2], [2, 4]],
+    [[0, 0], [0, 0]],
+    [[1, 2, 3], [4, 5, 6], [7, 8, 9]],
+    [[0, 1, 0], [0, 1, 1], [0, 0, 1]],
+]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("shape", SHAPES)
+class TestAgainstSympy:
+    def test_rank(self, shape, seed):
+        a = random_matrix(random.Random(seed), *shape)
+        assert linalg.rank(a) == to_sympy(a).rank()
+
+    def test_echelon_pivots_and_integrality(self, shape, seed):
+        a = random_matrix(random.Random(seed), *shape)
+        echelon, pivots = linalg.fraction_free_echelon(a)
+        assert all(isinstance(x, int) for row in echelon for x in row)
+        assert tuple(pivots) == to_sympy(a).rref()[1]
+
+    def test_nullspace(self, shape, seed):
+        a = random_matrix(random.Random(seed), *shape)
+        basis = linalg.nullspace(a)
+        expected = to_sympy(a).nullspace()
+        assert len(basis) == len(expected)
+        for vec in basis:
+            assert all(x == 0 for x in matvec(a, vec))
+            assert all(x.denominator == 1 for x in vec)
+        if basis:
+            # Same span: stacking either basis on ours adds no rank.
+            ours = to_sympy(basis)
+            theirs = sympy.Matrix.hstack(*expected).T
+            assert ours.rank() == len(basis) == sympy.Matrix.vstack(ours, theirs).rank()
+
+    def test_solve(self, shape, seed):
+        rng = random.Random(seed)
+        a = random_matrix(rng, *shape)
+        n_rows, n_cols, _ = shape
+        reachable = matvec(a, [Fraction(rng.randint(-3, 3)) for _ in range(n_cols)])
+        x = linalg.solve(a, reachable)
+        assert x is not None and matvec(a, x) == reachable
+        arbitrary = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n_rows)]
+        consistent = to_sympy(a).rank() == sympy.Matrix.hstack(
+            to_sympy(a), to_sympy([[b] for b in arbitrary])
+        ).rank()
+        x = linalg.solve(a, arbitrary)
+        assert (x is not None) == consistent
+        if x is not None:
+            assert matvec(a, x) == arbitrary
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_invert_and_minors_on_random_square(n, seed):
+    # Odd seeds draw a singular matrix (rank n - 1) when n > 1.
+    rank = n - 1 if seed % 2 and n > 1 else None
+    a = random_matrix(random.Random(100 * n + seed), n, n, rank=rank)
+    s = to_sympy(a)
+    if s.det() == 0:
+        with pytest.raises(ZeroDivisionError):
+            linalg.invert(a)
+    else:
+        assert linalg.invert(a) == from_sympy(s.inv())
+    expected = [s[: k + 1, : k + 1].det() for k in range(n)]
+    if 0 in expected:
+        expected = expected[: expected.index(0) + 1]
+    assert linalg.leading_principal_minors(a) == expected
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_positive_definiteness_on_random_symmetric(n, seed):
+    rng = random.Random(1000 * n + seed)
+    g = random_matrix(rng, n, n)
+    # g^T g + shift: positive definite for large shifts, indefinite for
+    # negative ones, and somewhere in between for the rest.
+    shift = Fraction(rng.randint(-8, 4))
+    sym = [
+        [
+            sum((g[t][i] * g[t][j] for t in range(n)), Fraction(0)) + (shift if i == j else 0)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    assert BilinearForm.from_rows(sym).is_positive_definite() == to_sympy(sym).is_positive_definite
+
+
+@pytest.mark.parametrize("rows", NEEDS_SWAP)
+def test_invert_with_row_swap(rows):
+    inverse = linalg.invert(rows)
+    assert inverse == from_sympy(to_sympy(linalg._to_fraction_matrix(rows)).inv())
+    assert linalg.rank(rows) == len(rows)
+    assert linalg.solve(rows, [1] * len(rows)) == matvec(inverse, [Fraction(1)] * len(rows))
+
+
+@pytest.mark.parametrize("rows", SINGULAR)
+def test_singular_matrix_rejected(rows):
+    with pytest.raises(ZeroDivisionError):
+        linalg.invert(rows)
+    assert linalg.leading_principal_minors(rows)[-1] == 0
+
+
+def test_swap_trap_is_not_positive_definite():
+    # A swapping elimination of [[0,1],[1,0]] ends on the identity; the
+    # leading minors (0, -1) show the form is indefinite.
+    assert linalg.leading_principal_minors([[0, 1], [1, 0]]) == [0]
+    assert not BilinearForm.from_rows([[0, 1], [1, 0]]).is_positive_definite()
+    assert not BilinearForm.from_rows([[1, 0], [0, 0]]).is_positive_definite()
+
+
+def test_nullspace_with_a_pivot_in_the_last_column():
+    # The last pivot row has nothing to its right: its sum is empty.
+    assert linalg.nullspace([[1, 1, 0], [0, 0, 1]]) == [[-1, 1, 0]]
+    assert linalg.nullspace([[0, 1]]) == [[1, 0]]
+
+
+def test_minors_undo_the_row_scaling():
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 5)]]
+    expected = [Fraction(1, 2), Fraction(1, 10) - Fraction(1, 9)]
+    assert linalg.leading_principal_minors(rows) == expected
+
+
+def test_non_square_rejected():
+    with pytest.raises(ValueError):
+        linalg.invert([[1, 2, 3], [4, 5, 6]])
+    with pytest.raises(ValueError):
+        linalg.leading_principal_minors([[1, 2, 3], [4, 5, 6]])

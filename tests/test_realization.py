@@ -364,3 +364,21 @@ class TestJetProof:
             assert not agrees_on_jets(
                 lambda f: sum_of_field_squares(kept, f), laplace_sphere, 4
             )
+
+    def test_empty_proof_set_rejected_by_lap_eq_casimir(self):
+        # Scale 2 is false on the jets, so an empty set must not certify it.
+        cas = casimir_element(so_algebra(3), trace_form(3))
+        with pytest.raises(ValueError):
+            verify_lap_eq_casimir(cas, 3, [], scale=Fraction(2))
+
+    def test_empty_proof_set_rejected_by_commutation(self):
+        alg = so_algebra(3)
+        cas = casimir_element(alg, trace_form(3))
+        with pytest.raises(ValueError):
+            verify_commutation_theorem(
+                cas, 3, complement_coords=[alg.basis_vector(0)], test_functions=[]
+            )
+
+    def test_empty_proof_set_rejected_by_group_case(self):
+        with pytest.raises(ValueError):
+            verify_group_case_identity([])
