@@ -11,6 +11,7 @@ re-checked by exact rational sign tests at deterministic sample points.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -121,9 +122,19 @@ def _square_and_harmonicity(term: SphereFunction) -> tuple[SphereFunction, bool]
     return term * term, laplace_sphere(term).is_zero()
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on (its affinity mask where the OS has one)."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
-    """Map preserving input order; uses a process pool when workers > 1."""
-    if workers <= 1 or len(items) <= 1:
+    """Map preserving input order; uses a process pool when more than one
+    worker is asked for.  The pool never outgrows the items or the usable
+    CPUs, since the fork start method launches every worker up front."""
+    workers = min(workers, len(items), _usable_cpus())
+    if workers <= 1:
         return [fn(item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 

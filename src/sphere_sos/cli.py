@@ -4,6 +4,11 @@ Subcommands emit deterministic JSON (and CSV for growth curves): identical
 configurations produce byte-identical reports, so the outputs can be used as
 golden files in CI.  Exit codes: 0 all verdicts pass, 1 a mathematical
 verdict was falsified, 2 usage or validation error.
+
+``verify-identities`` is driven by one table, ``IDENTITY_CASES``: each case
+names its sphere, its realization and its --algebra/--subalgebra selectors,
+and one pass over the verdicts serves every case.  Under a form other than
+the invariant one, the expected Laplacian scale is read off the two forms.
 """
 
 from __future__ import annotations
@@ -11,9 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from fractions import Fraction
 
 from . import __version__
 from .certificates import (
@@ -37,7 +40,7 @@ from .lie import (
     su2_round_form,
     trace_form,
 )
-from .polynomials import Polynomial, SphereFunction, SpherePolynomial
+from .polynomials import SphereFunction, SpherePolynomial
 from .realization import (
     su2_fields,
     sum_of_field_squares,
@@ -53,17 +56,20 @@ EXIT_USAGE = 2
 
 SCHEMA_VERSION = 1
 
-WORKERS_ENV_VAR = "SPHERE_SOS_WORKERS"
+# The one table of identity cases: name -> (m, realization on S^{m-1},
+# (--algebra, --subalgebra) selectors).  "so" realizes so(m) by rotation
+# fields; "su2" realizes su(2) by the quaternionic fields on S^3.
+IDENTITY_CASES = {
+    "so3": (3, "so", ("so:3", None)),
+    "so4": (4, "so", ("so:4", None)),
+    "so5": (5, "so", ("so:5", None)),
+    "so3-over-so2": (3, "so", ("so:3", "so:2")),
+    "so4-over-so3": (4, "so", ("so:4", "so:3")),
+    "so5-over-so4": (5, "so", ("so:5", "so:4")),
+    "su2-group": (4, "su2", ("su2", None)),
+}
 
-IDENTITY_CASES = (
-    "so3",
-    "so4",
-    "so5",
-    "so3-over-so2",
-    "so4-over-so3",
-    "so5-over-so4",
-    "su2-group",
-)
+IDENTITY_FORMS = ("trace", "killing", "perturbed")
 
 NON_SUBHARMONIC_CONTROL = "control:equator-band"
 
@@ -107,24 +113,21 @@ def resolve_family(descriptor: str) -> tuple[SphereFunction, str]:
 # ----------------------------------------------------------------------
 
 
-def _dump_json(payload: dict, path: str | None) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+def _write(text: str, path: str | None) -> None:
     if path is None:
         sys.stdout.write(text)
     else:
         with open(path, "w") as fh:
             fh.write(text)
+
+
+def _dump_json(payload: dict, path: str | None) -> None:
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", path)
 
 
 def _dump_csv(radii, means, path: str | None) -> None:
-    lines = ["r,mean"]
-    lines += [f"{r!r},{m!r}" for r, m in zip(radii, means)]
-    text = "\n".join(lines) + "\n"
-    if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w") as fh:
-            fh.write(text)
+    lines = ["r,mean"] + [f"{r!r},{m!r}" for r, m in zip(radii, means)]
+    _write("\n".join(lines) + "\n", path)
 
 
 def _certificate_payload(report: CertificateReport, config: dict, timings: bool) -> dict:
@@ -155,34 +158,21 @@ def _certificate_payload(report: CertificateReport, config: dict, timings: bool)
     return payload
 
 
-def _resolve_workers(flag_value: int) -> int:
-    env = os.environ.get(WORKERS_ENV_VAR)
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise UsageError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from None
-    else:
-        value = flag_value
-    if value < 1:
-        raise UsageError(f"worker count must be >= 1, got {value}")
-    return value
-
-
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
 
 
 def cmd_certify(args) -> int:
-    workers = _resolve_workers(args.workers)
     config = {
         "family": args.family,
         "power": args.power,
         "samples": args.samples,
         "seed": args.seed,
-        "workers": workers,
+        "workers": args.workers,
     }
+    if args.workers < 1:
+        raise UsageError(f"worker count must be >= 1, got {args.workers}")
     if args.power < 0:
         raise UsageError(f"power must be >= 0, got {args.power}")
     if args.samples < 1:
@@ -193,16 +183,23 @@ def cmd_certify(args) -> int:
         args.power,
         sample_count=args.samples,
         seed=args.seed,
-        workers=workers,
+        workers=args.workers,
     )
     _dump_json(_certificate_payload(report, config, args.timings), args.output)
     return EXIT_PASS if report.passed else EXIT_FALSIFIED
 
 
-def _format_witness(labels, witness):
-    if witness is None:
-        return None
-    return [labels[t] for t in witness]
+def _identity_case(case: str):
+    """(m, algebra, invariant form, realization, subalgebra basis or None) of a
+    named case; the projected Casimir of the invariant form is exactly the
+    round Laplacian of S^{m-1}."""
+    m, realization, selectors = IDENTITY_CASES[case]
+    if realization == "su2":
+        algebra, invariant = su2_algebra(), su2_round_form()
+    else:
+        algebra, invariant = so_algebra(m), trace_form(m)
+    subalgebra = so_subalgebra_fixing_last_axis(m) if selectors[1] else None
+    return m, algebra, invariant, realization, subalgebra
 
 
 def _identity_suite(case: str, form_kind: str) -> list[dict]:
@@ -217,11 +214,7 @@ def _identity_suite(case: str, form_kind: str) -> list[dict]:
             entry["detail"] = detail
         results.append(entry)
 
-    if case == "su2-group":
-        m, algebra, invariant = 4, su2_algebra(), su2_round_form()
-    else:
-        m = int(case[2])
-        algebra, invariant = so_algebra(m), trace_form(m)
+    m, algebra, invariant, realization, subalgebra = _identity_case(case)
     if form_kind == "trace":
         form = invariant
     elif form_kind == "killing":
@@ -229,10 +222,8 @@ def _identity_suite(case: str, form_kind: str) -> list[dict]:
         # its negative is a positive Ad-invariant form, a scalar multiple of
         # the invariant one.
         form = killing_form(algebra).scale(-1)
-    elif form_kind == "perturbed":
-        form = perturbed_form(invariant)
     else:
-        raise UsageError(f"unknown form {form_kind!r}")
+        form = perturbed_form(invariant)
 
     record("jacobi", algebra.check_jacobi())
     record("antisymmetry", algebra.check_antisymmetry())
@@ -240,50 +231,38 @@ def _identity_suite(case: str, form_kind: str) -> list[dict]:
     record(
         "ad_invariance",
         witness is None,
-        witness=_format_witness(algebra.labels, witness),
+        witness=None if witness is None else [algebra.labels[t] for t in witness],
     )
-    record("positive_definite", form.is_positive_definite())
+    positive = form.is_positive_definite()
+    record("positive_definite", positive)
 
-    if case == "su2-group":
+    if realization == "su2":
         record("group_sum_of_squares_equals_laplacian", verify_group_case_identity())
-        vi, vj, vk = su2_fields()
-        x1 = SphereFunction.from_polynomial(SpherePolynomial.variable(4, 1))
-        x1x3 = SphereFunction.from_polynomial(
-            SpherePolynomial.variable(4, 1) * SpherePolynomial.variable(4, 3)
-        )
-        record(
-            "spot_eigenvalue_degree_1",
-            sum_of_field_squares((vi, vj, vk), x1) == x1.scale(-3),
-        )
-        record(
-            "spot_eigenvalue_degree_2",
-            sum_of_field_squares((vi, vj, vk), x1x3) == x1x3.scale(-8),
-        )
-        if form_kind == "trace":
-            casimir = casimir_element(algebra, form)
+        fields = su2_fields()
+        x1, x3 = SpherePolynomial.variable(4, 1), SpherePolynomial.variable(4, 3)
+        for d, p in ((1, x1), (2, x1 * x3)):
+            # A degree-d harmonic on S^3 has Laplacian eigenvalue -d(d + 2).
+            f = SphereFunction.from_polynomial(p)
             record(
-                "laplacian_equals_projected_casimir",
-                verify_lap_eq_casimir(casimir, m, algebra="su2"),
+                f"spot_eigenvalue_degree_{d}",
+                sum_of_field_squares(fields, f) == f.scale(-d * (d + 2)),
             )
-        return results
 
     casimir = None
     if witness is None:
         casimir = casimir_element(algebra, form)
-        # A scaled invariant form rescales the projected Casimir inversely.
-        scale = Fraction(1)
-        if form_kind == "killing":
-            scale = Fraction(1, 2 * (m - 2))
+        # form = c * invariant rescales the projected Casimir by 1/c.  A wrong
+        # c cannot pass: the comparison below is exact.
+        scale = invariant.matrix[0][0] / form.matrix[0][0]
         record(
             "laplacian_equals_projected_casimir",
-            verify_lap_eq_casimir(casimir, m, scale=scale),
+            verify_lap_eq_casimir(casimir, m, algebra=realization, scale=scale),
             detail=None if scale == 1 else f"operator scale {scale}",
         )
 
-    if case.endswith(f"over-so{m - 1}"):
-        sub = so_subalgebra_fixing_last_axis(m)
-        if form.is_positive_definite():
-            dec = orthogonal_decomposition(algebra, sub, form)
+    if subalgebra is not None:
+        if positive:
+            dec = orthogonal_decomposition(algebra, subalgebra, form)
             record("reductive_decomposition", True, detail=f"dim m = {len(dec.complement_basis)}")
             nr_witness = natural_reductivity_witness(dec)
             record(
@@ -305,43 +284,23 @@ def _identity_suite(case: str, form_kind: str) -> list[dict]:
     return results
 
 
-def _case_from_algebra_flags(algebra: str, subalgebra: str | None) -> str:
-    """Translate --algebra/--subalgebra selectors into a named case."""
-    if algebra == "su2":
-        if subalgebra:
-            raise UsageError("su2 ships only as the group case (no subalgebra)")
-        return "su2-group"
-    if algebra.startswith("so:"):
-        try:
-            m = int(algebra[3:])
-        except ValueError:
-            raise UsageError(f"bad algebra selector {algebra!r}") from None
-        if subalgebra is None:
-            case = f"so{m}"
-        elif subalgebra == f"so:{m - 1}":
-            case = f"so{m}-over-so{m - 1}"
-        else:
-            raise UsageError(
-                f"subalgebra {subalgebra!r} not shipped for so:{m} "
-                f"(expected so:{m - 1})"
-            )
-        if case in IDENTITY_CASES:
-            return case
-        raise UsageError(f"algebra so:{m} is outside the shipped range 3..5")
-    raise UsageError(f"unknown algebra selector {algebra!r}")
-
-
 def cmd_verify_identities(args) -> int:
     case = args.case
     if case is None:
         if args.algebra is None:
             raise UsageError("give either --case or --algebra")
-        case = _case_from_algebra_flags(args.algebra, args.subalgebra)
+        by_selectors = {sel: name for name, (_, _, sel) in IDENTITY_CASES.items()}
+        case = by_selectors.get((args.algebra, args.subalgebra))
+        if case is None:
+            raise UsageError(
+                f"no shipped case has --algebra {args.algebra!r} "
+                f"and --subalgebra {args.subalgebra!r}"
+            )
     elif args.algebra is not None:
         raise UsageError("--case and --algebra are mutually exclusive")
     if case not in IDENTITY_CASES:
         raise UsageError(f"unknown case {case!r} (choose from {', '.join(IDENTITY_CASES)})")
-    if args.form not in ("trace", "killing", "perturbed"):
+    if args.form not in IDENTITY_FORMS:
         raise UsageError(f"unknown form {args.form!r}")
     results = _identity_suite(case, args.form)
     all_passed = all(r["passed"] for r in results)
@@ -428,12 +387,7 @@ def cmd_gen_harmonic(args) -> int:
         raise UsageError(f"degree must be >= 0, got {args.degree}")
     basis = generate_harmonic_basis(args.ambient_dim, args.degree)
     lines = [str(p) for p in basis]
-    text = "\n".join(lines) + ("\n" if lines else "")
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w") as fh:
-            fh.write(text)
+    _write("\n".join(lines) + ("\n" if lines else ""), args.output)
     return EXIT_PASS
 
 
@@ -462,9 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-identities", help="run a named identity suite")
     p.add_argument("--case", default=None, help=", ".join(IDENTITY_CASES))
-    p.add_argument("--algebra", default=None, help="so:M (3..5) or su2; alternative to --case")
-    p.add_argument("--subalgebra", default=None, help="so:K with K = M-1")
-    p.add_argument("--form", default="trace", help="trace | killing | perturbed")
+    pairs = "; ".join(f"{a} {b}" if b else a for _, _, (a, b) in IDENTITY_CASES.values())
+    p.add_argument("--algebra", default=None, help=f"instead of --case, with --subalgebra: {pairs}")
+    p.add_argument("--subalgebra", default=None, help="see --algebra")
+    p.add_argument("--form", default="trace", help=" | ".join(IDENTITY_FORMS))
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_verify_identities)
 

@@ -741,9 +741,6 @@ class SphereFunction:
         den = other.num * self.base**self.exp
         return SphereFunction._make(num, den, 1)
 
-    def square(self) -> "SphereFunction":
-        return self * self
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SphereFunction):
             return NotImplemented

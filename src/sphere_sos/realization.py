@@ -78,14 +78,6 @@ class RealizedField:
             self.m, {field: c * f for field, c in self.weights}
         )
 
-    def commutator(self, other: "RealizedField"):
-        """Commutator as an operator map f -> self(other(f)) - other(self(f))."""
-
-        def action(f):
-            return self(other(f)) - other(self(f))
-
-        return action
-
 
 def realize_so_field(coords: Sequence, m: int) -> RealizedField:
     """Realize a coordinate vector over the E_ij basis of so(m) on S^{m-1}.
@@ -232,6 +224,11 @@ def _proof_set(m: int, test_functions: Sequence[SphereFunction] | None) -> list[
     return functions
 
 
+def _operators_agree(lhs, rhs, m: int, test_functions) -> bool:
+    """True iff lhs(f) == rhs(f) exactly on every function of the proof set."""
+    return all(lhs(f) == rhs(f) for f in _proof_set(m, test_functions))
+
+
 def verify_lap_eq_casimir(
     casimir: CasimirElement,
     m: int,
@@ -241,11 +238,12 @@ def verify_lap_eq_casimir(
 ) -> bool:
     """True iff the projected Casimir equals scale * laplace_sphere on every
     test function, exactly; on the default 2-jets this is a proof."""
-    operator = projected_casimir(casimir, m, algebra)
-    for f in _proof_set(m, test_functions):
-        if operator(f) != laplace_sphere(f).scale(scale):
-            return False
-    return True
+    return _operators_agree(
+        projected_casimir(casimir, m, algebra),
+        lambda f: laplace_sphere(f).scale(scale),
+        m,
+        test_functions,
+    )
 
 
 def verify_commutation_theorem(
@@ -295,10 +293,9 @@ def verify_group_case_identity(
     """The three-field and six-field sums of squares agree exactly on S^3;
     on the default 2-jets this is a proof."""
     fields = su2_fields()
-    for f in _proof_set(4, test_functions):
-        if sum_of_field_squares(fields, f) != laplace_sphere(f):
-            return False
-    return True
+    return _operators_agree(
+        lambda f: sum_of_field_squares(fields, f), laplace_sphere, 4, test_functions
+    )
 
 
 def realization_antihomomorphism_defect(

@@ -50,9 +50,6 @@ class RotationField:
         xj = Polynomial.variable(p.m, self.j)
         return xi * p.partial(self.j) - xj * p.partial(self.i)
 
-    def __call__(self, f):
-        return apply_rotation_field(self, f)
-
 
 def rotation_fields(m: int) -> list[RotationField]:
     """All m(m-1)/2 rotation fields in lexicographic pair order."""

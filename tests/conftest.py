@@ -38,3 +38,28 @@ def random_sphere_function(rng: random.Random, m: int = 3) -> SphereFunction:
 @pytest.fixture
 def rng():
     return random.Random(12345)
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace ProcessPoolExecutor by a serial stand-in; the list it returns
+    collects the max_workers of every pool asked for.  No process starts."""
+    import concurrent.futures
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    return sizes

@@ -1,8 +1,9 @@
 import json
+import os
 
 import pytest
 
-from sphere_sos.cli import main
+from sphere_sos.cli import IDENTITY_CASES, IDENTITY_FORMS, main
 
 
 def run(capsys, *argv):
@@ -71,7 +72,7 @@ class TestCertify:
         assert code == 0
         assert "wall_time_seconds" in json.loads(out)
 
-    def test_workers_env_override(self, capsys, tmp_path, monkeypatch):
+    def test_workers_flag_keeps_the_report(self, capsys, tmp_path):
         base = tmp_path / "base.json"
         code, _, _ = run(
             capsys,
@@ -79,26 +80,39 @@ class TestCertify:
             "--samples", "6", "--output", str(base),
         )
         assert code == 0
-        monkeypatch.setenv("SPHERE_SOS_WORKERS", "2")
         multi = tmp_path / "multi.json"
         code, _, _ = run(
             capsys,
             "certify", "--family", "stereo:k=2:im", "--power", "2",
-            "--samples", "6", "--output", str(multi),
+            "--samples", "6", "--workers", "2", "--output", str(multi),
         )
         assert code == 0
         a = json.loads(base.read_text())
         b = json.loads(multi.read_text())
+        assert b["config"]["workers"] == 2
         a.pop("config")
         b.pop("config")
         assert a == b
 
-    def test_bad_workers_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("SPHERE_SOS_WORKERS", "zero")
-        code, _, _ = run(
-            capsys, "certify", "--family", "stereo:k=1:re", "--power", "1"
+    def test_huge_worker_count_is_echoed_not_forked(self, capsys, pool_sizes, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+        code, out, _ = run(
+            capsys,
+            "certify", "--family", "stereo:k=1:re", "--power", "2",
+            "--samples", "3", "--workers", "100000",
+        )
+        assert code == 0
+        assert json.loads(out)["config"]["workers"] == 100000
+        assert pool_sizes == [4]
+
+    def test_zero_workers_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "certify", "--family", "stereo:k=1:re", "--power", "1", "--workers", "0",
         )
         assert code == 2
+        assert out == ""
+        assert "worker count" in err
 
     def test_io_fault_is_usage_error_not_verdict(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "report.json"
@@ -111,7 +125,102 @@ class TestCertify:
         assert "error:" in err
 
 
+INVARIANT = ["jacobi", "antisymmetry", "ad_invariance", "positive_definite"]
+NOT_INVARIANT_SO = ["jacobi", "antisymmetry", "!ad_invariance E13 E12 E23", "positive_definite"]
+LAPLACIAN = "laplacian_equals_projected_casimir"
+COMMUTES = ["casimir_commutes_with_complement_fields", "casimir_commutes_with_all_fields"]
+GROUP = [
+    "group_sum_of_squares_equals_laplacian",
+    "spot_eigenvalue_degree_1",
+    "spot_eigenvalue_degree_2",
+]
+
+# Every case x form report, one line per verdict in report order:
+# "!" marks a failed verdict, then the name, the witness and ": detail".
+IDENTITY_REPORTS = {
+    ("so3", "trace"): INVARIANT + [LAPLACIAN],
+    ("so3", "killing"): INVARIANT + [f"{LAPLACIAN}: operator scale 1/2"],
+    ("so3", "perturbed"): NOT_INVARIANT_SO,
+    ("so4", "trace"): INVARIANT + [LAPLACIAN],
+    ("so4", "killing"): INVARIANT + [f"{LAPLACIAN}: operator scale 1/4"],
+    ("so4", "perturbed"): NOT_INVARIANT_SO,
+    ("so5", "trace"): INVARIANT + [LAPLACIAN],
+    ("so5", "killing"): INVARIANT + [f"{LAPLACIAN}: operator scale 1/6"],
+    ("so5", "perturbed"): NOT_INVARIANT_SO,
+    ("so3-over-so2", "trace"): INVARIANT
+    + [LAPLACIAN, "reductive_decomposition: dim m = 2", "natural_reductivity"]
+    + COMMUTES,
+    ("so3-over-so2", "killing"): INVARIANT
+    + [
+        f"{LAPLACIAN}: operator scale 1/2",
+        "reductive_decomposition: dim m = 2",
+        "natural_reductivity",
+    ]
+    + COMMUTES,
+    ("so3-over-so2", "perturbed"): NOT_INVARIANT_SO
+    + ["reductive_decomposition: dim m = 2", "natural_reductivity"],
+    ("so4-over-so3", "trace"): INVARIANT
+    + [LAPLACIAN, "reductive_decomposition: dim m = 3", "natural_reductivity"]
+    + COMMUTES,
+    ("so4-over-so3", "killing"): INVARIANT
+    + [
+        f"{LAPLACIAN}: operator scale 1/4",
+        "reductive_decomposition: dim m = 3",
+        "natural_reductivity",
+    ]
+    + COMMUTES,
+    ("so4-over-so3", "perturbed"): NOT_INVARIANT_SO
+    + ["reductive_decomposition: dim m = 3", "natural_reductivity"],
+    ("so5-over-so4", "trace"): INVARIANT
+    + [LAPLACIAN, "reductive_decomposition: dim m = 4", "natural_reductivity"]
+    + COMMUTES,
+    ("so5-over-so4", "killing"): INVARIANT
+    + [
+        f"{LAPLACIAN}: operator scale 1/6",
+        "reductive_decomposition: dim m = 4",
+        "natural_reductivity",
+    ]
+    + COMMUTES,
+    ("so5-over-so4", "perturbed"): NOT_INVARIANT_SO
+    + ["reductive_decomposition: dim m = 4", "natural_reductivity"],
+    ("su2-group", "trace"): INVARIANT + GROUP + [LAPLACIAN],
+    ("su2-group", "killing"): INVARIANT + GROUP + [f"{LAPLACIAN}: operator scale 1/8"],
+    ("su2-group", "perturbed"): [
+        "jacobi",
+        "antisymmetry",
+        "!ad_invariance e2 e1 e3",
+        "positive_definite",
+    ]
+    + GROUP,
+}
+
+
+def verdict_line(entry):
+    line = ("" if entry["passed"] else "!") + entry["name"]
+    if "witness" in entry:
+        line += " " + " ".join(str(w) for w in entry["witness"])
+    if "detail" in entry:
+        line += ": " + entry["detail"]
+    return line
+
+
 class TestVerifyIdentities:
+    @pytest.mark.parametrize("case, form", sorted(IDENTITY_REPORTS))
+    def test_every_case_and_form_report(self, capsys, case, form):
+        code, out, _ = run(capsys, "verify-identities", "--case", case, "--form", form)
+        payload = json.loads(out)
+        expected = IDENTITY_REPORTS[case, form]
+        assert [verdict_line(r) for r in payload["identities"]] == expected
+        all_passed = not any(line.startswith("!") for line in expected)
+        assert payload["all_passed"] is all_passed
+        assert code == (0 if all_passed else 1)
+        assert payload["config"] == {"case": case, "form": form}
+
+    def test_every_case_and_form_is_pinned(self):
+        assert set(IDENTITY_REPORTS) == {
+            (case, form) for case in IDENTITY_CASES for form in IDENTITY_FORMS
+        }
+
     @pytest.mark.parametrize(
         "case", ["so3", "so4-over-so3", "so3-over-so2", "su2-group"]
     )

@@ -266,10 +266,16 @@ def case_verdicts(case, suite=lambda m: None):
     default, the 2-jet proof.
     """
     if case == "su2-group":
-        cas = casimir_element(su2_algebra(), su2_round_form())
+        alg = su2_algebra()
+        cas = casimir_element(alg, su2_round_form())
+        # -Killing = 2 I against the round form I/4, so the operator scale is 1/8.
+        killing_cas = casimir_element(alg, killing_form(alg).scale(-1))
         return {
             "group_case": verify_group_case_identity(suite(4)),
             "lap_eq_casimir": verify_lap_eq_casimir(cas, 4, suite(4), algebra="su2"),
+            "lap_eq_killing": verify_lap_eq_casimir(
+                killing_cas, 4, suite(4), algebra="su2", scale=Fraction(1, 8)
+            ),
         }
     m = int(case[2])
     alg = so_algebra(m)
