@@ -14,12 +14,10 @@ from .polynomials import (
     SpherePolynomial,
     euler_operator,
     laplace_euclid,
-    reduce_mod_sphere,
 )
 from .sphere_ops import (
     RotationField,
     apply_rotation_field,
-    check_commutation,
     check_spherical_eigenvalue,
     check_sum_of_squares_identity,
     generate_harmonic_basis,
@@ -54,7 +52,6 @@ __all__ = [
     "SphereFunction",
     "SpherePolynomial",
     "apply_rotation_field",
-    "check_commutation",
     "check_spherical_eigenvalue",
     "check_sum_of_squares_identity",
     "delta_power",
@@ -65,7 +62,6 @@ __all__ = [
     "laplace_euclid",
     "laplace_sphere",
     "planar_combination",
-    "reduce_mod_sphere",
     "rotation_fields",
     "sos_certificate",
     "stereographic_harmonic",

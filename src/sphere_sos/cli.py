@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 from . import __version__
@@ -42,8 +43,10 @@ from .lie import (
 )
 from .polynomials import SphereFunction, SpherePolynomial
 from .realization import (
+    ProjectedCasimir,
+    so_realization,
     su2_fields,
-    sum_of_field_squares,
+    su2_realization,
     verify_commutation_theorem,
     verify_group_case_identity,
     verify_lap_eq_casimir,
@@ -87,13 +90,12 @@ def resolve_harmonic(descriptor: str) -> HarmonicFunction:
     """Parse ``stereo:k=K:re|im``, the certified harmonic pullbacks."""
     parts = descriptor.split(":")
     if len(parts) == 3 and parts[0] == "stereo" and parts[1].startswith("k="):
-        try:
-            k = int(parts[1][2:])
-        except ValueError:
-            raise UsageError(f"bad family descriptor {descriptor!r}") from None
-        if k < 0 or parts[2] not in ("re", "im"):
+        # K in canonical ASCII decimal, so the descriptor echoed in a report
+        # is the one the family reports as its provenance.
+        k = parts[1][2:]
+        if not re.fullmatch("0|[1-9][0-9]*", k) or parts[2] not in ("re", "im"):
             raise UsageError(f"bad family descriptor {descriptor!r}")
-        return stereographic_harmonic(k, parts[2])
+        return stereographic_harmonic(int(k), parts[2])
     raise UsageError(f"unknown harmonic family {descriptor!r}")
 
 
@@ -190,16 +192,16 @@ def cmd_certify(args) -> int:
 
 
 def _identity_case(case: str):
-    """(m, algebra, invariant form, realization, subalgebra basis or None) of a
-    named case; the projected Casimir of the invariant form is exactly the
-    round Laplacian of S^{m-1}."""
+    """(algebra, invariant form, basis images on S^{m-1}, subalgebra basis or
+    None) of a named case; the projected Casimir of the invariant form is
+    exactly the round Laplacian of S^{m-1}."""
     m, realization, selectors = IDENTITY_CASES[case]
     if realization == "su2":
-        algebra, invariant = su2_algebra(), su2_round_form()
+        algebra, invariant, images = su2_algebra(), su2_round_form(), su2_realization()
     else:
-        algebra, invariant = so_algebra(m), trace_form(m)
+        algebra, invariant, images = so_algebra(m), trace_form(m), so_realization(m)
     subalgebra = so_subalgebra_fixing_last_axis(m) if selectors[1] else None
-    return m, algebra, invariant, realization, subalgebra
+    return algebra, invariant, images, subalgebra
 
 
 def _identity_suite(case: str, form_kind: str) -> list[dict]:
@@ -214,7 +216,7 @@ def _identity_suite(case: str, form_kind: str) -> list[dict]:
             entry["detail"] = detail
         results.append(entry)
 
-    m, algebra, invariant, realization, subalgebra = _identity_case(case)
+    algebra, invariant, images, subalgebra = _identity_case(case)
     if form_kind == "trace":
         form = invariant
     elif form_kind == "killing":
@@ -236,16 +238,16 @@ def _identity_suite(case: str, form_kind: str) -> list[dict]:
     positive = form.is_positive_definite()
     record("positive_definite", positive)
 
-    if realization == "su2":
+    if IDENTITY_CASES[case][1] == "su2":
         record("group_sum_of_squares_equals_laplacian", verify_group_case_identity())
-        fields = su2_fields()
+        squares = ProjectedCasimir.of_squares(su2_fields())
         x1, x3 = SpherePolynomial.variable(4, 1), SpherePolynomial.variable(4, 3)
         for d, p in ((1, x1), (2, x1 * x3)):
             # A degree-d harmonic on S^3 has Laplacian eigenvalue -d(d + 2).
             f = SphereFunction.from_polynomial(p)
             record(
                 f"spot_eigenvalue_degree_{d}",
-                sum_of_field_squares(fields, f) == f.scale(-d * (d + 2)),
+                squares(f) == f.scale(-d * (d + 2)),
             )
 
     casimir = None
@@ -256,7 +258,7 @@ def _identity_suite(case: str, form_kind: str) -> list[dict]:
         scale = invariant.matrix[0][0] / form.matrix[0][0]
         record(
             "laplacian_equals_projected_casimir",
-            verify_lap_eq_casimir(casimir, m, algebra=realization, scale=scale),
+            verify_lap_eq_casimir(casimir, images, scale=scale),
             detail=None if scale == 1 else f"operator scale {scale}",
         )
 
@@ -273,7 +275,7 @@ def _identity_suite(case: str, form_kind: str) -> list[dict]:
             if casimir is not None:
                 verdicts = verify_commutation_theorem(
                     casimir,
-                    m,
+                    images,
                     complement_coords=dec.complement_basis,
                     full_coords=[algebra.basis_vector(i) for i in range(algebra.dim)],
                 )
@@ -285,6 +287,8 @@ def _identity_suite(case: str, form_kind: str) -> list[dict]:
 
 
 def cmd_verify_identities(args) -> int:
+    if args.subalgebra is not None and args.algebra is None:
+        raise UsageError("--subalgebra needs --algebra")
     case = args.case
     if case is None:
         if args.algebra is None:

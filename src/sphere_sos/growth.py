@@ -96,15 +96,6 @@ def spherical_mean(
     return total / order
 
 
-def mean_profile(
-    f: SphereFunction,
-    center: Sequence[float],
-    radii: Sequence[float],
-    order: int,
-) -> list[float]:
-    return [spherical_mean(f, center, r, order) for r in radii]
-
-
 def check_mean_monotonicity(means: Sequence[float], tol: float = MONOTONICITY_TOL):
     """Nondecreasing within tol; returns (verdict, index of first violation or None)."""
     for i in range(len(means) - 1):
@@ -174,7 +165,7 @@ def analyze_growth(
     if not 0 < r_max < math.pi:
         raise ValueError(f"r_max must lie in (0, pi), got {r_max}")
     radii = [r_max * (i + 1) / grid for i in range(grid)]
-    means = mean_profile(f, center, radii, order)
+    means = [spherical_mean(f, center, r, order) for r in radii]
     monotone, violation = check_mean_monotonicity(means)
     ok, fd, exact = check_second_derivative_at_zero(f, center, order)
     return GrowthReport(

@@ -51,11 +51,6 @@ class CapDomain:
         if len(self.pole) != self.ambient_dim:
             raise ValueError("pole dimension does not match ambient dimension")
 
-    @property
-    def center(self) -> tuple[Fraction, ...]:
-        """The antipode of the excluded pole (the cap's center)."""
-        return tuple(-c for c in self.pole)
-
 
 @dataclass(frozen=True)
 class HarmonicFunction:

@@ -259,10 +259,6 @@ def ad_invariance_witness(
     return None
 
 
-def check_ad_invariance(algebra: LieAlgebraData, form: BilinearForm) -> bool:
-    return ad_invariance_witness(algebra, form) is None
-
-
 @dataclass(frozen=True)
 class ReductiveDecomposition:
     """B-orthogonal splitting of the algebra into a subalgebra and its complement."""
@@ -356,10 +352,6 @@ def natural_reductivity_witness(
     return None
 
 
-def check_natural_reductivity(dec: ReductiveDecomposition) -> bool:
-    return natural_reductivity_witness(dec) is None
-
-
 # ----------------------------------------------------------------------
 # Casimir elements
 # ----------------------------------------------------------------------
@@ -370,10 +362,6 @@ class CasimirElement:
     """Pairs (dual vector, basis vector); the element is the sum of products."""
 
     pairs: tuple[tuple[Vector, Vector], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.pairs)
 
 
 def casimir_element(

@@ -535,18 +535,6 @@ class SpherePolynomial:
         return f"SpherePolynomial(m={self.m}, {self})"
 
 
-def reduce_mod_sphere(p: Polynomial) -> SpherePolynomial:
-    """Normal form of a raw polynomial modulo the sphere relation.
-
-    Every x_m^2 is rewritten as 1 - x_1^2 - ... - x_{m-1}^2, so the result has
-    last-variable exponent <= 1 in every term.  The map is an idempotent ring
-    homomorphism onto normal forms.
-    """
-    if p.m < 2:
-        raise ValueError("the sphere relation needs at least two variables")
-    return SpherePolynomial(p)
-
-
 def _reduce_terms(p: Polynomial) -> Polynomial:
     m = p.m
     if m < 2:

@@ -1,15 +1,19 @@
 """Realizing Lie-algebra elements as derivations of the sphere ring.
 
-A basis element E_ij of so(m) generates the one-parameter rotation group of
-the x_i x_j plane; differentiating f(exp(t E_ij) p) at t = 0 gives the
-derivation -X_ij.  Linear extension realizes all of so(m) on S^{m-1}, and the
-quaternionic combinations V_i, V_j, V_k realize su(2) on S^3.  Realization is
+A realization is a linear map from a Lie algebra to vector fields, so it is
+fixed by the images of the algebra's basis; ``realize(images, coords)``
+extends them linearly.  A basis element E_ij of so(m) generates the
+one-parameter rotation group of the x_i x_j plane; differentiating
+f(exp(t E_ij) p) at t = 0 gives the derivation -X_ij, so ``so_realization(m)``
+sends E_ij to -X_ij on S^{m-1}.  ``su2_realization()`` sends the cyclic basis
+of su(2) to half the quaternionic fields V_i, V_j, V_k on S^3.  Realization is
 an antihomomorphism: realize([u, v]) = -[realize(u), realize(v)].
 
 The projected Casimir of a positive form acts as
 f -> sum_j realize(dual_j)(realize(basis_j)(f)); under the default trace-form
 normalization it coincides exactly with the spherical Laplacian.  The
-theorem-level checks (Casimir = Laplacian, commutation, group case) are finite
+theorem-level checks (Casimir = Laplacian, commutation, group case) take the
+basis images, so they serve every realized algebra, and they are finite
 proofs on the 2-jets of ``jet_functions``; ``standard_test_suite`` is a
 sampled reference kept for cross-checks in the tests.
 """
@@ -19,7 +23,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Sequence
 
 from .lie import CasimirElement, LieAlgebraData
@@ -49,10 +52,6 @@ class RealizedField:
         )
         return cls(m=m, weights=clean)
 
-    @classmethod
-    def zero(cls, m: int) -> "RealizedField":
-        return cls(m=m, weights=())
-
     def __call__(self, f):
         if isinstance(f, SphereFunction):
             out = SphereFunction.zero(self.m)
@@ -64,14 +63,6 @@ class RealizedField:
             out = out + apply_rotation_field(field, f).scale(c)
         return out
 
-    def __add__(self, other: "RealizedField") -> "RealizedField":
-        if self.m != other.m:
-            raise ValueError("ambient dimension mismatch")
-        acc = dict(self.weights)
-        for field, c in other.weights:
-            acc[field] = acc.get(field, Fraction(0)) + c
-        return RealizedField.from_weights(self.m, acc)
-
     def scale(self, factor) -> "RealizedField":
         f = Fraction(factor)
         return RealizedField.from_weights(
@@ -79,21 +70,12 @@ class RealizedField:
         )
 
 
-def realize_so_field(coords: Sequence, m: int) -> RealizedField:
-    """Realize a coordinate vector over the E_ij basis of so(m) on S^{m-1}.
-
-    The basis element E_ij maps to -X_ij (the flow convention fixes the sign;
-    squared sums are insensitive to it).
-    """
-    pairs = list(combinations(range(1, m + 1), 2))
-    if len(coords) != len(pairs):
-        raise ValueError(
-            f"coordinate vector has length {len(coords)}, expected {len(pairs)}"
-        )
-    weights = {
-        RotationField(i, j): -Fraction(c) for (i, j), c in zip(pairs, coords)
-    }
-    return RealizedField.from_weights(m, weights)
+def so_realization(m: int) -> tuple[RealizedField, ...]:
+    """Images of the E_ij basis of so(m) on S^{m-1}, in pair order: E_ij -> -X_ij
+    (the flow convention fixes the sign; squared sums are insensitive to it)."""
+    return tuple(
+        RealizedField.from_weights(m, {field: Fraction(-1)}) for field in rotation_fields(m)
+    )
 
 
 def su2_fields() -> tuple[RealizedField, RealizedField, RealizedField]:
@@ -115,20 +97,23 @@ def su2_fields() -> tuple[RealizedField, RealizedField, RealizedField]:
     return vi, vj, vk
 
 
-def realize_su2_element(coords: Sequence) -> RealizedField:
-    """Realize su(2) coordinates (cyclic basis [e1,e2] = e3) on S^3.
+def su2_realization() -> tuple[RealizedField, ...]:
+    """Images of the cyclic su(2) basis ([e1, e2] = e3) on S^3: e_i -> V_i / 2,
+    the halving that makes the map an antihomomorphism."""
+    return tuple(v.scale(Fraction(1, 2)) for v in su2_fields())
 
-    Each cyclic basis vector maps to half the corresponding quaternionic
-    field, which is what makes the map an antihomomorphism.
-    """
-    if len(coords) != 3:
-        raise ValueError("su(2) coordinate vectors have length 3")
-    vi, vj, vk = su2_fields()
-    half = Fraction(1, 2)
-    out = RealizedField.zero(4)
-    for c, v in zip(coords, (vi, vj, vk)):
-        out = out + v.scale(half * Fraction(c))
-    return out
+
+def realize(images: Sequence[RealizedField], coords: Sequence) -> RealizedField:
+    """The field sum_a coords[a] * images[a] of a coordinate vector."""
+    if len(coords) != len(images):
+        raise ValueError(
+            f"coordinate vector has length {len(coords)}, expected {len(images)}"
+        )
+    weights: dict[RotationField, Fraction] = {}
+    for c, image in zip(coords, images):
+        for field, w in image.weights:
+            weights[field] = weights.get(field, Fraction(0)) + Fraction(c) * w
+    return RealizedField.from_weights(images[0].m, weights)
 
 
 @dataclass(frozen=True)
@@ -136,6 +121,11 @@ class ProjectedCasimir:
     """Realized (dual, basis) field pairs; acts as the sum of compositions."""
 
     pairs: tuple[tuple[RealizedField, RealizedField], ...]
+
+    @classmethod
+    def of_squares(cls, fields: Sequence[RealizedField]) -> "ProjectedCasimir":
+        """The sum of each field applied twice, in the given order."""
+        return cls(pairs=tuple((v, v) for v in fields))
 
     def __call__(self, f):
         result = None
@@ -145,22 +135,14 @@ class ProjectedCasimir:
         return result
 
 
-def projected_casimir(casimir: CasimirElement, m: int, algebra: str = "so") -> ProjectedCasimir:
-    """Realize a Casimir element on the sphere S^{m-1}.
-
-    ``algebra`` picks the realization map: "so" for so(m) coordinate vectors
-    over the E_ij basis, "su2" for the cyclic su(2) basis on S^3 (m = 4).
-    """
-    if algebra == "so":
-        realize = lambda coords: realize_so_field(coords, m)  # noqa: E731
-    elif algebra == "su2":
-        if m != 4:
-            raise ValueError("the su(2) realization lives on S^3 (m = 4)")
-        realize = realize_su2_element
-    else:
-        raise ValueError(f"unknown realization {algebra!r}")
+def projected_casimir(
+    casimir: CasimirElement, images: Sequence[RealizedField]
+) -> ProjectedCasimir:
+    """Realize a Casimir element through the images of its algebra's basis."""
     return ProjectedCasimir(
-        pairs=tuple((realize(dual), realize(vec)) for dual, vec in casimir.pairs)
+        pairs=tuple(
+            (realize(images, dual), realize(images, vec)) for dual, vec in casimir.pairs
+        )
     )
 
 
@@ -231,24 +213,23 @@ def _operators_agree(lhs, rhs, m: int, test_functions) -> bool:
 
 def verify_lap_eq_casimir(
     casimir: CasimirElement,
-    m: int,
+    images: Sequence[RealizedField],
     test_functions: Sequence[SphereFunction] | None = None,
-    algebra: str = "so",
     scale: Fraction = Fraction(1),
 ) -> bool:
     """True iff the projected Casimir equals scale * laplace_sphere on every
     test function, exactly; on the default 2-jets this is a proof."""
     return _operators_agree(
-        projected_casimir(casimir, m, algebra),
+        projected_casimir(casimir, images),
         lambda f: laplace_sphere(f).scale(scale),
-        m,
+        images[0].m,
         test_functions,
     )
 
 
 def verify_commutation_theorem(
     casimir: CasimirElement,
-    m: int,
+    images: Sequence[RealizedField],
     complement_coords: Sequence[Sequence],
     full_coords: Sequence[Sequence] | None = None,
     test_functions: Sequence[SphereFunction] | None = None,
@@ -261,14 +242,14 @@ def verify_commutation_theorem(
     the Casimir is again a sum of compositions of two derivations, so on the
     default 2-jets the verdicts are proofs.
     """
-    operator = projected_casimir(casimir, m)
-    images = [(f, operator(f)) for f in _proof_set(m, test_functions)]
+    operator = projected_casimir(casimir, images)
+    applied = [(f, operator(f)) for f in _proof_set(images[0].m, test_functions)]
 
     def all_commute(coord_list) -> bool:
         for coords in coord_list:
-            field = realize_so_field(coords, m)
-            for f, image in images:
-                if field(image) != operator(field(f)):
+            field = realize(images, coords)
+            for f, lf in applied:
+                if field(lf) != operator(field(f)):
                     return False
         return True
 
@@ -278,31 +259,20 @@ def verify_commutation_theorem(
     return verdicts
 
 
-def sum_of_field_squares(fields: Sequence[RealizedField], f):
-    """Sum of each field applied twice, in the given order."""
-    result = None
-    for v in fields:
-        term = v(v(f))
-        result = term if result is None else result + term
-    return result
-
-
 def verify_group_case_identity(
     test_functions: Sequence[SphereFunction] | None = None,
 ) -> bool:
     """The three-field and six-field sums of squares agree exactly on S^3;
     on the default 2-jets this is a proof."""
-    fields = su2_fields()
     return _operators_agree(
-        lambda f: sum_of_field_squares(fields, f), laplace_sphere, 4, test_functions
+        ProjectedCasimir.of_squares(su2_fields()), laplace_sphere, 4, test_functions
     )
 
 
 def realization_antihomomorphism_defect(
-    algebra: LieAlgebraData, u: Sequence, v: Sequence, m: int, f
+    algebra: LieAlgebraData, images: Sequence[RealizedField], u: Sequence, v: Sequence, f
 ):
     """realize([u, v]) f + [realize(u), realize(v)] f; zero when the
     antihomomorphism law holds on f."""
-    bracket_field = realize_so_field(algebra.bracket(u, v), m)
-    ru, rv = realize_so_field(u, m), realize_so_field(v, m)
-    return bracket_field(f) + ru(rv(f)) - rv(ru(f))
+    ru, rv = realize(images, u), realize(images, v)
+    return realize(images, algebra.bracket(u, v))(f) + ru(rv(f)) - rv(ru(f))

@@ -63,8 +63,6 @@ def apply_rotation_field(field: RotationField, f):
     relation; on quotients the factored-power denominator makes the quotient
     rule raise the denominator exponent by one instead of squaring it.
     """
-    if isinstance(field, tuple):
-        field = RotationField(*field)
     if isinstance(f, Polynomial):
         return field.apply_raw(f)
     if isinstance(f, SpherePolynomial):
@@ -102,13 +100,6 @@ def laplace_sphere(f):
     return result
 
 
-def compose_fields(word, f):
-    """Apply a word of rotation fields, first entry first."""
-    for field in word:
-        f = apply_rotation_field(field, f)
-    return f
-
-
 def check_sum_of_squares_identity(p: Polynomial) -> bool:
     """Raw-polynomial operator identity behind the spherical sum of squares.
 
@@ -121,13 +112,6 @@ def check_sum_of_squares_identity(p: Polynomial) -> bool:
         lhs = lhs + field.apply_raw(field.apply_raw(p))
     ep = euler_operator(p)
     rhs = Polynomial.radius_squared(m) * laplace_euclid(p) - euler_operator(ep) - ep.scale(m - 2)
-    return lhs == rhs
-
-
-def check_commutation(field: RotationField, f: SphereFunction) -> bool:
-    """True iff the field commutes with the spherical Laplacian on f, exactly."""
-    lhs = apply_rotation_field(field, laplace_sphere(f))
-    rhs = laplace_sphere(apply_rotation_field(field, f))
     return lhs == rhs
 
 

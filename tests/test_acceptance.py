@@ -24,8 +24,7 @@ from sphere_sos.harmonics import stereographic_harmonic
 from sphere_sos.lie import (
     ad_invariance_witness,
     casimir_element,
-    check_ad_invariance,
-    check_natural_reductivity,
+    natural_reductivity_witness,
     orthogonal_decomposition,
     perturbed_form,
     so_algebra,
@@ -41,10 +40,11 @@ from sphere_sos.polynomials import (
     sample_cap_points,
 )
 from sphere_sos.realization import (
+    ProjectedCasimir,
     projected_casimir,
+    so_realization,
     standard_test_suite,
     su2_fields,
-    sum_of_field_squares,
     verify_commutation_theorem,
     verify_group_case_identity,
     verify_lap_eq_casimir,
@@ -204,14 +204,14 @@ def test_criterion_07_lie_suite():
         alg = so_algebra(m)
         form = trace_form(m)
         ok &= alg.check_jacobi()
-        ok &= check_ad_invariance(alg, form)
+        ok &= ad_invariance_witness(alg, form) is None
         ok &= form.is_positive_definite()
         dec = orthogonal_decomposition(alg, so_subalgebra_fixing_last_axis(m), form)
-        ok &= check_natural_reductivity(dec)
+        ok &= natural_reductivity_witness(dec) is None
         details.append(f"so({m})/so({m - 1})")
     su2 = su2_algebra()
     ok &= su2.check_jacobi()
-    ok &= check_ad_invariance(su2, su2_round_form())
+    ok &= ad_invariance_witness(su2, su2_round_form()) is None
     ok &= su2_round_form().is_positive_definite()
     witness = ad_invariance_witness(so_algebra(3), perturbed_form(trace_form(3)))
     ok &= witness is not None
@@ -231,13 +231,13 @@ def test_criterion_08_casimir_theorems():
         form = trace_form(m)
         cas = casimir_element(alg, form)
         suite = standard_test_suite(m, max_harmonic_degree=4, random_count=20)
-        ok &= verify_lap_eq_casimir(cas, m, suite)
+        ok &= verify_lap_eq_casimir(cas, so_realization(m), suite)
     # basis independence on so(3)
     alg = so_algebra(3)
     form = trace_form(3)
     other_basis = [(1, 1, 0), (0, 1, 1), (2, 0, 3)]
-    op_a = projected_casimir(casimir_element(alg, form), 3)
-    op_b = projected_casimir(casimir_element(alg, form, basis=other_basis), 3)
+    op_a = projected_casimir(casimir_element(alg, form), so_realization(3))
+    op_b = projected_casimir(casimir_element(alg, form, basis=other_basis), so_realization(3))
     suite3 = standard_test_suite(3, max_harmonic_degree=4, random_count=20)
     ok &= all(op_a(f) == op_b(f) for f in suite3)
     # commutation for complement fields and the full algebra
@@ -247,7 +247,7 @@ def test_criterion_08_casimir_theorems():
         dec = orthogonal_decomposition(alg, so_subalgebra_fixing_last_axis(m), form)
         verdicts = verify_commutation_theorem(
             casimir_element(alg, form),
-            m,
+            so_realization(m),
             complement_coords=dec.complement_basis,
             full_coords=[alg.basis_vector(i) for i in range(alg.dim)],
             test_functions=standard_test_suite(m, max_harmonic_degree=3, random_count=8),
@@ -270,9 +270,9 @@ def test_criterion_09_group_case():
     x1x3 = SphereFunction.from_polynomial(
         SpherePolynomial.variable(4, 1) * SpherePolynomial.variable(4, 3)
     )
-    fields = su2_fields()
-    ok &= sum_of_field_squares(fields, x1) == x1.scale(-3)
-    ok &= sum_of_field_squares(fields, x1x3) == x1x3.scale(-8)
+    squares = ProjectedCasimir.of_squares(su2_fields())
+    ok &= squares(x1) == x1.scale(-3)
+    ok &= squares(x1x3) == x1x3.scale(-8)
     report(
         9,
         ok,

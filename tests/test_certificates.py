@@ -21,7 +21,12 @@ from sphere_sos.polynomials import (
     SpherePolynomial,
     sample_cap_points,
 )
-from sphere_sos.sphere_ops import apply_rotation_field, laplace_sphere, rotation_fields
+from sphere_sos.sphere_ops import (
+    RotationField,
+    apply_rotation_field,
+    laplace_sphere,
+    rotation_fields,
+)
 
 from conftest import random_sphere_function
 
@@ -74,6 +79,18 @@ class TestCertificateTerms:
         h = stereographic_harmonic(1, "re")
         assert len(sos_certificate(h, 2)) == 9
         assert len(certificate_words(3, 2)) == 9
+
+    def test_words_apply_first_field_first(self):
+        # Term of the word (X_a, X_b) is X_b(X_a h); X12 and X13 do not
+        # commute on h, so the reversed order would give a different term.
+        h = stereographic_harmonic(2, "re")
+        terms = sos_certificate(h, 2)
+        words = certificate_words(3, 2)
+        for (a, b), term in zip(words, terms):
+            assert term == apply_rotation_field(b, apply_rotation_field(a, h.value))
+        x12_then_x13 = terms[words.index((RotationField(1, 2), RotationField(1, 3)))]
+        x13_then_x12 = terms[words.index((RotationField(1, 3), RotationField(1, 2)))]
+        assert x12_then_x13 != x13_then_x12
 
     def test_constant_harmonic_gives_zero_terms(self):
         h = stereographic_harmonic(0, "re")

@@ -125,6 +125,33 @@ class TestCertify:
         assert "error:" in err
 
 
+# K must be canonical ASCII decimal; int() alone would accept each of these
+# and echo a descriptor that differs from the family's own.
+NON_CANONICAL_K = ["+1", " 1", "1 ", "1_0", "01", "00", "-0", "\u0661", "", "1.0"]
+FAMILY_COMMANDS = {
+    "certify": ["--power", "1", "--samples", "2"],
+    "growth": ["--grid", "2", "--quad", "8", "--csv", os.devnull],
+}
+
+
+@pytest.mark.parametrize("k", NON_CANONICAL_K)
+@pytest.mark.parametrize("command", sorted(FAMILY_COMMANDS))
+def test_non_canonical_family_index_is_usage_error(capsys, command, k):
+    family = f"stereo:k={k}:re"
+    code, out, err = run(capsys, command, "--family", family, *FAMILY_COMMANDS[command])
+    assert code == 2
+    assert out == ""
+    assert "bad family descriptor" in err
+
+
+@pytest.mark.parametrize("command", sorted(FAMILY_COMMANDS))
+def test_canonical_family_index_is_echoed_unchanged(capsys, command):
+    code, out, _ = run(capsys, command, "--family", "stereo:k=10:re", *FAMILY_COMMANDS[command])
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["config"]["family"] == "stereo:k=10:re"
+
+
 INVARIANT = ["jacobi", "antisymmetry", "ad_invariance", "positive_definite"]
 NOT_INVARIANT_SO = ["jacobi", "antisymmetry", "!ad_invariance E13 E12 E23", "positive_definite"]
 LAPLACIAN = "laplacian_equals_projected_casimir"
@@ -221,36 +248,6 @@ class TestVerifyIdentities:
             (case, form) for case in IDENTITY_CASES for form in IDENTITY_FORMS
         }
 
-    @pytest.mark.parametrize(
-        "case", ["so3", "so4-over-so3", "so3-over-so2", "su2-group"]
-    )
-    def test_cases_pass(self, capsys, case):
-        code, out, _ = run(capsys, "verify-identities", "--case", case)
-        assert code == 0
-        payload = json.loads(out)
-        assert payload["all_passed"] is True
-        assert all(r["passed"] for r in payload["identities"])
-
-    def test_perturbed_form_fails_with_witness(self, capsys):
-        code, out, _ = run(
-            capsys, "verify-identities", "--case", "so3", "--form", "perturbed"
-        )
-        assert code == 1
-        payload = json.loads(out)
-        failed = [r for r in payload["identities"] if not r["passed"]]
-        assert any(r["name"] == "ad_invariance" and r.get("witness") for r in failed)
-
-    def test_killing_form_reports_scale(self, capsys):
-        code, out, _ = run(
-            capsys, "verify-identities", "--case", "so4", "--form", "killing"
-        )
-        assert code == 0
-        payload = json.loads(out)
-        names = {r["name"]: r for r in payload["identities"]}
-        entry = names["laplacian_equals_projected_casimir"]
-        assert entry["passed"] is True
-        assert "1/4" in entry.get("detail", "")
-
     def test_unknown_case(self, capsys):
         code, _, err = run(capsys, "verify-identities", "--case", "so9")
         assert code == 2
@@ -286,6 +283,12 @@ class TestVerifyIdentities:
             capsys, "verify-identities", "--case", "so3", "--algebra", "so:3"
         )
         assert code == 2
+        code, out, err = run(
+            capsys, "verify-identities", "--case", "so4-over-so3", "--subalgebra", "so:2"
+        )
+        assert code == 2
+        assert out == ""
+        assert "--subalgebra needs --algebra" in err
 
     def test_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -7,7 +7,6 @@ from sphere_sos.growth import (
     analyze_growth,
     check_mean_monotonicity,
     check_second_derivative_at_zero,
-    mean_profile,
     spherical_mean,
 )
 from sphere_sos.harmonics import planar_combination, stereographic_harmonic
@@ -85,7 +84,7 @@ class TestMonotonicity:
     def test_family_members_monotone(self, k, part):
         sq = squared(stereographic_harmonic(k, part))
         radii = [1.2 * (i + 1) / 40 for i in range(40)]
-        means = mean_profile(sq, SOUTH, radii, 128)
+        means = [spherical_mean(sq, SOUTH, r, 128) for r in radii]
         ok, _ = check_mean_monotonicity(means)
         assert ok
 
@@ -96,7 +95,7 @@ class TestMonotonicity:
         f = SphereFunction.from_polynomial(SpherePolynomial.one(3) - x3 * x3)
         sq = f * f
         radii = [1.2 * (i + 1) / 40 for i in range(40)]
-        means = mean_profile(sq, (1.0, 0.0, 0.0), radii, 128)
+        means = [spherical_mean(sq, (1.0, 0.0, 0.0), r, 128) for r in radii]
         ok, idx = check_mean_monotonicity(means)
         assert not ok
         assert idx is not None

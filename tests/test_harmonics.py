@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -11,7 +12,12 @@ from sphere_sos.harmonics import (
     planar_combination,
     stereographic_harmonic,
 )
-from sphere_sos.polynomials import Polynomial, SphereFunction, SpherePolynomial
+from sphere_sos.polynomials import (
+    Polynomial,
+    SphereFunction,
+    SpherePolynomial,
+    sample_cap_points,
+)
 from sphere_sos.sphere_ops import (
     RotationField,
     apply_rotation_field,
@@ -138,8 +144,14 @@ class TestCapDomain:
             CapDomain(pole=(Fraction(1), Fraction(1), Fraction(0)))
 
     def test_center_is_antipode(self):
+        # The default cap excludes the north pole and is centred at its
+        # antipode, the south pole; the certificate's sample points lie in it.
         dom = CapDomain()
-        assert dom.center == (0, 0, -1)
+        assert dom.pole == (0, 0, 1)
+        center = tuple(-c for c in dom.pole)
+        for point in sample_cap_points(20, seed=3):
+            cosine = float(sum(p * c for p, c in zip(point, center)))
+            assert math.acos(cosine) < dom.radius
 
 
 class TestEuclideanHarmonics:

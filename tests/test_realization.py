@@ -17,15 +17,15 @@ from sphere_sos.lie import (
 )
 from sphere_sos.polynomials import Polynomial, SphereFunction, SpherePolynomial
 from sphere_sos.realization import (
-    RealizedField,
+    ProjectedCasimir,
     jet_functions,
-    realization_antihomomorphism_defect,
-    realize_so_field,
-    realize_su2_element,
     projected_casimir,
+    realization_antihomomorphism_defect,
+    realize,
+    so_realization,
     standard_test_suite,
     su2_fields,
-    sum_of_field_squares,
+    su2_realization,
     verify_commutation_theorem,
     verify_group_case_identity,
     verify_lap_eq_casimir,
@@ -39,24 +39,41 @@ def sphere_var(m, i):
     return SphereFunction.from_polynomial(SpherePolynomial.variable(m, i))
 
 
+def so_field(coords, m):
+    return realize(so_realization(m), coords)
+
+
 class TestRealization:
     def test_basis_element_realizes_to_minus_rotation(self):
         # E12 -> -X12, checked on x1: flow derivative is x2 d1 - x1 d2.
-        field = realize_so_field((1, 0, 0), 3)
+        field = so_field((1, 0, 0), 3)
         x1 = sphere_var(3, 1)
         x2 = sphere_var(3, 2)
         assert field(x1) == x2
         assert field(x2) == -x1
 
     def test_zero_element(self):
-        field = realize_so_field((0, 0, 0), 3)
+        field = so_field((0, 0, 0), 3)
         assert field(sphere_var(3, 1)).is_zero()
 
     def test_linearity(self):
-        combined = realize_so_field((1, 1, 0), 3)
-        split = realize_so_field((1, 0, 0), 3) + realize_so_field((0, 1, 0), 3)
+        combined = so_field((1, 1, 0), 3)
         f = sphere_var(3, 1) * sphere_var(3, 3)
-        assert combined(f) == split(f)
+        assert combined(f) == so_field((1, 0, 0), 3)(f) + so_field((0, 1, 0), 3)(f)
+
+    @pytest.mark.parametrize("images", [so_realization(3), su2_realization()])
+    def test_basis_vectors_realize_to_their_images(self, images):
+        f = sphere_var(images[0].m, 1) * sphere_var(images[0].m, 2)
+        for a, image in enumerate(images):
+            coords = [int(b == a) for b in range(len(images))]
+            assert realize(images, coords) == image
+            assert realize(images, coords)(f) == image(f)
+
+    def test_coordinate_length_must_match_the_images(self):
+        with pytest.raises(ValueError):
+            realize(so_realization(3), (1, 0))
+        with pytest.raises(ValueError):
+            realize(su2_realization(), (1, 0, 0, 0))
 
     def test_flow_derivative_oracle(self):
         # Differentiate f(exp(t E) p) at t = 0 through the matrix exponential
@@ -79,7 +96,7 @@ class TestRealization:
                 oracle = oracle + row * p.partial(k + 1)
             coords = [0, 0, 0]
             coords[idx] = 1
-            engine = realize_so_field(coords, m)(
+            engine = so_field(coords, m)(
                 SphereFunction.from_polynomial(SpherePolynomial(p))
             )
             assert engine == SphereFunction.from_polynomial(SpherePolynomial(oracle))
@@ -93,7 +110,7 @@ class TestRealization:
             p = SphereFunction.from_polynomial(
                 SpherePolynomial(random_polynomial(rng, 4, max_degree=3))
             )
-            defect = realization_antihomomorphism_defect(alg, u, v, 4, p)
+            defect = realization_antihomomorphism_defect(alg, so_realization(4), u, v, p)
             assert defect.is_zero()
 
 
@@ -102,11 +119,11 @@ class TestProjectedCasimir:
     def test_equals_laplacian_under_default_form(self, m):
         cas = casimir_element(so_algebra(m), trace_form(m))
         suite = standard_test_suite(m, max_harmonic_degree=3, random_count=5)
-        assert verify_lap_eq_casimir(cas, m, suite)
+        assert verify_lap_eq_casimir(cas, so_realization(m), suite)
 
     def test_so3_casimir_is_sum_of_rotation_squares(self):
         cas = casimir_element(so_algebra(3), trace_form(3))
-        operator = projected_casimir(cas, 3)
+        operator = projected_casimir(cas, so_realization(3))
         f = sphere_var(3, 1) * sphere_var(3, 2)
         total = None
         for field in (RotationField(1, 2), RotationField(1, 3), RotationField(2, 3)):
@@ -116,12 +133,12 @@ class TestProjectedCasimir:
 
     def test_annihilates_constants(self):
         cas = casimir_element(so_algebra(4), trace_form(4))
-        operator = projected_casimir(cas, 4)
+        operator = projected_casimir(cas, so_realization(4))
         assert operator(SphereFunction.constant(4, 1)).is_zero()
 
     def test_so4_degree_one_eigenvalue(self):
         cas = casimir_element(so_algebra(4), trace_form(4))
-        operator = projected_casimir(cas, 4)
+        operator = projected_casimir(cas, so_realization(4))
         x1 = sphere_var(4, 1)
         assert operator(x1) == x1.scale(-3)
 
@@ -129,14 +146,14 @@ class TestProjectedCasimir:
         lam = Fraction(5, 2)
         cas = casimir_element(so_algebra(3), trace_form(3).scale(lam))
         suite = standard_test_suite(3, max_harmonic_degree=2, random_count=4)
-        assert verify_lap_eq_casimir(cas, 3, suite, scale=Fraction(1) / lam)
+        assert verify_lap_eq_casimir(cas, so_realization(3), suite, scale=Fraction(1) / lam)
 
     def test_basis_independence(self):
         # Casimir from the standard basis and from a random invertible basis
         # realize to identical operators.
         alg = so_algebra(3)
         B = trace_form(3)
-        standard = projected_casimir(casimir_element(alg, B), 3)
+        standard = projected_casimir(casimir_element(alg, B), so_realization(3))
         rng = random.Random(10)
         from sphere_sos import linalg
 
@@ -147,7 +164,7 @@ class TestProjectedCasimir:
             ]
             if linalg.rank(basis) == 3:
                 break
-        other = projected_casimir(casimir_element(alg, B, basis=basis), 3)
+        other = projected_casimir(casimir_element(alg, B, basis=basis), so_realization(3))
         suite = standard_test_suite(3, max_harmonic_degree=3, random_count=6)
         for f in suite:
             assert standard(f) == other(f)
@@ -162,7 +179,7 @@ class TestCommutationTheorem:
         cas = casimir_element(alg, form)
         verdicts = verify_commutation_theorem(
             cas,
-            m,
+            so_realization(m),
             complement_coords=dec.complement_basis,
             full_coords=[alg.basis_vector(i) for i in range(alg.dim)],
             test_functions=standard_test_suite(m, max_harmonic_degree=2, random_count=4),
@@ -174,8 +191,8 @@ class TestCommutationTheorem:
         # E13 is a complement direction for so(3)/so(2); commutation on a
         # rational harmonic function.
         cas = casimir_element(so_algebra(3), trace_form(3))
-        operator = projected_casimir(cas, 3)
-        field = realize_so_field((0, 1, 0), 3)
+        operator = projected_casimir(cas, so_realization(3))
+        field = so_field((0, 1, 0), 3)
         f = SphereFunction(
             SpherePolynomial.variable(3, 1),
             SpherePolynomial.one(3) - SpherePolynomial.variable(3, 3),
@@ -184,8 +201,8 @@ class TestCommutationTheorem:
 
     def test_constant_function(self):
         cas = casimir_element(so_algebra(3), trace_form(3))
-        operator = projected_casimir(cas, 3)
-        field = realize_so_field((1, 0, 0), 3)
+        operator = projected_casimir(cas, so_realization(3))
+        field = so_field((1, 0, 0), 3)
         one = SphereFunction.constant(3, 1)
         assert (field(operator(one)) - operator(field(one))).is_zero()
 
@@ -208,11 +225,11 @@ class TestGroupCase:
 
     def test_spot_eigenvalue_degree_one(self):
         x1 = sphere_var(4, 1)
-        assert sum_of_field_squares(su2_fields(), x1) == x1.scale(-3)
+        assert ProjectedCasimir.of_squares(su2_fields())(x1) == x1.scale(-3)
 
     def test_spot_eigenvalue_degree_two(self):
         x1x3 = sphere_var(4, 1) * sphere_var(4, 3)
-        assert sum_of_field_squares(su2_fields(), x1x3) == x1x3.scale(-8)
+        assert ProjectedCasimir.of_squares(su2_fields())(x1x3) == x1x3.scale(-8)
 
     def test_identity_holds_even_raw(self):
         # The two sums of squares agree already as raw differential operators.
@@ -242,7 +259,7 @@ class TestGroupCase:
     def test_su2_casimir_under_round_form_matches_laplacian(self):
         cas = casimir_element(su2_algebra(), su2_round_form())
         suite = standard_test_suite(4, max_harmonic_degree=2, random_count=4)
-        assert verify_lap_eq_casimir(cas, 4, suite, algebra="su2")
+        assert verify_lap_eq_casimir(cas, su2_realization(), suite)
 
     def test_su2_realization_is_antihomomorphism(self):
         alg = su2_algebra()
@@ -253,10 +270,38 @@ class TestGroupCase:
             f = SphereFunction.from_polynomial(
                 SpherePolynomial(random_polynomial(rng, 4, max_degree=2))
             )
-            bracket_field = realize_su2_element(alg.bracket(u, v))
-            ru, rv = realize_su2_element(u), realize_su2_element(v)
-            defect = bracket_field(f) + ru(rv(f)) - rv(ru(f))
+            defect = realization_antihomomorphism_defect(alg, su2_realization(), u, v, f)
             assert defect.is_zero()
+
+    def test_unhalved_quaternionic_fields_are_not_antihomomorphic(self):
+        # Negative control: without the halving, [V_i, V_j] = -2 V_k misses
+        # the bracket [e1, e2] = e3 by a factor of two.
+        e1, e2 = (1, 0, 0), (0, 1, 0)
+        f = sphere_var(4, 1)
+        defect = realization_antihomomorphism_defect(su2_algebra(), su2_fields(), e1, e2, f)
+        assert not defect.is_zero()
+
+    def test_su2_casimir_commutes_with_every_field(self):
+        alg = su2_algebra()
+        cas = casimir_element(alg, su2_round_form())
+        basis = [alg.basis_vector(i) for i in range(alg.dim)]
+        verdicts = verify_commutation_theorem(
+            cas, su2_realization(), complement_coords=basis, full_coords=basis
+        )
+        assert verdicts == {"complement": True, "full_algebra": True}
+
+    @pytest.mark.parametrize("dropped", [0, 1, 2])
+    def test_su2_casimir_with_a_pair_dropped_fails_commutation(self, dropped):
+        alg = su2_algebra()
+        cas = casimir_element(alg, su2_round_form())
+        kept = dataclasses.replace(cas, pairs=cas.pairs[:dropped] + cas.pairs[dropped + 1:])
+        verdicts = verify_commutation_theorem(
+            kept,
+            su2_realization(),
+            complement_coords=[],
+            full_coords=[alg.basis_vector(i) for i in range(alg.dim)],
+        )
+        assert verdicts == {"complement": True, "full_algebra": False}
 
 
 def case_verdicts(case, suite=lambda m: None):
@@ -272,20 +317,20 @@ def case_verdicts(case, suite=lambda m: None):
         killing_cas = casimir_element(alg, killing_form(alg).scale(-1))
         return {
             "group_case": verify_group_case_identity(suite(4)),
-            "lap_eq_casimir": verify_lap_eq_casimir(cas, 4, suite(4), algebra="su2"),
+            "lap_eq_casimir": verify_lap_eq_casimir(cas, su2_realization(), suite(4)),
             "lap_eq_killing": verify_lap_eq_casimir(
-                killing_cas, 4, suite(4), algebra="su2", scale=Fraction(1, 8)
+                killing_cas, su2_realization(), suite(4), scale=Fraction(1, 8)
             ),
         }
     m = int(case[2])
     alg = so_algebra(m)
     verdicts = {
         "lap_eq_casimir": verify_lap_eq_casimir(
-            casimir_element(alg, trace_form(m)), m, suite(m)
+            casimir_element(alg, trace_form(m)), so_realization(m), suite(m)
         ),
         "lap_eq_killing": verify_lap_eq_casimir(
             casimir_element(alg, killing_form(alg).scale(-1)),
-            m,
+            so_realization(m),
             suite(m),
             scale=Fraction(1, 2 * (m - 2)),
         ),
@@ -295,7 +340,7 @@ def case_verdicts(case, suite=lambda m: None):
         verdicts.update(
             verify_commutation_theorem(
                 casimir_element(alg, trace_form(m)),
-                m,
+                so_realization(m),
                 complement_coords=dec.complement_basis,
                 full_coords=[alg.basis_vector(i) for i in range(alg.dim)],
                 test_functions=suite(m),
@@ -329,17 +374,17 @@ class TestJetProof:
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_scaled_operator_fails(self, m):
         cas = casimir_element(so_algebra(m), trace_form(m))
-        assert not verify_lap_eq_casimir(cas, m, scale=Fraction(2))
+        assert not verify_lap_eq_casimir(cas, so_realization(m), scale=Fraction(2))
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_casimir_with_a_pair_dropped_fails(self, m):
         alg = so_algebra(m)
         cas = casimir_element(alg, trace_form(m))
         dropped = dataclasses.replace(cas, pairs=cas.pairs[1:])
-        assert not verify_lap_eq_casimir(dropped, m)
+        assert not verify_lap_eq_casimir(dropped, so_realization(m))
         verdicts = verify_commutation_theorem(
             dropped,
-            m,
+            so_realization(m),
             complement_coords=[],
             full_coords=[alg.basis_vector(i) for i in range(alg.dim)],
         )
@@ -347,8 +392,10 @@ class TestJetProof:
 
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_casimir_plus_first_order_field_fails(self, m):
-        operator = projected_casimir(casimir_element(so_algebra(m), trace_form(m)), m)
-        field = realize_so_field([1] + [0] * (m * (m - 1) // 2 - 1), m)
+        operator = projected_casimir(
+            casimir_element(so_algebra(m), trace_form(m)), so_realization(m)
+        )
+        field = so_realization(m)[0]
         assert agrees_on_jets(operator, laplace_sphere, m)
         assert not agrees_on_jets(lambda f: operator(f) + field(f), laplace_sphere, m)
 
@@ -368,21 +415,21 @@ class TestJetProof:
         for dropped in range(3):
             kept = fields[:dropped] + fields[dropped + 1:]
             assert not agrees_on_jets(
-                lambda f: sum_of_field_squares(kept, f), laplace_sphere, 4
+                ProjectedCasimir.of_squares(kept), laplace_sphere, 4
             )
 
     def test_empty_proof_set_rejected_by_lap_eq_casimir(self):
         # Scale 2 is false on the jets, so an empty set must not certify it.
         cas = casimir_element(so_algebra(3), trace_form(3))
         with pytest.raises(ValueError):
-            verify_lap_eq_casimir(cas, 3, [], scale=Fraction(2))
+            verify_lap_eq_casimir(cas, so_realization(3), [], scale=Fraction(2))
 
     def test_empty_proof_set_rejected_by_commutation(self):
         alg = so_algebra(3)
         cas = casimir_element(alg, trace_form(3))
         with pytest.raises(ValueError):
             verify_commutation_theorem(
-                cas, 3, complement_coords=[alg.basis_vector(0)], test_functions=[]
+                cas, so_realization(3), complement_coords=[alg.basis_vector(0)], test_functions=[]
             )
 
     def test_empty_proof_set_rejected_by_group_case(self):
