@@ -3,27 +3,49 @@
 For a harmonic h the k-th spherical Laplacian power of h^2 equals
 2^k times the sum of (X_w h)^2 over all length-k words w in the rotation
 fields; every word term is again harmonic because the fields commute with the
-Laplacian.  The same scheme with coordinate partials certifies the Euclidean
-statement for harmonic polynomials.  Equality is verified exactly
+Laplacian.  ``sos_certificate`` lists those 3^k terms; ``verify_certificate``
+proves the same identity on the span of the terms instead (the Gram-matrix
+form of a sum of squares, Parrilo 2003):
+
+  * level by level, the fields are applied to a basis of the span of the
+    length-(j-1) terms; exact elimination keeps the first independent images
+    as the level-j basis and reads off each field's exact matrix A_a, which
+    is re-checked on every image;
+  * the sum of the squared terms is then v^T G_k v over the level-k basis v,
+    with G_0 = [1] and G_j = sum_a A_a G_(j-1) A_a^T;
+  * G_k = L diag(d) L^T exactly, every d_i > 0, so the right-hand side is
+    2^k sum_i d_i u_i^2 with u = L^T v: as many squares as the span has
+    dimensions (2(K + k) + 1 at most for the stereographic family of degree
+    K), where the word route has 3^k.
+
+Since L^T is invertible and every basis element is a word term, the u_i are
+all harmonic exactly when every word term is.  Equality is verified exactly
 (cross-multiplication in the quotient field) and nonnegativity is then
-re-checked by exact rational sign tests at deterministic sample points.
+re-checked by exact rational sign tests at deterministic sample points.  The
+same scheme with coordinate partials certifies the Euclidean statement for
+harmonic polynomials.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
+from . import linalg
 from .harmonics import HarmonicFunction
+from .linalg import Matrix
 from .polynomials import (
     Polynomial,
     SphereFunction,
     laplace_euclid,
     sample_cap_points,
+    term_order_key,
 )
 from .sphere_ops import apply_rotation_field, laplace_sphere, rotation_fields
 
@@ -54,6 +76,8 @@ class CertificateReport:
     samples: list[SamplePoint] = field(default_factory=list)
     seed: int = DEFAULT_SEED
     wall_time: float = 0.0
+    span_dimension: int = 0
+    square_count: int = 0
 
     @property
     def all_samples_nonnegative(self) -> bool:
@@ -109,7 +133,7 @@ def sos_certificate(h: HarmonicFunction, k: int) -> list[SphereFunction]:
 
 
 def _weighted_sum(squares: Sequence[SphereFunction], k: int) -> SphereFunction:
-    """2^k times the sum of the squared terms, accumulated in word order."""
+    """2^k times the sum of the squares, accumulated in the order given."""
     if not squares:
         raise ValueError("certificate needs at least one term")
     total = None
@@ -142,6 +166,141 @@ def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
         return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
 
 
+# ----------------------------------------------------------------------
+# the span of the word terms and its Gram matrix
+# ----------------------------------------------------------------------
+
+
+class WordSpan(NamedTuple):
+    """Bases of the spans of the word terms of h, level by level.
+
+    ``levels[j]`` is a basis of the span of the length-j terms X_w h
+    (``levels[0]`` is [h], or [] when h = 0).  ``matrices[j - 1][a]`` is the
+    exact matrix of field a from level j - 1 to level j: X_a applied to
+    ``levels[j - 1][i]`` is the sum over r of ``A[r][i] * levels[j][r]``.
+    ``term_count`` is the number of words, the product of the field counts
+    over the levels.
+    """
+
+    levels: list[list[SphereFunction]]
+    matrices: list[list[Matrix]]
+    term_count: int
+
+    @property
+    def dimension(self) -> int:
+        return len(self.levels[-1])
+
+
+def _coefficient_rows(funcs: Sequence[SphereFunction]) -> list[list[int]]:
+    """One column per function, one row per monomial: the numerators of the
+    functions over one common denominator base^e, each row scaled to
+    integers.  Normal forms are unique and base^e is a fixed nonzero
+    function, so the linear relations among the columns are exactly those
+    among the functions."""
+    bases = [f.base for f in funcs if f.exp > 0]
+    if any(b != bases[0] for b in bases[1:]):
+        raise ValueError("certificate terms do not share one denominator base")
+    e = max((f.exp for f in funcs), default=0)
+    numerators = [
+        f.num.poly.terms if f.exp == e else (f.num * bases[0] ** (e - f.exp)).poly.terms
+        for f in funcs
+    ]
+    monomials = sorted({mono for terms in numerators for mono in terms}, key=term_order_key)
+    rows = []
+    for mono in monomials:
+        row = [terms.get(mono, Fraction(0)) for terms in numerators]
+        lcm = math.lcm(*(c.denominator for c in row))
+        rows.append([c.numerator * (lcm // c.denominator) for c in row])
+    return rows
+
+
+def _check_coordinates(rows: list[list[int]], pivots: list[int], coords: Matrix) -> None:
+    """Re-check column c == sum_r coords[c][r] * column pivots[r] for every
+    column, in integers; a mismatch is an engine bug, never a verdict."""
+    for c, x in enumerate(coords):
+        den = math.lcm(*(q.denominator for q in x))
+        nums = [q.numerator * (den // q.denominator) for q in x]
+        for row in rows:
+            if den * row[c] != sum(n * row[p] for n, p in zip(nums, pivots)):
+                raise RuntimeError(
+                    f"certificate term {c} differs from its span coordinates "
+                    "(this indicates a bug in the engine)"
+                )
+
+
+def word_span(h: HarmonicFunction, k: int) -> WordSpan:
+    """Exact bases of the spans of the length-0..k word terms of h, and the
+    field matrices between them; images are taken field by field, and each
+    level keeps the first independent ones."""
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    fields = rotation_fields(h.m)
+    basis = [] if h.value.is_zero() else [h.value]
+    levels, matrices, term_count = [basis], [], 1
+    for _ in range(k):
+        images = [apply_rotation_field(field, v) for field in fields for v in basis]
+        rows = _coefficient_rows(images)
+        pivots, coords = linalg.column_basis(rows, len(images))
+        _check_coordinates(rows, pivots, coords)
+        n = len(basis)
+        matrices.append(
+            [
+                [[coords[a * n + i][r] for i in range(n)] for r in range(len(pivots))]
+                for a in range(len(fields))
+            ]
+        )
+        basis = [images[c] for c in pivots]
+        levels.append(basis)
+        term_count *= len(fields)
+    return WordSpan(levels=levels, matrices=matrices, term_count=term_count)
+
+
+def gram_matrix(span: WordSpan) -> Matrix:
+    """G_k with sum over words w of (X_w h)^2 = v^T G_k v on the level-k basis
+    v: G_0 = [1] on the basis [h], G_j = sum_a A_a G_(j-1) A_a^T.
+
+    Runs in integers: G_j is an integer matrix over one denominator, and each
+    level's field matrices are scaled to integers by one common factor q, so
+    G_j takes the denominator of G_(j-1) times q^2.
+    """
+    gram, den = [[1] for _ in span.levels[0]], 1
+    for field_matrices in span.matrices:
+        q = math.lcm(*(x.denominator for a in field_matrices for row in a for x in row))
+        n = len(field_matrices[0])
+        total = [[0] * n for _ in range(n)]
+        for a in field_matrices:
+            a = [[x.numerator * (q // x.denominator) for x in row] for row in a]
+            # G is symmetric, so its rows are its columns.
+            ag = [[sum(map(operator.mul, row, col)) for col in gram] for row in a]
+            for r in range(n):
+                for s in range(r, n):
+                    total[r][s] += sum(map(operator.mul, ag[r], a[s]))
+        for r in range(n):
+            for s in range(r):
+                total[r][s] = total[s][r]
+        gram, den = total, den * q * q
+    return [[Fraction(x, den) for x in row] for row in gram]
+
+
+def gram_squares(span: WordSpan, gram: Matrix) -> tuple[list[Fraction], list[SphereFunction]]:
+    """(d, u) with v^T G v = sum_i d_i u_i^2, from G = L diag(d) L^T and
+    u = L^T v on the level-k basis v.
+
+    G is the Gram matrix of the word terms, which include the basis itself,
+    so it is positive definite; ``linalg.ldl`` raises ValueError on a pivot
+    d_i <= 0, which would be an engine bug.
+    """
+    lower, pivots = linalg.ldl(gram)
+    basis = span.levels[-1]
+    u = []
+    for i, v in enumerate(basis):
+        for r in range(i + 1, len(basis)):
+            if lower[r][i]:
+                v = v + basis[r].scale(lower[r][i])
+        u.append(v)
+    return pivots, u
+
+
 def verify_certificate(
     h: HarmonicFunction,
     k: int,
@@ -151,23 +310,25 @@ def verify_certificate(
 ) -> CertificateReport:
     """Exact equality of delta_power(h^2, k) with its certificate, plus signs.
 
-    k = 0 degenerates to the single empty word with term h itself.  An
-    equality failure or a negative sample is recorded in the report, never
-    dropped.  Per-term squaring and harmonicity checks may run on ``workers``
-    processes; the reduction is always in canonical word order, so reports do
-    not depend on the worker count.
+    The right-hand side 2^k sum_w (X_w h)^2 is built on the span of the word
+    terms as 2^k sum_i d_i u_i^2 (see the module docstring); k = 0 is the
+    single empty word with term h itself.  An equality failure or a negative
+    sample is recorded in the report, never dropped.  Squaring and
+    harmonicity checks of the u_i may run on ``workers`` processes; the sum
+    is always in basis order, so reports do not depend on the worker count.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     start = time.perf_counter()
     expected = (h.m * (h.m - 1) // 2) ** k
-    square = h.value * h.value
-    lhs = delta_power(square, k)
-    terms = [h.value] if k == 0 else sos_certificate(h, k)
-    per_term = _map_ordered(_square_and_harmonicity, terms, workers)
-    rhs = square if k == 0 else _weighted_sum([sq for sq, _ in per_term], k)
+    lhs = delta_power(h.value * h.value, k)
+    span = word_span(h, k)
+    weights, u = gram_squares(span, gram_matrix(span))
+    per_square = _map_ordered(_square_and_harmonicity, u, workers)
+    squares = [sq.scale(d) for d, (sq, _) in zip(weights, per_square)]
+    rhs = _weighted_sum(squares, k) if squares else SphereFunction.zero(h.m)
     equality = lhs == rhs
-    terms_harmonic = all(flag for _, flag in per_term)
+    terms_harmonic = all(flag for _, flag in per_square)
     samples = [
         SamplePoint(point=pt, value=lhs.evaluate(pt))
         for pt in sample_cap_points(sample_count, seed)
@@ -175,13 +336,15 @@ def verify_certificate(
     return CertificateReport(
         family=h.provenance,
         k=k,
-        term_count=len(terms),
+        term_count=span.term_count,
         expected_term_count=expected,
         equality_verified=equality,
         terms_harmonic=terms_harmonic,
         samples=samples,
         seed=seed,
         wall_time=time.perf_counter() - start,
+        span_dimension=span.dimension,
+        square_count=len(squares),
     )
 
 

@@ -27,7 +27,7 @@ from .certificates import (
     verify_certificate,
 )
 from .growth import analyze_growth
-from .harmonics import HarmonicFunction, stereographic_harmonic
+from .harmonics import CapDomain, HarmonicFunction, stereographic_harmonic
 from .lie import (
     ad_invariance_witness,
     casimir_element,
@@ -75,6 +75,7 @@ IDENTITY_CASES = {
 IDENTITY_FORMS = ("trace", "killing", "perturbed")
 
 NON_SUBHARMONIC_CONTROL = "control:equator-band"
+NON_HARMONIC_CONTROL = "control:x3"
 
 
 class UsageError(ValueError):
@@ -97,6 +98,16 @@ def resolve_harmonic(descriptor: str) -> HarmonicFunction:
             raise UsageError(f"bad family descriptor {descriptor!r}")
         return stereographic_harmonic(int(k), parts[2])
     raise UsageError(f"unknown harmonic family {descriptor!r}")
+
+
+def resolve_certify_family(descriptor: str) -> HarmonicFunction:
+    """A harmonic family, or the non-harmonic control: x3 on S^2 wrapped
+    without the harmonicity proof, a named negative case for the certificate
+    checker."""
+    if descriptor == NON_HARMONIC_CONTROL:
+        x3 = SphereFunction.from_polynomial(SpherePolynomial.variable(3, 3))
+        return HarmonicFunction(value=x3, domain=CapDomain(), provenance=descriptor)
+    return resolve_harmonic(descriptor)
 
 
 def resolve_family(descriptor: str) -> tuple[SphereFunction, str]:
@@ -157,6 +168,8 @@ def _certificate_payload(report: CertificateReport, config: dict, timings: bool)
     }
     if timings:
         payload["wall_time_seconds"] = report.wall_time
+        payload["span_dimension"] = report.span_dimension
+        payload["square_count"] = report.square_count
     return payload
 
 
@@ -179,7 +192,7 @@ def cmd_certify(args) -> int:
         raise UsageError(f"power must be >= 0, got {args.power}")
     if args.samples < 1:
         raise UsageError(f"sample count must be >= 1, got {args.samples}")
-    h = resolve_harmonic(args.family)
+    h = resolve_certify_family(args.family)
     report = verify_certificate(
         h,
         args.power,
@@ -409,7 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("certify", help="verify the certificate for one family member")
-    p.add_argument("--family", required=True, help="e.g. stereo:k=2:re")
+    p.add_argument(
+        "--family", required=True, help=f"e.g. stereo:k=2:re, or {NON_HARMONIC_CONTROL}"
+    )
     p.add_argument("--power", type=int, required=True, help="Laplacian power k")
     p.add_argument("--samples", type=int, default=DEFAULT_SAMPLE_COUNT)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)

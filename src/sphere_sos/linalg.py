@@ -4,10 +4,12 @@ Small matrices only (harmonic-basis kernels, Gram matrices, membership
 tests).  Every routine runs on one elimination loop, ``_bareiss``: rows are
 scaled to integers and eliminated fraction-free in the Bareiss style, so each
 intermediate entry stays an exact integer and each two-row update divides out
-the previous pivot exactly.  ``nullspace``, ``solve`` and ``invert`` read the
-echelon form through one back-substitution.  Without row swaps the Bareiss
-pivots are the leading principal minors (Bareiss 1968), which is how
-``leading_principal_minors`` gets them.
+the previous pivot exactly.  ``nullspace``, ``column_basis``, ``solve`` and
+``invert`` read the echelon form through one back-substitution.  Without row
+swaps the Bareiss pivots are the leading principal minors (Bareiss 1968),
+which is how ``leading_principal_minors`` gets them; the rows at those steps
+are the scaled rows of D L^T, which is how ``ldl`` factors a positive
+definite matrix.
 """
 
 from __future__ import annotations
@@ -78,18 +80,34 @@ def fraction_free_echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], li
 
 
 def _back_substitute(
-    echelon: list[list[int]], pivots: list[int], x: list[Fraction], rhs_col: int | None = None
+    echelon: list[list[int]],
+    pivots: list[int],
+    n: int,
+    free: int | None = None,
+    rhs_col: int | None = None,
 ) -> list[Fraction]:
-    """Fill the pivot coordinates of x, whose free coordinates are preset, so
-    that every echelon row r reads sum_j echelon[r][j] x[j] = echelon[r][rhs_col]
-    (= 0 when rhs_col is None); j runs over the len(x) unknowns."""
-    n = len(x)
+    """The x over n unknowns with x[free] = 1 (when given), every other
+    non-pivot coordinate 0, and every echelon row r reading
+    sum_j echelon[r][j] x[j] = echelon[r][rhs_col] (= 0 when rhs_col is None).
+
+    Runs in integers on y = D x, D the last pivot.  D is the determinant of
+    the pivot rows and columns of the scaled input (Bareiss 1968), so by
+    Cramer's rule every y[c] is an integer and each row divides exactly.
+    """
+    d = echelon[len(pivots) - 1][pivots[-1]] if pivots else 1
+    y = [0] * n
+    if free is not None:
+        y[free] = d
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
-        start = Fraction(0 if rhs_col is None else -echelon[r][rhs_col])
-        s = sum((Fraction(echelon[r][j]) * x[j] for j in range(c + 1, n)), start)
-        x[c] = -s / echelon[r][c]
-    return x
+        row = echelon[r]
+        s = (0 if rhs_col is None else d * row[rhs_col]) - sum(
+            row[j] * y[j] for j in range(c + 1, n)
+        )
+        y[c], rest = divmod(s, row[c])
+        if rest:
+            raise ArithmeticError("fraction-free back-substitution left a remainder")
+    return [Fraction(v, d) for v in y]
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -115,14 +133,42 @@ def nullspace(rows: Sequence[Sequence], n_cols: int | None = None) -> list[list[
             for i in range(n_cols)
         ]
     echelon, pivots = fraction_free_echelon(rows)
+    return [_primitive(vec) for _, vec in _kernel_vectors(echelon, pivots)]
+
+
+def _kernel_vectors(
+    echelon: list[list[int]], pivots: list[int]
+) -> Iterator[tuple[int, list[Fraction]]]:
+    """(free column c, the kernel vector with coordinate c = 1 and every other
+    free coordinate 0), for each free column in order."""
     n_cols = len(echelon[0])
     pivot_set = set(pivots)
-    basis: list[list[Fraction]] = []
     for free in (c for c in range(n_cols) if c not in pivot_set):
-        vec = [Fraction(0)] * n_cols
-        vec[free] = Fraction(1)
-        basis.append(_primitive(_back_substitute(echelon, pivots, vec)))
-    return basis
+        yield free, _back_substitute(echelon, pivots, n_cols, free=free)
+
+
+def column_basis(
+    rows: Sequence[Sequence], n_cols: int | None = None
+) -> tuple[list[int], list[list[Fraction]]]:
+    """The first maximal set of independent columns, and every column's
+    coordinates in it.
+
+    Returns (pivots, coords): column c equals the sum over r of
+    coords[c][r] * column pivots[r], exactly.  A pivot column has unit
+    coordinates; any other column reads its coordinates off the kernel vector
+    that it spans with the pivot columns before it.
+    """
+    if not rows:
+        if n_cols is None:
+            raise ValueError("empty matrix needs an explicit column count")
+        return [], [[] for _ in range(n_cols)]
+    echelon, pivots = fraction_free_echelon(rows)
+    coords: list[list[Fraction]] = [[] for _ in echelon[0]]
+    for r, c in enumerate(pivots):
+        coords[c] = [Fraction(int(i == r)) for i in range(len(pivots))]
+    for free, vec in _kernel_vectors(echelon, pivots):
+        coords[free] = [-vec[c] for c in pivots]
+    return pivots, coords
 
 
 def _primitive(vec: list[Fraction]) -> list[Fraction]:
@@ -147,23 +193,21 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
     # A pivot in the rhs column means 0 = nonzero.
     if pivots and pivots[-1] == n_cols:
         return None
-    return _back_substitute(echelon, pivots, [Fraction(0)] * n_cols, n_cols)
+    return _back_substitute(echelon, pivots, n_cols, rhs_col=n_cols)
 
 
 def invert(rows: Sequence[Sequence]) -> Matrix:
     """Exact inverse from the echelon form of [A | I]; raises
     ZeroDivisionError on singular input."""
-    a = _to_fraction_matrix(rows)
+    a = _square(rows)
     n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
     echelon, pivots = fraction_free_echelon(
         [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
     )
     # [A | I] has rank n; A is invertible iff all n pivots fall in A's columns.
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    columns = [_back_substitute(echelon, pivots, [Fraction(0)] * n, n + j) for j in range(n)]
+    columns = [_back_substitute(echelon, pivots, n, rhs_col=n + j) for j in range(n)]
     return [[col[i] for col in columns] for i in range(n)]
 
 
@@ -175,26 +219,69 @@ def in_span(vectors: Sequence[Sequence], target: Sequence) -> bool:
     return solve(cols, target) is not None
 
 
+def _square(rows: Sequence[Sequence]) -> Matrix:
+    a = _to_fraction_matrix(rows)
+    if any(len(row) != len(a) for row in a):
+        raise ValueError("matrix must be square")
+    return a
+
+
+def _unswapped_steps(a: Matrix) -> Iterator[tuple[int, Fraction, list[int]]]:
+    """(r, leading principal minor of order r + 1, integer row r after r
+    elimination steps) for each Bareiss step on the square matrix a that
+    needs no row swap; stops at the first one that does (a zero minor).
+
+    The minors are the pivots divided by the row scalings that cleared
+    denominators; the row is a's row r scaled by the same integer, so ratios
+    of its entries are exact.
+    """
+    m = _clear_denominators(a)
+    scale = 1
+    for r, c, p in _bareiss(m):
+        if not r == c == p:
+            return
+        scale *= _den_lcm(a[r])
+        yield r, Fraction(m[r][c], scale), m[r]
+
+
 def leading_principal_minors(rows: Sequence[Sequence]) -> list[Fraction]:
     """Leading principal minors of a square matrix, exactly, up to and
     including the first zero one (for definiteness tests).
 
-    They are the pivots of Bareiss elimination without row swaps, divided by
-    the row scalings that cleared denominators; a step that needs a swap or
-    skips a column has a zero minor, and elimination stops there.
+    They are the pivots of Bareiss elimination without row swaps; a step that
+    needs a swap or skips a column has a zero minor, and elimination stops
+    there.
     """
-    a = _to_fraction_matrix(rows)
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("matrix must be square")
-    m = _clear_denominators(a)
-    minors: list[Fraction] = []
-    scale = 1
-    for r, c, p in _bareiss(m):
-        if not r == c == p:
-            break
-        scale *= _den_lcm(a[r])
-        minors.append(Fraction(m[r][c], scale))
-    if len(minors) < n:
+    a = _square(rows)
+    minors = [minor for _, minor, _ in _unswapped_steps(a)]
+    if len(minors) < len(a):
         minors.append(Fraction(0))
     return minors
+
+
+def ldl(rows: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:
+    """Exact G = L diag(d) L^T of a symmetric positive definite matrix G.
+
+    Returns (L, d) with L unit lower triangular and every d_r > 0.  Gaussian
+    elimination without row swaps turns G into D L^T; the Bareiss row r is
+    that row times an integer, so L[j][r] is the ratio of its entries j and
+    r, and d_r is the ratio of consecutive leading principal minors.  Raises
+    ValueError when G is not symmetric or some d_r is not positive.
+    """
+    a = _square(rows)
+    n = len(a)
+    if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
+        raise ValueError("matrix must be symmetric")
+    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    pivots: list[Fraction] = []
+    previous = Fraction(1)
+    for r, minor, row in _unswapped_steps(a):
+        if minor <= 0:
+            break
+        pivots.append(minor / previous)
+        previous = minor
+        for j in range(r + 1, n):
+            lower[j][r] = Fraction(row[j], row[r])
+    if len(pivots) < n:
+        raise ValueError("matrix is not positive definite")
+    return lower, pivots

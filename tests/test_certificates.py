@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from sphere_sos import certificates, linalg
 from sphere_sos.certificates import (
     _map_ordered,
     _weighted_sum,
@@ -11,8 +12,11 @@ from sphere_sos.certificates import (
     delta_power,
     euclid_certificate,
     euclid_delta_power,
+    gram_matrix,
+    gram_squares,
     sos_certificate,
     verify_certificate,
+    word_span,
 )
 from sphere_sos.harmonics import CapDomain, HarmonicFunction, stereographic_harmonic
 from sphere_sos.polynomials import (
@@ -238,6 +242,130 @@ class TestCertificateNegativeControl:
         assert nonzero
         for i in nonzero:
             assert _weighted_sum(squares[:i] + squares[i + 1:], 2) != lhs
+
+
+def gram_rhs(h, k):
+    """2^k sum_i d_i u_i^2 from the span of the word terms."""
+    span = word_span(h, k)
+    d, u = gram_squares(span, gram_matrix(span))
+    if not u:
+        return SphereFunction.zero(h.m)
+    return _weighted_sum([(t * t).scale(w) for w, t in zip(d, u)], k)
+
+
+def numerator_vectors(funcs):
+    """Coefficient vectors of the numerators over the largest denominator
+    power, built here independently of the certificates module."""
+    base = next((f.base for f in funcs if f.exp > 0), None)
+    e = max(f.exp for f in funcs)
+    polys = [(f.num * base ** (e - f.exp)).poly if f.exp < e else f.num.poly for f in funcs]
+    monomials = sorted({mono for p in polys for mono in p.terms})
+    return [[p.coefficient(mono) for mono in monomials] for p in polys]
+
+
+class TestGramRoute:
+    """verify_certificate proves the identity on the span of the word terms;
+    sos_certificate (all 3^k words) is the oracle."""
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("family", range(5))
+    def test_matches_the_word_route(self, family, part, k):
+        h = stereographic_harmonic(family, part)
+        terms = sos_certificate(h, k)
+        word_rhs = _weighted_sum([t * t for t in terms], k)
+        assert gram_rhs(h, k) == word_rhs
+        lhs = delta_power(h.value * h.value, k)
+        report = verify_certificate(h, k, sample_count=3, seed=k)
+        assert report.term_count == report.expected_term_count == len(terms) == 3**k
+        assert report.equality_verified is (lhs == word_rhs) is True
+        assert report.terms_harmonic is all(laplace_sphere(t).is_zero() for t in terms)
+        points = sample_cap_points(3, k)
+        assert [s.point for s in report.samples] == points
+        assert [s.value for s in report.samples] == [lhs.evaluate(pt) for pt in points]
+        assert report.square_count == report.span_dimension <= 2 * (family + k) + 1
+
+    @pytest.mark.parametrize("family, part", [(1, "re"), (2, "im"), (3, "re")])
+    def test_span_dimension_is_the_rank_of_the_word_terms(self, family, part):
+        h = stereographic_harmonic(family, part)
+        span = word_span(h, 3)
+        for k in (1, 2, 3):
+            vectors = numerator_vectors(sos_certificate(h, k))
+            assert len(span.levels[k]) == linalg.rank(vectors)
+        assert span.dimension == len(span.levels[3])
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_constant_family_has_an_empty_span(self, k):
+        report = verify_certificate(stereographic_harmonic(0, "re"), k, sample_count=3)
+        assert report.passed
+        assert report.term_count == report.expected_term_count == 3**k
+        assert report.span_dimension == report.square_count == (1 if k == 0 else 0)
+
+    def test_field_matrices_reproduce_every_image(self):
+        h = stereographic_harmonic(2, "im")
+        span = word_span(h, 3)
+        fields = rotation_fields(3)
+        for j, field_matrices in enumerate(span.matrices, start=1):
+            for field, a in zip(fields, field_matrices):
+                for i, v in enumerate(span.levels[j - 1]):
+                    combo = SphereFunction.zero(3)
+                    for r, w in enumerate(span.levels[j]):
+                        combo = combo + w.scale(a[r][i])
+                    assert apply_rotation_field(field, v) == combo
+
+    def test_wrong_span_coordinates_are_caught(self, monkeypatch):
+        real = linalg.column_basis
+
+        def off_by_one(rows, n_cols=None):
+            pivots, coords = real(rows, n_cols)
+            coords[-1] = [x + 1 for x in coords[-1]]
+            return pivots, coords
+
+        monkeypatch.setattr(linalg, "column_basis", off_by_one)
+        with pytest.raises(RuntimeError, match="span coordinates"):
+            word_span(stereographic_harmonic(2, "re"), 2)
+
+    def test_perturbed_field_matrix_breaks_equality(self, monkeypatch):
+        real = word_span
+
+        def perturbed(h, k):
+            span = real(h, k)
+            span.matrices[-1][0][0][0] += 1
+            return span
+
+        monkeypatch.setattr(certificates, "word_span", perturbed)
+        report = verify_certificate(stereographic_harmonic(2, "re"), 2, sample_count=2)
+        assert report.equality_verified is False
+        assert report.terms_harmonic is True
+
+    def test_dropping_any_weighted_square_breaks_equality(self, monkeypatch):
+        h = stereographic_harmonic(2, "re")
+        dimension = verify_certificate(h, 2, sample_count=1).span_dimension
+        assert dimension > 1
+        real = _weighted_sum
+        for i in range(dimension):
+            monkeypatch.setattr(
+                certificates, "_weighted_sum",
+                lambda squares, k, i=i: real(squares[:i] + squares[i + 1:], k),
+            )
+            assert verify_certificate(h, 2, sample_count=1).equality_verified is False
+
+    def test_every_square_counts_for_harmonicity(self, monkeypatch):
+        h = stereographic_harmonic(2, "re")
+        dimension = verify_certificate(h, 2, sample_count=1).span_dimension
+        real = certificates._square_and_harmonicity
+        calls = []
+
+        def last_one_fails(term):
+            square, harmonic = real(term)
+            calls.append(term)
+            return square, harmonic and len(calls) < dimension
+
+        monkeypatch.setattr(certificates, "_square_and_harmonicity", last_one_fails)
+        report = verify_certificate(h, 2, sample_count=1)
+        assert len(calls) == dimension
+        assert report.equality_verified is True
+        assert report.terms_harmonic is False
 
 
 class TestGeneralizedLeibniz:

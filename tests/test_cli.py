@@ -72,6 +72,46 @@ class TestCertify:
         assert code == 0
         assert "wall_time_seconds" in json.loads(out)
 
+    def test_timings_report_the_span_and_the_default_report_does_not(self, capsys):
+        argv = ["certify", "--family", "stereo:k=3:re", "--power", "5", "--samples", "2"]
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        default = json.loads(out)
+        code, out, _ = run(capsys, *argv, "--timings")
+        assert code == 0
+        timed = json.loads(out)
+        extra = {"wall_time_seconds", "span_dimension", "square_count"}
+        assert timed.keys() - default.keys() == extra
+        assert not extra & default.keys()
+        assert timed["span_dimension"] == timed["square_count"] == 17
+        assert timed["term_count"] == 243
+
+    @pytest.mark.parametrize("power", [1, 2])
+    def test_non_harmonic_control_is_falsified(self, capsys, power):
+        code, out, _ = run(
+            capsys, "certify", "--family", "control:x3", "--power", str(power),
+            "--samples", "3",
+        )
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["family"] == "control:x3"
+        assert payload["equality_verified"] is False
+        assert payload["terms_harmonic"] is False
+        assert payload["passed"] is False
+        assert payload["term_count"] == payload["expected_term_count"] == 3**power
+
+    @pytest.mark.parametrize("family", ["control:equator-band", "control:x1", "control:"])
+    def test_other_controls_are_usage_errors(self, capsys, family):
+        code, out, err = run(capsys, "certify", "--family", family, "--power", "1")
+        assert code == 2
+        assert out == ""
+        assert "unknown harmonic family" in err
+
+    def test_certify_control_is_not_a_growth_family(self, capsys):
+        code, _, err = run(capsys, "growth", "--family", "control:x3", "--csv", os.devnull)
+        assert code == 2
+        assert "unknown harmonic family" in err
+
     def test_workers_flag_keeps_the_report(self, capsys, tmp_path):
         base = tmp_path / "base.json"
         code, _, _ = run(

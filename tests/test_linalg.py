@@ -87,6 +87,16 @@ class TestAgainstSympy:
             theirs = sympy.Matrix.hstack(*expected).T
             assert ours.rank() == len(basis) == sympy.Matrix.vstack(ours, theirs).rank()
 
+    def test_column_basis(self, shape, seed):
+        a = random_matrix(random.Random(seed), *shape)
+        pivots, coords = linalg.column_basis(a)
+        assert tuple(pivots) == to_sympy(a).rref()[1]
+        columns = [list(col) for col in zip(*a)]
+        for c, x in enumerate(coords):
+            combo = [sum((q * columns[p][i] for q, p in zip(x, pivots)), Fraction(0))
+                     for i in range(len(a))]
+            assert combo == columns[c]
+
     def test_solve(self, shape, seed):
         rng = random.Random(seed)
         a = random_matrix(rng, *shape)
@@ -180,3 +190,56 @@ def test_non_square_rejected():
         linalg.invert([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
         linalg.leading_principal_minors([[1, 2, 3], [4, 5, 6]])
+
+
+def test_column_basis_of_an_empty_matrix_needs_a_column_count():
+    assert linalg.column_basis([], 3) == ([], [[], [], []])
+    with pytest.raises(ValueError):
+        linalg.column_basis([])
+
+
+def test_column_basis_keeps_the_first_independent_columns():
+    pivots, coords = linalg.column_basis([[0, 1, 2, 1], [0, 0, 0, 1]])
+    assert pivots == [1, 3]
+    assert coords == [[0, 0], [1, 0], [2, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_ldl_matches_sympy_on_positive_definite(n, seed):
+    rng = random.Random(2000 * n + seed)
+    g = random_matrix(rng, n, n)
+    # g^T g + I is positive definite with rational entries.
+    sym = [
+        [sum((g[t][i] * g[t][j] for t in range(n)), Fraction(int(i == j))) for j in range(n)]
+        for i in range(n)
+    ]
+    lower, d = linalg.ldl(sym)
+    sym_l, sym_d = to_sympy(sym).LDLdecomposition()
+    assert lower == from_sympy(sym_l)
+    assert d == [from_sympy(sym_d)[i][i] for i in range(n)]
+    assert all(x > 0 for x in d)
+
+
+NOT_POSITIVE_DEFINITE = [
+    [[-1]],
+    [[0]],
+    [[1, 2], [2, 1]],  # indefinite
+    [[1, 1], [1, 1]],  # semidefinite, singular
+    [[0, 1], [1, 0]],  # a swap would hide the zero leading minor
+    [[2, 1, 0], [1, 2, 0], [0, 0, -3]],
+]
+
+
+@pytest.mark.parametrize("rows", NOT_POSITIVE_DEFINITE)
+def test_ldl_rejects_a_matrix_that_is_not_positive_definite(rows):
+    with pytest.raises(ValueError, match="positive definite"):
+        linalg.ldl(rows)
+
+
+def test_ldl_rejects_asymmetric_and_non_square_input():
+    with pytest.raises(ValueError, match="symmetric"):
+        linalg.ldl([[2, 1], [0, 2]])
+    with pytest.raises(ValueError, match="square"):
+        linalg.ldl([[1, 2, 3], [4, 5, 6]])
+    assert linalg.ldl([]) == ([], [])
