@@ -6,10 +6,15 @@ two property-level verdicts are derived from them: the mean is nondecreasing
 in the radius for subharmonic integrands, and its second derivative at radius
 zero equals half the spherical Laplacian at the center.  The exact symbolic
 engine supplies that reference value, so the two routes stay independent.
+
+Each mean compiles its integrand once (``SphereFunction.float_evaluator``)
+and reads its nodes off one (cos phi, sin phi) table per order; it runs the
+float operations of a node-by-node ``evaluate_float`` loop, bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -62,17 +67,6 @@ def _orthonormal_frame(center: Sequence[float]) -> tuple[list[float], list[float
     return u, v
 
 
-def geodesic_circle_point(
-    center: Sequence[float], r: float, phi: float, frame=None
-) -> tuple[float, float, float]:
-    u, v = frame if frame is not None else _orthonormal_frame(center)
-    cr, sr = math.cos(r), math.sin(r)
-    cp, sp = math.cos(phi), math.sin(phi)
-    return tuple(
-        cr * center[i] + sr * (cp * u[i] + sp * v[i]) for i in range(3)
-    )
-
-
 def spherical_mean(
     f: SphereFunction, center: Sequence[float], r: float, order: int
 ) -> float:
@@ -88,12 +82,25 @@ def spherical_mean(
         raise ValueError(f"quadrature order must be >= {MIN_QUADRATURE_ORDER}")
     if not 0 <= r < math.pi:
         raise ValueError(f"radius must lie in [0, pi), got {r}")
-    frame = _orthonormal_frame(center)
+    (u0, u1, u2), (v0, v1, v2) = _orthonormal_frame(center)
+    cr, sr = math.cos(r), math.sin(r)
+    a0, a1, a2 = (cr * center[i] for i in range(3))
+    evaluate = f.float_evaluator()
     total = 0.0
-    for k in range(order):
-        phi = 2.0 * math.pi * k / order
-        total += f.evaluate_float(geodesic_circle_point(center, r, phi, frame))
+    for cp, sp in _circle_nodes(order):
+        total += evaluate((
+            a0 + sr * (cp * u0 + sp * v0),
+            a1 + sr * (cp * u1 + sp * v1),
+            a2 + sr * (cp * u2 + sp * v2),
+        ))
     return total / order
+
+
+@functools.lru_cache(maxsize=4)
+def _circle_nodes(order: int) -> tuple[tuple[float, float], ...]:
+    """(cos phi, sin phi) at the trapezoid angles phi = 2 pi k / order."""
+    phis = (2.0 * math.pi * k / order for k in range(order))
+    return tuple((math.cos(phi), math.sin(phi)) for phi in phis)
 
 
 def check_mean_monotonicity(means: Sequence[float], tol: float = MONOTONICITY_TOL):

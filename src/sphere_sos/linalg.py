@@ -71,11 +71,14 @@ def _bareiss(m: list[list[int]]) -> Iterator[tuple[int, int, int]]:
 def fraction_free_echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int]]:
     """Bareiss echelon form of an integer matrix.
 
-    Returns (echelon matrix, pivot column indices).  Rational input is scaled
-    row-wise to integers first; row scaling does not change the row space or
-    the kernel.
+    Returns (echelon matrix, pivot column indices).  Integer rows are
+    copied; rational input is scaled row-wise to integers first, which does
+    not change the row space or the kernel.
     """
-    m = _clear_denominators(_to_fraction_matrix(rows))
+    if all(type(x) is int for row in rows for x in row):
+        m = [list(row) for row in rows]
+    else:
+        m = _clear_denominators(_to_fraction_matrix(rows))
     return m, [c for _, c, _ in _bareiss(m)]
 
 
@@ -93,20 +96,25 @@ def _back_substitute(
     Runs in integers on y = D x, D the last pivot.  D is the determinant of
     the pivot rows and columns of the scaled input (Bareiss 1968), so by
     Cramer's rule every y[c] is an integer and each row divides exactly.
+    Row r is zero left of its pivot, so its sum runs over the nonzero y only.
     """
     d = echelon[len(pivots) - 1][pivots[-1]] if pivots else 1
     y = [0] * n
+    support = []
     if free is not None:
         y[free] = d
+        support.append(free)
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
         row = echelon[r]
         s = (0 if rhs_col is None else d * row[rhs_col]) - sum(
-            row[j] * y[j] for j in range(c + 1, n)
+            row[j] * y[j] for j in support
         )
         y[c], rest = divmod(s, row[c])
         if rest:
             raise ArithmeticError("fraction-free back-substitution left a remainder")
+        if y[c]:
+            support.append(c)
     return [Fraction(v, d) for v in y]
 
 
@@ -120,8 +128,8 @@ def rank(rows: Sequence[Sequence]) -> int:
 def nullspace(rows: Sequence[Sequence], n_cols: int | None = None) -> list[list[Fraction]]:
     """Exact basis of the right kernel.
 
-    Back-substitution runs over Fractions on the integer echelon form; each
-    kernel vector is rescaled to a primitive integer vector with a fixed sign
+    Back-substitution runs in integers on the echelon form; each kernel
+    vector is rescaled to a primitive integer vector with a fixed sign
     convention (free coordinate = +1 before rescaling) so the basis is
     deterministic.
     """

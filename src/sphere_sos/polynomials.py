@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 RationalLike = Fraction | int
@@ -269,30 +269,50 @@ class Polynomial:
         return Polynomial._make(self.m, out)
 
     def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
-        """Exact value at a rational point."""
+        """Exact value at a rational point, summed in integers: with L the lcm
+        of the coefficient denominators, the point X / D over one common
+        denominator and n the degree, it is sum_e L c_e X^e D^(n-|e|) / (L D^n)."""
         if len(point) != self.m:
             raise ValueError(f"point has length {len(point)}, expected {self.m}")
         pt = [_as_fraction(v) for v in point]
-        total = Fraction(0)
+        if not self.terms:
+            return Fraction(0)
+        den = math.lcm(*(v.denominator for v in pt))
+        xs = [v.numerator * (den // v.denominator) for v in pt]
+        lcm = math.lcm(*(c.denominator for c in self.terms.values()))
+        n = self.degree()
+        total = 0
         for exps, c in self.terms.items():
-            term = c
-            for v, e in zip(pt, exps):
+            term = c.numerator * (lcm // c.denominator) * den ** (n - sum(exps))
+            for x, e in zip(xs, exps):
                 if e:
-                    term *= v**e
+                    term *= x**e
             total += term
-        return total
+        return Fraction(total, lcm * den**n)
+
+    def float_evaluator(self) -> Callable[[Sequence[float]], float]:
+        """The float value at a point, as a callable: the coefficients become
+        floats once, and each call multiplies a term's nonzero powers into its
+        coefficient and adds the terms in order onto 0.0.  No length check."""
+        terms = [
+            (float(c), [(i, e) for i, e in enumerate(exps) if e])
+            for exps, c in self.terms.items()
+        ]
+
+        def evaluate(point: Sequence[float]) -> float:
+            total = 0.0
+            for term, factors in terms:
+                for i, e in factors:
+                    term *= point[i] ** e
+                total += term
+            return total
+
+        return evaluate
 
     def evaluate_float(self, point: Sequence[float]) -> float:
         if len(point) != self.m:
             raise ValueError(f"point has length {len(point)}, expected {self.m}")
-        total = 0.0
-        for exps, c in self.terms.items():
-            term = float(c)
-            for v, e in zip(point, exps):
-                if e:
-                    term *= v**e
-            total += term
-        return total
+        return self.float_evaluator()(point)
 
     def substitute_linear(self, matrix: Sequence[Sequence[RationalLike]]) -> "Polynomial":
         """Substitute x_i -> sum_j matrix[i][j] * x_j (an exact linear change of variables)."""
@@ -758,6 +778,12 @@ class SphereFunction:
     def evaluate_float(self, point: Sequence[float]) -> float:
         den_val = self.base.poly.evaluate_float(point) ** self.exp
         return self.num.poly.evaluate_float(point) / den_val
+
+    def float_evaluator(self) -> Callable[[Sequence[float]], float]:
+        """``evaluate_float`` compiled once (see ``Polynomial.float_evaluator``);
+        a zero float denominator raises ZeroDivisionError."""
+        num, base = self.num.poly.float_evaluator(), self.base.poly.float_evaluator()
+        return lambda point: num(point) / base(point) ** self.exp
 
     def substitute_linear(self, matrix: Sequence[Sequence[RationalLike]]) -> "SphereFunction":
         """Exact linear change of variables applied to numerator and denominator."""

@@ -17,9 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, factorial
 
-from . import linalg
 from .polynomials import (
     Polynomial,
     SphereFunction,
@@ -147,31 +146,30 @@ def harmonic_space_dimension(m: int, d: int) -> int:
 def generate_harmonic_basis(m: int, d: int) -> list[Polynomial]:
     """Exact basis of homogeneous degree-d polynomials killed by laplace_euclid.
 
-    Computed as the kernel of the Laplacian's coefficient matrix from degree d
-    to degree d-2, by fraction-free elimination; deterministic ordering.
+    Closed form, by Cauchy-Kovalevskaya in x1: with the Laplacian d1^2 + D',
+    D' the one in x2..xm, each degree-d monomial g = x1^e x'^a with e <= 1
+    gives the harmonic p_g = sum_j (-1)^j x1^(2j+e) / (2j+e)! * D'^j(x'^a),
+    whose only monomial of x1-degree <= 1 is g.  So the p_g, taken in
+    graded-lex descending order of g and made primitive integer, are the
+    kernel basis that elimination on the Laplacian's coefficient matrix gives.
     """
     if m < 2:
         raise ValueError(f"need m >= 2, got {m}")
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")
-    source = monomials_of_degree(m, d)
-    if d < 2:
-        return [Polynomial(m, {exps: 1}) for exps in source]
-    target = monomials_of_degree(m, d - 2)
-    target_index = {exps: k for k, exps in enumerate(target)}
-    matrix = [[Fraction(0)] * len(source) for _ in range(len(target))]
-    for col, exps in enumerate(source):
-        for i in range(m):
-            e = exps[i]
-            if e >= 2:
-                lowered = list(exps)
-                lowered[i] = e - 2
-                matrix[target_index[tuple(lowered)]][col] += e * (e - 1)
-    kernel = linalg.nullspace(matrix, n_cols=len(source))
     basis = []
-    for vec in kernel:
-        terms = {exps: c for exps, c in zip(source, vec) if c != 0}
-        basis.append(Polynomial(m, terms))
+    for g in [g for g in monomials_of_degree(m, d) if g[0] <= 1]:
+        e = g[0]
+        terms = {}
+        # D'^j(x'^a) has no x1, so the full Laplacian computes it.
+        rest, j = Polynomial(m, {(0,) + g[1:]: 1}), 0
+        while not rest.is_zero():
+            c = Fraction((-1) ** j, factorial(2 * j + e))
+            for exps, k in rest.terms.items():
+                terms[(2 * j + e,) + exps[1:]] = k * c
+            rest, j = laplace_euclid(rest), j + 1
+        p = Polynomial(m, dict(sorted(terms.items(), reverse=True)))
+        basis.append(p.scale(1 / p.content()))
     return basis
 
 

@@ -10,13 +10,21 @@ from sphere_sos.growth import (
     spherical_mean,
 )
 from sphere_sos.harmonics import planar_combination, stereographic_harmonic
+from sphere_sos.cli import resolve_family
 from sphere_sos.polynomials import Polynomial, SphereFunction, SpherePolynomial
+
+from oracles import spherical_mean_loop
 
 SOUTH = (0.0, 0.0, -1.0)
 
 
 def squared(h):
     return h.value * h.value
+
+
+def squared_control():
+    value, _ = resolve_family("control:equator-band")
+    return value * value
 
 
 class TestSphericalMean:
@@ -70,6 +78,31 @@ class TestSphericalMean:
             a = spherical_mean(sq, SOUTH, r, 128)
             b = spherical_mean(rotated, new_center, r, 128)
             assert abs(a - b) < 1e-12
+
+
+class TestSphericalMeanMatchesTheNodeLoop:
+    @pytest.mark.parametrize("order", [8, 64, 1024])
+    def test_bit_identical(self, order):
+        integrands = [
+            squared(stereographic_harmonic(3, "re")),
+            squared(stereographic_harmonic(5, "im")),
+            squared_control(),
+        ]
+        tilted = (0.1, 0.05, -math.sqrt(1 - 0.0125))
+        for f in integrands:
+            for center in (SOUTH, tilted, (1.0, 0.0, 0.0)):
+                for r in (0.0, 0.37, 1.2):
+                    got = spherical_mean(f, center, r, order)
+                    assert got.hex() == spherical_mean_loop(f, center, r, order).hex()
+
+    def test_circle_through_the_pole_raises(self):
+        # The radius pi/2 circle about (1, 0, 0) meets the north pole at the
+        # node phi = pi/2, where 1 - x3 is exactly 0.0 in floats.
+        f = squared(stereographic_harmonic(2, "re"))
+        with pytest.raises(ZeroDivisionError):
+            spherical_mean_loop(f, (1.0, 0.0, 0.0), math.pi / 2, 8)
+        with pytest.raises(ZeroDivisionError):
+            spherical_mean(f, (1.0, 0.0, 0.0), math.pi / 2, 8)
 
 
 class TestMonotonicity:

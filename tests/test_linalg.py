@@ -185,6 +185,19 @@ def test_minors_undo_the_row_scaling():
     assert linalg.leading_principal_minors(rows) == expected
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_rows_are_copied_not_converted(seed):
+    rng = random.Random(seed)
+    rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(4)]
+    before = [row[:] for row in rows]
+    echelon, pivots = linalg.fraction_free_echelon(rows)
+    assert (echelon, pivots) == linalg.fraction_free_echelon(
+        [[Fraction(x) for x in row] for row in rows]
+    )
+    assert all(type(x) is int for row in echelon for x in row)
+    assert rows == before
+
+
 def test_non_square_rejected():
     with pytest.raises(ValueError):
         linalg.invert([[1, 2, 3], [4, 5, 6]])

@@ -16,6 +16,7 @@ from sphere_sos.polynomials import (
 )
 
 from conftest import random_polynomial, random_sphere_function
+from oracles import evaluate_float_loop, evaluate_fraction_loop, function_evaluate_float_loop
 
 
 def var(m, i):
@@ -174,6 +175,101 @@ class TestEvaluation:
         b = sample_cap_points(50, seed=11)
         assert a == b
         assert len(set(a)) == 50
+
+
+# ----------------------------------------------------------------------
+# the integer evaluation and the float evaluator against the plain loops
+# ----------------------------------------------------------------------
+
+exact_coords = st.one_of(
+    st.integers(-3, 3), st.fractions(min_value=-2, max_value=2, max_denominator=60)
+)
+float_coords = st.floats(min_value=-2, max_value=2, allow_nan=False)
+
+
+def same_float(a: float, b: float) -> bool:
+    """Bit equality: unlike ==, it tells 0.0 from -0.0."""
+    return a.hex() == b.hex()
+
+
+class TestIntegerEvaluation:
+    # Coefficient denominators 6 and 35, so the lcm L is not one of them.
+    @given(polys.map(lambda p: p.scale(Fraction(1, 6)) + var(3, 2).scale(Fraction(-2, 35))),
+           st.tuples(exact_coords, exact_coords, exact_coords))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_fraction_loop(self, p, pt):
+        assert p.evaluate(pt) == evaluate_fraction_loop(p, pt)
+
+    @given(polys)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_the_fraction_loop_at_cap_points(self, p):
+        for pt in sample_cap_points(10, seed=2):
+            assert p.evaluate(pt) == evaluate_fraction_loop(p, pt)
+
+    def test_certificate_left_hand_side_at_cap_points(self):
+        from sphere_sos.certificates import delta_power
+        from sphere_sos.harmonics import stereographic_harmonic
+
+        h = stereographic_harmonic(3, "re").value
+        lhs = delta_power(h * h, 2)
+        for pt in sample_cap_points(20, seed=5):
+            for q in (lhs.num.poly, lhs.base.poly):
+                assert q.evaluate(pt) == evaluate_fraction_loop(q, pt)
+            assert lhs.evaluate(pt) == evaluate_fraction_loop(
+                lhs.num.poly, pt
+            ) / evaluate_fraction_loop(lhs.base.poly, pt) ** lhs.exp
+
+    def test_zero_polynomial_and_bad_points(self):
+        value = Polynomial.zero(3).evaluate((1, Fraction(1, 2), 0))
+        assert value == 0 and isinstance(value, Fraction)
+        with pytest.raises(ValueError):
+            Polynomial.zero(3).evaluate((1, 2))
+        with pytest.raises(ValueError):
+            var(3, 1).evaluate((1, 2, 3, 4))
+        with pytest.raises(TypeError):
+            var(3, 1).evaluate((0.5, 0, 0))
+
+
+class TestFloatEvaluator:
+    # Sevenths are not dyadic, so every coefficient rounds on its way to float.
+    @given(polys.map(lambda p: p.scale(Fraction(1, 7))),
+           st.tuples(float_coords, float_coords, float_coords))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_the_float_loop(self, p, pt):
+        expected = evaluate_float_loop(p, pt)
+        assert same_float(p.float_evaluator()(pt), expected)
+        assert same_float(p.evaluate_float(pt), expected)
+
+    @pytest.mark.parametrize(
+        "family",
+        [f"stereo:k={k}:{part}" for k in range(7) for part in ("re", "im")]
+        + ["control:equator-band"],
+    )
+    def test_matches_the_float_loop_on_growth_integrands(self, family):
+        from sphere_sos.cli import resolve_family
+
+        value, _ = resolve_family(family)
+        f = value * value
+        evaluate = f.float_evaluator()
+        for pt in sample_cap_points(40, seed=4):
+            pt = tuple(float(x) for x in pt)
+            expected = function_evaluate_float_loop(f, pt)
+            assert same_float(evaluate(pt), expected)
+            assert same_float(f.evaluate_float(pt), expected)
+
+    def test_zero_denominator_raises(self):
+        f = SphereFunction(
+            SpherePolynomial(var(3, 1)),
+            SpherePolynomial(Polynomial.one(3) - var(3, 3)),
+        )
+        with pytest.raises(ZeroDivisionError):
+            f.float_evaluator()((0.0, 0.0, 1.0))
+        with pytest.raises(ZeroDivisionError):
+            f.evaluate_float((0.0, 0.0, 1.0))
+
+    def test_point_length_checked(self):
+        with pytest.raises(ValueError):
+            var(3, 1).evaluate_float((1.0, 2.0))
 
 
 class TestQuotientField:

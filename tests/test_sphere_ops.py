@@ -214,6 +214,20 @@ class TestHarmonicBasis:
         assert a == b
 
 
+class TestClosedFormHarmonicBasis:
+    @pytest.mark.parametrize(
+        "m,d", [(m, d) for m in range(2, 8) for d in range(7)] + [(4, 8)]
+    )
+    def test_matches_the_nullspace_route(self, m, d):
+        basis = generate_harmonic_basis(m, d)
+        expected = oracles.harmonic_basis_by_nullspace(m, d)
+        assert len(basis) == harmonic_space_dimension(m, d)
+        # Same polynomials, in the same order, with their terms in the same order.
+        assert [list(p.terms.items()) for p in basis] == [
+            list(p.terms.items()) for p in expected
+        ]
+
+
 class TestEigenvalueOracle:
     @pytest.mark.parametrize(
         "m,p_index,l", [(3, 0, 1), (4, 0, 1), (3, None, 2)]
