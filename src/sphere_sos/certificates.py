@@ -193,25 +193,19 @@ class WordSpan(NamedTuple):
 
 def _coefficient_rows(funcs: Sequence[SphereFunction]) -> list[list[int]]:
     """One column per function, one row per monomial: the numerators of the
-    functions over one common denominator base^e, each row scaled to
-    integers.  Normal forms are unique and base^e is a fixed nonzero
-    function, so the linear relations among the columns are exactly those
-    among the functions."""
+    functions over one common denominator base^e, as integers over the lcm
+    of their coefficient denominators.  Normal forms are unique and base^e is
+    a fixed nonzero function, so the linear relations among the columns are
+    exactly those among the functions."""
     bases = [f.base for f in funcs if f.exp > 0]
     if any(b != bases[0] for b in bases[1:]):
         raise ValueError("certificate terms do not share one denominator base")
     e = max((f.exp for f in funcs), default=0)
-    numerators = [
-        f.num.poly.terms if f.exp == e else (f.num * bases[0] ** (e - f.exp)).poly.terms
-        for f in funcs
-    ]
-    monomials = sorted({mono for terms in numerators for mono in terms}, key=term_order_key)
-    rows = []
-    for mono in monomials:
-        row = [terms.get(mono, Fraction(0)) for terms in numerators]
-        lcm = math.lcm(*(c.denominator for c in row))
-        rows.append([c.numerator * (lcm // c.denominator) for c in row])
-    return rows
+    polys = [f.num.poly if f.exp == e else (f.num * bases[0] ** (e - f.exp)).poly for f in funcs]
+    den = math.lcm(*(p.denominator for p in polys))
+    columns = [(p.numerators, den // p.denominator) for p in polys]
+    monomials = sorted({mono for p in polys for mono in p.numerators}, key=term_order_key)
+    return [[nums.get(mono, 0) * scale for nums, scale in columns] for mono in monomials]
 
 
 def _check_coordinates(rows: list[list[int]], pivots: list[int], coords: Matrix) -> None:

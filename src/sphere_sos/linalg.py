@@ -88,10 +88,11 @@ def _back_substitute(
     n: int,
     free: int | None = None,
     rhs_col: int | None = None,
-) -> list[Fraction]:
-    """The x over n unknowns with x[free] = 1 (when given), every other
-    non-pivot coordinate 0, and every echelon row r reading
-    sum_j echelon[r][j] x[j] = echelon[r][rhs_col] (= 0 when rhs_col is None).
+) -> tuple[list[int], int]:
+    """(y, d) with x = y / d the solution over n unknowns with x[free] = 1
+    (when given), every other non-pivot coordinate 0, and every echelon row
+    r reading sum_j echelon[r][j] x[j] = echelon[r][rhs_col] (= 0 when
+    rhs_col is None).
 
     Runs in integers on y = D x, D the last pivot.  D is the determinant of
     the pivot rows and columns of the scaled input (Bareiss 1968), so by
@@ -115,7 +116,7 @@ def _back_substitute(
             raise ArithmeticError("fraction-free back-substitution left a remainder")
         if y[c]:
             support.append(c)
-    return [Fraction(v, d) for v in y]
+    return y, d
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -130,8 +131,7 @@ def nullspace(rows: Sequence[Sequence], n_cols: int | None = None) -> list[list[
 
     Back-substitution runs in integers on the echelon form; each kernel
     vector is rescaled to a primitive integer vector with a fixed sign
-    convention (free coordinate = +1 before rescaling) so the basis is
-    deterministic.
+    convention (its free coordinate positive) so the basis is deterministic.
     """
     if not rows:
         if n_cols is None:
@@ -141,18 +141,23 @@ def nullspace(rows: Sequence[Sequence], n_cols: int | None = None) -> list[list[
             for i in range(n_cols)
         ]
     echelon, pivots = fraction_free_echelon(rows)
-    return [_primitive(vec) for _, vec in _kernel_vectors(echelon, pivots)]
+    basis = []
+    for _, y, d in _kernel_vectors(echelon, pivots):
+        # y[free] = d, so dividing by the gcd with d's sign makes it positive.
+        g = math.gcd(*y) if d > 0 else -math.gcd(*y)
+        basis.append([Fraction(v // g) for v in y])
+    return basis
 
 
 def _kernel_vectors(
     echelon: list[list[int]], pivots: list[int]
-) -> Iterator[tuple[int, list[Fraction]]]:
-    """(free column c, the kernel vector with coordinate c = 1 and every other
-    free coordinate 0), for each free column in order."""
+) -> Iterator[tuple[int, list[int], int]]:
+    """(free column c, y, d) with y / d the kernel vector whose coordinate c
+    is 1 and every other free coordinate 0, for each free column in order."""
     n_cols = len(echelon[0])
     pivot_set = set(pivots)
     for free in (c for c in range(n_cols) if c not in pivot_set):
-        yield free, _back_substitute(echelon, pivots, n_cols, free=free)
+        yield (free, *_back_substitute(echelon, pivots, n_cols, free=free))
 
 
 def column_basis(
@@ -174,18 +179,9 @@ def column_basis(
     coords: list[list[Fraction]] = [[] for _ in echelon[0]]
     for r, c in enumerate(pivots):
         coords[c] = [Fraction(int(i == r)) for i in range(len(pivots))]
-    for free, vec in _kernel_vectors(echelon, pivots):
-        coords[free] = [-vec[c] for c in pivots]
+    for free, y, d in _kernel_vectors(echelon, pivots):
+        coords[free] = [Fraction(-y[c], d) for c in pivots]
     return pivots, coords
-
-
-def _primitive(vec: list[Fraction]) -> list[Fraction]:
-    den_lcm = _den_lcm(vec)
-    ints = [int(x * den_lcm) for x in vec]
-    g = math.gcd(*ints)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return [Fraction(v) for v in ints]
 
 
 def solve(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
@@ -201,7 +197,8 @@ def solve(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
     # A pivot in the rhs column means 0 = nonzero.
     if pivots and pivots[-1] == n_cols:
         return None
-    return _back_substitute(echelon, pivots, n_cols, rhs_col=n_cols)
+    y, d = _back_substitute(echelon, pivots, n_cols, rhs_col=n_cols)
+    return [Fraction(v, d) for v in y]
 
 
 def invert(rows: Sequence[Sequence]) -> Matrix:
@@ -216,7 +213,7 @@ def invert(rows: Sequence[Sequence]) -> Matrix:
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
     columns = [_back_substitute(echelon, pivots, n, rhs_col=n + j) for j in range(n)]
-    return [[col[i] for col in columns] for i in range(n)]
+    return [[Fraction(y[i], d) for y, d in columns] for i in range(n)]
 
 
 def in_span(vectors: Sequence[Sequence], target: Sequence) -> bool:

@@ -1,10 +1,9 @@
 """Exact arithmetic in the coordinate ring of the unit sphere.
 
-Three layers, all over arbitrary-precision rationals (``fractions.Fraction``):
+Three layers, all exact over the rationals:
 
   Polynomial        sparse multivariate polynomial in ``m`` ambient variables,
-                    stored as a dict mapping exponent tuples to nonzero
-                    coefficients.
+                    int numerators over one int denominator (as FLINT's fmpq_poly).
   SpherePolynomial  residue class modulo the sphere relation
                     x_1^2 + ... + x_m^2 - 1, kept in a unique normal form in
                     which the last variable never appears with exponent >= 2.
@@ -17,13 +16,20 @@ Everything is immutable and exact: no floating point, no precision loss.
 Equality of quotients is decided by cross-multiplication, which is valid
 because the sphere relation is irreducible over the rationals (the quotient
 ring is an integral domain for every m >= 2).
+
+Term order is part of the output (float sums run in it): each operation keeps
+the order of the sum it forms, where a monomial whose running sum cancels is
+dropped and comes back at the end if a later term revives it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from fractions import Fraction
+from operator import add
+from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
@@ -35,7 +41,7 @@ _TERM_RE = re.compile(r"^x(\d+)(?:\^(\d+))?$")
 def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
@@ -48,58 +54,88 @@ def term_order_key(exponents: Exponents) -> tuple[int, Exponents]:
 class Polynomial:
     """Sparse exact-rational polynomial in ``m`` ambient variables.
 
-    ``terms`` maps exponent tuples of length ``m`` to nonzero Fractions; the
-    zero polynomial is the empty dict.  Instances are immutable.
+    ``numerators`` maps exponent tuples of length ``m`` to nonzero ints over
+    the positive int ``denominator``, and gcd(all numerators, denominator) ==
+    1, so the form is unique; zero is the empty dict over 1.  ``terms`` is the
+    read-only {exponents: Fraction} view, built on first use.  Immutable.
     """
 
-    __slots__ = ("m", "terms")
+    __slots__ = ("m", "numerators", "denominator", "_terms")
 
     def __init__(self, m: int, terms: Mapping[Exponents, RationalLike] | None = None):
         if m < 1:
             raise ValueError(f"need at least one variable, got m={m}")
         clean: dict[Exponents, Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(int(e) for e in exps)
+            if not all(isinstance(e, int) and not isinstance(e, bool) for e in exps):
+                raise TypeError(f"exponents must be ints, got {exps!r}")
+            exps = tuple(exps)
             if len(exps) != m:
                 raise ValueError(f"exponent tuple {exps} has length {len(exps)}, expected {m}")
             if any(e < 0 for e in exps):
                 raise ValueError(f"negative exponent in {exps}")
             c = _as_fraction(coeff)
             if c != 0:
-                clean[exps] = clean.get(exps, Fraction(0)) + c
-                if clean[exps] == 0:
-                    del clean[exps]
+                clean[exps] = c
+        # Over the lcm of lowest-terms denominators the gcd is already 1.
+        den = math.lcm(*(c.denominator for c in clean.values()))
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "terms", clean)
+        nums = {e: c.numerator * (den // c.denominator) for e, c in clean.items()}
+        object.__setattr__(self, "numerators", nums)
+        object.__setattr__(self, "denominator", den)
 
     @classmethod
-    def _make(cls, m: int, terms: dict[Exponents, Fraction]) -> "Polynomial":
-        # Trusted constructor: terms already canonical (no zeros, right length).
+    def _make(cls, m: int, numerators: dict[Exponents, int], denominator: int = 1) -> "Polynomial":
+        # Trusted constructor: already canonical (no zeros, right length, gcd 1).
         self = object.__new__(cls)
         object.__setattr__(self, "m", m)
-        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "numerators", numerators)
+        object.__setattr__(self, "denominator", denominator)
         return self
+
+    @classmethod
+    def from_numerators(cls, m: int, numerators: dict[Exponents, int], denominator: int):
+        """Nonzero int ``numerators`` over a positive int ``denominator``, their
+        gcd divided out; the dict's order is the term order."""
+        if denominator != 1:
+            g = math.gcd(denominator, *numerators.values())
+            if g != 1:
+                numerators = {e: n // g for e, n in numerators.items()}
+                denominator //= g
+        return cls._make(m, numerators, denominator)
 
     def __setattr__(self, name, value):  # pragma: no cover - defensive
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def terms(self) -> Mapping[Exponents, Fraction]:
+        try:
+            return self._terms
+        except AttributeError:
+            den, nums = self.denominator, self.numerators
+            view = MappingProxyType({e: Fraction(n, den) for e, n in nums.items()})
+            object.__setattr__(self, "_terms", view)
+            return view
 
     # ------------------------------------------------------------------
     # constructors
     # ------------------------------------------------------------------
     @classmethod
+    @functools.cache
     def zero(cls, m: int) -> "Polynomial":
         return cls._make(m, {})
 
     @classmethod
+    @functools.cache
     def one(cls, m: int) -> "Polynomial":
-        return cls.constant(m, 1)
+        return cls._make(m, {(0,) * m: 1})
 
     @classmethod
     def constant(cls, m: int, value: RationalLike) -> "Polynomial":
         c = _as_fraction(value)
         if c == 0:
-            return cls._make(m, {})
-        return cls._make(m, {(0,) * m: c})
+            return cls.zero(m)
+        return cls._make(m, {(0,) * m: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, m: int, index: int) -> "Polynomial":
@@ -108,7 +144,7 @@ class Polynomial:
             raise IndexError(f"variable index {index} out of range 1..{m}")
         exps = [0] * m
         exps[index - 1] = 1
-        return cls._make(m, {tuple(exps): Fraction(1)})
+        return cls._make(m, {tuple(exps): 1})
 
     @classmethod
     def radius_squared(cls, m: int) -> "Polynomial":
@@ -117,52 +153,47 @@ class Polynomial:
         for i in range(m):
             exps = [0] * m
             exps[i] = 2
-            terms[tuple(exps)] = Fraction(1)
+            terms[tuple(exps)] = 1
         return cls._make(m, terms)
 
     # ------------------------------------------------------------------
     # structure
     # ------------------------------------------------------------------
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.numerators
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.terms)
+        return all(all(e == 0 for e in exps) for exps in self.numerators)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.terms.get((0,) * self.m, Fraction(0))
+        return self.coefficient((0,) * self.m)
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree -1 by convention."""
-        if not self.terms:
+        if not self.numerators:
             return -1
-        return max(sum(exps) for exps in self.terms)
+        return max(sum(exps) for exps in self.numerators)
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
+        return Fraction(self.numerators.get(tuple(exponents), 0), self.denominator)
 
     def is_homogeneous(self) -> bool:
-        degrees = {sum(exps) for exps in self.terms}
+        degrees = {sum(exps) for exps in self.numerators}
         return len(degrees) <= 1
 
     def content(self) -> Fraction:
         """Positive rational c with self = c * (primitive integer polynomial)."""
-        if not self.terms:
+        if not self.numerators:
             return Fraction(1)
-        num_gcd = 0
-        den_lcm = 1
-        for c in self.terms.values():
-            num_gcd = math.gcd(num_gcd, abs(c.numerator))
-            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
-        return Fraction(num_gcd, den_lcm)
+        return Fraction(math.gcd(*self.numerators.values()), self.denominator)
 
     def leading_coefficient(self) -> Fraction:
         """Coefficient of the graded-lex leading term (0 for the zero polynomial)."""
-        if not self.terms:
+        if not self.numerators:
             return Fraction(0)
-        return self.terms[max(self.terms, key=term_order_key)]
+        return self.coefficient(max(self.numerators, key=term_order_key))
 
     # ------------------------------------------------------------------
     # ring operations
@@ -175,14 +206,17 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_dim(other)
-        out = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = out.get(exps, Fraction(0)) + c
-            if s == 0:
-                out.pop(exps, None)
-            else:
+        da, db = self.denominator, other.denominator
+        den = da * db // math.gcd(da, db)
+        fa, fb = den // da, den // db
+        out = dict(self.numerators) if fa == 1 else {e: n * fa for e, n in self.numerators.items()}
+        for exps, n in other.numerators.items():
+            s = out.get(exps, 0) + n * fb
+            if s:
                 out[exps] = s
-        return Polynomial._make(self.m, out)
+            else:
+                del out[exps]
+        return Polynomial.from_numerators(self.m, out, den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -190,7 +224,9 @@ class Polynomial:
         return self + (-other)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._make(self.m, {e: -c for e, c in self.terms.items()})
+        return Polynomial._make(
+            self.m, {e: -n for e, n in self.numerators.items()}, self.denominator
+        )
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -198,16 +234,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_dim(other)
-        out: dict[Exponents, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(exps, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = s
-        return Polynomial._make(self.m, out)
+        out = _multiply_into({}, self.numerators.items(), other.numerators.items())
+        return Polynomial.from_numerators(self.m, out, self.denominator * other.denominator)
 
     def __rmul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
@@ -217,8 +245,11 @@ class Polynomial:
     def scale(self, value: RationalLike) -> "Polynomial":
         c = _as_fraction(value)
         if c == 0:
-            return Polynomial._make(self.m, {})
-        return Polynomial._make(self.m, {e: k * c for e, k in self.terms.items()})
+            return Polynomial.zero(self.m)
+        a = c.numerator
+        return Polynomial.from_numerators(
+            self.m, {e: n * a for e, n in self.numerators.items()}, self.denominator * c.denominator
+        )
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
@@ -237,13 +268,15 @@ class Polynomial:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.m == other.m and self.terms == other.terms
+        return (self.m, self.denominator) == (other.m, other.denominator) and (
+            self.numerators == other.numerators
+        )
 
     def __hash__(self) -> int:
-        return hash((self.m, frozenset(self.terms.items())))
+        return hash((self.m, self.denominator, frozenset(self.numerators.items())))
 
     def __reduce__(self):
-        return (_rebuild_polynomial, (self.m, tuple(self.terms.items())))
+        return (_rebuild_polynomial, (self.m, tuple(self.numerators.items()), self.denominator))
 
     # ------------------------------------------------------------------
     # calculus and evaluation
@@ -253,50 +286,44 @@ class Polynomial:
         if not 1 <= index <= self.m:
             raise IndexError(f"variable index {index} out of range 1..{self.m}")
         i = index - 1
-        out: dict[Exponents, Fraction] = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            new = list(exps)
-            new[i] = e - 1
-            key = tuple(new)
-            s = out.get(key, Fraction(0)) + c * e
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Polynomial._make(self.m, out)
+        # Lowering exponent i is injective on the terms it keeps: no sums.
+        out = {
+            exps[:i] + (exps[i] - 1,) + exps[index:]: n * exps[i]
+            for exps, n in self.numerators.items()
+            if exps[i]
+        }
+        return Polynomial.from_numerators(self.m, out, self.denominator)
 
     def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
-        """Exact value at a rational point, summed in integers: with L the lcm
-        of the coefficient denominators, the point X / D over one common
-        denominator and n the degree, it is sum_e L c_e X^e D^(n-|e|) / (L D^n)."""
+        """Exact value at a rational point, summed in integers: with N_e / L
+        the coefficients, the point X / D over one common denominator and n
+        the degree, it is sum_e N_e X^e D^(n-|e|) / (L D^n)."""
         if len(point) != self.m:
             raise ValueError(f"point has length {len(point)}, expected {self.m}")
         pt = [_as_fraction(v) for v in point]
-        if not self.terms:
+        if not self.numerators:
             return Fraction(0)
         den = math.lcm(*(v.denominator for v in pt))
         xs = [v.numerator * (den // v.denominator) for v in pt]
-        lcm = math.lcm(*(c.denominator for c in self.terms.values()))
         n = self.degree()
         total = 0
-        for exps, c in self.terms.items():
-            term = c.numerator * (lcm // c.denominator) * den ** (n - sum(exps))
+        for exps, term in self.numerators.items():
+            term *= den ** (n - sum(exps))
             for x, e in zip(xs, exps):
                 if e:
                     term *= x**e
             total += term
-        return Fraction(total, lcm * den**n)
+        return Fraction(total, self.denominator * den**n)
 
     def float_evaluator(self) -> Callable[[Sequence[float]], float]:
         """The float value at a point, as a callable: the coefficients become
-        floats once, and each call multiplies a term's nonzero powers into its
+        floats once (int true division rounds as ``float`` of the Fraction
+        does), and each call multiplies a term's nonzero powers into its
         coefficient and adds the terms in order onto 0.0.  No length check."""
+        den = self.denominator
         terms = [
-            (float(c), [(i, e) for i, e in enumerate(exps) if e])
-            for exps, c in self.terms.items()
+            (n / den, [(i, e) for i, e in enumerate(exps) if e])
+            for exps, n in self.numerators.items()
         ]
 
         def evaluate(point: Sequence[float]) -> float:
@@ -327,7 +354,7 @@ class Polynomial:
                     exps = [0] * self.m
                     exps[j] = 1
                     terms[tuple(exps)] = c
-            images.append(Polynomial._make(self.m, terms))
+            images.append(Polynomial(self.m, terms))
         result = Polynomial.zero(self.m)
         # Cache powers of each image since exponents repeat across terms.
         power_cache: dict[tuple[int, int], Polynomial] = {}
@@ -411,12 +438,8 @@ def laplace_euclid(p: Polynomial) -> Polynomial:
 
 def euler_operator(p: Polynomial) -> Polynomial:
     """Radial grading operator: sum_i x_i * d/dx_i.  Multiplies degree-d terms by d."""
-    out: dict[Exponents, Fraction] = {}
-    for exps, c in p.terms.items():
-        d = sum(exps)
-        if d:
-            out[exps] = c * d
-    return Polynomial._make(p.m, out)
+    out = {exps: n * sum(exps) for exps, n in p.numerators.items() if any(exps)}
+    return Polynomial.from_numerators(p.m, out, p.denominator)
 
 
 # ----------------------------------------------------------------------
@@ -447,10 +470,12 @@ class SpherePolynomial:
         return self
 
     @classmethod
+    @functools.cache
     def zero(cls, m: int) -> "SpherePolynomial":
         return cls._trusted(Polynomial.zero(m))
 
     @classmethod
+    @functools.cache
     def one(cls, m: int) -> "SpherePolynomial":
         return cls._trusted(Polynomial.one(m))
 
@@ -556,39 +581,47 @@ class SpherePolynomial:
 
 
 def _reduce_terms(p: Polynomial) -> Polynomial:
+    """Normal form: each x_m^(2q+r) becomes x_m^r (1 - x_1^2 - ... - x_(m-1)^2)^q.
+
+    Summed in integers over p's denominator into one dict, in the result's
+    term order: first the expansions of the terms with q >= 1, in p's order,
+    then the terms with x_m-exponent <= 1."""
     m = p.m
     if m < 2:
         raise ValueError("the sphere relation needs at least two variables")
-    if all(exps[-1] <= 1 for exps in p.terms):
+    if all(exps[-1] <= 1 for exps in p.numerators):
         return p
-    # complement = 1 - x_1^2 - ... - x_{m-1}^2, the image of x_m^2.
-    complement = Polynomial.one(m) - (
-        Polynomial.radius_squared(m) - Polynomial.variable(m, m) ** 2
-    )
-    comp_powers: dict[int, Polynomial] = {0: Polynomial.one(m)}
+    out: dict[Exponents, int] = {}
+    for exps, c in p.numerators.items():
+        q, r = divmod(exps[-1], 2)
+        if q:
+            _multiply_into(out, [(exps[:-1] + (r,), c)], _complement_power(m, q).numerators.items())
+    kept = [(exps, c) for exps, c in p.numerators.items() if exps[-1] <= 1]
+    _multiply_into(out, kept, Polynomial.one(m).numerators.items())
+    return Polynomial.from_numerators(m, out, p.denominator)
 
-    def comp_power(q: int) -> Polynomial:
-        if q not in comp_powers:
-            comp_powers[q] = comp_power(q - 1) * complement
-        return comp_powers[q]
 
-    out = Polynomial.zero(m)
-    passthrough: dict[Exponents, Fraction] = {}
-    for exps, c in p.terms.items():
-        e_last = exps[-1]
-        if e_last <= 1:
-            s = passthrough.get(exps, Fraction(0)) + c
-            if s == 0:
-                passthrough.pop(exps, None)
+def _multiply_into(out: dict, left, right) -> dict:
+    """Adds every product of a (exponents, int) pair of left and one of right
+    into out, in order; a sum that cancels drops its monomial."""
+    get = out.get
+    for e1, c1 in left:
+        for e2, c2 in right:
+            exps = tuple(map(add, e1, e2))
+            s = get(exps, 0) + c1 * c2
+            if s:
+                out[exps] = s
             else:
-                passthrough[exps] = s
-            continue
-        q, r = divmod(e_last, 2)
-        stem = list(exps)
-        stem[-1] = r
-        mono = Polynomial._make(m, {tuple(stem): c})
-        out = out + mono * comp_power(q)
-    return out + Polynomial._make(m, passthrough)
+                del out[exps]
+    return out
+
+
+@functools.cache
+def _complement_power(m: int, q: int) -> Polynomial:
+    """(1 - x_1^2 - ... - x_(m-1)^2)^q for q >= 1, the image of x_m^(2q)."""
+    if q == 1:
+        return Polynomial.one(m) - (Polynomial.radius_squared(m) - Polynomial.variable(m, m) ** 2)
+    return _complement_power(m, q - 1) * _complement_power(m, 1)
 
 
 def require_on_sphere(point: Sequence[RationalLike]) -> list[Fraction]:
@@ -800,8 +833,9 @@ class SphereFunction:
         return f"SphereFunction(m={self.m}, {self})"
 
 
-def _rebuild_polynomial(m: int, items) -> Polynomial:
-    return Polynomial._make(m, dict(items))
+def _rebuild_polynomial(m: int, items, denominator: int) -> Polynomial:
+    return Polynomial._make(m, dict(items), denominator)
+
 
 
 def _normalize(

@@ -43,11 +43,25 @@ class RotationField:
         return f"X{self.i}{self.j}"
 
     def apply_raw(self, p: Polynomial) -> Polynomial:
+        """x_i d_j p - x_j d_i p, summed in integers into one dict: the x_i d_j
+        terms in p's order, then the x_j d_i terms subtracted from them."""
         if self.j > p.m:
             raise IndexError(f"{self} out of range for m={p.m}")
-        xi = Polynomial.variable(p.m, self.i)
-        xj = Polynomial.variable(p.m, self.j)
-        return xi * p.partial(self.j) - xj * p.partial(self.i)
+        i, j = self.i - 1, self.j - 1
+        out: dict[tuple[int, ...], int] = {}
+        for up, down, sign in ((i, j, 1), (j, i, -1)):
+            for exps, n in p.numerators.items():
+                e = exps[down]
+                if e:
+                    key = list(exps)
+                    key[down], key[up] = e - 1, key[up] + 1
+                    key = tuple(key)
+                    s = out.get(key, 0) + sign * n * e
+                    if s:
+                        out[key] = s
+                    else:
+                        del out[key]
+        return Polynomial.from_numerators(p.m, out, p.denominator)
 
 
 def rotation_fields(m: int) -> list[RotationField]:

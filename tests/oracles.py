@@ -151,3 +151,192 @@ def harmonic_basis_by_nullspace(m: int, d: int) -> list[Polynomial]:
         Polynomial(m, {exps: c for exps, c in zip(source, vec) if c != 0})
         for vec in kernel
     ]
+
+
+# ----------------------------------------------------------------------
+# the Fraction kernel that the integer-numerator Polynomial replaced
+# ----------------------------------------------------------------------
+
+
+class FractionPolynomial:
+    """``terms`` maps exponent tuples to nonzero Fractions, summed in
+    Fractions; each running sum that cancels pops its monomial, so a later
+    nonzero sum re-inserts it at the end.  The integer kernel must give the
+    same coefficients in the same order."""
+
+    def __init__(self, m: int, terms=None):
+        self.m = m
+        self.terms = {tuple(e): Fraction(c) for e, c in (terms or {}).items() if c != 0}
+
+    @classmethod
+    def _make(cls, m: int, terms: dict) -> "FractionPolynomial":
+        self = cls(m)
+        self.terms = terms
+        return self
+
+    @classmethod
+    def one(cls, m: int) -> "FractionPolynomial":
+        return cls._make(m, {(0,) * m: Fraction(1)})
+
+    @classmethod
+    def variable(cls, m: int, index: int) -> "FractionPolynomial":
+        exps = [0] * m
+        exps[index - 1] = 1
+        return cls._make(m, {tuple(exps): Fraction(1)})
+
+    @classmethod
+    def radius_squared(cls, m: int) -> "FractionPolynomial":
+        terms = {}
+        for i in range(m):
+            exps = [0] * m
+            exps[i] = 2
+            terms[tuple(exps)] = Fraction(1)
+        return cls._make(m, terms)
+
+    def content(self) -> Fraction:
+        if not self.terms:
+            return Fraction(1)
+        num_gcd = 0
+        den_lcm = 1
+        for c in self.terms.values():
+            num_gcd = math.gcd(num_gcd, abs(c.numerator))
+            den_lcm = den_lcm * c.denominator // math.gcd(den_lcm, c.denominator)
+        return Fraction(num_gcd, den_lcm)
+
+    def leading_coefficient(self) -> Fraction:
+        if not self.terms:
+            return Fraction(0)
+        return self.terms[max(self.terms, key=lambda e: (sum(e), e))]
+
+    def __add__(self, other: "FractionPolynomial") -> "FractionPolynomial":
+        out = dict(self.terms)
+        for exps, c in other.terms.items():
+            s = out.get(exps, Fraction(0)) + c
+            if s == 0:
+                out.pop(exps, None)
+            else:
+                out[exps] = s
+        return FractionPolynomial._make(self.m, out)
+
+    def __sub__(self, other: "FractionPolynomial") -> "FractionPolynomial":
+        return self + (-other)
+
+    def __neg__(self) -> "FractionPolynomial":
+        return FractionPolynomial._make(self.m, {e: -c for e, c in self.terms.items()})
+
+    def __mul__(self, other: "FractionPolynomial") -> "FractionPolynomial":
+        out = {}
+        for e1, c1 in self.terms.items():
+            for e2, c2 in other.terms.items():
+                exps = tuple(a + b for a, b in zip(e1, e2))
+                s = out.get(exps, Fraction(0)) + c1 * c2
+                if s == 0:
+                    out.pop(exps, None)
+                else:
+                    out[exps] = s
+        return FractionPolynomial._make(self.m, out)
+
+    def scale(self, value) -> "FractionPolynomial":
+        c = Fraction(value)
+        if c == 0:
+            return FractionPolynomial._make(self.m, {})
+        return FractionPolynomial._make(self.m, {e: k * c for e, k in self.terms.items()})
+
+    def __pow__(self, exponent: int) -> "FractionPolynomial":
+        result = FractionPolynomial.one(self.m)
+        base = self
+        n = exponent
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def partial(self, index: int) -> "FractionPolynomial":
+        i = index - 1
+        out = {}
+        for exps, c in self.terms.items():
+            e = exps[i]
+            if e == 0:
+                continue
+            new = list(exps)
+            new[i] = e - 1
+            key = tuple(new)
+            s = out.get(key, Fraction(0)) + c * e
+            if s == 0:
+                out.pop(key, None)
+            else:
+                out[key] = s
+        return FractionPolynomial._make(self.m, out)
+
+    def float_evaluator(self):
+        terms = [
+            (float(c), [(i, e) for i, e in enumerate(exps) if e])
+            for exps, c in self.terms.items()
+        ]
+
+        def evaluate(point) -> float:
+            total = 0.0
+            for term, factors in terms:
+                for i, e in factors:
+                    term *= point[i] ** e
+                total += term
+            return total
+
+        return evaluate
+
+    def __str__(self) -> str:
+        if not self.terms:
+            return "0"
+        parts = []
+        for exps in sorted(self.terms, key=lambda e: (sum(e), e), reverse=True):
+            c = self.terms[exps]
+            factors = [
+                f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}" for i, e in enumerate(exps) if e
+            ]
+            parts.append(f"{c} * " + " ".join(factors) if factors else str(c))
+        return " + ".join(parts)
+
+
+def reduce_terms_loop(p: FractionPolynomial) -> FractionPolynomial:
+    """Sphere normal form as a Polynomial sum per reduced term, then the
+    terms that pass through."""
+    m = p.m
+    if all(exps[-1] <= 1 for exps in p.terms):
+        return p
+    complement = FractionPolynomial.one(m) - (
+        FractionPolynomial.radius_squared(m) - FractionPolynomial.variable(m, m) ** 2
+    )
+    comp_powers = {0: FractionPolynomial.one(m)}
+
+    def comp_power(q: int) -> FractionPolynomial:
+        if q not in comp_powers:
+            comp_powers[q] = comp_power(q - 1) * complement
+        return comp_powers[q]
+
+    out = FractionPolynomial._make(m, {})
+    passthrough = {}
+    for exps, c in p.terms.items():
+        e_last = exps[-1]
+        if e_last <= 1:
+            s = passthrough.get(exps, Fraction(0)) + c
+            if s == 0:
+                passthrough.pop(exps, None)
+            else:
+                passthrough[exps] = s
+            continue
+        q, r = divmod(e_last, 2)
+        stem = list(exps)
+        stem[-1] = r
+        mono = FractionPolynomial._make(m, {tuple(stem): c})
+        out = out + mono * comp_power(q)
+    return out + FractionPolynomial._make(m, passthrough)
+
+
+def apply_raw_loop(i: int, j: int, p: FractionPolynomial) -> FractionPolynomial:
+    """x_i d_j p - x_j d_i p as two products and a difference."""
+    xi = FractionPolynomial.variable(p.m, i)
+    xj = FractionPolynomial.variable(p.m, j)
+    return xi * p.partial(j) - xj * p.partial(i)

@@ -1,5 +1,6 @@
 """Exact linear algebra against sympy.Matrix on seeded random rational matrices."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -78,9 +79,14 @@ class TestAgainstSympy:
         basis = linalg.nullspace(a)
         expected = to_sympy(a).nullspace()
         assert len(basis) == len(expected)
-        for vec in basis:
+        pivots = to_sympy(a).rref()[1]
+        free = [c for c in range(shape[1]) if c not in pivots]
+        for vec, c in zip(basis, free):
             assert all(x == 0 for x in matvec(a, vec))
             assert all(x.denominator == 1 for x in vec)
+            # Primitive, with its own free coordinate positive.
+            assert math.gcd(*(int(x) for x in vec)) == 1
+            assert vec[c] > 0 and all(vec[f] == 0 for f in free if f != c)
         if basis:
             # Same span: stacking either basis on ours adds no rank.
             ours = to_sympy(basis)
@@ -177,6 +183,12 @@ def test_nullspace_with_a_pivot_in_the_last_column():
     # The last pivot row has nothing to its right: its sum is empty.
     assert linalg.nullspace([[1, 1, 0], [0, 0, 1]]) == [[-1, 1, 0]]
     assert linalg.nullspace([[0, 1]]) == [[1, 0]]
+
+
+def test_nullspace_sign_with_a_negative_last_pivot():
+    # y[free] is the last pivot, -1 here: the sign comes from it, not from y.
+    assert linalg.nullspace([[1, 0, 1], [0, -1, 1]]) == [[-1, 1, 1]]
+    assert linalg.nullspace([[2, 0, 4], [0, -3, 6]]) == [[-2, 2, 1]]
 
 
 def test_minors_undo_the_row_scaling():
