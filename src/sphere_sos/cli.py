@@ -41,7 +41,7 @@ from .lie import (
     su2_round_form,
     trace_form,
 )
-from .polynomials import SphereFunction, SpherePolynomial
+from .polynomials import PLANE_SAMPLE_LIMIT, SphereFunction, SpherePolynomial
 from .realization import (
     ProjectedCasimir,
     so_realization,
@@ -192,6 +192,8 @@ def cmd_certify(args) -> int:
         raise UsageError(f"power must be >= 0, got {args.power}")
     if args.samples < 1:
         raise UsageError(f"sample count must be >= 1, got {args.samples}")
+    if args.samples > PLANE_SAMPLE_LIMIT:
+        raise UsageError(f"sample count must be <= {PLANE_SAMPLE_LIMIT}, got {args.samples}")
     h = resolve_certify_family(args.family)
     report = verify_certificate(
         h,

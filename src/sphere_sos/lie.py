@@ -10,7 +10,10 @@ read from the constants, so no m x m matrix is ever multiplied.  Forms are
 symmetric rational matrices.  Everything downstream is exact: brackets,
 invariance checks with explicit counterexample witnesses, orthogonal
 reductive decompositions, and Casimir elements as (dual vector, basis vector)
-pairs.
+pairs.  A decomposition needs a positive definite form, so a subalgebra k
+and its complement m are each other's B-orthogonal complements: closure,
+stability and natural reductivity are all read off B-orthogonality, and
+nothing is ever projected onto m.
 """
 
 from __future__ import annotations
@@ -132,17 +135,24 @@ class BilinearForm:
         return len(self.matrix)
 
     def __call__(self, u: Sequence, v: Sequence) -> Fraction:
-        u, v = _vec(u), _vec(v)
-        return sum(
-            u[i] * self.matrix[i][j] * v[j]
-            for i in range(self.dim)
-            for j in range(self.dim)
-            if u[i] != 0 and self.matrix[i][j] != 0
-        ) or Fraction(0)
+        """u^T B v, summed over the nonzero coordinates of u and v only."""
+        if len(u) != self.dim or len(v) != self.dim:
+            raise ValueError("coordinate vectors must match the form dimension")
+        v_support = [(j, Fraction(y)) for j, y in enumerate(v) if y]
+        total = Fraction(0)
+        for i, x in enumerate(u):
+            if x:
+                row = self.matrix[i]
+                total += Fraction(x) * sum(row[j] * y for j, y in v_support)
+        return total
 
     def is_positive_definite(self) -> bool:
-        """Exact Sylvester criterion: all leading principal minors positive."""
-        return all(d > 0 for d in linalg.leading_principal_minors(self.matrix))
+        """Exact: B = L D L^T with every pivot of D positive."""
+        try:
+            linalg.ldl(self.matrix)
+        except ValueError:
+            return False
+        return True
 
     def scale(self, factor) -> "BilinearForm":
         f = Fraction(factor)
@@ -268,25 +278,6 @@ class ReductiveDecomposition:
     subalgebra_basis: tuple[Vector, ...]
     complement_basis: tuple[Vector, ...]
 
-    def project_complement(self, u: Sequence) -> Vector:
-        """B-orthogonal projection onto the complement, exact.
-
-        Solves the Gram system of the complement basis; valid because B is
-        positive definite.
-        """
-        u = _vec(u)
-        basis = self.complement_basis
-        if not basis:
-            return tuple(Fraction(0) for _ in range(self.algebra.dim))
-        gram = [[self.form(a, b) for b in basis] for a in basis]
-        rhs = [self.form(a, u) for a in basis]
-        coeffs = linalg.solve(gram, rhs)
-        out = [Fraction(0)] * self.algebra.dim
-        for c, vec in zip(coeffs, basis):
-            for i, v in enumerate(vec):
-                out[i] += c * v
-        return tuple(out)
-
 
 def orthogonal_decomposition(
     algebra: LieAlgebraData,
@@ -295,38 +286,36 @@ def orthogonal_decomposition(
 ) -> ReductiveDecomposition:
     """Split the algebra as subalgebra + B-orthogonal complement, verified exactly.
 
-    Checks that the given span is closed under the bracket, that the form is
-    positive definite, that dimensions add up, and that the complement is
-    bracket-stable under the subalgebra.
+    Checks that the form is positive definite, that the given vectors are
+    independent, that their span k is closed under the bracket, and that the
+    complement m is bracket-stable under k.  B is positive definite, so
+    m = k^perp and k = m^perp, and every check is a B-orthogonality test:
+    a dependent k leaves a complement of more than dim - len(k) vectors,
+    [a, b] lies in k iff it is B-orthogonal to m, and [k, m] lies in m iff
+    it is B-orthogonal to k.
     """
     if form.dim != algebra.dim:
         raise ValueError("form and algebra dimensions differ")
     if not form.is_positive_definite():
         raise ValueError("decomposition needs a positive definite form")
     k_basis = [_vec(v) for v in subalgebra_basis]
-    if linalg.rank(k_basis) != len(k_basis):
-        raise ValueError("subalgebra basis vectors are linearly dependent")
-    for a in k_basis:
-        for b in k_basis:
-            if not linalg.in_span(k_basis, algebra.bracket(a, b)):
-                raise ValueError("given span is not closed under the bracket")
     # Complement: kernel of u -> (B(u, k_1), ..., B(u, k_r)).
-    if k_basis:
-        constraint = [
-            [form(algebra.basis_vector(col), k) for col in range(algebra.dim)]
-            for k in k_basis
-        ]
-        m_basis = [tuple(v) for v in linalg.nullspace(constraint, n_cols=algebra.dim)]
-    else:
-        m_basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    constraint = [
+        [form(algebra.basis_vector(col), k) for col in range(algebra.dim)] for k in k_basis
+    ]
+    m_basis = [tuple(v) for v in linalg.nullspace(constraint, n_cols=algebra.dim)]
     if len(k_basis) + len(m_basis) != algebra.dim:
-        raise AssertionError("complement dimension mismatch")
-    for k in k_basis:
-        for mvec in m_basis:
-            if form(k, mvec) != 0:
-                raise AssertionError("complement is not B-orthogonal")
-            if not linalg.in_span(m_basis, algebra.bracket(k, mvec)):
-                raise ValueError("complement is not stable under the subalgebra")
+        raise ValueError("subalgebra basis vectors are linearly dependent")
+    for a, b in product(k_basis, repeat=2):
+        ab = algebra.bracket(a, b)
+        if any(form(ab, mvec) != 0 for mvec in m_basis):
+            raise ValueError("given span is not closed under the bracket")
+    for k, mvec in product(k_basis, m_basis):
+        if form(k, mvec) != 0:
+            raise AssertionError("complement is not B-orthogonal")
+        km = algebra.bracket(k, mvec)
+        if any(form(km, kvec) != 0 for kvec in k_basis):
+            raise ValueError("complement is not stable under the subalgebra")
     return ReductiveDecomposition(
         algebra=algebra,
         form=form,
@@ -339,16 +328,20 @@ def natural_reductivity_witness(
     dec: ReductiveDecomposition,
 ) -> tuple[int, int, int] | None:
     """First complement-basis triple violating
-    B([Z,X]_m, Y) + B(X, [Z,Y]_m) = 0, or None."""
+    B([Z,X]_m, Y) + B(X, [Z,Y]_m) = 0, or None.
+
+    For X, Y in m the k-part of [Z, X] is B-orthogonal to Y, so
+    B([Z,X]_m, Y) = B([Z,X], Y) and no projection is needed.
+    """
     basis = dec.complement_basis
     alg, form = dec.algebra, dec.form
     for z, ez in enumerate(basis):
-        for x, ex in enumerate(basis):
-            pzx = dec.project_complement(alg.bracket(ez, ex))
-            for y, ey in enumerate(basis):
-                pzy = dec.project_complement(alg.bracket(ez, ey))
-                if form(pzx, ey) + form(ex, pzy) != 0:
-                    return (z, x, y)
+        brackets = [alg.bracket(ez, ex) for ex in basis]
+        # values[x][y] = B([Z, X], Y), and B(X, [Z, Y]) = values[y][x].
+        values = [[form(zx, ey) for ey in basis] for zx in brackets]
+        for x, y in product(range(len(basis)), repeat=2):
+            if values[x][y] + values[y][x] != 0:
+                return (z, x, y)
     return None
 
 

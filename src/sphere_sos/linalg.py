@@ -1,15 +1,14 @@
 """Exact dense linear algebra over the rationals.
 
-Small matrices only (harmonic-basis kernels, Gram matrices, membership
-tests).  Every routine runs on one elimination loop, ``_bareiss``: rows are
-scaled to integers and eliminated fraction-free in the Bareiss style, so each
+Small matrices only (harmonic-basis kernels, Gram matrices, complements).
+Every routine runs on one elimination loop, ``_bareiss``: rows are scaled to
+integers and eliminated fraction-free in the Bareiss style, so each
 intermediate entry stays an exact integer and each two-row update divides out
-the previous pivot exactly.  ``nullspace``, ``column_basis``, ``solve`` and
-``invert`` read the echelon form through one back-substitution.  Without row
-swaps the Bareiss pivots are the leading principal minors (Bareiss 1968),
-which is how ``leading_principal_minors`` gets them; the rows at those steps
+the previous pivot exactly.  ``nullspace``, ``column_basis`` and ``invert``
+read the echelon form through one back-substitution.  Without row swaps the
+Bareiss pivots are the leading principal minors (Bareiss 1968) and the rows
 are the scaled rows of D L^T, which is how ``ldl`` factors a positive
-definite matrix.
+definite matrix; a matrix is positive definite exactly when ``ldl`` succeeds.
 """
 
 from __future__ import annotations
@@ -184,23 +183,6 @@ def column_basis(
     return pivots, coords
 
 
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """One exact solution of A x = b, or None if the system is inconsistent."""
-    a = _to_fraction_matrix(rows)
-    b = [Fraction(x) for x in rhs]
-    if len(a) != len(b):
-        raise ValueError("matrix and right-hand side sizes differ")
-    if not a:
-        return []
-    n_cols = len(a[0])
-    echelon, pivots = fraction_free_echelon([row + [v] for row, v in zip(a, b)])
-    # A pivot in the rhs column means 0 = nonzero.
-    if pivots and pivots[-1] == n_cols:
-        return None
-    y, d = _back_substitute(echelon, pivots, n_cols, rhs_col=n_cols)
-    return [Fraction(v, d) for v in y]
-
-
 def invert(rows: Sequence[Sequence]) -> Matrix:
     """Exact inverse from the echelon form of [A | I]; raises
     ZeroDivisionError on singular input."""
@@ -216,52 +198,11 @@ def invert(rows: Sequence[Sequence]) -> Matrix:
     return [[Fraction(y[i], d) for y, d in columns] for i in range(n)]
 
 
-def in_span(vectors: Sequence[Sequence], target: Sequence) -> bool:
-    """Exact membership of target in the rational span of the given vectors."""
-    if not vectors:
-        return all(Fraction(x) == 0 for x in target)
-    cols = [[Fraction(vec[i]) for vec in vectors] for i in range(len(target))]
-    return solve(cols, target) is not None
-
-
 def _square(rows: Sequence[Sequence]) -> Matrix:
     a = _to_fraction_matrix(rows)
     if any(len(row) != len(a) for row in a):
         raise ValueError("matrix must be square")
     return a
-
-
-def _unswapped_steps(a: Matrix) -> Iterator[tuple[int, Fraction, list[int]]]:
-    """(r, leading principal minor of order r + 1, integer row r after r
-    elimination steps) for each Bareiss step on the square matrix a that
-    needs no row swap; stops at the first one that does (a zero minor).
-
-    The minors are the pivots divided by the row scalings that cleared
-    denominators; the row is a's row r scaled by the same integer, so ratios
-    of its entries are exact.
-    """
-    m = _clear_denominators(a)
-    scale = 1
-    for r, c, p in _bareiss(m):
-        if not r == c == p:
-            return
-        scale *= _den_lcm(a[r])
-        yield r, Fraction(m[r][c], scale), m[r]
-
-
-def leading_principal_minors(rows: Sequence[Sequence]) -> list[Fraction]:
-    """Leading principal minors of a square matrix, exactly, up to and
-    including the first zero one (for definiteness tests).
-
-    They are the pivots of Bareiss elimination without row swaps; a step that
-    needs a swap or skips a column has a zero minor, and elimination stops
-    there.
-    """
-    a = _square(rows)
-    minors = [minor for _, minor, _ in _unswapped_steps(a)]
-    if len(minors) < len(a):
-        minors.append(Fraction(0))
-    return minors
 
 
 def ldl(rows: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:
@@ -271,7 +212,8 @@ def ldl(rows: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:
     elimination without row swaps turns G into D L^T; the Bareiss row r is
     that row times an integer, so L[j][r] is the ratio of its entries j and
     r, and d_r is the ratio of consecutive leading principal minors.  Raises
-    ValueError when G is not symmetric or some d_r is not positive.
+    ValueError when G is not symmetric or some d_r is not positive, which by
+    Sylvester's criterion is exactly when G is not positive definite.
     """
     a = _square(rows)
     n = len(a)
@@ -280,13 +222,21 @@ def ldl(rows: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:
     lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     pivots: list[Fraction] = []
     previous = Fraction(1)
-    for r, minor, row in _unswapped_steps(a):
+    m = _clear_denominators(a)
+    scale = 1
+    for r, c, p in _bareiss(m):
+        # A step that swaps or skips a column has a zero leading minor.
+        if not r == c == p:
+            break
+        # The minor of a is the Bareiss pivot over the row scalings so far.
+        scale *= _den_lcm(a[r])
+        minor = Fraction(m[r][r], scale)
         if minor <= 0:
             break
         pivots.append(minor / previous)
         previous = minor
         for j in range(r + 1, n):
-            lower[j][r] = Fraction(row[j], row[r])
+            lower[j][r] = Fraction(m[r][j], m[r][r])
     if len(pivots) < n:
         raise ValueError("matrix is not positive definite")
     return lower, pivots

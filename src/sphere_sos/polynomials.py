@@ -875,14 +875,22 @@ def sphere_point_from_plane(u: RationalLike, v: RationalLike) -> tuple[Fraction,
     return (2 * uf / d, 2 * vf / d, (s - 1) / d)
 
 
+# Distinct (u, v) that sample_plane_points can draw: 981 ** 2, where
+# 981 = 3 + 2 * sum(phi(q) for q in 2..40) counts the p/q in [-1, 1] with q <= 40.
+PLANE_SAMPLE_LIMIT = 962_361
+
+
 def sample_plane_points(count: int, seed: int) -> list[tuple[Fraction, Fraction]]:
     """Deterministic rational plane points with |u|, |v| <= 1, used for sphere sampling.
 
     Coordinates have small denominators so downstream exact evaluation stays
-    cheap.  Distinctness is enforced so sample sets never repeat a point.
+    cheap.  Distinctness is enforced so sample sets never repeat a point,
+    which caps the count at PLANE_SAMPLE_LIMIT.
     """
     import random
 
+    if count > PLANE_SAMPLE_LIMIT:
+        raise ValueError(f"at most {PLANE_SAMPLE_LIMIT} distinct plane points, asked for {count}")
     rng = random.Random(seed)
     points: list[tuple[Fraction, Fraction]] = []
     seen = set()

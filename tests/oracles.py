@@ -11,10 +11,12 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import sympy as sp
 
+from sphere_sos import linalg
+from sphere_sos.lie import BilinearForm, LieAlgebraData, ReductiveDecomposition
 from sphere_sos.polynomials import Polynomial, SphereFunction
 
 
@@ -340,3 +342,79 @@ def apply_raw_loop(i: int, j: int, p: FractionPolynomial) -> FractionPolynomial:
     xi = FractionPolynomial.variable(p.m, i)
     xj = FractionPolynomial.variable(p.m, j)
     return xi * p.partial(j) - xj * p.partial(i)
+
+
+# ----------------------------------------------------------------------
+# the projection route that B-orthogonality tests replaced in lie
+# ----------------------------------------------------------------------
+
+
+def in_span(vectors, target) -> bool:
+    """target lies in the span of vectors iff stacking it on them adds no rank."""
+    return linalg.rank([*vectors, target]) == linalg.rank(vectors)
+
+
+def project_complement(dec: ReductiveDecomposition, u) -> tuple[Fraction, ...]:
+    """B-orthogonal projection of u onto the complement: the coefficients
+    solve the Gram system of the complement basis, here by its inverse."""
+    basis = dec.complement_basis
+    out = [Fraction(0)] * dec.algebra.dim
+    if not basis:
+        return tuple(out)
+    inverse = linalg.invert([[dec.form(a, b) for b in basis] for a in basis])
+    rhs = [dec.form(a, u) for a in basis]
+    for row, vec in zip(inverse, basis):
+        c = sum((g * r for g, r in zip(row, rhs)), Fraction(0))
+        for i, v in enumerate(vec):
+            out[i] += c * v
+    return tuple(out)
+
+
+def decomposition_by_projection(
+    algebra: LieAlgebraData, subalgebra_basis, form: BilinearForm
+) -> ReductiveDecomposition:
+    """The span-membership decomposition: rank for independence, then
+    closure and stability as membership in the spans of k and m."""
+    if form.dim != algebra.dim:
+        raise ValueError("form and algebra dimensions differ")
+    if not form.is_positive_definite():
+        raise ValueError("decomposition needs a positive definite form")
+    k_basis = [tuple(Fraction(x) for x in v) for v in subalgebra_basis]
+    if linalg.rank(k_basis) != len(k_basis):
+        raise ValueError("subalgebra basis vectors are linearly dependent")
+    for a, b in product(k_basis, repeat=2):
+        if not in_span(k_basis, algebra.bracket(a, b)):
+            raise ValueError("given span is not closed under the bracket")
+    if k_basis:
+        constraint = [
+            [form(algebra.basis_vector(col), k) for col in range(algebra.dim)]
+            for k in k_basis
+        ]
+        m_basis = [tuple(v) for v in linalg.nullspace(constraint, n_cols=algebra.dim)]
+    else:
+        m_basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    if len(k_basis) + len(m_basis) != algebra.dim:
+        raise AssertionError("complement dimension mismatch")
+    for k, mvec in product(k_basis, m_basis):
+        if form(k, mvec) != 0:
+            raise AssertionError("complement is not B-orthogonal")
+        if not in_span(m_basis, algebra.bracket(k, mvec)):
+            raise ValueError("complement is not stable under the subalgebra")
+    return ReductiveDecomposition(
+        algebra=algebra,
+        form=form,
+        subalgebra_basis=tuple(k_basis),
+        complement_basis=tuple(m_basis),
+    )
+
+
+def natural_reductivity_by_projection(dec: ReductiveDecomposition):
+    """First complement-basis triple (z, x, y) with
+    B([Z,X]_m, Y) + B(X, [Z,Y]_m) != 0, projecting every bracket; or None."""
+    basis, alg, form = dec.complement_basis, dec.algebra, dec.form
+    for (z, ez), (x, ex), (y, ey) in product(enumerate(basis), repeat=3):
+        pzx = project_complement(dec, alg.bracket(ez, ex))
+        pzy = project_complement(dec, alg.bracket(ez, ey))
+        if form(pzx, ey) + form(ex, pzy) != 0:
+            return (z, x, y)
+    return None

@@ -154,6 +154,15 @@ class TestCertify:
         assert out == ""
         assert "worker count" in err
 
+    def test_more_samples_than_plane_points_is_usage_error(self, capsys):
+        code, out, err = run(
+            capsys,
+            "certify", "--family", "stereo:k=1:re", "--power", "1", "--samples", "962362",
+        )
+        assert code == 2
+        assert out == ""
+        assert "sample count must be <= 962361" in err
+
     def test_io_fault_is_usage_error_not_verdict(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "report.json"
         code, _, err = run(

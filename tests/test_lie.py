@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+import oracles
 from sphere_sos import linalg
 from sphere_sos.lie import (
     BilinearForm,
@@ -155,8 +156,8 @@ class TestForms:
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_positive_definiteness_of_default_form(self, m):
         assert trace_form(m).is_positive_definite()
-        minors = linalg.leading_principal_minors(trace_form(m).matrix)
-        assert all(x > 0 for x in minors)
+        _, pivots = linalg.ldl(trace_form(m).matrix)
+        assert all(x > 0 for x in pivots)
 
     def test_killing_negative_definite_on_compact_form(self):
         K = killing_form(so_algebra(4))
@@ -166,6 +167,33 @@ class TestForms:
     def test_asymmetric_matrix_rejected(self):
         with pytest.raises(ValueError):
             BilinearForm.from_rows([[1, 2], [3, 4]])
+
+    def test_wrong_length_vectors_rejected(self):
+        B = trace_form(3)
+        with pytest.raises(ValueError, match="form dimension"):
+            B((1, 0, 0, 7), (1, 0, 0))
+        with pytest.raises(ValueError, match="form dimension"):
+            B((1, 0), (1, 0, 0))
+        with pytest.raises(ValueError, match="form dimension"):
+            B((1, 0, 0), (1, 0, 0, 7))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_sparse_sum_matches_the_dense_sum(self, seed):
+        rng = random.Random(seed)
+        n = 5
+        g = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)]
+        rows = [[Fraction(g[i][j] + g[j][i], 2) for j in range(n)] for i in range(n)]
+        B = BilinearForm.from_rows(rows)
+        for _ in range(10):
+            # Mostly zero coordinates, in ints, Fractions and floats.
+            u = [rng.choice([0, 0, 0, rng.randint(-4, 4), Fraction(1, 3)]) for _ in range(n)]
+            v = [rng.choice([0, 0, 0, rng.randint(-4, 4), 0.5]) for _ in range(n)]
+            dense = sum(
+                (Fraction(u[i]) * rows[i][j] * Fraction(v[j]) for i in range(n) for j in range(n)),
+                Fraction(0),
+            )
+            value = B(u, v)
+            assert type(value) is Fraction and value == dense
 
 
 class TestAdInvariance:
@@ -243,19 +271,124 @@ class TestDecomposition:
         dec = orthogonal_decomposition(
             alg, so_subalgebra_fixing_last_axis(4), trace_form(4)
         )
+        m_basis = list(dec.complement_basis)
         for k in dec.subalgebra_basis:
-            for mvec in dec.complement_basis:
-                assert linalg.in_span(
-                    list(dec.complement_basis), alg.bracket(k, mvec)
-                )
+            for mvec in m_basis:
+                # Stacking [k, m] on the complement basis adds no rank.
+                stacked = m_basis + [alg.bracket(k, mvec)]
+                assert linalg.rank(stacked) == linalg.rank(m_basis)
 
     def test_non_subalgebra_rejected(self):
         alg = so_algebra(3)
         # span{E12 + E13} is not closed under brackets with itself? It is
         # (bracket with itself is 0); use a 2-dim non-closed span instead.
         bad = [alg.basis_vector(0), alg.basis_vector(1)]  # [E12, E13] = -E23
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="not closed under the bracket"):
             orthogonal_decomposition(alg, bad, trace_form(3))
+
+    @pytest.mark.parametrize(
+        "k",
+        [
+            [(1, 0, 0), (2, 0, 0)],
+            [(0, 0, 0)],
+            [(1, 1, 0), (0, 1, 1), (1, 2, 1)],
+            [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+        ],
+    )
+    def test_dependent_basis_rejected(self, k):
+        # The complement then has more than dim - len(k) vectors.
+        with pytest.raises(ValueError, match="linearly dependent"):
+            orthogonal_decomposition(so_algebra(3), k, trace_form(3))
+
+    def test_complement_not_stable_rejected(self):
+        # B(E12, E13) = 1, so m = k^perp is spanned by E12 - 2 E13 and E23,
+        # and [E12, E23] = E13 is not B-orthogonal to E12.
+        alg = so_algebra(3)
+        form = BilinearForm.from_rows([[2, 1, 0], [1, 2, 0], [0, 0, 1]])
+        with pytest.raises(ValueError, match="not stable under the subalgebra"):
+            orthogonal_decomposition(alg, [alg.basis_vector(0)], form)
+
+    def test_form_not_positive_definite_rejected(self):
+        alg = so_algebra(3)
+        with pytest.raises(ValueError, match="positive definite"):
+            orthogonal_decomposition(alg, [], killing_form(alg))
+
+
+def _weighted_form(weights) -> BilinearForm:
+    return BilinearForm.from_rows(
+        [[w if i == j else 0 for j in range(len(weights))] for i, w in enumerate(weights)]
+    )
+
+
+def _random_positive_definite_form(rng, dim, diagonal) -> BilinearForm:
+    if diagonal:
+        return _weighted_form([Fraction(rng.randint(1, 5), rng.randint(1, 3)) for _ in range(dim)])
+    # g^T g + I with small integer g: positive definite, rarely diagonal.
+    g = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(dim)]
+    return BilinearForm.from_rows(
+        [[sum(g[t][i] * g[t][j] for t in range(dim)) + (i == j) for j in range(dim)]
+         for i in range(dim)]
+    )
+
+
+def _random_subalgebra_candidate(rng, alg, kind):
+    """A few basis vectors ("coordinate"), one or two random integer vectors
+    ("random"), or those plus a combination of them ("dependent")."""
+    if kind == "coordinate":
+        return [alg.basis_vector(i) for i in sorted(rng.sample(range(alg.dim), rng.randint(0, 3)))]
+    vecs = [[rng.randint(-2, 2) for _ in range(alg.dim)] for _ in range(rng.randint(1, 2))]
+    if kind == "dependent":
+        c = rng.randint(-2, 2)
+        vecs.append([c * x for x in vecs[-1]] if len(vecs) == 1 else [a + c * b for a, b in zip(*vecs)])
+    return vecs
+
+
+def _decomposition_cases(seed):
+    rng = random.Random(seed)
+    for m in (3, 4):
+        alg = so_algebra(m)
+        for diagonal in (True, False):
+            form = _random_positive_definite_form(rng, alg.dim, diagonal)
+            for kind in ("coordinate", "random", "dependent"):
+                yield alg, _random_subalgebra_candidate(rng, alg, kind), form
+
+
+def _outcome(decompose, witness, alg, k, form):
+    """("ok", complement basis, witness) or (error type, message)."""
+    try:
+        dec = decompose(alg, k, form)
+    except (ValueError, AssertionError) as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", dec.complement_basis, witness(dec)
+
+
+class TestAgainstTheProjectionRoute:
+    """B-orthogonality tests against span membership and projected brackets."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_same_complement_witness_and_error(self, seed):
+        for alg, k, form in _decomposition_cases(seed):
+            assert _outcome(
+                orthogonal_decomposition, natural_reductivity_witness, alg, k, form
+            ) == _outcome(
+                oracles.decomposition_by_projection,
+                oracles.natural_reductivity_by_projection,
+                alg, k, form,
+            )
+
+    def test_cases_reach_every_outcome(self):
+        seen = set()
+        for seed in range(10):
+            for alg, k, form in _decomposition_cases(seed):
+                out = _outcome(orthogonal_decomposition, natural_reductivity_witness, alg, k, form)
+                seen.add(out[1] if out[0] != "ok" else out[2] is None)
+        assert seen == {
+            True,
+            False,
+            "subalgebra basis vectors are linearly dependent",
+            "given span is not closed under the bracket",
+            "complement is not stable under the subalgebra",
+        }
 
 
 class TestNaturalReductivity:
@@ -281,8 +414,26 @@ class TestNaturalReductivity:
         )
         for a in dec.complement_basis:
             for b in dec.complement_basis:
-                projected = dec.project_complement(alg.bracket(a, b))
+                projected = oracles.project_complement(dec, alg.bracket(a, b))
                 assert all(c == 0 for c in projected)
+
+    def test_weighted_form_fails_with_a_nontrivial_witness(self):
+        # so(4) over k = span{E12}: m = span{E13, E14, E23, E24, E34}, and
+        # [m, m] is not inside k ([E13, E14] = -E34), so the projected brackets
+        # do not vanish.  With E14 and E24 weighted 2 the condition fails at
+        # (E13, E14, E34): B(-E34, E34) + B(E14, E14) = -1 + 2.
+        alg = so_algebra(4)
+        k = [alg.basis_vector(0)]
+        dec = orthogonal_decomposition(alg, k, _weighted_form([1, 1, 2, 1, 2, 1]))
+        assert natural_reductivity_witness(dec) == (0, 1, 4)
+        assert oracles.natural_reductivity_by_projection(dec) == (0, 1, 4)
+        # The invariant form: naturally reductive though not symmetric.
+        dec = orthogonal_decomposition(alg, k, _weighted_form([1] * 6))
+        assert natural_reductivity_witness(dec) is None
+        m_basis = list(dec.complement_basis)
+        assert any(
+            linalg.rank(k + [alg.bracket(a, b)]) > len(k) for a in m_basis for b in m_basis
+        )
 
     def test_perturbed_form_fails_with_witness_in_group_case(self):
         # With a trivial subalgebra the condition is ad-invariance on the
@@ -296,8 +447,8 @@ class TestNaturalReductivity:
         z, x, y = witness
         ez, ex, ey = (dec.complement_basis[t] for t in (z, x, y))
         defect = form(
-            dec.project_complement(alg.bracket(ez, ex)), ey
-        ) + form(ex, dec.project_complement(alg.bracket(ez, ey)))
+            oracles.project_complement(dec, alg.bracket(ez, ex)), ey
+        ) + form(ex, oracles.project_complement(dec, alg.bracket(ez, ey)))
         assert defect != 0
 
 

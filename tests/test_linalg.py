@@ -40,6 +40,19 @@ def matvec(rows, vec):
     return [sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in rows]
 
 
+def solve_by_column_basis(rows, rhs):
+    """One solution of A x = b read off the column basis of [A | b], or None
+    when b is a pivot column, that is when A x = b is inconsistent."""
+    n_cols = len(rows[0])
+    pivots, coords = linalg.column_basis([list(row) + [b] for row, b in zip(rows, rhs)])
+    if pivots and pivots[-1] == n_cols:
+        return None
+    x = [Fraction(0)] * n_cols
+    for p, c in zip(pivots, coords[n_cols]):
+        x[p] = c
+    return x
+
+
 SHAPES = [
     (n_rows, n_cols, rank)
     for n_rows, n_cols in ((3, 3), (4, 6), (6, 4), (5, 5))
@@ -108,13 +121,13 @@ class TestAgainstSympy:
         a = random_matrix(rng, *shape)
         n_rows, n_cols, _ = shape
         reachable = matvec(a, [Fraction(rng.randint(-3, 3)) for _ in range(n_cols)])
-        x = linalg.solve(a, reachable)
+        x = solve_by_column_basis(a, reachable)
         assert x is not None and matvec(a, x) == reachable
         arbitrary = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n_rows)]
         consistent = to_sympy(a).rank() == sympy.Matrix.hstack(
             to_sympy(a), to_sympy([[b] for b in arbitrary])
         ).rank()
-        x = linalg.solve(a, arbitrary)
+        x = solve_by_column_basis(a, arbitrary)
         assert (x is not None) == consistent
         if x is not None:
             assert matvec(a, x) == arbitrary
@@ -132,10 +145,16 @@ def test_invert_and_minors_on_random_square(n, seed):
             linalg.invert(a)
     else:
         assert linalg.invert(a) == from_sympy(s.inv())
-    expected = [s[: k + 1, : k + 1].det() for k in range(n)]
-    if 0 in expected:
-        expected = expected[: expected.index(0) + 1]
-    assert linalg.leading_principal_minors(a) == expected
+    # ldl succeeds on a + a^T iff its leading minors are all positive, and
+    # the products of its pivots are those minors.
+    sym = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
+    minors = [to_sympy(sym)[: k + 1, : k + 1].det() for k in range(n)]
+    if all(x > 0 for x in minors):
+        _, d = linalg.ldl(sym)
+        assert [math.prod(d[: k + 1]) for k in range(n)] == minors
+    else:
+        with pytest.raises(ValueError, match="positive definite"):
+            linalg.ldl(sym)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -161,20 +180,22 @@ def test_invert_with_row_swap(rows):
     inverse = linalg.invert(rows)
     assert inverse == from_sympy(to_sympy(linalg._to_fraction_matrix(rows)).inv())
     assert linalg.rank(rows) == len(rows)
-    assert linalg.solve(rows, [1] * len(rows)) == matvec(inverse, [Fraction(1)] * len(rows))
+    ones = [Fraction(1)] * len(rows)
+    assert solve_by_column_basis(rows, ones) == matvec(inverse, ones)
 
 
 @pytest.mark.parametrize("rows", SINGULAR)
 def test_singular_matrix_rejected(rows):
     with pytest.raises(ZeroDivisionError):
         linalg.invert(rows)
-    assert linalg.leading_principal_minors(rows)[-1] == 0
+    assert linalg.rank(rows) < len(rows)
 
 
 def test_swap_trap_is_not_positive_definite():
     # A swapping elimination of [[0,1],[1,0]] ends on the identity; the
     # leading minors (0, -1) show the form is indefinite.
-    assert linalg.leading_principal_minors([[0, 1], [1, 0]]) == [0]
+    with pytest.raises(ValueError, match="positive definite"):
+        linalg.ldl([[0, 1], [1, 0]])
     assert not BilinearForm.from_rows([[0, 1], [1, 0]]).is_positive_definite()
     assert not BilinearForm.from_rows([[1, 0], [0, 0]]).is_positive_definite()
 
@@ -192,9 +213,14 @@ def test_nullspace_sign_with_a_negative_last_pivot():
 
 
 def test_minors_undo_the_row_scaling():
+    # The rows are scaled by 6 and 12 (or 15) before elimination; the pivots
+    # are ratios of the leading minors of the unscaled matrix.
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 4)]]
+    assert linalg.ldl(rows)[1] == [Fraction(1, 2), (Fraction(1, 8) - Fraction(1, 9)) * 2]
+    # Second minor 1/10 - 1/9 < 0.
     rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 5)]]
-    expected = [Fraction(1, 2), Fraction(1, 10) - Fraction(1, 9)]
-    assert linalg.leading_principal_minors(rows) == expected
+    with pytest.raises(ValueError, match="positive definite"):
+        linalg.ldl(rows)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -214,7 +240,7 @@ def test_non_square_rejected():
     with pytest.raises(ValueError):
         linalg.invert([[1, 2, 3], [4, 5, 6]])
     with pytest.raises(ValueError):
-        linalg.leading_principal_minors([[1, 2, 3], [4, 5, 6]])
+        linalg.ldl([[1, 2, 3], [4, 5, 6]])
 
 
 def test_column_basis_of_an_empty_matrix_needs_a_column_count():

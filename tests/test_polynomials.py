@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphere_sos.polynomials import (
+    PLANE_SAMPLE_LIMIT,
     Polynomial,
     SphereFunction,
     SpherePolynomial,
     euler_operator,
     laplace_euclid,
     sample_cap_points,
+    sample_plane_points,
     sphere_point_from_plane,
 )
 
@@ -175,6 +177,23 @@ class TestEvaluation:
         b = sample_cap_points(50, seed=11)
         assert a == b
         assert len(set(a)) == 50
+
+    def test_plane_sample_limit_counts_the_drawable_points(self):
+        # u and v are each some p/den with den in 2..40 and |p| <= den.
+        coordinates = {Fraction(p, den) for den in range(2, 41) for p in range(-den, den + 1)}
+        assert len(coordinates) ** 2 == PLANE_SAMPLE_LIMIT
+
+    def test_more_samples_than_distinct_points_fail_before_any_draw(self, monkeypatch):
+        import random as random_module
+
+        def no_draws(seed):
+            raise AssertionError("drew a point")
+
+        monkeypatch.setattr(random_module, "Random", no_draws)
+        with pytest.raises(ValueError, match="distinct plane points"):
+            sample_plane_points(PLANE_SAMPLE_LIMIT + 1, seed=0)
+        with pytest.raises(ValueError, match="distinct plane points"):
+            sample_cap_points(10**9, seed=0)
 
 
 # ----------------------------------------------------------------------
