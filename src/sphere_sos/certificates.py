@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 import operator
-import os
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -146,24 +145,10 @@ def _square_and_harmonicity(term: SphereFunction) -> tuple[SphereFunction, bool]
     return term * term, laplace_sphere(term).is_zero()
 
 
-def _usable_cpus() -> int:
-    """CPUs this process may run on (its affinity mask where the OS has one)."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_ordered(fn: Callable, items: Sequence, workers: int) -> list:
-    """Map preserving input order; uses a process pool when more than one
-    worker is asked for.  The pool never outgrows the items or the usable
-    CPUs, since the fork start method launches every worker up front."""
-    workers = min(workers, len(items), _usable_cpus())
-    if workers <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ProcessPoolExecutor
-
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items, chunksize=max(1, len(items) // (4 * workers))))
+def _map_ordered(fn: Callable, items: Sequence) -> list:
+    # A plain in-order map, kept as a named function because the benchmark
+    # tracer times the square/harmonicity stage through it.
+    return [fn(item) for item in items]
 
 
 # ----------------------------------------------------------------------
@@ -300,16 +285,13 @@ def verify_certificate(
     k: int,
     sample_count: int = DEFAULT_SAMPLE_COUNT,
     seed: int = DEFAULT_SEED,
-    workers: int = 1,
 ) -> CertificateReport:
     """Exact equality of delta_power(h^2, k) with its certificate, plus signs.
 
     The right-hand side 2^k sum_w (X_w h)^2 is built on the span of the word
     terms as 2^k sum_i d_i u_i^2 (see the module docstring); k = 0 is the
     single empty word with term h itself.  An equality failure or a negative
-    sample is recorded in the report, never dropped.  Squaring and
-    harmonicity checks of the u_i may run on ``workers`` processes; the sum
-    is always in basis order, so reports do not depend on the worker count.
+    sample is recorded in the report, never dropped.
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
@@ -318,7 +300,7 @@ def verify_certificate(
     lhs = delta_power(h.value * h.value, k)
     span = word_span(h, k)
     weights, u = gram_squares(span, gram_matrix(span))
-    per_square = _map_ordered(_square_and_harmonicity, u, workers)
+    per_square = _map_ordered(_square_and_harmonicity, u)
     squares = [sq.scale(d) for d, (sq, _) in zip(weights, per_square)]
     rhs = _weighted_sum(squares, k) if squares else SphereFunction.zero(h.m)
     equality = lhs == rhs

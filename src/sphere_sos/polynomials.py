@@ -51,6 +51,21 @@ def term_order_key(exponents: Exponents) -> tuple[int, Exponents]:
     return (sum(exponents), exponents)
 
 
+def _square_and_multiply(base, exponent: int, one: Callable[[int], object]):
+    """base ** exponent by binary powering, starting from one(base.m)."""
+    if not isinstance(exponent, int) or exponent < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    result = one(base.m)
+    n = exponent
+    while n:
+        if n & 1:
+            result = result * base
+        n >>= 1
+        if n:
+            base = base * base
+    return result
+
+
 class Polynomial:
     """Sparse exact-rational polynomial in ``m`` ambient variables.
 
@@ -252,18 +267,7 @@ class Polynomial:
         )
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = Polynomial.one(self.m)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _square_and_multiply(self, exponent, Polynomial.one)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -274,9 +278,6 @@ class Polynomial:
 
     def __hash__(self) -> int:
         return hash((self.m, self.denominator, frozenset(self.numerators.items())))
-
-    def __reduce__(self):
-        return (_rebuild_polynomial, (self.m, tuple(self.numerators.items()), self.denominator))
 
     # ------------------------------------------------------------------
     # calculus and evaluation
@@ -539,18 +540,7 @@ class SpherePolynomial:
         return SpherePolynomial._trusted(self.poly.scale(value))
 
     def __pow__(self, exponent: int) -> "SpherePolynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        result = SpherePolynomial.one(self.m)
-        base = self
-        n = exponent
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:
-                base = base * base
-        return result
+        return _square_and_multiply(self, exponent, SpherePolynomial.one)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpherePolynomial):
@@ -559,9 +549,6 @@ class SpherePolynomial:
 
     def __hash__(self) -> int:
         return hash(self.poly)
-
-    def __reduce__(self):
-        return (SpherePolynomial._trusted, (self.poly,))
 
     def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
         """Exact value at a rational point of the sphere."""
@@ -793,9 +780,6 @@ class SphereFunction:
 
     __hash__ = None  # equality is semantic (cross-multiplication), so no hashing
 
-    def __reduce__(self):
-        return (SphereFunction._make, (self.num, self.base, self.exp))
-
     def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
         """Exact value at a rational sphere point; rejects denominator zeros."""
         pt = require_on_sphere(point)
@@ -831,11 +815,6 @@ class SphereFunction:
 
     def __repr__(self) -> str:
         return f"SphereFunction(m={self.m}, {self})"
-
-
-def _rebuild_polynomial(m: int, items, denominator: int) -> Polynomial:
-    return Polynomial._make(m, dict(items), denominator)
-
 
 
 def _normalize(

@@ -18,6 +18,7 @@ import sympy as sp
 from sphere_sos import linalg
 from sphere_sos.lie import BilinearForm, LieAlgebraData, ReductiveDecomposition
 from sphere_sos.polynomials import Polynomial, SphereFunction
+from sphere_sos.realization import jet_functions, projected_casimir, realize
 
 
 def symbols(m: int):
@@ -418,3 +419,25 @@ def natural_reductivity_by_projection(dec: ReductiveDecomposition):
         if form(pzx, ey) + form(ex, pzy) != 0:
             return (z, x, y)
     return None
+
+
+# ----------------------------------------------------------------------
+# the field-by-field commutation route that per-image defects replaced
+# ----------------------------------------------------------------------
+
+
+def commutation_by_fields(casimir, images, complement_coords, full_coords):
+    """Commutation verdicts by realizing each coordinate vector as a field and
+    comparing field(Omega f) with Omega(field f) on every 2-jet: one pass
+    over the complement, one over full_coords."""
+    operator = projected_casimir(casimir, images)
+    applied = [(f, operator(f)) for f in jet_functions(images[0].m)]
+
+    def all_commute(coord_list) -> bool:
+        for coords in coord_list:
+            field = realize(images, coords)
+            if any(field(lf) != operator(field(f)) for f, lf in applied):
+                return False
+        return True
+
+    return {"complement": all_commute(complement_coords), "full_algebra": all_commute(full_coords)}

@@ -1,4 +1,3 @@
-import os
 import random
 from fractions import Fraction
 
@@ -6,7 +5,6 @@ import pytest
 
 from sphere_sos import certificates, linalg
 from sphere_sos.certificates import (
-    _map_ordered,
     _weighted_sum,
     certificate_words,
     delta_power,
@@ -153,13 +151,6 @@ class TestVerifyCertificate:
                     rhs = _weighted_sum([t * t for t in sos_certificate(h, power)], power)
                     assert lhs == rhs, (k_family, part, power)
 
-    def test_workers_do_not_change_results(self):
-        h = stereographic_harmonic(2, "re")
-        seq = verify_certificate(h, 2, sample_count=8, workers=1)
-        par = verify_certificate(h, 2, sample_count=8, workers=2)
-        assert seq.equality_verified == par.equality_verified
-        assert [s.value for s in seq.samples] == [s.value for s in par.samples]
-
     def test_sample_signs_are_exact(self):
         report = verify_certificate(stereographic_harmonic(2, "re"), 2, sample_count=30)
         for sample in report.samples:
@@ -186,40 +177,6 @@ class TestVerifyCertificate:
     def test_empty_sum_rejected(self):
         with pytest.raises(ValueError):
             _weighted_sum([], 1)
-
-
-class TestWorkerPoolCap:
-    """The pool is min(workers, items, usable CPUs); pool_sizes records it."""
-
-    def test_capped_at_usable_cpus(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        assert _map_ordered(abs, list(range(-10, 0)), 100_000) == list(range(10, 0, -1))
-        assert pool_sizes == [3]
-
-    def test_capped_at_item_count(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)), raising=False)
-        assert _map_ordered(abs, [-1, -2, -3], 100_000) == [1, 2, 3]
-        assert pool_sizes == [3]
-
-    def test_cpu_count_without_affinity(self, pool_sizes, monkeypatch):
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert _map_ordered(abs, [-1, -2, -3], 100_000) == [1, 2, 3]
-        assert pool_sizes == [2]
-
-    def test_one_usable_cpu_maps_without_a_pool(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
-        assert _map_ordered(abs, [-1, -2], 100_000) == [1, 2]
-        assert pool_sizes == []
-
-    def test_huge_worker_count_keeps_the_report(self, pool_sizes, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-        h = stereographic_harmonic(2, "re")
-        seq = verify_certificate(h, 2, sample_count=4)
-        par = verify_certificate(h, 2, sample_count=4, workers=100_000)
-        assert pool_sizes == [2]
-        assert par.equality_verified and par.terms_harmonic
-        assert [s.value for s in par.samples] == [s.value for s in seq.samples]
 
 
 class TestCertificateNegativeControl:

@@ -10,7 +10,7 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sphere_sos.polynomials import Polynomial, _reduce_terms, term_order_key
@@ -90,6 +90,9 @@ def test_ring_operations_match(pq):
 
 
 @given(term_maps, st.integers(0, 3))
+# p * p^2 and p^2 * p order these terms differently, which pins the order of
+# the square-and-multiply products.
+@example({(0, 0, 0): 1, (2, 1, 0): -2, (0, 1, 0): Fraction(4, 3), (1, 0, 0): Fraction(3, 2)}, 3)
 @settings(max_examples=60, deadline=None)
 def test_power_matches(terms, n):
     p, op = both(terms)
@@ -169,9 +172,10 @@ def test_text_and_pickle_round_trips(terms):
     by_text = Polynomial.parse(str(p), M)
     descending = sorted(op.terms.items(), key=lambda kv: term_order_key(kv[0]), reverse=True)
     assert list(by_text.terms.items()) == descending
-    back = pickle.loads(pickle.dumps(p))
-    assert_same(back, op)
-    assert (back.numerators, back.denominator) == (p.numerators, p.denominator)
+    # Nothing pickles a polynomial, so a round trip must fail loudly, not
+    # rebuild one around the immutability guard.
+    with pytest.raises((AttributeError, TypeError)):
+        pickle.loads(pickle.dumps(p))
 
 
 def test_terms_view_is_read_only():

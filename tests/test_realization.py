@@ -6,6 +6,7 @@ import pytest
 
 from sphere_sos.cli import IDENTITY_CASES
 from sphere_sos.lie import (
+    BilinearForm,
     casimir_element,
     killing_form,
     orthogonal_decomposition,
@@ -33,6 +34,7 @@ from sphere_sos.realization import (
 from sphere_sos.sphere_ops import RotationField, apply_rotation_field, laplace_sphere
 
 from conftest import random_polynomial
+from oracles import commutation_by_fields
 
 
 def sphere_var(m, i):
@@ -181,7 +183,6 @@ class TestCommutationTheorem:
             cas,
             so_realization(m),
             complement_coords=dec.complement_basis,
-            full_coords=[alg.basis_vector(i) for i in range(alg.dim)],
             test_functions=standard_test_suite(m, max_harmonic_degree=2, random_count=4),
         )
         assert verdicts["complement"]
@@ -285,9 +286,7 @@ class TestGroupCase:
         alg = su2_algebra()
         cas = casimir_element(alg, su2_round_form())
         basis = [alg.basis_vector(i) for i in range(alg.dim)]
-        verdicts = verify_commutation_theorem(
-            cas, su2_realization(), complement_coords=basis, full_coords=basis
-        )
+        verdicts = verify_commutation_theorem(cas, su2_realization(), complement_coords=basis)
         assert verdicts == {"complement": True, "full_algebra": True}
 
     @pytest.mark.parametrize("dropped", [0, 1, 2])
@@ -295,13 +294,59 @@ class TestGroupCase:
         alg = su2_algebra()
         cas = casimir_element(alg, su2_round_form())
         kept = dataclasses.replace(cas, pairs=cas.pairs[:dropped] + cas.pairs[dropped + 1:])
-        verdicts = verify_commutation_theorem(
-            kept,
-            su2_realization(),
-            complement_coords=[],
-            full_coords=[alg.basis_vector(i) for i in range(alg.dim)],
-        )
+        verdicts = verify_commutation_theorem(kept, su2_realization(), complement_coords=[])
         assert verdicts == {"complement": True, "full_algebra": False}
+
+
+def commutation_both_routes(m, casimir):
+    """(engine verdicts, field-by-field oracle verdicts) for so(m)/so(m-1)."""
+    alg = so_algebra(m)
+    dec = orthogonal_decomposition(alg, so_subalgebra_fixing_last_axis(m), trace_form(m))
+    images = so_realization(m)
+    full = [alg.basis_vector(i) for i in range(alg.dim)]
+    return (
+        verify_commutation_theorem(casimir, images, dec.complement_basis),
+        commutation_by_fields(casimir, images, dec.complement_basis, full),
+    )
+
+
+class TestCommutationNegativeControl:
+    """The per-image defect route against the field-by-field oracle, on the
+    shipped so(m)/so(m-1) cases and with each Casimir pair dropped."""
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_shipped_case_commutes_on_both_routes(self, m):
+        cas = casimir_element(so_algebra(m), trace_form(m))
+        fast, oracle = commutation_both_routes(m, cas)
+        assert fast == oracle == {"complement": True, "full_algebra": True}
+
+    @pytest.mark.parametrize("m", [3, 4, 5])
+    def test_dropping_any_pair_breaks_complement_commutation(self, m):
+        cas = casimir_element(so_algebra(m), trace_form(m))
+        for dropped in range(len(cas.pairs)):
+            kept = dataclasses.replace(cas, pairs=cas.pairs[:dropped] + cas.pairs[dropped + 1:])
+            fast, oracle = commutation_both_routes(m, kept)
+            assert fast == oracle == {"complement": False, "full_algebra": False}, dropped
+
+    @pytest.mark.parametrize(
+        "coords, expected",
+        [([(1, 2, 2)], True), ([(1, 1, 1)], False), ([(1, 2, 2), (1, 0, 0)], False)],
+    )
+    def test_complement_verdict_weights_each_defect(self, coords, expected):
+        # B = I + w w^T with w = (1, 2, 2) is invariant under ad_w alone, so
+        # the realized w commutes with B's Casimir although no basis field does.
+        w = (1, 2, 2)
+        form = BilinearForm.from_rows([[(i == j) + w[i] * w[j] for j in range(3)] for i in range(3)])
+        cas = casimir_element(so_algebra(3), form)
+        full = [so_algebra(3).basis_vector(i) for i in range(3)]
+        fast = verify_commutation_theorem(cas, so_realization(3), coords)
+        oracle = commutation_by_fields(cas, so_realization(3), coords, full)
+        assert fast == oracle == {"complement": expected, "full_algebra": False}
+
+    def test_wrong_length_complement_vector_rejected(self):
+        cas = casimir_element(so_algebra(3), trace_form(3))
+        with pytest.raises(ValueError, match="length 2, expected 3"):
+            verify_commutation_theorem(cas, so_realization(3), [(1, 0)])
 
 
 def case_verdicts(case, suite=lambda m: None):
@@ -342,7 +387,6 @@ def case_verdicts(case, suite=lambda m: None):
                 casimir_element(alg, trace_form(m)),
                 so_realization(m),
                 complement_coords=dec.complement_basis,
-                full_coords=[alg.basis_vector(i) for i in range(alg.dim)],
                 test_functions=suite(m),
             )
         )
@@ -382,12 +426,7 @@ class TestJetProof:
         cas = casimir_element(alg, trace_form(m))
         dropped = dataclasses.replace(cas, pairs=cas.pairs[1:])
         assert not verify_lap_eq_casimir(dropped, so_realization(m))
-        verdicts = verify_commutation_theorem(
-            dropped,
-            so_realization(m),
-            complement_coords=[],
-            full_coords=[alg.basis_vector(i) for i in range(alg.dim)],
-        )
+        verdicts = verify_commutation_theorem(dropped, so_realization(m), complement_coords=[])
         assert not verdicts["full_algebra"]
 
     @pytest.mark.parametrize("m", [3, 4, 5])
