@@ -40,6 +40,8 @@ from . import linalg
 from .harmonics import HarmonicFunction
 from .linalg import Matrix
 from .polynomials import (
+    DEFAULT_SAMPLE_COUNT,
+    DEFAULT_SEED,
     Polynomial,
     SphereFunction,
     laplace_euclid,
@@ -47,9 +49,6 @@ from .polynomials import (
     term_order_key,
 )
 from .sphere_ops import apply_rotation_field, laplace_sphere, rotation_fields
-
-DEFAULT_SAMPLE_COUNT = 200
-DEFAULT_SEED = 20260809
 
 
 @dataclass(frozen=True)

@@ -19,39 +19,14 @@ import math
 import re
 import sys
 
-from . import __version__
-from .certificates import (
+from . import __version__, certificates, growth, harmonics, lie, realization, sphere_ops
+from .polynomials import (
     DEFAULT_SAMPLE_COUNT,
     DEFAULT_SEED,
-    CertificateReport,
-    verify_certificate,
+    PLANE_SAMPLE_LIMIT,
+    SphereFunction,
+    SpherePolynomial,
 )
-from .growth import analyze_growth
-from .harmonics import CapDomain, HarmonicFunction, stereographic_harmonic
-from .lie import (
-    ad_invariance_witness,
-    casimir_element,
-    killing_form,
-    natural_reductivity_witness,
-    orthogonal_decomposition,
-    perturbed_form,
-    so_algebra,
-    so_subalgebra_fixing_last_axis,
-    su2_algebra,
-    su2_round_form,
-    trace_form,
-)
-from .polynomials import PLANE_SAMPLE_LIMIT, SphereFunction, SpherePolynomial
-from .realization import (
-    ProjectedCasimir,
-    so_realization,
-    su2_fields,
-    su2_realization,
-    verify_commutation_theorem,
-    verify_group_case_identity,
-    verify_lap_eq_casimir,
-)
-from .sphere_ops import generate_harmonic_basis
 
 EXIT_PASS = 0
 EXIT_FALSIFIED = 1
@@ -87,7 +62,7 @@ class UsageError(ValueError):
 # ----------------------------------------------------------------------
 
 
-def resolve_harmonic(descriptor: str) -> HarmonicFunction:
+def resolve_harmonic(descriptor: str) -> harmonics.HarmonicFunction:
     """Parse ``stereo:k=K:re|im``, the certified harmonic pullbacks."""
     parts = descriptor.split(":")
     if len(parts) == 3 and parts[0] == "stereo" and parts[1].startswith("k="):
@@ -96,17 +71,19 @@ def resolve_harmonic(descriptor: str) -> HarmonicFunction:
         k = parts[1][2:]
         if not re.fullmatch("0|[1-9][0-9]*", k) or parts[2] not in ("re", "im"):
             raise UsageError(f"bad family descriptor {descriptor!r}")
-        return stereographic_harmonic(int(k), parts[2])
+        return harmonics.stereographic_harmonic(int(k), parts[2])
     raise UsageError(f"unknown harmonic family {descriptor!r}")
 
 
-def resolve_certify_family(descriptor: str) -> HarmonicFunction:
+def resolve_certify_family(descriptor: str) -> harmonics.HarmonicFunction:
     """A harmonic family, or the non-harmonic control: x3 on S^2 wrapped
     without the harmonicity proof, a named negative case for the certificate
     checker."""
     if descriptor == NON_HARMONIC_CONTROL:
         x3 = SphereFunction.from_polynomial(SpherePolynomial.variable(3, 3))
-        return HarmonicFunction(value=x3, domain=CapDomain(), provenance=descriptor)
+        return harmonics.HarmonicFunction(
+            value=x3, domain=harmonics.CapDomain(), provenance=descriptor
+        )
     return resolve_harmonic(descriptor)
 
 
@@ -143,7 +120,9 @@ def _dump_csv(radii, means, path: str | None) -> None:
     _write("\n".join(lines) + "\n", path)
 
 
-def _certificate_payload(report: CertificateReport, config: dict, timings: bool) -> dict:
+def _certificate_payload(
+    report: certificates.CertificateReport, config: dict, timings: bool
+) -> dict:
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "certify",
@@ -195,7 +174,7 @@ def cmd_certify(args) -> int:
     if args.samples > PLANE_SAMPLE_LIMIT:
         raise UsageError(f"sample count must be <= {PLANE_SAMPLE_LIMIT}, got {args.samples}")
     h = resolve_certify_family(args.family)
-    report = verify_certificate(
+    report = certificates.verify_certificate(
         h,
         args.power,
         sample_count=args.samples,
@@ -209,12 +188,14 @@ def _identity_case(case: str):
     """(algebra, invariant form, basis images on S^{m-1}, subalgebra basis or
     None) of a named case; the projected Casimir of the invariant form is
     exactly the round Laplacian of S^{m-1}."""
-    m, realization, selectors = IDENTITY_CASES[case]
-    if realization == "su2":
-        algebra, invariant, images = su2_algebra(), su2_round_form(), su2_realization()
+    m, kind, selectors = IDENTITY_CASES[case]
+    if kind == "su2":
+        algebra, invariant = lie.su2_algebra(), lie.su2_round_form()
+        images = realization.su2_realization()
     else:
-        algebra, invariant, images = so_algebra(m), trace_form(m), so_realization(m)
-    subalgebra = so_subalgebra_fixing_last_axis(m) if selectors[1] else None
+        algebra, invariant = lie.so_algebra(m), lie.trace_form(m)
+        images = realization.so_realization(m)
+    subalgebra = lie.so_subalgebra_fixing_last_axis(m) if selectors[1] else None
     return algebra, invariant, images, subalgebra
 
 
@@ -237,13 +218,13 @@ def _identity_suite(case: str, form_kind: str) -> list[dict]:
         # The Killing form of a compact simple algebra is negative definite;
         # its negative is a positive Ad-invariant form, a scalar multiple of
         # the invariant one.
-        form = killing_form(algebra).scale(-1)
+        form = lie.killing_form(algebra).scale(-1)
     else:
-        form = perturbed_form(invariant)
+        form = lie.perturbed_form(invariant)
 
     record("jacobi", algebra.check_jacobi())
     record("antisymmetry", algebra.check_antisymmetry())
-    witness = ad_invariance_witness(algebra, form)
+    witness = lie.ad_invariance_witness(algebra, form)
     record(
         "ad_invariance",
         witness is None,
@@ -253,8 +234,8 @@ def _identity_suite(case: str, form_kind: str) -> list[dict]:
     record("positive_definite", positive)
 
     if IDENTITY_CASES[case][1] == "su2":
-        record("group_sum_of_squares_equals_laplacian", verify_group_case_identity())
-        squares = ProjectedCasimir.of_squares(su2_fields())
+        record("group_sum_of_squares_equals_laplacian", realization.verify_group_case_identity())
+        squares = realization.ProjectedCasimir.of_squares(realization.su2_fields())
         x1, x3 = SpherePolynomial.variable(4, 1), SpherePolynomial.variable(4, 3)
         for d, p in ((1, x1), (2, x1 * x3)):
             # A degree-d harmonic on S^3 has Laplacian eigenvalue -d(d + 2).
@@ -266,28 +247,30 @@ def _identity_suite(case: str, form_kind: str) -> list[dict]:
 
     casimir = None
     if witness is None:
-        casimir = casimir_element(algebra, form)
+        casimir = lie.casimir_element(algebra, form)
         # form = c * invariant rescales the projected Casimir by 1/c.  A wrong
         # c cannot pass: the comparison below is exact.
         scale = invariant.matrix[0][0] / form.matrix[0][0]
         record(
             "laplacian_equals_projected_casimir",
-            verify_lap_eq_casimir(casimir, images, scale=scale),
+            realization.verify_lap_eq_casimir(casimir, images, scale=scale),
             detail=None if scale == 1 else f"operator scale {scale}",
         )
 
     if subalgebra is not None:
         if positive:
-            dec = orthogonal_decomposition(algebra, subalgebra, form)
+            dec = lie.orthogonal_decomposition(algebra, subalgebra, form)
             record("reductive_decomposition", True, detail=f"dim m = {len(dec.complement_basis)}")
-            nr_witness = natural_reductivity_witness(dec)
+            nr_witness = lie.natural_reductivity_witness(dec)
             record(
                 "natural_reductivity",
                 nr_witness is None,
                 witness=list(nr_witness) if nr_witness is not None else None,
             )
             if casimir is not None:
-                verdicts = verify_commutation_theorem(casimir, images, dec.complement_basis)
+                verdicts = realization.verify_commutation_theorem(
+                    casimir, images, dec.complement_basis
+                )
                 record("casimir_commutes_with_complement_fields", verdicts["complement"])
                 record("casimir_commutes_with_all_fields", verdicts["full_algebra"])
         else:
@@ -363,7 +346,7 @@ def cmd_growth(args) -> int:
         )
     squared = value * value
     try:
-        report = analyze_growth(
+        report = growth.analyze_growth(
             squared, descriptor, center, args.rmax, args.grid, args.quad
         )
     except ZeroDivisionError:
@@ -398,7 +381,7 @@ def cmd_gen_harmonic(args) -> int:
         raise UsageError(f"ambient dimension must be >= 2, got {args.ambient_dim}")
     if args.degree < 0:
         raise UsageError(f"degree must be >= 0, got {args.degree}")
-    basis = generate_harmonic_basis(args.ambient_dim, args.degree)
+    basis = sphere_ops.generate_harmonic_basis(args.ambient_dim, args.degree)
     lines = [str(p) for p in basis]
     _write("\n".join(lines) + ("\n" if lines else ""), args.output)
     return EXIT_PASS

@@ -657,8 +657,15 @@ class SphereFunction:
         raise AttributeError("SphereFunction is immutable")
 
     @classmethod
-    def _make(cls, num: SpherePolynomial, base: SpherePolynomial, exp: int) -> "SphereFunction":
-        num, base, exp = _normalize(num, base, exp)
+    def _make(
+        cls, num: SpherePolynomial, base: SpherePolynomial, exp: int, canonical: bool = False
+    ) -> "SphereFunction":
+        # canonical: base comes from a SphereFunction (or is one with exp 0), so
+        # only a zero numerator can change the normal form.
+        if not canonical:
+            num, base, exp = _normalize(num, base, exp)
+        elif num.is_zero():
+            base, exp = SpherePolynomial.one(num.m), 0
         self = object.__new__(cls)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "base", base)
@@ -667,7 +674,7 @@ class SphereFunction:
 
     @classmethod
     def from_polynomial(cls, p: SpherePolynomial) -> "SphereFunction":
-        return cls._make(p, SpherePolynomial.one(p.m), 0)
+        return cls._make(p, SpherePolynomial.one(p.m), 0, canonical=True)
 
     @classmethod
     def constant(cls, m: int, value: RationalLike) -> "SphereFunction":
@@ -706,10 +713,10 @@ class SphereFunction:
         if self.exp == 0:
             if other.exp == 0:
                 return SphereFunction._make(
-                    self.num + other.num, SpherePolynomial.one(self.m), 0
+                    self.num + other.num, SpherePolynomial.one(self.m), 0, canonical=True
                 )
             return SphereFunction._make(
-                self.num * other.base**other.exp + other.num, other.base, other.exp
+                self.num * other.base**other.exp + other.num, other.base, other.exp, canonical=True
             )
         if other.exp == 0:
             return other + self
@@ -718,7 +725,7 @@ class SphereFunction:
             num = self.num * self.base ** (e - self.exp) + other.num * self.base ** (
                 e - other.exp
             )
-            return SphereFunction._make(num, self.base, e)
+            return SphereFunction._make(num, self.base, e, canonical=True)
         lhs_den = self.base**self.exp
         rhs_den = other.base**other.exp
         return SphereFunction._make(
@@ -731,7 +738,7 @@ class SphereFunction:
         return self + (-other)
 
     def __neg__(self) -> "SphereFunction":
-        return SphereFunction._make(-self.num, self.base, self.exp)
+        return SphereFunction._make(-self.num, self.base, self.exp, canonical=True)
 
     def __mul__(self, other) -> "SphereFunction":
         if isinstance(other, (int, Fraction)):
@@ -740,12 +747,12 @@ class SphereFunction:
             return NotImplemented
         self._check_dim(other)
         if self.exp == 0:
-            return SphereFunction._make(self.num * other.num, other.base, other.exp)
+            return SphereFunction._make(self.num * other.num, other.base, other.exp, canonical=True)
         if other.exp == 0:
-            return SphereFunction._make(self.num * other.num, self.base, self.exp)
+            return SphereFunction._make(self.num * other.num, self.base, self.exp, canonical=True)
         if self.base == other.base:
             return SphereFunction._make(
-                self.num * other.num, self.base, self.exp + other.exp
+                self.num * other.num, self.base, self.exp + other.exp, canonical=True
             )
         return SphereFunction._make(
             self.num * other.num, self.base**self.exp * other.base**other.exp, 1
@@ -757,7 +764,7 @@ class SphereFunction:
         return NotImplemented
 
     def scale(self, value: RationalLike) -> "SphereFunction":
-        return SphereFunction._make(self.num.scale(value), self.base, self.exp)
+        return SphereFunction._make(self.num.scale(value), self.base, self.exp, canonical=True)
 
     def __truediv__(self, other: "SphereFunction") -> "SphereFunction":
         if not isinstance(other, SphereFunction):
@@ -857,6 +864,9 @@ def sphere_point_from_plane(u: RationalLike, v: RationalLike) -> tuple[Fraction,
 # Distinct (u, v) that sample_plane_points can draw: 981 ** 2, where
 # 981 = 3 + 2 * sum(phi(q) for q in 2..40) counts the p/q in [-1, 1] with q <= 40.
 PLANE_SAMPLE_LIMIT = 962_361
+# Default sample count and seed of certify's exact sign checks.
+DEFAULT_SAMPLE_COUNT = 200
+DEFAULT_SEED = 20260809
 
 
 def sample_plane_points(count: int, seed: int) -> list[tuple[Fraction, Fraction]]:

@@ -53,15 +53,15 @@ class RealizedField:
         return cls(m=m, weights=clean)
 
     def __call__(self, f):
-        if isinstance(f, SphereFunction):
-            out = SphereFunction.zero(self.m)
-        elif isinstance(f, SpherePolynomial):
-            out = SpherePolynomial.zero(self.m)
-        else:
+        if not isinstance(f, (SphereFunction, SpherePolynomial)):
             raise TypeError(f"cannot differentiate {type(f).__name__}")
+        out = None
         for field, c in self.weights:
-            out = out + apply_rotation_field(field, f).scale(c)
-        return out
+            term = apply_rotation_field(field, f)
+            # so(m) images carry the one weight -1: negate rather than scale.
+            term = term if c == 1 else -term if c == -1 else term.scale(c)
+            out = term if out is None else out + term
+        return type(f).zero(self.m) if out is None else out
 
     def scale(self, factor) -> "RealizedField":
         f = Fraction(factor)

@@ -90,9 +90,9 @@ def apply_rotation_field(field: RotationField, f):
             return SphereFunction.from_polynomial(d_num)
         d_base = SpherePolynomial(field.apply_raw(f.base.poly))
         if d_base.is_zero():
-            return SphereFunction._make(d_num, f.base, f.exp)
+            return SphereFunction._make(d_num, f.base, f.exp, canonical=True)
         num = d_num * f.base - f.num * d_base.scale(f.exp)
-        return SphereFunction._make(num, f.base, f.exp + 1)
+        return SphereFunction._make(num, f.base, f.exp + 1, canonical=True)
     raise TypeError(f"cannot differentiate {type(f).__name__}")
 
 

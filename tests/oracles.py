@@ -17,8 +17,9 @@ import sympy as sp
 
 from sphere_sos import linalg
 from sphere_sos.lie import BilinearForm, LieAlgebraData, ReductiveDecomposition
-from sphere_sos.polynomials import Polynomial, SphereFunction
+from sphere_sos.polynomials import Polynomial, SphereFunction, SpherePolynomial
 from sphere_sos.realization import jet_functions, projected_casimir, realize
+from sphere_sos.sphere_ops import apply_rotation_field
 
 
 def symbols(m: int):
@@ -441,3 +442,16 @@ def commutation_by_fields(casimir, images, complement_coords, full_coords):
         return True
 
     return {"complement": all_commute(complement_coords), "full_algebra": all_commute(full_coords)}
+
+
+# ----------------------------------------------------------------------
+# the realized field before it started from its first term
+# ----------------------------------------------------------------------
+
+
+def realized_field_by_zero_sum(field, f):
+    """RealizedField.__call__ as it was: a zero plus each weighted image."""
+    out = (SphereFunction if isinstance(f, SphereFunction) else SpherePolynomial).zero(field.m)
+    for rot, c in field.weights:
+        out = out + apply_rotation_field(rot, f).scale(c)
+    return out

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sphere_sos.polynomials import (
@@ -10,6 +10,7 @@ from sphere_sos.polynomials import (
     Polynomial,
     SphereFunction,
     SpherePolynomial,
+    _normalize,
     euler_operator,
     laplace_euclid,
     sample_cap_points,
@@ -354,3 +355,19 @@ class TestQuotientField:
         g = random_sphere_function(rng)
         if not g.is_zero():
             assert (f / g) * g == f
+
+    @settings(max_examples=150, deadline=None)
+    @given(polys, polys, polys, st.integers(0, 3), st.integers(1, 3), st.sampled_from([-1, 2, 0]))
+    def test_canonical_base_path_matches_normalize(self, a, b, raw_base, e, k, c):
+        # A base taken from a SphereFunction is already canonical: _make's
+        # trusted path must store exactly what _normalize would.
+        base = SpherePolynomial(raw_base)
+        assume(not base.is_zero())
+        f = SphereFunction._make(SpherePolynomial(b), base, e)
+        g = SphereFunction._make(SpherePolynomial(a), base, e + k)
+        num = SpherePolynomial(a)
+        for exp in (f.exp, f.exp + k) if f.exp else (0,):
+            made = SphereFunction._make(num, f.base, exp, True)
+            assert (made.num, made.base, made.exp) == _normalize(num, f.base, exp)
+        for r in (-f, f.scale(c), f + g, g + f, f * g, f * f, f + f.scale(c)):
+            assert (r.num, r.base, r.exp) == _normalize(r.num, r.base, r.exp)

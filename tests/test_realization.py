@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphere_sos.cli import IDENTITY_CASES
 from sphere_sos.lie import (
@@ -34,7 +36,7 @@ from sphere_sos.realization import (
 from sphere_sos.sphere_ops import RotationField, apply_rotation_field, laplace_sphere
 
 from conftest import random_polynomial
-from oracles import commutation_by_fields
+from oracles import commutation_by_fields, realized_field_by_zero_sum
 
 
 def sphere_var(m, i):
@@ -474,3 +476,51 @@ class TestJetProof:
     def test_empty_proof_set_rejected_by_group_case(self):
         with pytest.raises(ValueError):
             verify_group_case_identity([])
+
+
+IMAGES = {
+    "so3": lambda: so_realization(3),
+    "so4": lambda: so_realization(4),
+    "so5": lambda: so_realization(5),
+    "su2": lambda: su2_realization() + su2_fields(),
+}
+
+
+@st.composite
+def sphere_inputs(draw, m):
+    """A sphere polynomial, or a quotient num / base^exp with a nonzero base."""
+    terms = st.dictionaries(
+        st.tuples(*[st.integers(0, 2)] * m), st.integers(-6, 6).map(Fraction), max_size=4
+    )
+    num = SpherePolynomial(Polynomial(m, draw(terms)))
+    if draw(st.booleans()):
+        return num
+    base = draw(terms.map(lambda t: SpherePolynomial(Polynomial(m, t))).filter(
+        lambda b: not b.is_zero()
+    ))
+    return SphereFunction._make(num, base, draw(st.integers(0, 2)))
+
+
+def stored(x):
+    """Every stored piece of a result, term order included."""
+    polys = (x.num, x.base) if isinstance(x, SphereFunction) else (x,)
+    pieces = tuple((list(p.poly.numerators.items()), p.poly.denominator) for p in polys)
+    return pieces + ((x.exp,) if isinstance(x, SphereFunction) else ())
+
+
+class TestRealizedFieldFirstTerm:
+    @pytest.mark.parametrize("name", IMAGES)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_zero_sum(self, name, data):
+        images = IMAGES[name]()
+        m = images[0].m
+        f = data.draw(sphere_inputs(m))
+        coords = data.draw(st.lists(st.integers(-3, 3), min_size=len(images), max_size=len(images)))
+        fields = (*images, realize(images, coords), realize(images, [0] * len(images)))
+        for field in fields:
+            assert stored(field(f)) == stored(realized_field_by_zero_sum(field, f))
+
+    def test_rejects_other_types(self):
+        with pytest.raises(TypeError):
+            so_realization(3)[0](Polynomial.one(3))
