@@ -21,9 +21,10 @@ form of a sum of squares, Parrilo 2003):
 Since L^T is invertible and every basis element is a word term, the u_i are
 all harmonic exactly when every word term is.  Equality is verified exactly
 (cross-multiplication in the quotient field) and nonnegativity is then
-re-checked by exact rational sign tests at deterministic sample points.  The
-same scheme with coordinate partials certifies the Euclidean statement for
-harmonic polynomials.
+re-checked by exact rational sign tests at deterministic sample points on the
+cap, drawn first (a count below 1 fails before any certificate work) and
+built and evaluated in integers.  The same scheme with coordinate partials
+certifies the Euclidean statement for harmonic polynomials.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from __future__ import annotations
 import math
 import operator
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 from typing import Callable, NamedTuple, Sequence
@@ -51,8 +51,7 @@ from .polynomials import (
 from .sphere_ops import apply_rotation_field, laplace_sphere, rotation_fields
 
 
-@dataclass(frozen=True)
-class SamplePoint:
+class SamplePoint(NamedTuple):
     point: tuple[Fraction, ...]
     value: Fraction
 
@@ -61,8 +60,7 @@ class SamplePoint:
         return self.value >= 0
 
 
-@dataclass
-class CertificateReport:
+class CertificateReport(NamedTuple):
     """Outcome of verifying one (h, k) pair."""
 
     family: str
@@ -71,7 +69,7 @@ class CertificateReport:
     expected_term_count: int
     equality_verified: bool
     terms_harmonic: bool
-    samples: list[SamplePoint] = field(default_factory=list)
+    samples: Sequence[SamplePoint] = ()
     seed: int = DEFAULT_SEED
     wall_time: float = 0.0
     span_dimension: int = 0
@@ -194,12 +192,14 @@ def _coefficient_rows(funcs: Sequence[SphereFunction]) -> list[list[int]]:
 
 def _check_coordinates(rows: list[list[int]], pivots: list[int], coords: Matrix) -> None:
     """Re-check column c == sum_r coords[c][r] * column pivots[r] for every
-    column, in integers; a mismatch is an engine bug, never a verdict."""
+    column, pivot columns included, in integers; a mismatch is an engine bug,
+    never a verdict."""
+    pivot_entries = [[row[p] for p in pivots] for row in rows]
     for c, x in enumerate(coords):
         den = math.lcm(*(q.denominator for q in x))
         nums = [q.numerator * (den // q.denominator) for q in x]
-        for row in rows:
-            if den * row[c] != sum(n * row[p] for n, p in zip(nums, pivots)):
+        for row, entries in zip(rows, pivot_entries):
+            if den * row[c] != sum(map(operator.mul, nums, entries)):
                 raise RuntimeError(
                     f"certificate term {c} differs from its span coordinates "
                     "(this indicates a bug in the engine)"
@@ -295,6 +295,7 @@ def verify_certificate(
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     start = time.perf_counter()
+    points = sample_cap_points(sample_count, seed)
     expected = (h.m * (h.m - 1) // 2) ** k
     lhs = delta_power(h.value * h.value, k)
     span = word_span(h, k)
@@ -304,10 +305,7 @@ def verify_certificate(
     rhs = _weighted_sum(squares, k) if squares else SphereFunction.zero(h.m)
     equality = lhs == rhs
     terms_harmonic = all(flag for _, flag in per_square)
-    samples = [
-        SamplePoint(point=pt, value=lhs.evaluate(pt))
-        for pt in sample_cap_points(sample_count, seed)
-    ]
+    samples = [SamplePoint(point=pt, value=lhs.evaluate(pt)) for pt in points]
     return CertificateReport(
         family=h.provenance,
         k=k,
@@ -328,12 +326,11 @@ def verify_certificate(
 # ----------------------------------------------------------------------
 
 
-@dataclass
-class EuclideanCertificateReport:
+class EuclideanCertificateReport(NamedTuple):
     k: int
     term_count: int
     equality_verified: bool
-    samples: list[SamplePoint] = field(default_factory=list)
+    samples: Sequence[SamplePoint] = ()
 
     @property
     def all_samples_nonnegative(self) -> bool:

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .polynomials import SphereFunction
 from .sphere_ops import laplace_sphere
@@ -30,8 +29,7 @@ SECOND_DERIVATIVE_ABS_TOL = 1e-8
 MIN_QUADRATURE_ORDER = 8
 
 
-@dataclass
-class GrowthReport:
+class GrowthReport(NamedTuple):
     family: str
     center: tuple[float, float, float]
     radii: list[float]

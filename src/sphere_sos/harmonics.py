@@ -11,9 +11,8 @@ a failure aborts, since it would mean the engine itself is broken.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .polynomials import (
     Polynomial,
@@ -32,28 +31,31 @@ class HarmonicityError(RuntimeError):
     """A value that must be exactly harmonic failed the construction check."""
 
 
-@dataclass(frozen=True)
-class CapDomain:
+class CapDomain(
+    NamedTuple(
+        "CapDomain", [("ambient_dim", int), ("pole", tuple[Fraction, ...]), ("radius", float)]
+    )
+):
     """Open geodesic ball B(rho) about the antipode of the excluded pole.
 
     rho is metadata for sampling and quadrature; the exact checks are global
     on the quotient ring and do not depend on it.
     """
 
-    ambient_dim: int = 3
-    pole: tuple[Fraction, ...] = NORTH_POLE
-    radius: float = 3.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, ambient_dim: int = 3, pole: tuple[Fraction, ...] = NORTH_POLE,
+                radius: float = 3.0):
+        self = super().__new__(cls, ambient_dim, pole, radius)
         if not 0 < self.radius < math.pi:
             raise ValueError(f"cap radius must lie in (0, pi), got {self.radius}")
         require_on_sphere(self.pole)
         if len(self.pole) != self.ambient_dim:
             raise ValueError("pole dimension does not match ambient dimension")
+        return self
 
 
-@dataclass(frozen=True)
-class HarmonicFunction:
+class HarmonicFunction(NamedTuple):
     """A SphereFunction together with its domain and a provenance tag.
 
     Instances are built through the constructors below, which verify

@@ -19,10 +19,9 @@ nothing is ever projected onto m.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
 
@@ -38,16 +37,19 @@ def _sparse(coeffs: Mapping[int, Fraction]) -> Sparse:
     return tuple((k, Fraction(c)) for k, c in sorted(coeffs.items()) if c != 0)
 
 
-@dataclass(frozen=True)
-class LieAlgebraData:
+class LieAlgebraData(
+    NamedTuple(
+        "LieAlgebraData",
+        [("dim", int), ("labels", tuple[str, ...]), ("structure", tuple[tuple[Sparse, ...], ...])],
+    )
+):
     """Sparse structure constants: structure[i][j] lists the nonzero (k, c)
     with [X_i, X_j] = sum_k c X_k, in increasing k."""
 
-    dim: int
-    labels: tuple[str, ...]
-    structure: tuple[tuple[Sparse, ...], ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, dim: int, labels: tuple[str, ...], structure: tuple[tuple[Sparse, ...], ...]):
+        self = super().__new__(cls, dim, labels, structure)
         if len(self.labels) != self.dim:
             raise ValueError("label count does not match dimension")
         if len(self.structure) != self.dim or any(
@@ -57,6 +59,7 @@ class LieAlgebraData:
             raise ValueError("structure constants must be dim x dim sorted nonzero (k, c) lists")
         if any(not 0 <= k < self.dim for row in self.structure for entry in row for k, _ in entry):
             raise ValueError("structure constant index out of range")
+        return self
 
     @classmethod
     def from_brackets(
@@ -111,13 +114,13 @@ class LieAlgebraData:
         return True
 
 
-@dataclass(frozen=True)
-class BilinearForm:
+class BilinearForm(NamedTuple("BilinearForm", [("matrix", tuple[Vector, ...])])):
     """Symmetric rational matrix; positive definiteness checked on demand."""
 
-    matrix: tuple[Vector, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, matrix: tuple[Vector, ...]):
+        self = super().__new__(cls, matrix)
         n = len(self.matrix)
         if any(len(row) != n for row in self.matrix):
             raise ValueError("form matrix must be square")
@@ -125,6 +128,7 @@ class BilinearForm:
             for j in range(i):
                 if self.matrix[i][j] != self.matrix[j][i]:
                     raise ValueError("form matrix must be symmetric")
+        return self
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence]) -> "BilinearForm":
@@ -269,8 +273,7 @@ def ad_invariance_witness(
     return None
 
 
-@dataclass(frozen=True)
-class ReductiveDecomposition:
+class ReductiveDecomposition(NamedTuple):
     """B-orthogonal splitting of the algebra into a subalgebra and its complement."""
 
     algebra: LieAlgebraData
@@ -350,8 +353,7 @@ def natural_reductivity_witness(
 # ----------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CasimirElement:
+class CasimirElement(NamedTuple):
     """Pairs (dual vector, basis vector); the element is the sum of products."""
 
     pairs: tuple[tuple[Vector, Vector], ...]

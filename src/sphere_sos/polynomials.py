@@ -12,10 +12,11 @@ Three layers, all exact over the rationals:
                     differentiation does not square denominators; the public
                     ``numerator``/``denominator`` view is unchanged.
 
-Everything is immutable and exact: no floating point, no precision loss.
-Equality of quotients is decided by cross-multiplication, which is valid
-because the sphere relation is irreducible over the rationals (the quotient
-ring is an integral domain for every m >= 2).
+Everything is immutable and exact.  Equality of quotients is decided by
+cross-multiplication, valid because the sphere relation is irreducible over
+the rationals (the quotient ring is an integral domain for every m >= 2).
+Exact values are summed in integers: a point is cleared to X / D once, and
+each polynomial reads its evaluation plan, built once, off one power table.
 
 Term order is part of the output (float sums run in it): each operation keeps
 the order of the sum it forms, where a monomial whose running sum cancels is
@@ -28,7 +29,8 @@ import functools
 import math
 import re
 from fractions import Fraction
-from operator import add
+from itertools import accumulate, repeat
+from operator import add, mul
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -71,11 +73,12 @@ class Polynomial:
 
     ``numerators`` maps exponent tuples of length ``m`` to nonzero ints over
     the positive int ``denominator``, and gcd(all numerators, denominator) ==
-    1, so the form is unique; zero is the empty dict over 1.  ``terms`` is the
-    read-only {exponents: Fraction} view, built on first use.  Immutable.
+    1, so the form is unique; zero is the empty dict over 1.  ``terms`` (the
+    read-only {exponents: Fraction} view) and the evaluation plan are built on
+    first use.  Immutable.
     """
 
-    __slots__ = ("m", "numerators", "denominator", "_terms")
+    __slots__ = ("m", "numerators", "denominator", "_terms", "_plan")
 
     def __init__(self, m: int, terms: Mapping[Exponents, RationalLike] | None = None):
         if m < 1:
@@ -295,6 +298,26 @@ class Polynomial:
         }
         return Polynomial.from_numerators(self.m, out, self.denominator)
 
+    def _evaluation_plan(self) -> tuple[int, list]:
+        """(n, [(N_e, n - |e|, the nonzero (i, e_i)) per term]), n = max(degree, 0)."""
+        if not hasattr(self, "_plan"):
+            n = max(self.degree(), 0)
+            terms = [(c, n - sum(e), [(i, x) for i, x in enumerate(e) if x])
+                     for e, c in self.numerators.items()]
+            object.__setattr__(self, "_plan", (n, terms))
+        return self._plan
+
+    def _value_over(self, powers: list[list[int]]) -> tuple[int, int]:
+        """The value at X / D as (sum_e N_e X^e D^(n-|e|), L D^n), off a ``_powers`` table."""
+        n, terms = self._evaluation_plan()
+        total, dpow = 0, powers[-1]
+        for c, rest, factors in terms:
+            c *= dpow[rest]
+            for i, e in factors:
+                c *= powers[i][e]
+            total += c
+        return total, self.denominator * dpow[n]
+
     def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
         """Exact value at a rational point, summed in integers: with N_e / L
         the coefficients, the point X / D over one common denominator and n
@@ -302,19 +325,9 @@ class Polynomial:
         if len(point) != self.m:
             raise ValueError(f"point has length {len(point)}, expected {self.m}")
         pt = [_as_fraction(v) for v in point]
-        if not self.numerators:
-            return Fraction(0)
         den = math.lcm(*(v.denominator for v in pt))
         xs = [v.numerator * (den // v.denominator) for v in pt]
-        n = self.degree()
-        total = 0
-        for exps, term in self.numerators.items():
-            term *= den ** (n - sum(exps))
-            for x, e in zip(xs, exps):
-                if e:
-                    term *= x**e
-            total += term
-        return Fraction(total, self.denominator * den**n)
+        return Fraction(*self._value_over(_powers(xs, den, self._evaluation_plan()[0])))
 
     def float_evaluator(self) -> Callable[[Sequence[float]], float]:
         """The float value at a point, as a callable: the coefficients become
@@ -322,10 +335,7 @@ class Polynomial:
         does), and each call multiplies a term's nonzero powers into its
         coefficient and adds the terms in order onto 0.0.  No length check."""
         den = self.denominator
-        terms = [
-            (n / den, [(i, e) for i, e in enumerate(exps) if e])
-            for exps, n in self.numerators.items()
-        ]
+        terms = [(c / den, factors) for c, _, factors in self._evaluation_plan()[1]]
 
         def evaluate(point: Sequence[float]) -> float:
             total = 0.0
@@ -552,10 +562,7 @@ class SpherePolynomial:
 
     def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
         """Exact value at a rational point of the sphere."""
-        require_on_sphere(point)
-        if len(point) != self.m:
-            raise ValueError(f"point has length {len(point)}, expected {self.m}")
-        return self.poly.evaluate(point)
+        return SphereFunction.from_polynomial(self).evaluate(point)
 
     def evaluate_float(self, point: Sequence[float]) -> float:
         return self.poly.evaluate_float(point)
@@ -611,12 +618,19 @@ def _complement_power(m: int, q: int) -> Polynomial:
     return _complement_power(m, q - 1) * _complement_power(m, 1)
 
 
-def require_on_sphere(point: Sequence[RationalLike]) -> list[Fraction]:
-    """Check sum of squares equals 1 exactly; returns the point as Fractions."""
+def _powers(xs: list[int], den: int, n: int) -> list[list[int]]:
+    """Row i lists xs[i] ** e for e = 0..n; the last row lists den ** e."""
+    return [list(accumulate(repeat(x, n), mul, initial=1)) for x in (*xs, den)]
+
+
+def require_on_sphere(point: Sequence[RationalLike]) -> tuple[list[int], int]:
+    """Check sum X_i^2 = D^2 exactly, in integers; returns (X, D) with point = X / D."""
     pt = [_as_fraction(v) for v in point]
-    if sum(v * v for v in pt) != 1:
+    den = math.lcm(*(v.denominator for v in pt))
+    xs = [v.numerator * (den // v.denominator) for v in pt]
+    if sum(x * x for x in xs) != den * den:
         raise ValueError(f"point {tuple(str(v) for v in pt)} is not on the unit sphere")
-    return pt
+    return xs, den
 
 
 # ----------------------------------------------------------------------
@@ -788,16 +802,18 @@ class SphereFunction:
     __hash__ = None  # equality is semantic (cross-multiplication), so no hashing
 
     def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
-        """Exact value at a rational sphere point; rejects denominator zeros."""
-        pt = require_on_sphere(point)
-        if len(pt) != self.m:
-            raise ValueError(f"point has length {len(pt)}, expected {self.m}")
-        den_val = self.base.poly.evaluate(pt) ** self.exp
-        if den_val == 0:
-            raise ZeroDivisionError(
-                f"denominator vanishes at {tuple(str(v) for v in pt)}"
-            )
-        return self.num.poly.evaluate(pt) / den_val
+        """Exact value at a rational sphere point (one power table); rejects denominator zeros."""
+        xs, den = require_on_sphere(point)
+        if len(xs) != self.m:
+            raise ValueError(f"point has length {len(xs)}, expected {self.m}")
+        num, base = self.num.poly, self.base.poly
+        powers = _powers(xs, den, max(num._evaluation_plan()[0], base._evaluation_plan()[0]))
+        b, b_den = (v**self.exp for v in base._value_over(powers))
+        if b == 0:
+            pt = tuple(str(_as_fraction(v)) for v in point)
+            raise ZeroDivisionError(f"denominator vanishes at {pt}")
+        a, a_den = num._value_over(powers)
+        return Fraction(a * b_den, a_den * b)
 
     def evaluate_float(self, point: Sequence[float]) -> float:
         den_val = self.base.poly.evaluate_float(point) ** self.exp
@@ -849,18 +865,6 @@ def _normalize(
     return num, base, exp
 
 
-def sphere_point_from_plane(u: RationalLike, v: RationalLike) -> tuple[Fraction, Fraction, Fraction]:
-    """Exact sphere point (2u, 2v, u^2+v^2-1) / (u^2+v^2+1) from a rational plane point.
-
-    The image omits only the north pole (0, 0, 1); the plane origin maps to the
-    south pole.
-    """
-    uf, vf = _as_fraction(u), _as_fraction(v)
-    s = uf * uf + vf * vf
-    d = s + 1
-    return (2 * uf / d, 2 * vf / d, (s - 1) / d)
-
-
 # Distinct (u, v) that sample_plane_points can draw: 981 ** 2, where
 # 981 = 3 + 2 * sum(phi(q) for q in 2..40) counts the p/q in [-1, 1] with q <= 40.
 PLANE_SAMPLE_LIMIT = 962_361
@@ -878,28 +882,32 @@ def sample_plane_points(count: int, seed: int) -> list[tuple[Fraction, Fraction]
     """
     import random
 
-    if count > PLANE_SAMPLE_LIMIT:
-        raise ValueError(f"at most {PLANE_SAMPLE_LIMIT} distinct plane points, asked for {count}")
+    if not 1 <= count <= PLANE_SAMPLE_LIMIT:
+        raise ValueError(f"need 1 to {PLANE_SAMPLE_LIMIT} distinct plane points, asked for {count}")
     rng = random.Random(seed)
-    points: list[tuple[Fraction, Fraction]] = []
-    seen = set()
+    # Keyed by integers (a Fraction hashes slowly); the first draw of each point wins.
+    points: dict[tuple[int, ...], tuple[Fraction, Fraction]] = {}
     while len(points) < count:
         den = rng.randint(2, 40)
         u = Fraction(rng.randint(-den, den), den)
         den2 = rng.randint(2, 40)
         v = Fraction(rng.randint(-den2, den2), den2)
-        if (u, v) in seen:
-            continue
-        seen.add((u, v))
-        points.append((u, v))
-    return points
+        points.setdefault((u.numerator, u.denominator, v.numerator, v.denominator), (u, v))
+    return list(points.values())
 
 
 def sample_cap_points(count: int, seed: int) -> list[tuple[Fraction, Fraction, Fraction]]:
-    """Deterministic exact sphere points inside the cap around the south pole.
+    """Deterministic exact sphere points inside the cap around the south pole:
+    (2u, 2v, u^2 + v^2 - 1) / (u^2 + v^2 + 1) at each plane point, in integers.
 
     Plane parameters are bounded by 1 in each coordinate, so every point stays
     within geodesic distance 2*atan(sqrt(2)) < 2 of the south pole and well
     away from the excluded north pole.
     """
-    return [sphere_point_from_plane(u, v) for u, v in sample_plane_points(count, seed)]
+    points = []
+    for u, v in sample_plane_points(count, seed):
+        (a, p), (b, q) = u.as_integer_ratio(), v.as_integer_ratio()
+        s, t, w = (a * q) ** 2 + (b * p) ** 2, (p * q) ** 2, 2 * p * q  # u^2 + v^2 = s / t
+        d = s + t
+        points.append((Fraction(w * a * q, d), Fraction(w * b * p, d), Fraction(s - t, d)))
+    return points

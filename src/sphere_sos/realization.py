@@ -21,9 +21,8 @@ sampled reference kept for cross-checks in the tests.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .lie import CasimirElement, LieAlgebraData
 from .polynomials import Polynomial, SphereFunction, SpherePolynomial
@@ -36,8 +35,7 @@ from .sphere_ops import (
 )
 
 
-@dataclass(frozen=True)
-class RealizedField:
+class RealizedField(NamedTuple):
     """Finite rational combination of rotation fields, acting as a derivation."""
 
     m: int
@@ -116,8 +114,7 @@ def realize(images: Sequence[RealizedField], coords: Sequence) -> RealizedField:
     return RealizedField.from_weights(images[0].m, weights)
 
 
-@dataclass(frozen=True)
-class ProjectedCasimir:
+class ProjectedCasimir(NamedTuple):
     """Realized (dual, basis) field pairs; acts as the sum of compositions."""
 
     pairs: tuple[tuple[RealizedField, RealizedField], ...]

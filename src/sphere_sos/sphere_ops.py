@@ -14,10 +14,10 @@ checkable artifact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb, factorial
+from typing import NamedTuple
 
 from .polynomials import (
     Polynomial,
@@ -28,16 +28,15 @@ from .polynomials import (
 )
 
 
-@dataclass(frozen=True, order=True)
-class RotationField:
+class RotationField(NamedTuple("RotationField", [("i", int), ("j", int)])):
     """Index pair (i, j) with i < j naming the derivation x_i d_j - x_j d_i."""
 
-    i: int
-    j: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 1 <= self.i < self.j:
-            raise ValueError(f"need 1 <= i < j, got ({self.i}, {self.j})")
+    def __new__(cls, i: int, j: int):
+        if not 1 <= i < j:
+            raise ValueError(f"need 1 <= i < j, got ({i}, {j})")
+        return super().__new__(cls, i, j)
 
     def __str__(self) -> str:
         return f"X{self.i}{self.j}"

@@ -17,7 +17,12 @@ import sympy as sp
 
 from sphere_sos import linalg
 from sphere_sos.lie import BilinearForm, LieAlgebraData, ReductiveDecomposition
-from sphere_sos.polynomials import Polynomial, SphereFunction, SpherePolynomial
+from sphere_sos.polynomials import (
+    Polynomial,
+    SphereFunction,
+    SpherePolynomial,
+    sample_plane_points,
+)
 from sphere_sos.realization import jet_functions, projected_casimir, realize
 from sphere_sos.sphere_ops import apply_rotation_field
 
@@ -455,3 +460,37 @@ def realized_field_by_zero_sum(field, f):
     for rot, c in field.weights:
         out = out + apply_rotation_field(rot, f).scale(c)
     return out
+
+
+# ----------------------------------------------------------------------
+# the Fraction sample stage before it ran in integers
+# ----------------------------------------------------------------------
+
+
+def sphere_point_from_plane(u, v) -> tuple[Fraction, Fraction, Fraction]:
+    """Exact sphere point (2u, 2v, u^2+v^2-1) / (u^2+v^2+1) from a rational
+    plane point, in Fraction arithmetic.  The image omits only the north pole
+    (0, 0, 1); the plane origin maps to the south pole."""
+    uf, vf = Fraction(u), Fraction(v)
+    s = uf * uf + vf * vf
+    d = s + 1
+    return (2 * uf / d, 2 * vf / d, (s - 1) / d)
+
+
+def cap_points_by_fractions(count: int, seed: int) -> list[tuple[Fraction, Fraction, Fraction]]:
+    """sample_cap_points as it was: each plane point mapped in Fractions."""
+    return [sphere_point_from_plane(u, v) for u, v in sample_plane_points(count, seed)]
+
+
+def function_evaluate_fraction_loop(f: SphereFunction, point) -> Fraction:
+    """SphereFunction.evaluate as it was: the on-sphere check as a Fraction
+    sum, then num / base^exp from two Fraction loops."""
+    pt = [Fraction(v) for v in point]
+    if sum(v * v for v in pt) != 1:
+        raise ValueError(f"point {tuple(str(v) for v in pt)} is not on the unit sphere")
+    if len(pt) != f.m:
+        raise ValueError(f"point has length {len(pt)}, expected {f.m}")
+    den_val = evaluate_fraction_loop(f.base.poly, pt) ** f.exp
+    if den_val == 0:
+        raise ZeroDivisionError(f"denominator vanishes at {tuple(str(v) for v in pt)}")
+    return evaluate_fraction_loop(f.num.poly, pt) / den_val

@@ -31,6 +31,7 @@ from sphere_sos.sphere_ops import (
 )
 
 from conftest import random_sphere_function
+from oracles import cap_points_by_fractions, function_evaluate_fraction_loop
 
 
 def var(m, i):
@@ -190,6 +191,29 @@ class TestCertificateNegativeControl:
         assert report.terms_harmonic is False
         assert report.passed is False
 
+    @pytest.mark.parametrize("k, negatives", [(1, 44), (2, 156)])
+    def test_negative_samples_at_the_defaults(self, k, negatives):
+        # Delta^k(x3^2) is negative on part of the cap; every sample value is
+        # checked against the Fraction evaluation at the Fraction-built points.
+        x3 = SphereFunction.from_polynomial(SpherePolynomial(var(3, 3)))
+        fake = HarmonicFunction(value=x3, domain=CapDomain(), provenance="control:x3")
+        report = verify_certificate(fake, k)
+        lhs = delta_power(x3 * x3, k)
+        points = cap_points_by_fractions(certificates.DEFAULT_SAMPLE_COUNT, certificates.DEFAULT_SEED)
+        assert [s.point for s in report.samples] == points
+        assert [s.value for s in report.samples] == [
+            function_evaluate_fraction_loop(lhs, pt) for pt in points
+        ]
+        assert sum(not s.nonnegative for s in report.samples) == negatives
+        assert report.all_samples_nonnegative is False
+        assert report.passed is False
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_sample_counts_below_one_are_rejected(self, count):
+        h = stereographic_harmonic(1, "re")
+        with pytest.raises(ValueError, match="distinct plane points, asked for"):
+            verify_certificate(h, 1, sample_count=count)
+
     def test_dropping_any_nonzero_square_breaks_equality(self):
         h = stereographic_harmonic(2, "re")
         lhs = delta_power(h.value * h.value, 2)
@@ -269,6 +293,23 @@ class TestGramRoute:
                     for r, w in enumerate(span.levels[j]):
                         combo = combo + w.scale(a[r][i])
                     assert apply_rotation_field(field, v) == combo
+
+    @pytest.mark.parametrize("column", ["first-pivot", "last-pivot", "first-other", "last"])
+    def test_a_wrong_coordinate_in_any_column_is_caught(self, monkeypatch, column):
+        real = linalg.column_basis
+
+        def wrong_in_one_column(rows, n_cols=None):
+            pivots, coords = real(rows, n_cols)
+            others = [c for c in range(len(coords)) if c not in pivots]
+            chosen = {"first-pivot": pivots[:1], "last-pivot": pivots[-1:],
+                      "first-other": others[:1], "last": [len(coords) - 1]}[column]
+            for c in chosen:
+                coords[c] = coords[c][:-1] + [coords[c][-1] + Fraction(1, 3)]
+            return pivots, coords
+
+        monkeypatch.setattr(linalg, "column_basis", wrong_in_one_column)
+        with pytest.raises(RuntimeError, match="span coordinates"):
+            word_span(stereographic_harmonic(2, "re"), 2)
 
     def test_wrong_span_coordinates_are_caught(self, monkeypatch):
         real = linalg.column_basis

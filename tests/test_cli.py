@@ -100,6 +100,38 @@ class TestCertify:
         assert payload["passed"] is False
         assert payload["term_count"] == payload["expected_term_count"] == 3**power
 
+    @pytest.mark.parametrize("power, negatives", [(1, 44), (2, 156)])
+    def test_non_harmonic_control_has_negative_samples(self, capsys, power, negatives):
+        # Default sample count and seed: each printed point and value is the
+        # Fraction oracle's, and the sign check reports the negative ones.
+        from oracles import cap_points_by_fractions, function_evaluate_fraction_loop
+        from sphere_sos.certificates import DEFAULT_SAMPLE_COUNT, DEFAULT_SEED, delta_power
+        from sphere_sos.polynomials import SphereFunction, SpherePolynomial
+
+        code, out, _ = run(capsys, "certify", "--family", "control:x3", "--power", str(power))
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["all_samples_nonnegative"] is False
+        assert payload["seed"] == payload["config"]["seed"] == DEFAULT_SEED
+        x3 = SphereFunction.from_polynomial(SpherePolynomial.variable(3, 3))
+        lhs = delta_power(x3 * x3, power)
+        points = cap_points_by_fractions(DEFAULT_SAMPLE_COUNT, DEFAULT_SEED)
+        values = [function_evaluate_fraction_loop(lhs, pt) for pt in points]
+        assert payload["samples"] == [
+            {"point": [str(x) for x in pt], "value": str(v), "nonnegative": v >= 0}
+            for pt, v in zip(points, values)
+        ]
+        assert sum(not s["nonnegative"] for s in payload["samples"]) == negatives
+
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_sample_counts_below_one_are_usage_errors(self, capsys, samples):
+        code, out, err = run(
+            capsys, "certify", "--family", "stereo:k=1:re", "--power", "1", "--samples", samples,
+        )
+        assert code == 2
+        assert out == ""
+        assert "sample count must be >= 1" in err
+
     @pytest.mark.parametrize("family", ["control:equator-band", "control:x1", "control:"])
     def test_other_controls_are_usage_errors(self, capsys, family):
         code, out, err = run(capsys, "certify", "--family", family, "--power", "1")

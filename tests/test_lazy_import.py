@@ -3,6 +3,8 @@
 Each check runs in a fresh interpreter, since an earlier import in the test
 process would hide what a cold start loads.  A registered submodule that has
 not run yet is a lazy module; once run, its type is plain ``ModuleType``.
+No command imports ``dataclasses`` or ``inspect``: the records are
+NamedTuples, and those two modules cost a cold start milliseconds.
 """
 
 import json
@@ -19,19 +21,23 @@ SUBMODULES = (
     "certificates", "growth", "harmonics", "lie", "linalg", "polynomials", "realization",
     "sphere_ops",
 )
+UNUSED_STDLIB = ("dataclasses", "inspect")
 
 PROBE = """
 import contextlib, io, json, sys, types
 import sphere_sos.cli as cli
-subs = json.loads(sys.argv[1])
+subs, stdlib = json.loads(sys.argv[1])
 def executed():
     return sorted(n for n in subs if type(sys.modules[f"sphere_sos.{n}"]) is types.ModuleType)
+def loaded():
+    return sorted(n for n in stdlib if n in sys.modules)
 out = {"registered": sorted(n for n in subs if f"sphere_sos.{n}" in sys.modules),
-       "after_import": executed()}
+       "after_import": executed(), "stdlib_after_import": loaded()}
 if len(sys.argv) > 2:
     with contextlib.redirect_stdout(io.StringIO()):
         out["code"] = cli.main(sys.argv[2:])
     out["after_command"] = executed()
+    out["stdlib_after_command"] = loaded()
 print(json.dumps(out))
 """
 
@@ -39,7 +45,7 @@ print(json.dumps(out))
 def run_probe(*argv):
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, json.dumps(SUBMODULES), *argv],
+        [sys.executable, "-c", PROBE, json.dumps([SUBMODULES, UNUSED_STDLIB]), *argv],
         env=env, capture_output=True, text=True, check=True,
     )
     return json.loads(proc.stdout)
@@ -49,6 +55,7 @@ def test_import_registers_every_submodule_and_runs_only_polynomials():
     out = run_probe()
     assert out["registered"] == sorted(SUBMODULES)
     assert out["after_import"] == ["polynomials"]
+    assert out["stdlib_after_import"] == []
 
 
 @pytest.mark.parametrize(
@@ -67,6 +74,7 @@ def test_each_command_runs_only_its_layers(argv, executed):
     out = run_probe(*argv.split())
     assert out["code"] == 0
     assert set(out["after_command"]) == executed
+    assert out["stdlib_after_command"] == []
 
 
 PUBLIC = [

@@ -15,11 +15,17 @@ from sphere_sos.polynomials import (
     laplace_euclid,
     sample_cap_points,
     sample_plane_points,
-    sphere_point_from_plane,
 )
 
 from conftest import random_polynomial, random_sphere_function
-from oracles import evaluate_float_loop, evaluate_fraction_loop, function_evaluate_float_loop
+from oracles import (
+    cap_points_by_fractions,
+    evaluate_float_loop,
+    evaluate_fraction_loop,
+    function_evaluate_float_loop,
+    function_evaluate_fraction_loop,
+    sphere_point_from_plane,
+)
 
 
 def var(m, i):
@@ -248,6 +254,97 @@ class TestIntegerEvaluation:
             var(3, 1).evaluate((1, 2, 3, 4))
         with pytest.raises(TypeError):
             var(3, 1).evaluate((0.5, 0, 0))
+
+
+one = Polynomial.one(3)
+# Denominator bases with no zero on the sample cap, which avoids the north pole.
+cap_bases = st.sampled_from(
+    [one, one - var(3, 3), one.scale(3) - var(3, 3) + var(3, 1), one.scale(2) + var(3, 1) * var(3, 2)]
+)
+# Numerators over denominators 6 and 35; the empty dict gives the zero function.
+cap_functions = st.builds(
+    lambda num, base, exp: SphereFunction._make(SpherePolynomial(num), SpherePolynomial(base), exp),
+    polys.map(lambda p: p.scale(Fraction(5, 6)) + p.partial(1).scale(Fraction(-2, 35))),
+    cap_bases,
+    st.integers(0, 3),
+)
+
+
+class TestIntegerSampleStage:
+    """The sample points and their exact values, built in integers, against
+    the Fraction construction and the Fraction evaluation they replaced."""
+
+    @pytest.mark.parametrize("seed", range(51))
+    def test_points_match_the_fraction_construction(self, seed):
+        points = sample_cap_points(40, seed)
+        assert points == cap_points_by_fractions(40, seed)
+        assert all(type(x) is Fraction for pt in points for x in pt)
+        assert [[(x.numerator, x.denominator) for x in pt] for pt in points] == [
+            [(x.numerator, x.denominator) for x in pt] for pt in cap_points_by_fractions(40, seed)
+        ]
+
+    @given(cap_functions)
+    @settings(max_examples=150, deadline=None)
+    def test_values_match_the_fraction_evaluation(self, f):
+        for pt in sample_cap_points(10, seed=6):
+            value = f.evaluate(pt)
+            assert type(value) is Fraction
+            assert value == function_evaluate_fraction_loop(f, pt)
+
+    @pytest.mark.parametrize(
+        "f",
+        [
+            SphereFunction.zero(3),
+            SphereFunction.constant(3, Fraction(-2, 7)),
+            SphereFunction.from_polynomial(SpherePolynomial(var(3, 2) * var(3, 2))),
+            SphereFunction(SpherePolynomial(Polynomial.zero(3)), SpherePolynomial(one - var(3, 3))),
+        ],
+        ids=["zero", "constant", "exp-0", "zero-over-base"],
+    )
+    def test_zero_constant_and_polynomial_functions(self, f):
+        for pt in sample_cap_points(20, seed=8):
+            assert f.evaluate(pt) == function_evaluate_fraction_loop(f, pt)
+            assert f.num.evaluate(pt) == function_evaluate_fraction_loop(
+                SphereFunction.from_polynomial(f.num), pt
+            )
+
+    @pytest.mark.parametrize(
+        "point", [(1, Fraction(1, 2), 0), (Fraction(3, 5), Fraction(4, 5), Fraction(1, 7)), (0, 0)]
+    )
+    def test_off_sphere_message_is_unchanged(self, point):
+        f = SphereFunction(SpherePolynomial(var(3, 1)), SpherePolynomial(one - var(3, 3)))
+        with pytest.raises(ValueError) as expected:
+            function_evaluate_fraction_loop(f, point)
+        with pytest.raises(ValueError) as got:
+            f.evaluate(point)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value).endswith("is not on the unit sphere")
+        with pytest.raises(ValueError, match="is not on the unit sphere"):
+            f.num.evaluate(point)
+
+    def test_wrong_length_message_is_unchanged(self):
+        f = SphereFunction.constant(4, 1)
+        with pytest.raises(ValueError, match=r"^point has length 3, expected 4$"):
+            f.evaluate((0, 0, 1))
+        with pytest.raises(ValueError, match=r"^point has length 3, expected 4$"):
+            f.num.evaluate((0, 0, 1))
+
+    @pytest.mark.parametrize("exp", [1, 3])
+    def test_north_pole_message_is_unchanged(self, exp):
+        f = SphereFunction._make(SpherePolynomial(var(3, 1)), SpherePolynomial(one - var(3, 3)), exp)
+        for pole in [(0, 0, 1), (Fraction(0), Fraction(0, 5), Fraction(3, 3))]:
+            with pytest.raises(ZeroDivisionError) as expected:
+                function_evaluate_fraction_loop(f, pole)
+            with pytest.raises(ZeroDivisionError) as got:
+                f.evaluate(pole)
+            assert str(got.value) == str(expected.value) == "denominator vanishes at ('0', '0', '1')"
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_counts_below_one_are_rejected(self, count):
+        with pytest.raises(ValueError, match="distinct plane points, asked for"):
+            sample_plane_points(count, seed=0)
+        with pytest.raises(ValueError, match="distinct plane points, asked for"):
+            sample_cap_points(count, seed=0)
 
 
 class TestFloatEvaluator:

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 from fractions import Fraction
 
@@ -295,7 +294,7 @@ class TestGroupCase:
     def test_su2_casimir_with_a_pair_dropped_fails_commutation(self, dropped):
         alg = su2_algebra()
         cas = casimir_element(alg, su2_round_form())
-        kept = dataclasses.replace(cas, pairs=cas.pairs[:dropped] + cas.pairs[dropped + 1:])
+        kept = cas._replace(pairs=cas.pairs[:dropped] + cas.pairs[dropped + 1:])
         verdicts = verify_commutation_theorem(kept, su2_realization(), complement_coords=[])
         assert verdicts == {"complement": True, "full_algebra": False}
 
@@ -326,7 +325,7 @@ class TestCommutationNegativeControl:
     def test_dropping_any_pair_breaks_complement_commutation(self, m):
         cas = casimir_element(so_algebra(m), trace_form(m))
         for dropped in range(len(cas.pairs)):
-            kept = dataclasses.replace(cas, pairs=cas.pairs[:dropped] + cas.pairs[dropped + 1:])
+            kept = cas._replace(pairs=cas.pairs[:dropped] + cas.pairs[dropped + 1:])
             fast, oracle = commutation_both_routes(m, kept)
             assert fast == oracle == {"complement": False, "full_algebra": False}, dropped
 
@@ -426,7 +425,7 @@ class TestJetProof:
     def test_casimir_with_a_pair_dropped_fails(self, m):
         alg = so_algebra(m)
         cas = casimir_element(alg, trace_form(m))
-        dropped = dataclasses.replace(cas, pairs=cas.pairs[1:])
+        dropped = cas._replace(pairs=cas.pairs[1:])
         assert not verify_lap_eq_casimir(dropped, so_realization(m))
         verdicts = verify_commutation_theorem(dropped, so_realization(m), complement_coords=[])
         assert not verdicts["full_algebra"]
