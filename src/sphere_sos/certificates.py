@@ -360,6 +360,8 @@ def euclid_certificate(p: Polynomial, k: int, grid: int = 5) -> EuclideanCertifi
         raise ValueError("euclid_certificate needs a Euclidean-harmonic polynomial")
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
+    if grid < 1:
+        raise ValueError(f"need grid >= 1, got {grid}")
     m = p.m
     lhs = euclid_delta_power(p * p, k)
     if k == 0:

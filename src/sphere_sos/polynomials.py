@@ -440,11 +440,18 @@ class Polynomial:
 
 
 def laplace_euclid(p: Polynomial) -> Polynomial:
-    """Sum of second partials, acting on raw polynomials."""
-    out = Polynomial.zero(p.m)
-    for i in range(1, p.m + 1):
-        out = out + p.partial(i).partial(i)
-    return out
+    """Sum of second partials d_1^2 p, d_2^2 p, ... of a raw polynomial, in one int dict."""
+    out: dict[Exponents, int] = {}
+    for i in range(p.m):
+        for exps, n in p.numerators.items():
+            if (e := exps[i]) > 1:
+                key = exps[:i] + (e - 2,) + exps[i + 1 :]
+                s = out.get(key, 0) + n * e * (e - 1)
+                if s:
+                    out[key] = s
+                else:
+                    del out[key]
+    return Polynomial.from_numerators(p.m, out, p.denominator)
 
 
 def euler_operator(p: Polynomial) -> Polynomial:
@@ -483,20 +490,20 @@ class SpherePolynomial:
     @classmethod
     @functools.cache
     def zero(cls, m: int) -> "SpherePolynomial":
-        return cls._trusted(Polynomial.zero(m))
+        return cls._trusted(Polynomial.zero(_sphere_dim(m)))
 
     @classmethod
     @functools.cache
     def one(cls, m: int) -> "SpherePolynomial":
-        return cls._trusted(Polynomial.one(m))
+        return cls._trusted(Polynomial.one(_sphere_dim(m)))
 
     @classmethod
     def constant(cls, m: int, value: RationalLike) -> "SpherePolynomial":
-        return cls._trusted(Polynomial.constant(m, value))
+        return cls._trusted(Polynomial.constant(_sphere_dim(m), value))
 
     @classmethod
     def variable(cls, m: int, index: int) -> "SpherePolynomial":
-        return cls._trusted(Polynomial.variable(m, index))
+        return cls._trusted(Polynomial.variable(_sphere_dim(m), index))
 
     @property
     def m(self) -> int:
@@ -580,9 +587,7 @@ def _reduce_terms(p: Polynomial) -> Polynomial:
     Summed in integers over p's denominator into one dict, in the result's
     term order: first the expansions of the terms with q >= 1, in p's order,
     then the terms with x_m-exponent <= 1."""
-    m = p.m
-    if m < 2:
-        raise ValueError("the sphere relation needs at least two variables")
+    m = _sphere_dim(p.m)
     if all(exps[-1] <= 1 for exps in p.numerators):
         return p
     out: dict[Exponents, int] = {}
@@ -593,6 +598,12 @@ def _reduce_terms(p: Polynomial) -> Polynomial:
     kept = [(exps, c) for exps, c in p.numerators.items() if exps[-1] <= 1]
     _multiply_into(out, kept, Polynomial.one(m).numerators.items())
     return Polynomial.from_numerators(m, out, p.denominator)
+
+
+def _sphere_dim(m: int) -> int:
+    if m < 2:
+        raise ValueError("the sphere relation needs at least two variables")
+    return m
 
 
 def _multiply_into(out: dict, left, right) -> dict:

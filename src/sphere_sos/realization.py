@@ -11,11 +11,12 @@ an antihomomorphism: realize([u, v]) = -[realize(u), realize(v)].
 
 The projected Casimir of a positive form acts as
 f -> sum_j realize(dual_j)(realize(basis_j)(f)); under the default trace-form
-normalization it coincides exactly with the spherical Laplacian.  The
-theorem-level checks (Casimir = Laplacian, commutation, group case) take the
-basis images, so they serve every realized algebra, and they are finite
-proofs on the 2-jets of ``jet_functions``; ``standard_test_suite`` is a
-sampled reference kept for cross-checks in the tests.
+normalization it coincides exactly with the spherical Laplacian, and as
+``laplace_sphere`` uses the Euclidean identity, not the fields, the two
+routes are independent.  The theorem-level checks (Casimir = Laplacian,
+commutation, group case) take the basis images, so they serve every realized
+algebra, and they are finite proofs on the 2-jets of ``jet_functions``;
+``standard_test_suite`` is a sampled reference kept for cross-checks in the tests.
 """
 
 from __future__ import annotations

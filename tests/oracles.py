@@ -24,7 +24,7 @@ from sphere_sos.polynomials import (
     sample_plane_points,
 )
 from sphere_sos.realization import jet_functions, projected_casimir, realize
-from sphere_sos.sphere_ops import apply_rotation_field
+from sphere_sos.sphere_ops import apply_rotation_field, rotation_fields
 
 
 def symbols(m: int):
@@ -460,6 +460,20 @@ def realized_field_by_zero_sum(field, f):
     for rot, c in field.weights:
         out = out + apply_rotation_field(rot, f).scale(c)
     return out
+
+
+# ----------------------------------------------------------------------
+# the spherical Laplacian as its definition, before the Euclidean identity
+# ----------------------------------------------------------------------
+
+
+def laplace_sphere_by_fields(f):
+    """Sum over i < j of X_ij applied twice, accumulated in pair order."""
+    result = None
+    for field in rotation_fields(f.m):
+        term = apply_rotation_field(field, apply_rotation_field(field, f))
+        result = term if result is None else result + term
+    return result
 
 
 # ----------------------------------------------------------------------

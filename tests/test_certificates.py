@@ -414,6 +414,12 @@ class TestEuclideanCertificates:
         with pytest.raises(ValueError):
             euclid_certificate(var(2, 1) ** 2, 1)
 
+    @pytest.mark.parametrize("grid", [0, -5])
+    def test_empty_grid_rejected(self, grid):
+        # A grid below one point would sample the origin alone and pass.
+        with pytest.raises(ValueError, match="grid >= 1"):
+            euclid_certificate(var(2, 1), 1, grid=grid)
+
     def test_term_count(self):
         p = var(3, 1)
         report = euclid_certificate(p, 2, grid=2)

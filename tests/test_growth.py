@@ -13,7 +13,7 @@ from sphere_sos.harmonics import planar_combination, stereographic_harmonic
 from sphere_sos.cli import resolve_family
 from sphere_sos.polynomials import Polynomial, SphereFunction, SpherePolynomial
 
-from oracles import spherical_mean_loop
+from oracles import evaluate_fraction_loop, laplace_sphere_by_fields, spherical_mean_loop
 
 SOUTH = (0.0, 0.0, -1.0)
 
@@ -172,6 +172,42 @@ class TestSecondDerivative:
         center = (math.sin(0.4), 0.0, -math.cos(0.4))
         ok, fd, exact = check_second_derivative_at_zero(sq, center)
         assert ok
+
+
+# The growth ops of the benchmark's growth-basis workload at seeds 0-3 (the
+# equator-band control runs at every seed).
+BENCH_GROWTH_OPS = [
+    ("control:equator-band", "1,0,0"),
+    ("stereo:k=1:im", "0.021989682366557115,-0.15813160920758831,-0.9871731601086187"),
+    ("stereo:k=3:im", "0.02415986810696243,-0.03093656135366633,-0.9992293179969577"),
+    ("stereo:k=5:re", "-0.06968627708992171,0.16954326777228512,-0.9830559003121043"),
+    ("stereo:k=1:re", "0.001263319645899863,0.010953195479080458,-0.9999392139186608"),
+    ("stereo:k=3:im", "-0.005041143793606621,0.010814813358244354,-0.9999288108066887"),
+    ("stereo:k=5:im", "0.03191251598312016,0.01895948912769841,-0.9993108270681569"),
+    ("stereo:k=1:re", "0.0435812211275788,-0.00929925572142057,-0.9990066070892909"),
+    ("stereo:k=3:im", "-0.09122533477071465,-0.02359009079593445,-0.9955508253786999"),
+    ("stereo:k=5:re", "-0.1469154580745355,-0.024472810290407324,-0.9888462619311655"),
+    ("stereo:k=1:im", "-0.030163568955880526,-0.0592727714580698,-0.9977859979331857"),
+    ("stereo:k=3:im", "0.06228423132997927,-0.07537566448745157,-0.99520811076413"),
+    ("stereo:k=5:im", "-0.017877506846180613,-0.01143447368616842,-0.9997747984223673"),
+]
+
+
+@pytest.mark.parametrize("family, center", BENCH_GROWTH_OPS)
+def test_second_derivative_exact_is_within_rounding(family, center):
+    # The float reference is half the Laplacian of h^2, summed in term order at
+    # the float center; the exact rational value of the field sum at that same
+    # point is the oracle, so only rounding separates them.
+    value, _ = resolve_family(family)
+    f = value * value
+    point = tuple(float(c) for c in center.split(","))
+    *_, exact = check_second_derivative_at_zero(f, point, order=8)
+    lap = laplace_sphere_by_fields(f)
+    at = [Fraction(c) for c in point]
+    reference = Fraction(1, 2) * evaluate_fraction_loop(lap.num.poly, at) / (
+        evaluate_fraction_loop(lap.base.poly, at) ** lap.exp
+    )
+    assert abs(Fraction(exact) - reference) <= Fraction(2e-15) * abs(reference)
 
 
 class TestAnalyzeGrowth:

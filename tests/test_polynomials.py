@@ -389,6 +389,22 @@ class TestFloatEvaluator:
             var(3, 1).evaluate_float((1.0, 2.0))
 
 
+class TestSphereDimension:
+    @pytest.mark.parametrize("build", [
+        lambda: SpherePolynomial.zero(1),
+        lambda: SpherePolynomial.one(1),
+        lambda: SpherePolynomial.constant(1, 3),
+        lambda: SpherePolynomial.variable(1, 1),
+        lambda: SpherePolynomial(Polynomial.variable(1, 1)),
+        lambda: SphereFunction.zero(1),
+        lambda: SphereFunction.constant(1, 2),
+    ])
+    def test_one_variable_has_no_sphere_ring(self, build):
+        # Every constructor raises what the normal form raises for m < 2.
+        with pytest.raises(ValueError, match="at least two variables"):
+            build()
+
+
 class TestQuotientField:
     def test_addition_with_shared_denominator(self):
         x1 = SpherePolynomial(var(3, 1))
