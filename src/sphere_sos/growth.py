@@ -7,9 +7,11 @@ in the radius for subharmonic integrands, and its second derivative at radius
 zero equals half the spherical Laplacian at the center.  The exact symbolic
 engine supplies that reference value, so the two routes stay independent.
 
-Each mean compiles its integrand once (``SphereFunction.float_evaluator``)
-and reads its nodes off one (cos phi, sin phi) table per order; it runs the
-float operations of a node-by-node ``evaluate_float`` loop, bit for bit.
+Each integrand is compiled once into a straight-line circle kernel
+(``_circle_kernel``), and the tangent offsets cos(phi) u + sin(phi) v of the
+nodes are computed once per (center, order) (``_tangent_table``), so a report's
+circles share them.  A mean runs the float operations of a node-by-node
+``evaluate_float`` loop, in the same order, so it is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -80,25 +82,82 @@ def spherical_mean(
         raise ValueError(f"quadrature order must be >= {MIN_QUADRATURE_ORDER}")
     if not 0 <= r < math.pi:
         raise ValueError(f"radius must lie in [0, pi), got {r}")
-    (u0, u1, u2), (v0, v1, v2) = _orthonormal_frame(center)
+    center = _finite_point(center)
     cr, sr = math.cos(r), math.sin(r)
-    a0, a1, a2 = (cr * center[i] for i in range(3))
-    evaluate = f.float_evaluator()
-    total = 0.0
-    for cp, sp in _circle_nodes(order):
-        total += evaluate((
-            a0 + sr * (cp * u0 + sp * v0),
-            a1 + sr * (cp * u1 + sp * v1),
-            a2 + sr * (cp * u2 + sp * v2),
-        ))
-    return total / order
+    a0, a1, a2 = (cr * c for c in center)
+    return _circle_kernel(f)(a0, a1, a2, sr, _tangent_table(center, order)) / order
 
 
-@functools.lru_cache(maxsize=4)
-def _circle_nodes(order: int) -> tuple[tuple[float, float], ...]:
-    """(cos phi, sin phi) at the trapezoid angles phi = 2 pi k / order."""
-    phis = (2.0 * math.pi * k / order for k in range(order))
-    return tuple((math.cos(phi), math.sin(phi)) for phi in phis)
+def _finite_point(center) -> tuple[float, float, float]:
+    """The center as 3 floats; ValueError unless it is 3 finite real numbers."""
+    try:
+        ok = len(center) == 3 and all(
+            isinstance(c, (int, float)) and math.isfinite(c) for c in center
+        )
+    except (TypeError, OverflowError):  # no len(), or an int too large for a float
+        ok = False
+    if not ok:
+        raise ValueError(f"center must be 3 finite floats, got {center!r}")
+    return tuple(map(float, center))
+
+
+@functools.lru_cache(maxsize=1)
+def _tangent_table(
+    center: tuple[float, float, float], order: int
+) -> tuple[tuple[float, float, float], ...]:
+    """cos(phi) u + sin(phi) v at the trapezoid angles phi = 2 pi k / order,
+    for the tangent frame (u, v) at the center.  A report reads one table, so
+    only the last one is kept.  (0.0 and -0.0 share a key; the sign of a zero
+    coordinate reaches no mean, as every term adds onto 0.0.)"""
+    (u0, u1, u2), (v0, v1, v2) = _orthonormal_frame(center)
+    table = []
+    for k in range(order):
+        phi = 2.0 * math.pi * k / order
+        cp, sp = math.cos(phi), math.sin(phi)
+        table.append((cp * u0 + sp * v0, cp * u1 + sp * v1, cp * u2 + sp * v2))
+    return tuple(table)
+
+
+_kernel_cache: tuple = (None, None)
+
+
+def _circle_kernel(f: SphereFunction):
+    """f compiled into ``kernel(a0, a1, a2, sr, table)``: the sum over the
+    table's rows w of f(a + sr w).  Each coefficient becomes the float literal
+    ``repr(c / den)`` (int true division rounds as ``float`` of the Fraction),
+    and each node runs the operations of ``SphereFunction.evaluate_float`` in
+    its order: a term's nonzero powers multiply into the coefficient, the terms
+    add onto 0.0, and a zero float denominator raises ZeroDivisionError.  The
+    last integrand's kernel is kept, keyed by identity."""
+    global _kernel_cache
+    cached, kernel = _kernel_cache
+    if cached is f:
+        return kernel
+    num, base = (_float_sum(p.poly) for p in (f.num, f.base))
+    source = (
+        "def kernel(a0, a1, a2, sr, table):\n"
+        "    total = 0.0\n"
+        "    for w0, w1, w2 in table:\n"
+        "        x0 = a0 + sr * w0\n"
+        "        x1 = a1 + sr * w1\n"
+        "        x2 = a2 + sr * w2\n"
+        f"        total += {num} / {base} ** {f.exp}\n"
+        "    return total\n"
+    )
+    namespace: dict = {}
+    exec(compile(source, "<circle kernel>", "exec"), namespace)
+    kernel = namespace["kernel"]
+    _kernel_cache = (f, kernel)
+    return kernel
+
+
+def _float_sum(p) -> str:
+    """p's float value at (x0, x1, x2) as one expression: (0.0 + t1 + t2 + ...)."""
+    den = p.denominator
+    terms = ["0.0"]
+    for c, _, factors in p._evaluation_plan()[1]:
+        terms.append("*".join([f"({c / den!r})"] + [f"x{i}**{e}" for i, e in factors]))
+    return f"({' + '.join(terms)})"
 
 
 def check_mean_monotonicity(means: Sequence[float], tol: float = MONOTONICITY_TOL):

@@ -830,12 +830,6 @@ class SphereFunction:
         den_val = self.base.poly.evaluate_float(point) ** self.exp
         return self.num.poly.evaluate_float(point) / den_val
 
-    def float_evaluator(self) -> Callable[[Sequence[float]], float]:
-        """``evaluate_float`` compiled once (see ``Polynomial.float_evaluator``);
-        a zero float denominator raises ZeroDivisionError."""
-        num, base = self.num.poly.float_evaluator(), self.base.poly.float_evaluator()
-        return lambda point: num(point) / base(point) ** self.exp
-
     def substitute_linear(self, matrix: Sequence[Sequence[RationalLike]]) -> "SphereFunction":
         """Exact linear change of variables applied to numerator and denominator."""
         num = SpherePolynomial(self.num.poly.substitute_linear(matrix))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from sphere_sos import growth
 from sphere_sos.growth import (
     analyze_growth,
     check_mean_monotonicity,
@@ -103,6 +104,90 @@ class TestSphericalMeanMatchesTheNodeLoop:
             spherical_mean_loop(f, (1.0, 0.0, 0.0), math.pi / 2, 8)
         with pytest.raises(ZeroDivisionError):
             spherical_mean(f, (1.0, 0.0, 0.0), math.pi / 2, 8)
+
+
+TILTED = (0.1, 0.05, -math.sqrt(1 - 0.0125))
+GROWTH_FAMILIES = [f"stereo:k={k}:{part}" for k in range(7) for part in ("re", "im")] + [
+    "control:equator-band"
+]
+
+
+@pytest.mark.parametrize("order", [8, 64, 1024])
+@pytest.mark.parametrize("family", GROWTH_FAMILIES)
+def test_whole_report_matches_the_node_loop(family, order, monkeypatch):
+    # Every circle mean of a report, and M''(0) fitted from three more, equal
+    # the bits of the same report with each mean taken by the node loop.
+    value, _ = resolve_family(family)
+    f = value * value
+    for center in (SOUTH, TILTED, (1.0, 0.0, 0.0)):
+        got = analyze_growth(f, family, center, 1.2, 4, order)
+        with monkeypatch.context() as patch:
+            patch.setattr(growth, "spherical_mean", spherical_mean_loop)
+            expected = analyze_growth(f, family, center, 1.2, 4, order)
+        assert [m.hex() for m in got.means] == [m.hex() for m in expected.means]
+        assert got.second_derivative_fd.hex() == expected.second_derivative_fd.hex()
+        assert got == expected
+
+
+class TestCircleCaches:
+    def test_interleaved_integrands_and_tables(self):
+        value, _ = resolve_family("stereo:k=3:re")
+        first, second = value * value, squared_control()
+        fresh_value, _ = resolve_family("stereo:k=3:re")
+        fresh = fresh_value * fresh_value
+        assert fresh is not first and fresh == first
+        tables = [(SOUTH, 64), (TILTED, 1024)]
+        calls = [(first, 0), (second, 0), (first, 1), (second, 1), (fresh, 0), (first, 1),
+                 (second, 0), (fresh, 1)]
+        for f, which in calls:
+            center, order = tables[which]
+            got = spherical_mean(f, center, 0.5, order)
+            assert got.hex() == spherical_mean_loop(f, center, 0.5, order).hex()
+
+    def test_one_table_is_kept(self):
+        one = SphereFunction.constant(3, 1)
+        spherical_mean(one, SOUTH, 0.5, 64)
+        spherical_mean(one, TILTED, 0.5, 128)
+        info = growth._tangent_table.cache_info()
+        assert info.maxsize == info.currsize == 1
+
+    def test_signed_zero_centers_match_the_loop(self):
+        f = squared(stereographic_harmonic(3, "re"))
+        for center in ((0.0, 0.0, -1.0), (-0.0, -0.0, -1.0), (0.0, 0.0, -1.0)):
+            for r in (0.0, 0.5):
+                got = spherical_mean(f, center, r, 16)
+                assert got.hex() == spherical_mean_loop(f, center, r, 16).hex()
+
+    @pytest.mark.parametrize(
+        "c", [Fraction(3, 10**310), Fraction(10**300, 7), Fraction(-1, 3)],
+        ids=["tiny", "huge", "negative"],
+    )
+    def test_coefficient_literals_are_exact(self, c):
+        # A constant's one-node kernel returns its float literal unchanged;
+        # 3e-310 is subnormal and 10**300 / 7 is not a short decimal.
+        assert growth._circle_kernel(SphereFunction.constant(3, c))(
+            0.0, 0.0, 0.0, 1.0, ((0.0, 0.0, -1.0),)
+        ) == float(c)
+        x1, x2, x3 = (SpherePolynomial.variable(3, i) for i in (1, 2, 3))
+        f = SphereFunction.from_polynomial(x1 * x1.scale(c) + x2.scale(c) + x3.scale(Fraction(1, 7)))
+        for center in (SOUTH, TILTED):
+            got = spherical_mean(f, center, 0.7, 64)
+            assert got.hex() == spherical_mean_loop(f, center, 0.7, 64).hex()
+
+    @pytest.mark.parametrize(
+        "center",
+        [(0.0, -1.0), (0.0, 0.0, 0.0, -1.0), (math.nan, 0.0, -1.0), (0.0, math.inf, -1.0),
+         (10**400, 0, 0), "south", "0,0,-1", None, (Fraction(1, 2), 0.0, -1.0)],
+    )
+    def test_center_must_be_three_finite_floats(self, center):
+        one = SphereFunction.constant(3, 1)
+        with pytest.raises(ValueError, match="center must be 3 finite floats"):
+            spherical_mean(one, center, 0.5, 8)
+
+    def test_integer_center_is_read_as_floats(self):
+        f = squared(stereographic_harmonic(2, "im"))
+        got = spherical_mean(f, [1, 0, 0], 0.5, 32)
+        assert got.hex() == spherical_mean(f, (1.0, 0.0, 0.0), 0.5, 32).hex()
 
 
 class TestMonotonicity:
