@@ -45,8 +45,7 @@ _EXPORTS = {
                      "rotation_fields"),
         (harmonics, "CapDomain HarmonicFunction HarmonicityError euclidean_harmonic "
                     "planar_combination stereographic_harmonic"),
-        (certificates, "CertificateReport delta_power euclid_certificate sos_certificate "
-                       "verify_certificate"),
+        (certificates, "CertificateReport delta_power euclid_certificate verify_certificate"),
     )
     for name in names.split()
 }

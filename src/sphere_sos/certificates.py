@@ -3,9 +3,9 @@
 For a harmonic h the k-th spherical Laplacian power of h^2 equals
 2^k times the sum of (X_w h)^2 over all length-k words w in the rotation
 fields; every word term is again harmonic because the fields commute with the
-Laplacian.  ``sos_certificate`` lists those 3^k terms; ``verify_certificate``
-proves the same identity on the span of the terms instead (the Gram-matrix
-form of a sum of squares, Parrilo 2003):
+Laplacian.  ``verify_certificate`` proves the identity on the span of the
+terms, never listing the 3^k words (the Gram-matrix form of a sum of squares,
+Parrilo 2003):
 
   * level by level, the fields are applied to a basis of the span of the
     length-(j-1) terms; exact elimination keeps the first independent images
@@ -23,12 +23,14 @@ all harmonic exactly when every word term is.  Equality is verified exactly
 (cross-multiplication in the quotient field) and nonnegativity is then
 re-checked by exact rational sign tests at deterministic sample points on the
 cap, drawn first (a count below 1 fails before any certificate work) and
-built and evaluated in integers.  The same scheme with coordinate partials
-certifies the Euclidean statement for harmonic polynomials.
+built and evaluated in integers.  ``word_span`` takes the fields as
+callables, so the same engine with the coordinate partials certifies the
+Euclidean statement for harmonic polynomials.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import time
@@ -98,37 +100,7 @@ def delta_power(f: SphereFunction, k: int) -> SphereFunction:
     return f
 
 
-def certificate_words(m: int, k: int) -> list[tuple]:
-    """All ordered length-k words over the m(m-1)/2 rotation fields.
-
-    Full enumeration, no symmetry reduction; deterministic lexicographic order.
-    """
-    return list(product(rotation_fields(m), repeat=k))
-
-
-def sos_certificate(h: HarmonicFunction, k: int) -> list[SphereFunction]:
-    """Certificate terms X_w h for every length-k word w (first field applied first).
-
-    Requires k >= 1; the k = 0 statement is just h^2 >= 0.
-    """
-    if k < 1:
-        raise ValueError(f"need k >= 1, got {k}")
-    terms = []
-    # Reuse shared prefixes: terms for words agreeing on the first k-1 letters
-    # differ only in the final application.
-    cache: dict[tuple, SphereFunction] = {(): h.value}
-
-    def term_for(word: tuple) -> SphereFunction:
-        if word not in cache:
-            cache[word] = apply_rotation_field(word[-1], term_for(word[:-1]))
-        return cache[word]
-
-    for word in certificate_words(h.m, k):
-        terms.append(term_for(word))
-    return terms
-
-
-def _weighted_sum(squares: Sequence[SphereFunction], k: int) -> SphereFunction:
+def _weighted_sum(squares: Sequence[Polynomial | SphereFunction], k: int):
     """2^k times the sum of the squares, accumulated in the order given."""
     if not squares:
         raise ValueError("certificate needs at least one term")
@@ -154,17 +126,17 @@ def _map_ordered(fn: Callable, items: Sequence) -> list:
 
 
 class WordSpan(NamedTuple):
-    """Bases of the spans of the word terms of h, level by level.
+    """Bases of the spans of the word terms of a start term s, level by level.
 
-    ``levels[j]`` is a basis of the span of the length-j terms X_w h
-    (``levels[0]`` is [h], or [] when h = 0).  ``matrices[j - 1][a]`` is the
-    exact matrix of field a from level j - 1 to level j: X_a applied to
+    ``levels[j]`` is a basis of the span of the length-j terms Y_w s
+    (``levels[0]`` is [s], or [] when s = 0).  ``matrices[j - 1][a]`` is the
+    exact matrix of field a from level j - 1 to level j: Y_a applied to
     ``levels[j - 1][i]`` is the sum over r of ``A[r][i] * levels[j][r]``.
     ``term_count`` is the number of words, the product of the field counts
     over the levels.
     """
 
-    levels: list[list[SphereFunction]]
+    levels: list[list[Polynomial | SphereFunction]]
     matrices: list[list[Matrix]]
     term_count: int
 
@@ -173,17 +145,22 @@ class WordSpan(NamedTuple):
         return len(self.levels[-1])
 
 
-def _coefficient_rows(funcs: Sequence[SphereFunction]) -> list[list[int]]:
-    """One column per function, one row per monomial: the numerators of the
-    functions over one common denominator base^e, as integers over the lcm
-    of their coefficient denominators.  Normal forms are unique and base^e is
-    a fixed nonzero function, so the linear relations among the columns are
-    exactly those among the functions."""
-    bases = [f.base for f in funcs if f.exp > 0]
-    if any(b != bases[0] for b in bases[1:]):
-        raise ValueError("certificate terms do not share one denominator base")
-    e = max((f.exp for f in funcs), default=0)
-    polys = [f.num.poly if f.exp == e else (f.num * bases[0] ** (e - f.exp)).poly for f in funcs]
+def _coefficient_rows(funcs: Sequence[Polynomial | SphereFunction]) -> list[list[int]]:
+    """One column per function, one row per monomial: the coefficients of
+    the polynomials, as integers over the lcm of their denominators.
+    Polynomials are taken as they are; sphere functions by their numerators
+    over one common denominator base^e.  Normal forms are unique and base^e
+    is a fixed nonzero function, so the linear relations among the columns
+    are exactly those among the functions."""
+    polys = funcs
+    if funcs and isinstance(funcs[0], SphereFunction):
+        bases = [f.base for f in funcs if f.exp > 0]
+        if any(b != bases[0] for b in bases[1:]):
+            raise ValueError("certificate terms do not share one denominator base")
+        e = max(f.exp for f in funcs)
+        polys = [
+            f.num.poly if f.exp == e else (f.num * bases[0] ** (e - f.exp)).poly for f in funcs
+        ]
     den = math.lcm(*(p.denominator for p in polys))
     columns = [(p.numerators, den // p.denominator) for p in polys]
     monomials = sorted({mono for p in polys for mono in p.numerators}, key=term_order_key)
@@ -206,17 +183,19 @@ def _check_coordinates(rows: list[list[int]], pivots: list[int], coords: Matrix)
                 )
 
 
-def word_span(h: HarmonicFunction, k: int) -> WordSpan:
-    """Exact bases of the spans of the length-0..k word terms of h, and the
-    field matrices between them; images are taken field by field, and each
-    level keeps the first independent ones."""
+def word_span(
+    start: Polynomial | SphereFunction, k: int, fields: Sequence[Callable]
+) -> WordSpan:
+    """Exact bases of the spans of the length-0..k word terms of start, and
+    the field matrices between them.  Each field is a callable that maps a
+    term to its image; images are taken field by field, and each level keeps
+    the first independent ones."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    fields = rotation_fields(h.m)
-    basis = [] if h.value.is_zero() else [h.value]
+    basis = [] if start.is_zero() else [start]
     levels, matrices, term_count = [basis], [], 1
     for _ in range(k):
-        images = [apply_rotation_field(field, v) for field in fields for v in basis]
+        images = [field(v) for field in fields for v in basis]
         rows = _coefficient_rows(images)
         pivots, coords = linalg.column_basis(rows, len(images))
         _check_coordinates(rows, pivots, coords)
@@ -234,8 +213,8 @@ def word_span(h: HarmonicFunction, k: int) -> WordSpan:
 
 
 def gram_matrix(span: WordSpan) -> Matrix:
-    """G_k with sum over words w of (X_w h)^2 = v^T G_k v on the level-k basis
-    v: G_0 = [1] on the basis [h], G_j = sum_a A_a G_(j-1) A_a^T.
+    """G_k with sum over words w of (Y_w s)^2 = v^T G_k v on the level-k basis
+    v: G_0 = [1] on the basis [s], G_j = sum_a A_a G_(j-1) A_a^T.
 
     Runs in integers: G_j is an integer matrix over one denominator, and each
     level's field matrices are scaled to integers by one common factor q, so
@@ -260,7 +239,9 @@ def gram_matrix(span: WordSpan) -> Matrix:
     return [[Fraction(x, den) for x in row] for row in gram]
 
 
-def gram_squares(span: WordSpan, gram: Matrix) -> tuple[list[Fraction], list[SphereFunction]]:
+def gram_squares(
+    span: WordSpan, gram: Matrix
+) -> tuple[list[Fraction], list[Polynomial | SphereFunction]]:
     """(d, u) with v^T G v = sum_i d_i u_i^2, from G = L diag(d) L^T and
     u = L^T v on the level-k basis v.
 
@@ -298,7 +279,10 @@ def verify_certificate(
     points = sample_cap_points(sample_count, seed)
     expected = (h.m * (h.m - 1) // 2) ** k
     lhs = delta_power(h.value * h.value, k)
-    span = word_span(h, k)
+    # Bound when the certificate runs, so the fields call apply_rotation_field
+    # as this module holds it then (the benchmark tracer wraps it).
+    fields = [functools.partial(apply_rotation_field, field) for field in rotation_fields(h.m)]
+    span = word_span(h.value, k, fields)
     weights, u = gram_squares(span, gram_matrix(span))
     per_square = _map_ordered(_square_and_harmonicity, u)
     squares = [sq.scale(d) for d, (sq, _) in zip(weights, per_square)]
@@ -352,9 +336,11 @@ def euclid_delta_power(p: Polynomial, k: int) -> Polynomial:
 def euclid_certificate(p: Polynomial, k: int, grid: int = 5) -> EuclideanCertificateReport:
     """Certificate for the Euclidean power statement on a harmonic polynomial.
 
-    Checks laplace_euclid^k (p^2) == 2^k * sum over length-k words in the
-    coordinate partials of (d_w p)^2, exactly, then sign-tests the left side
-    on a rational grid in [-1, 1]^m.
+    Checks laplace_euclid^k (p^2) == 2^k * sum over the m^k length-k words in
+    the coordinate partials of (d_w p)^2, exactly, then sign-tests the left
+    side on a rational grid in [-1, 1]^m.  The partials commute with the
+    Laplacian, so the right-hand side is built as on the sphere: on the span
+    of the word terms, as 2^k sum_i d_i u_i^2.
     """
     if not laplace_euclid(p).is_zero():
         raise ValueError("euclid_certificate needs a Euclidean-harmonic polynomial")
@@ -364,26 +350,17 @@ def euclid_certificate(p: Polynomial, k: int, grid: int = 5) -> EuclideanCertifi
         raise ValueError(f"need grid >= 1, got {grid}")
     m = p.m
     lhs = euclid_delta_power(p * p, k)
-    if k == 0:
-        terms = [p]
-    else:
-        terms = []
-        for word in product(range(1, m + 1), repeat=k):
-            q = p
-            for index in word:
-                q = q.partial(index)
-            terms.append(q)
-    rhs = Polynomial.zero(m)
-    for t in terms:
-        rhs = rhs + t * t
-    rhs = rhs.scale(Fraction(2) ** k)
+    span = word_span(p, k, [operator.methodcaller("partial", i) for i in range(1, m + 1)])
+    weights, u = gram_squares(span, gram_matrix(span))
+    squares = [(t * t).scale(d) for d, t in zip(weights, u)]
+    rhs = _weighted_sum(squares, k) if squares else Polynomial.zero(m)
     samples = []
     steps = [Fraction(2 * i, grid - 1) - 1 for i in range(grid)] if grid > 1 else [Fraction(0)]
     for pt in product(steps, repeat=m):
         samples.append(SamplePoint(point=tuple(pt), value=lhs.evaluate(pt)))
     return EuclideanCertificateReport(
         k=k,
-        term_count=len(terms),
+        term_count=span.term_count,
         equality_verified=lhs == rhs,
         samples=samples,
     )

@@ -72,9 +72,9 @@ def spherical_mean(
 ) -> float:
     """Mean of f over the geodesic circle of radius r about the center.
 
-    Periodic trapezoid rule with ``order`` nodes; the integrand must stay away
-    from the denominator's zero set, which callers guarantee by keeping the
-    circle inside the working cap.
+    Periodic trapezoid rule with ``order`` nodes; the center must be a unit
+    vector, and the integrand must stay away from the denominator's zero set,
+    which callers guarantee by keeping the circle inside the working cap.
     """
     if f.m != 3:
         raise ValueError("spherical means are implemented on S^2 (ambient dim 3)")
@@ -89,7 +89,8 @@ def spherical_mean(
 
 
 def _finite_point(center) -> tuple[float, float, float]:
-    """The center as 3 floats; ValueError unless it is 3 finite real numbers."""
+    """The center as 3 floats; ValueError unless it is 3 finite real numbers
+    whose squares sum to 1 within the CLI's tolerance, 1e-12."""
     try:
         ok = len(center) == 3 and all(
             isinstance(c, (int, float)) and math.isfinite(c) for c in center
@@ -98,7 +99,10 @@ def _finite_point(center) -> tuple[float, float, float]:
         ok = False
     if not ok:
         raise ValueError(f"center must be 3 finite floats, got {center!r}")
-    return tuple(map(float, center))
+    point = tuple(map(float, center))
+    if abs(sum(c * c for c in point) - 1.0) > 1e-12:
+        raise ValueError(f"center must lie on the unit sphere, got {center!r}")
+    return point
 
 
 @functools.lru_cache(maxsize=1)

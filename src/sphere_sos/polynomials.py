@@ -329,28 +329,20 @@ class Polynomial:
         xs = [v.numerator * (den // v.denominator) for v in pt]
         return Fraction(*self._value_over(_powers(xs, den, self._evaluation_plan()[0])))
 
-    def float_evaluator(self) -> Callable[[Sequence[float]], float]:
-        """The float value at a point, as a callable: the coefficients become
-        floats once (int true division rounds as ``float`` of the Fraction
-        does), and each call multiplies a term's nonzero powers into its
-        coefficient and adds the terms in order onto 0.0.  No length check."""
-        den = self.denominator
-        terms = [(c / den, factors) for c, _, factors in self._evaluation_plan()[1]]
-
-        def evaluate(point: Sequence[float]) -> float:
-            total = 0.0
-            for term, factors in terms:
-                for i, e in factors:
-                    term *= point[i] ** e
-                total += term
-            return total
-
-        return evaluate
-
     def evaluate_float(self, point: Sequence[float]) -> float:
+        """The float value at a point: each coefficient becomes a float (int
+        true division rounds as ``float`` of the Fraction does), a term's
+        nonzero powers multiply into it, and the terms add in order onto 0.0."""
         if len(point) != self.m:
             raise ValueError(f"point has length {len(point)}, expected {self.m}")
-        return self.float_evaluator()(point)
+        den = self.denominator
+        total = 0.0
+        for c, _, factors in self._evaluation_plan()[1]:
+            term = c / den
+            for i, e in factors:
+                term *= point[i] ** e
+            total += term
+        return total
 
     def substitute_linear(self, matrix: Sequence[Sequence[RationalLike]]) -> "Polynomial":
         """Substitute x_i -> sum_j matrix[i][j] * x_j (an exact linear change of variables)."""

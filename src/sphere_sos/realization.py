@@ -15,22 +15,19 @@ normalization it coincides exactly with the spherical Laplacian, and as
 ``laplace_sphere`` uses the Euclidean identity, not the fields, the two
 routes are independent.  The theorem-level checks (Casimir = Laplacian,
 commutation, group case) take the basis images, so they serve every realized
-algebra, and they are finite proofs on the 2-jets of ``jet_functions``;
-``standard_test_suite`` is a sampled reference kept for cross-checks in the tests.
+algebra, and they are finite proofs on the 2-jets of ``jet_functions``.
 """
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .lie import CasimirElement, LieAlgebraData
-from .polynomials import Polynomial, SphereFunction, SpherePolynomial
+from .polynomials import SphereFunction, SpherePolynomial
 from .sphere_ops import (
     RotationField,
     apply_rotation_field,
-    generate_harmonic_basis,
     laplace_sphere,
     rotation_fields,
 )
@@ -145,37 +142,8 @@ def projected_casimir(
 
 
 # ----------------------------------------------------------------------
-# test suites and theorem-level checks
+# the 2-jets and theorem-level checks
 # ----------------------------------------------------------------------
-
-
-def standard_test_suite(
-    m: int,
-    max_harmonic_degree: int = 4,
-    random_count: int = 20,
-    seed: int = 710,
-) -> list[SphereFunction]:
-    """Deterministic exact test functions: harmonic restrictions plus seeded
-    random rational functions with pole-free denominators."""
-    suite: list[SphereFunction] = []
-    for d in range(max_harmonic_degree + 1):
-        for p in generate_harmonic_basis(m, d):
-            suite.append(SphereFunction.from_polynomial(SpherePolynomial(p)))
-    rng = random.Random(seed)
-    base = SpherePolynomial(
-        Polynomial.constant(m, 3) - Polynomial.variable(m, m)
-    )
-    for _ in range(random_count):
-        terms = {}
-        for _ in range(rng.randint(1, 4)):
-            exps = [0] * m
-            for _ in range(rng.randint(0, 3)):
-                exps[rng.randrange(m)] += 1
-            terms[tuple(exps)] = Fraction(rng.randint(-5, 5))
-        num = SpherePolynomial(Polynomial(m, terms))
-        exp = rng.randint(0, 2)
-        suite.append(SphereFunction._make(num, base, exp))
-    return suite
 
 
 def jet_functions(m: int) -> list[SphereFunction]:

@@ -10,6 +10,7 @@ exactly.  Only used by the tests.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -24,7 +25,7 @@ from sphere_sos.polynomials import (
     sample_plane_points,
 )
 from sphere_sos.realization import jet_functions, projected_casimir, realize
-from sphere_sos.sphere_ops import apply_rotation_field, rotation_fields
+from sphere_sos.sphere_ops import apply_rotation_field, generate_harmonic_basis, rotation_fields
 
 
 def symbols(m: int):
@@ -90,6 +91,75 @@ def from_sympy_poly(expr, m: int) -> Polynomial:
 # ----------------------------------------------------------------------
 # the plain loops that faster engine paths replaced, kept as exact oracles
 # ----------------------------------------------------------------------
+
+
+def certificate_words(m: int, k: int) -> list[tuple]:
+    """All ordered length-k words over the m(m-1)/2 rotation fields.
+
+    Full enumeration, no symmetry reduction; deterministic lexicographic order.
+    """
+    return list(product(rotation_fields(m), repeat=k))
+
+
+def sos_certificate(h, k: int) -> list[SphereFunction]:
+    """Certificate terms X_w h for every length-k word w (first field applied
+    first), one per word: the 3^k terms the span route never lists.
+
+    Requires k >= 1; the k = 0 statement is just h^2 >= 0.
+    """
+    if k < 1:
+        raise ValueError(f"need k >= 1, got {k}")
+    # Words agreeing on the first k-1 letters differ only in the final application.
+    cache: dict[tuple, SphereFunction] = {(): h.value}
+
+    def term_for(word: tuple) -> SphereFunction:
+        if word not in cache:
+            cache[word] = apply_rotation_field(word[-1], term_for(word[:-1]))
+        return cache[word]
+
+    return [term_for(word) for word in certificate_words(h.m, k)]
+
+
+def euclid_word_rhs(p: Polynomial, k: int) -> Polynomial:
+    """2^k times the sum of (d_w p)^2 over all m^k length-k words w in the
+    coordinate partials, one square per word; each term is taken from its
+    prefix's."""
+    terms = [p]
+    for _ in range(k):
+        terms = [t.partial(i) for t in terms for i in range(1, p.m + 1)]
+    total = Polynomial.zero(p.m)
+    for t in terms:
+        total = total + t * t
+    return total.scale(Fraction(2) ** k)
+
+
+def standard_test_suite(
+    m: int,
+    max_harmonic_degree: int = 4,
+    random_count: int = 20,
+    seed: int = 710,
+) -> list[SphereFunction]:
+    """Deterministic exact test functions: harmonic restrictions plus seeded
+    random rational functions with pole-free denominators."""
+    suite: list[SphereFunction] = []
+    for d in range(max_harmonic_degree + 1):
+        for p in generate_harmonic_basis(m, d):
+            suite.append(SphereFunction.from_polynomial(SpherePolynomial(p)))
+    rng = random.Random(seed)
+    base = SpherePolynomial(
+        Polynomial.constant(m, 3) - Polynomial.variable(m, m)
+    )
+    for _ in range(random_count):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            exps = [0] * m
+            for _ in range(rng.randint(0, 3)):
+                exps[rng.randrange(m)] += 1
+            terms[tuple(exps)] = Fraction(rng.randint(-5, 5))
+        num = SpherePolynomial(Polynomial(m, terms))
+        exp = rng.randint(0, 2)
+        suite.append(SphereFunction._make(num, base, exp))
+    return suite
 
 
 def evaluate_fraction_loop(p: Polynomial, point) -> Fraction:

@@ -15,7 +15,6 @@ import pytest
 from sphere_sos.certificates import (
     delta_power,
     euclid_delta_power,
-    sos_certificate,
     verify_certificate,
 )
 from sphere_sos.cli import main as cli_main
@@ -43,7 +42,6 @@ from sphere_sos.realization import (
     ProjectedCasimir,
     projected_casimir,
     so_realization,
-    standard_test_suite,
     su2_fields,
     verify_commutation_theorem,
     verify_group_case_identity,
@@ -57,6 +55,7 @@ from sphere_sos.sphere_ops import (
 )
 
 from conftest import random_polynomial
+from oracles import sos_certificate, standard_test_suite
 
 FAMILY = [
     (k, part)

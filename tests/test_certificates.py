@@ -1,3 +1,5 @@
+import functools
+import operator
 import random
 from fractions import Fraction
 
@@ -6,13 +8,11 @@ import pytest
 from sphere_sos import certificates, linalg
 from sphere_sos.certificates import (
     _weighted_sum,
-    certificate_words,
     delta_power,
     euclid_certificate,
     euclid_delta_power,
     gram_matrix,
     gram_squares,
-    sos_certificate,
     verify_certificate,
     word_span,
 )
@@ -26,12 +26,19 @@ from sphere_sos.polynomials import (
 from sphere_sos.sphere_ops import (
     RotationField,
     apply_rotation_field,
+    generate_harmonic_basis,
     laplace_sphere,
     rotation_fields,
 )
 
 from conftest import random_sphere_function
-from oracles import cap_points_by_fractions, function_evaluate_fraction_loop
+from oracles import (
+    cap_points_by_fractions,
+    certificate_words,
+    euclid_word_rhs,
+    function_evaluate_fraction_loop,
+    sos_certificate,
+)
 
 
 def var(m, i):
@@ -225,9 +232,37 @@ class TestCertificateNegativeControl:
             assert _weighted_sum(squares[:i] + squares[i + 1:], 2) != lhs
 
 
+def rotation_span(h, k):
+    """The span of the word terms of h over the rotation fields, in
+    verify_certificate's field order."""
+    fields = [functools.partial(apply_rotation_field, field) for field in rotation_fields(h.m)]
+    return word_span(h.value, k, fields)
+
+
+def partials(m):
+    return [operator.methodcaller("partial", i) for i in range(1, m + 1)]
+
+
+def euclid_span_rhs(p, k):
+    """2^k sum_i d_i u_i^2 from the span of the partial-derivative terms."""
+    span = word_span(p, k, partials(p.m))
+    d, u = gram_squares(span, gram_matrix(span))
+    if not u:
+        return Polynomial.zero(p.m)
+    return _weighted_sum([(t * t).scale(w) for w, t in zip(d, u)], k)
+
+
+def harmonic_combination(m, d):
+    """A signed combination of the whole degree-d harmonic basis."""
+    total = Polynomial.zero(m)
+    for i, q in enumerate(generate_harmonic_basis(m, d)):
+        total = total + q.scale((-1) ** i * (i + 1))
+    return total
+
+
 def gram_rhs(h, k):
     """2^k sum_i d_i u_i^2 from the span of the word terms."""
-    span = word_span(h, k)
+    span = rotation_span(h, k)
     d, u = gram_squares(span, gram_matrix(span))
     if not u:
         return SphereFunction.zero(h.m)
@@ -269,7 +304,7 @@ class TestGramRoute:
     @pytest.mark.parametrize("family, part", [(1, "re"), (2, "im"), (3, "re")])
     def test_span_dimension_is_the_rank_of_the_word_terms(self, family, part):
         h = stereographic_harmonic(family, part)
-        span = word_span(h, 3)
+        span = rotation_span(h, 3)
         for k in (1, 2, 3):
             vectors = numerator_vectors(sos_certificate(h, k))
             assert len(span.levels[k]) == linalg.rank(vectors)
@@ -284,7 +319,7 @@ class TestGramRoute:
 
     def test_field_matrices_reproduce_every_image(self):
         h = stereographic_harmonic(2, "im")
-        span = word_span(h, 3)
+        span = rotation_span(h, 3)
         fields = rotation_fields(3)
         for j, field_matrices in enumerate(span.matrices, start=1):
             for field, a in zip(fields, field_matrices):
@@ -309,7 +344,9 @@ class TestGramRoute:
 
         monkeypatch.setattr(linalg, "column_basis", wrong_in_one_column)
         with pytest.raises(RuntimeError, match="span coordinates"):
-            word_span(stereographic_harmonic(2, "re"), 2)
+            rotation_span(stereographic_harmonic(2, "re"), 2)
+        with pytest.raises(RuntimeError, match="span coordinates"):
+            word_span(harmonic_combination(3, 3), 2, partials(3))
 
     def test_wrong_span_coordinates_are_caught(self, monkeypatch):
         real = linalg.column_basis
@@ -321,13 +358,13 @@ class TestGramRoute:
 
         monkeypatch.setattr(linalg, "column_basis", off_by_one)
         with pytest.raises(RuntimeError, match="span coordinates"):
-            word_span(stereographic_harmonic(2, "re"), 2)
+            rotation_span(stereographic_harmonic(2, "re"), 2)
 
     def test_perturbed_field_matrix_breaks_equality(self, monkeypatch):
         real = word_span
 
-        def perturbed(h, k):
-            span = real(h, k)
+        def perturbed(start, k, fields):
+            span = real(start, k, fields)
             span.matrices[-1][0][0][0] += 1
             return span
 
@@ -424,3 +461,47 @@ class TestEuclideanCertificates:
         p = var(3, 1)
         report = euclid_certificate(p, 2, grid=2)
         assert report.term_count == 9
+
+
+class TestEuclideanSpanRoute:
+    """euclid_certificate runs on the span of the m^k word terms; the word
+    route of tests/oracles.py (one square per word) is the reference."""
+
+    @pytest.mark.parametrize("d", range(7))
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_matches_the_word_route(self, m, d):
+        p = harmonic_combination(m, d)
+        assert not p.is_zero()
+        square = p * p
+        for k in range(7):
+            report = euclid_certificate(p, k, grid=2)
+            assert report.passed, k
+            assert report.term_count == m**k
+            word_rhs = euclid_word_rhs(p, k)
+            assert euclid_span_rhs(p, k) == word_rhs == euclid_delta_power(square, k), k
+            assert word_rhs.is_zero() is (k > d)
+
+    @pytest.mark.parametrize("m", [2, 3, 4, 5])
+    def test_zero_has_an_empty_span(self, m):
+        p = Polynomial.zero(m)
+        for k in range(7):
+            report = euclid_certificate(p, k, grid=2)
+            assert report.passed and report.equality_verified
+            assert report.term_count == m**k
+            assert word_span(p, k, partials(m)).dimension == 0
+            assert euclid_span_rhs(p, k).is_zero() and euclid_word_rhs(p, k).is_zero()
+
+    def test_levels_are_the_independent_partials(self):
+        # Level j of x1^2 - x2^2 is spanned by its order-j partials.
+        p = var(2, 1) ** 2 - var(2, 2) ** 2
+        span = word_span(p, 3, partials(2))
+        first = [2 * var(2, 1), -2 * var(2, 2)]
+        assert span.levels == [[p], first, [Polynomial.constant(2, 2)], []]
+        assert span.term_count == 8
+
+    def test_deep_certificate(self):
+        # 4^8 = 65,536 words; the span route lists none of them.
+        basis = generate_harmonic_basis(4, 8)
+        report = euclid_certificate(basis[0] + basis[-1], 8, grid=2)
+        assert report.passed
+        assert report.term_count == 4**8

@@ -184,6 +184,20 @@ class TestCircleCaches:
         with pytest.raises(ValueError, match="center must be 3 finite floats"):
             spherical_mean(one, center, 0.5, 8)
 
+    def test_off_sphere_centers_are_rejected(self):
+        one = SphereFunction.constant(3, 1)
+        with pytest.raises(ValueError, match="center must lie on the unit sphere"):
+            spherical_mean(one, (0.0, 0.0, -2.0), 0.5, 8)
+        f = squared(stereographic_harmonic(1, "re"))
+        with pytest.raises(ValueError, match="center must lie on the unit sphere"):
+            analyze_growth(f, "x", (0.0, 0.0, -3.0), 1.2, 3, 8)
+
+    def test_the_unit_sphere_check_uses_the_cli_tolerance(self):
+        one = SphereFunction.constant(3, 1)
+        assert spherical_mean(one, (0.0, 0.0, -(1.0 + 4e-13)), 0.5, 8) == 1.0
+        with pytest.raises(ValueError, match="center must lie on the unit sphere"):
+            spherical_mean(one, (0.0, 0.0, -(1.0 + 1e-11)), 0.5, 8)
+
     def test_integer_center_is_read_as_floats(self):
         f = squared(stereographic_harmonic(2, "im"))
         got = spherical_mean(f, [1, 0, 0], 0.5, 32)

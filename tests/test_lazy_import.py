@@ -83,7 +83,7 @@ PUBLIC = [
     "check_spherical_eigenvalue", "check_sum_of_squares_identity", "delta_power",
     "euclid_certificate", "euclidean_harmonic", "euler_operator", "generate_harmonic_basis",
     "laplace_euclid", "laplace_sphere", "planar_combination", "rotation_fields",
-    "sos_certificate", "stereographic_harmonic", "verify_certificate",
+    "stereographic_harmonic", "verify_certificate",
 ]
 
 

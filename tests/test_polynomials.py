@@ -362,7 +362,6 @@ class TestFloatEvaluator:
     @settings(max_examples=100, deadline=None)
     def test_matches_the_float_loop(self, p, pt):
         expected = evaluate_float_loop(p, pt)
-        assert same_float(p.float_evaluator()(pt), expected)
         assert same_float(p.evaluate_float(pt), expected)
 
     @pytest.mark.parametrize(

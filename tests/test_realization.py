@@ -25,7 +25,6 @@ from sphere_sos.realization import (
     realization_antihomomorphism_defect,
     realize,
     so_realization,
-    standard_test_suite,
     su2_fields,
     su2_realization,
     verify_commutation_theorem,
@@ -35,7 +34,7 @@ from sphere_sos.realization import (
 from sphere_sos.sphere_ops import RotationField, apply_rotation_field, laplace_sphere
 
 from conftest import random_polynomial
-from oracles import commutation_by_fields, realized_field_by_zero_sum
+from oracles import commutation_by_fields, realized_field_by_zero_sum, standard_test_suite
 
 
 def sphere_var(m, i):
