@@ -40,11 +40,10 @@ _EXPORTS = {
     name: module
     for module, names in (
         (polynomials, "Polynomial SphereFunction SpherePolynomial euler_operator laplace_euclid"),
-        (sphere_ops, "RotationField apply_rotation_field check_spherical_eigenvalue "
-                     "check_sum_of_squares_identity generate_harmonic_basis laplace_sphere "
+        (sphere_ops, "RotationField apply_rotation_field generate_harmonic_basis laplace_sphere "
                      "rotation_fields"),
-        (harmonics, "CapDomain HarmonicFunction HarmonicityError euclidean_harmonic "
-                    "planar_combination stereographic_harmonic"),
+        (harmonics, "CapDomain HarmonicFunction HarmonicityError custom_harmonic "
+                    "euclidean_harmonic planar_combination stereographic_harmonic"),
         (certificates, "CertificateReport delta_power euclid_certificate verify_certificate"),
     )
     for name in names.split()

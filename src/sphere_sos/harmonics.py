@@ -73,6 +73,11 @@ class HarmonicFunction(NamedTuple):
 
 
 def _certify(value: SphereFunction, domain: CapDomain, provenance: str) -> HarmonicFunction:
+    if value.m != domain.ambient_dim:
+        raise ValueError(
+            f"{provenance}: function has ambient dimension {value.m}, "
+            f"domain has {domain.ambient_dim}"
+        )
     image = laplace_sphere(value)
     if not image.is_zero():
         raise HarmonicityError(

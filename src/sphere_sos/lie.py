@@ -172,14 +172,6 @@ def so_basis_labels(m: int) -> list[str]:
     return [f"E{i}{j}" for i, j in combinations(range(1, m + 1), 2)]
 
 
-def so_basis_matrix(m: int, i: int, j: int) -> list[list[Fraction]]:
-    """Antisymmetric matrix unit with +1 in row i column j (1-based), -1 transposed."""
-    rows = [[Fraction(0)] * m for _ in range(m)]
-    rows[i - 1][j - 1] = Fraction(1)
-    rows[j - 1][i - 1] = Fraction(-1)
-    return rows
-
-
 def so_algebra(m: int) -> LieAlgebraData:
     """so(m) on the basis {E_ij}_{i<j}, from the closed form
     [E_ij, E_kl] = d_jk E_il - d_ik E_jl - d_jl E_ik + d_il E_jk

@@ -197,10 +197,6 @@ class Polynomial:
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
         return Fraction(self.numerators.get(tuple(exponents), 0), self.denominator)
 
-    def is_homogeneous(self) -> bool:
-        degrees = {sum(exps) for exps in self.numerators}
-        return len(degrees) <= 1
-
     def content(self) -> Fraction:
         """Positive rational c with self = c * (primitive integer polynomial)."""
         if not self.numerators:
@@ -344,38 +340,6 @@ class Polynomial:
             total += term
         return total
 
-    def substitute_linear(self, matrix: Sequence[Sequence[RationalLike]]) -> "Polynomial":
-        """Substitute x_i -> sum_j matrix[i][j] * x_j (an exact linear change of variables)."""
-        if len(matrix) != self.m or any(len(row) != self.m for row in matrix):
-            raise ValueError(f"substitution matrix must be {self.m}x{self.m}")
-        images = []
-        for row in matrix:
-            terms: dict[Exponents, Fraction] = {}
-            for j, entry in enumerate(row):
-                c = _as_fraction(entry)
-                if c != 0:
-                    exps = [0] * self.m
-                    exps[j] = 1
-                    terms[tuple(exps)] = c
-            images.append(Polynomial(self.m, terms))
-        result = Polynomial.zero(self.m)
-        # Cache powers of each image since exponents repeat across terms.
-        power_cache: dict[tuple[int, int], Polynomial] = {}
-
-        def image_power(i: int, e: int) -> Polynomial:
-            key = (i, e)
-            if key not in power_cache:
-                power_cache[key] = images[i] ** e
-            return power_cache[key]
-
-        for exps, c in self.terms.items():
-            term = Polynomial.constant(self.m, c)
-            for i, e in enumerate(exps):
-                if e:
-                    term = term * image_power(i, e)
-            result = result + term
-        return result
-
     # ------------------------------------------------------------------
     # canonical text form
     # ------------------------------------------------------------------
@@ -415,7 +379,10 @@ class Polynomial:
                 coeff_text, factor_text = pieces
             else:
                 raise ValueError(f"malformed term {fragment!r}")
-            coeff = Fraction(coeff_text.strip())
+            try:
+                coeff = Fraction(coeff_text.strip())
+            except ZeroDivisionError:
+                raise ValueError(f"malformed term {fragment!r}") from None
             exps = [0] * m
             if factor_text:
                 for factor in factor_text.split():
@@ -716,9 +683,6 @@ class SphereFunction:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def is_polynomial(self) -> bool:
-        return self.exp == 0
-
     def _check_dim(self, other: "SphereFunction") -> None:
         if self.m != other.m:
             raise ValueError(f"ambient dimension mismatch: {self.m} vs {other.m}")
@@ -821,12 +785,6 @@ class SphereFunction:
     def evaluate_float(self, point: Sequence[float]) -> float:
         den_val = self.base.poly.evaluate_float(point) ** self.exp
         return self.num.poly.evaluate_float(point) / den_val
-
-    def substitute_linear(self, matrix: Sequence[Sequence[RationalLike]]) -> "SphereFunction":
-        """Exact linear change of variables applied to numerator and denominator."""
-        num = SpherePolynomial(self.num.poly.substitute_linear(matrix))
-        base = SpherePolynomial(self.base.poly.substitute_linear(matrix))
-        return SphereFunction._make(num, base, self.exp)
 
     def __str__(self) -> str:
         if self.exp == 0:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .lie import CasimirElement, LieAlgebraData
+from .lie import CasimirElement
 from .polynomials import SphereFunction, SpherePolynomial
 from .sphere_ops import (
     RotationField,
@@ -162,34 +162,22 @@ def jet_functions(m: int) -> list[SphereFunction]:
     return [SphereFunction.from_polynomial(p) for p in xs + products]
 
 
-def _proof_set(m: int, test_functions: Sequence[SphereFunction] | None) -> list[SphereFunction]:
-    """The 2-jets by default; an explicitly empty set proves nothing, so it is rejected."""
-    if test_functions is None:
-        return jet_functions(m)
-    functions = list(test_functions)
-    if not functions:
-        raise ValueError("an empty test function set proves nothing")
-    return functions
-
-
-def _operators_agree(lhs, rhs, m: int, test_functions) -> bool:
-    """True iff lhs(f) == rhs(f) exactly on every function of the proof set."""
-    return all(lhs(f) == rhs(f) for f in _proof_set(m, test_functions))
+def _operators_agree(lhs, rhs, m: int) -> bool:
+    """True iff lhs(f) == rhs(f) exactly on every 2-jet of S^{m-1}."""
+    return all(lhs(f) == rhs(f) for f in jet_functions(m))
 
 
 def verify_lap_eq_casimir(
     casimir: CasimirElement,
     images: Sequence[RealizedField],
-    test_functions: Sequence[SphereFunction] | None = None,
     scale: Fraction = Fraction(1),
 ) -> bool:
-    """True iff the projected Casimir equals scale * laplace_sphere on every
-    test function, exactly; on the default 2-jets this is a proof."""
+    """True iff the projected Casimir equals scale * laplace_sphere on the
+    2-jets, exactly: a proof."""
     return _operators_agree(
         projected_casimir(casimir, images),
         lambda f: laplace_sphere(f).scale(scale),
         images[0].m,
-        test_functions,
     )
 
 
@@ -197,22 +185,21 @@ def verify_commutation_theorem(
     casimir: CasimirElement,
     images: Sequence[RealizedField],
     complement_coords: Sequence[Sequence],
-    test_functions: Sequence[SphereFunction] | None = None,
 ) -> dict[str, bool]:
     """Exact commutation of realized fields with the projected Casimir.
 
     Returns verdicts for the complement fields (the theorem's statement) and
     for every field of the algebra (stronger, expected true on spheres where
     the operator is rotation invariant).  Each basis image's defect
-    Y_a(Omega f) - Omega(Y_a f) is computed once per test function; since
+    Y_a(Omega f) - Omega(Y_a f) is computed once per 2-jet f; since
     ``realize`` is linear, the defect of a complement vector c is
     sum_a c_a * defect_a.  Each commutator with the Casimir is again a sum of
-    compositions of two derivations, so on the default 2-jets the verdicts
-    are proofs.
+    compositions of two derivations, so on the 2-jets the verdicts are
+    proofs.
     """
     m = images[0].m
     operator = projected_casimir(casimir, images)
-    applied = [(f, operator(f)) for f in _proof_set(m, test_functions)]
+    applied = [(f, operator(f)) for f in jet_functions(m)]
     defects = [[field(lf) - operator(field(f)) for f, lf in applied] for field in images]
 
     def commutes(coords) -> bool:
@@ -234,20 +221,8 @@ def verify_commutation_theorem(
     return {"complement": complement, "full_algebra": full_algebra}
 
 
-def verify_group_case_identity(
-    test_functions: Sequence[SphereFunction] | None = None,
-) -> bool:
+def verify_group_case_identity() -> bool:
     """The three-field and six-field sums of squares agree exactly on S^3;
-    on the default 2-jets this is a proof."""
-    return _operators_agree(
-        ProjectedCasimir.of_squares(su2_fields()), laplace_sphere, 4, test_functions
-    )
+    on the 2-jets this is a proof."""
+    return _operators_agree(ProjectedCasimir.of_squares(su2_fields()), laplace_sphere, 4)
 
-
-def realization_antihomomorphism_defect(
-    algebra: LieAlgebraData, images: Sequence[RealizedField], u: Sequence, v: Sequence, f
-):
-    """realize([u, v]) f + [realize(u), realize(v)] f; zero when the
-    antihomomorphism law holds on f."""
-    ru, rv = realize(images, u), realize(images, v)
-    return realize(images, algebra.bracket(u, v))(f) + ru(rv(f)) - rv(ru(f))

@@ -9,8 +9,8 @@ sum of the squares of all the X_ij.  Everything here is exact.  The identity
 
 is how ``laplace_sphere`` computes it (r^2 = 1 in the quotient ring): second
 partials and Euler operators, with the quotient rule on N / B^e, in place of
-m(m-1) field applications.  ``check_sum_of_squares_identity`` checks the
-identity on raw polynomials, and the tests check against the field sum.
+m(m-1) field applications.  The tests check the identity on raw
+polynomials and against the field sum.
 """
 
 from __future__ import annotations
@@ -133,21 +133,6 @@ def laplace_sphere(f):
     return SphereFunction._make(SpherePolynomial(num), f.base, e + 2, canonical=True)
 
 
-def check_sum_of_squares_identity(p: Polynomial) -> bool:
-    """Raw-polynomial operator identity behind the spherical sum of squares.
-
-    True iff sum_{i<j} X_ij^2 p equals r^2 * laplace_euclid(p) - euler(euler(p))
-    - (m-2) * euler(p) exactly.  False is a finding, not an error.
-    """
-    m = p.m
-    lhs = Polynomial.zero(m)
-    for field in rotation_fields(m):
-        lhs = lhs + field.apply_raw(field.apply_raw(p))
-    ep = euler_operator(p)
-    rhs = Polynomial.radius_squared(m) * laplace_euclid(p) - euler_operator(ep) - ep.scale(m - 2)
-    return lhs == rhs
-
-
 # ----------------------------------------------------------------------
 # harmonic polynomials
 # ----------------------------------------------------------------------
@@ -206,23 +191,3 @@ def generate_harmonic_basis(m: int, d: int) -> list[Polynomial]:
         basis.append(p.scale(1 / p.content()))
     return basis
 
-
-def check_spherical_eigenvalue(p: Polynomial, m: int | None = None) -> bool:
-    """True iff the sphere restriction of the degree-l harmonic p satisfies
-    laplace_sphere = -l(l + m - 2) exactly.
-
-    Raises if p is not homogeneous harmonic (precondition violation, reported
-    distinctly from a false verdict).
-    """
-    if m is not None and m != p.m:
-        raise ValueError(f"ambient dimension mismatch: {m} vs {p.m}")
-    m = p.m
-    if not p.is_homogeneous():
-        raise ValueError("eigenvalue oracle needs a homogeneous polynomial")
-    if not laplace_euclid(p).is_zero():
-        raise ValueError("eigenvalue oracle needs a Euclidean-harmonic polynomial")
-    if p.is_zero():
-        return True
-    ell = p.degree()
-    restricted = SpherePolynomial(p)
-    return laplace_sphere(restricted) == restricted.scale(-ell * (ell + m - 2))

@@ -22,10 +22,17 @@ from sphere_sos.polynomials import (
     Polynomial,
     SphereFunction,
     SpherePolynomial,
+    euler_operator,
+    laplace_euclid,
     sample_plane_points,
 )
 from sphere_sos.realization import jet_functions, projected_casimir, realize
-from sphere_sos.sphere_ops import apply_rotation_field, generate_harmonic_basis, rotation_fields
+from sphere_sos.sphere_ops import (
+    apply_rotation_field,
+    generate_harmonic_basis,
+    laplace_sphere,
+    rotation_fields,
+)
 
 
 def symbols(m: int):
@@ -502,12 +509,15 @@ def natural_reductivity_by_projection(dec: ReductiveDecomposition):
 # ----------------------------------------------------------------------
 
 
-def commutation_by_fields(casimir, images, complement_coords, full_coords):
+def commutation_by_fields(casimir, images, complement_coords, full_coords, functions=None):
     """Commutation verdicts by realizing each coordinate vector as a field and
-    comparing field(Omega f) with Omega(field f) on every 2-jet: one pass
-    over the complement, one over full_coords."""
+    comparing field(Omega f) with Omega(field f) on every function (the
+    2-jets unless ``functions`` is given): one pass over the complement, one
+    over full_coords."""
     operator = projected_casimir(casimir, images)
-    applied = [(f, operator(f)) for f in jet_functions(images[0].m)]
+    if functions is None:
+        functions = jet_functions(images[0].m)
+    applied = [(f, operator(f)) for f in functions]
 
     def all_commute(coord_list) -> bool:
         for coords in coord_list:
@@ -578,3 +588,77 @@ def function_evaluate_fraction_loop(f: SphereFunction, point) -> Fraction:
     if den_val == 0:
         raise ZeroDivisionError(f"denominator vanishes at {tuple(str(v) for v in pt)}")
     return evaluate_fraction_loop(f.num.poly, pt) / den_val
+
+
+# ----------------------------------------------------------------------
+# reference checks and helpers that only the tests use
+# ----------------------------------------------------------------------
+
+
+def so_basis_matrix(m: int, i: int, j: int) -> list[list[Fraction]]:
+    """Antisymmetric matrix unit with +1 in row i column j (1-based), -1 transposed."""
+    rows = [[Fraction(0)] * m for _ in range(m)]
+    rows[i - 1][j - 1] = Fraction(1)
+    rows[j - 1][i - 1] = Fraction(-1)
+    return rows
+
+
+def realization_antihomomorphism_defect(algebra: LieAlgebraData, images, u, v, f):
+    """realize([u, v]) f + [realize(u), realize(v)] f; zero when the
+    antihomomorphism law holds on f.  Both sides are derivations, so zero on
+    every x_i proves the law."""
+    ru, rv = realize(images, u), realize(images, v)
+    return realize(images, algebra.bracket(u, v))(f) + ru(rv(f)) - rv(ru(f))
+
+
+def check_sum_of_squares_identity(p: Polynomial) -> bool:
+    """True iff sum_{i<j} X_ij^2 p equals r^2 * laplace_euclid(p) - euler(euler(p))
+    - (m-2) * euler(p) exactly, on the raw polynomial."""
+    m = p.m
+    lhs = Polynomial.zero(m)
+    for field in rotation_fields(m):
+        lhs = lhs + field.apply_raw(field.apply_raw(p))
+    ep = euler_operator(p)
+    rhs = Polynomial.radius_squared(m) * laplace_euclid(p) - euler_operator(ep) - ep.scale(m - 2)
+    return lhs == rhs
+
+
+def is_homogeneous(p: Polynomial) -> bool:
+    return len({sum(exps) for exps in p.numerators}) <= 1
+
+
+def check_spherical_eigenvalue(p: Polynomial) -> bool:
+    """True iff the sphere restriction of the degree-l harmonic p satisfies
+    laplace_sphere = -l(l + m - 2) exactly; ValueError unless p is
+    homogeneous and harmonic."""
+    if not is_homogeneous(p):
+        raise ValueError("eigenvalue oracle needs a homogeneous polynomial")
+    if not laplace_euclid(p).is_zero():
+        raise ValueError("eigenvalue oracle needs a Euclidean-harmonic polynomial")
+    if p.is_zero():
+        return True
+    ell = p.degree()
+    restricted = SpherePolynomial(p)
+    return laplace_sphere(restricted) == restricted.scale(-ell * (ell + p.m - 2))
+
+
+def substitute_linear(f, matrix):
+    """The exact change of variables x_i -> sum_j matrix[i][j] x_j, applied to
+    a Polynomial, or to a SphereFunction's numerator and base."""
+    if isinstance(f, SphereFunction):
+        num = SpherePolynomial(substitute_linear(f.num.poly, matrix))
+        base = SpherePolynomial(substitute_linear(f.base.poly, matrix))
+        return SphereFunction._make(num, base, f.exp)
+    m = f.m
+    images = []
+    for row in matrix:
+        terms = {tuple(int(k == j) for k in range(m)): Fraction(c) for j, c in enumerate(row)}
+        images.append(Polynomial(m, terms))
+    result = Polynomial.zero(m)
+    for exps, c in f.terms.items():
+        term = Polynomial.constant(m, c)
+        for image, e in zip(images, exps):
+            if e:
+                term = term * image**e
+        result = result + term
+    return result

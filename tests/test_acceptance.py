@@ -47,15 +47,15 @@ from sphere_sos.realization import (
     verify_group_case_identity,
     verify_lap_eq_casimir,
 )
-from sphere_sos.sphere_ops import (
-    check_spherical_eigenvalue,
-    check_sum_of_squares_identity,
-    generate_harmonic_basis,
-    laplace_sphere,
-)
+from sphere_sos.sphere_ops import generate_harmonic_basis, laplace_sphere
 
 from conftest import random_polynomial
-from oracles import sos_certificate, standard_test_suite
+from oracles import (
+    check_spherical_eigenvalue,
+    check_sum_of_squares_identity,
+    commutation_by_fields,
+    standard_test_suite,
+)
 
 FAMILY = [
     (k, part)
@@ -229,8 +229,11 @@ def test_criterion_08_casimir_theorems():
         alg = so_algebra(m)
         form = trace_form(m)
         cas = casimir_element(alg, form)
+        ok &= verify_lap_eq_casimir(cas, so_realization(m))
+        # The 2-jet proof, cross-checked on a sampled suite.
+        operator = projected_casimir(cas, so_realization(m))
         suite = standard_test_suite(m, max_harmonic_degree=4, random_count=20)
-        ok &= verify_lap_eq_casimir(cas, so_realization(m), suite)
+        ok &= all(operator(f) == laplace_sphere(f) for f in suite)
     # basis independence on so(3)
     alg = so_algebra(3)
     form = trace_form(3)
@@ -244,38 +247,44 @@ def test_criterion_08_casimir_theorems():
         alg = so_algebra(m)
         form = trace_form(m)
         dec = orthogonal_decomposition(alg, so_subalgebra_fixing_last_axis(m), form)
+        cas = casimir_element(alg, form)
         verdicts = verify_commutation_theorem(
-            casimir_element(alg, form),
-            so_realization(m),
-            complement_coords=dec.complement_basis,
-            test_functions=standard_test_suite(m, max_harmonic_degree=3, random_count=8),
+            cas, so_realization(m), complement_coords=dec.complement_basis
         )
-        ok &= verdicts["complement"] and verdicts["full_algebra"]
+        ok &= verdicts == {"complement": True, "full_algebra": True}
+        sampled = commutation_by_fields(
+            cas,
+            so_realization(m),
+            dec.complement_basis,
+            [alg.basis_vector(i) for i in range(alg.dim)],
+            standard_test_suite(m, max_harmonic_degree=3, random_count=8),
+        )
+        ok &= sampled == verdicts
     report(
         8,
         ok,
-        "projected Casimir equals spherical Laplacian exactly (m in 3..5, "
-        "default form), basis independence, and exact commutation with "
-        "complement and full-algebra fields",
+        "projected Casimir equals spherical Laplacian exactly on the 2-jets and "
+        "a sampled suite (m in 3..5, default form), basis independence, and "
+        "exact commutation with complement and full-algebra fields on both",
     )
 
 
 def test_criterion_09_group_case():
-    ok = verify_group_case_identity(
-        standard_test_suite(4, max_harmonic_degree=4, random_count=20)
-    )
+    ok = verify_group_case_identity()
+    squares = ProjectedCasimir.of_squares(su2_fields())
+    suite = standard_test_suite(4, max_harmonic_degree=4, random_count=20)
+    ok &= all(squares(f) == laplace_sphere(f) for f in suite)
     x1 = SphereFunction.from_polynomial(SpherePolynomial.variable(4, 1))
     x1x3 = SphereFunction.from_polynomial(
         SpherePolynomial.variable(4, 1) * SpherePolynomial.variable(4, 3)
     )
-    squares = ProjectedCasimir.of_squares(su2_fields())
     ok &= squares(x1) == x1.scale(-3)
     ok &= squares(x1x3) == x1x3.scale(-8)
     report(
         9,
         ok,
         "three quaternionic field squares equal the six rotation squares on the "
-        "S^3 suite; spot eigenvalues -3 (degree 1) and -8 (degree 2)",
+        "2-jets and the S^3 suite; spot eigenvalues -3 (degree 1) and -8 (degree 2)",
     )
 
 

@@ -7,6 +7,8 @@ import pytest
 
 from sphere_sos import certificates, linalg
 from sphere_sos.certificates import (
+    CertificateReport,
+    SamplePoint,
     _weighted_sum,
     delta_power,
     euclid_certificate,
@@ -185,6 +187,27 @@ class TestVerifyCertificate:
     def test_empty_sum_rejected(self):
         with pytest.raises(ValueError):
             _weighted_sum([], 1)
+
+
+def report_with(equality=True, harmonic=True, sample_value=1, term_count=9):
+    south = (Fraction(0), Fraction(0), Fraction(-1))
+    sample = SamplePoint(point=south, value=Fraction(sample_value))
+    return CertificateReport("f", 2, term_count, 9, equality, harmonic, [sample])
+
+
+class TestPassedVerdict:
+    """``passed`` is exactly equality, harmonic terms and nonnegative samples."""
+
+    @pytest.mark.parametrize(
+        "broken", [{"equality": False}, {"harmonic": False}, {"sample_value": -1}]
+    )
+    def test_each_verdict_alone_fails(self, broken):
+        assert report_with(**broken).passed is False
+
+    def test_term_counts_are_bookkeeping(self):
+        report = report_with(term_count=8)
+        assert report.term_count != report.expected_term_count
+        assert report.passed is True
 
 
 class TestCertificateNegativeControl:

@@ -14,7 +14,12 @@ from sphere_sos.harmonics import planar_combination, stereographic_harmonic
 from sphere_sos.cli import resolve_family
 from sphere_sos.polynomials import Polynomial, SphereFunction, SpherePolynomial
 
-from oracles import evaluate_fraction_loop, laplace_sphere_by_fields, spherical_mean_loop
+from oracles import (
+    evaluate_fraction_loop,
+    laplace_sphere_by_fields,
+    spherical_mean_loop,
+    substitute_linear,
+)
 
 SOUTH = (0.0, 0.0, -1.0)
 
@@ -69,7 +74,7 @@ class TestSphericalMean:
         c, s = Fraction(3, 5), Fraction(4, 5)
         rot = [[c, 0, -s], [0, 1, 0], [s, 0, c]]
         inv = [[c, 0, s], [0, 1, 0], [-s, 0, c]]
-        rotated = sq.substitute_linear(inv)
+        rotated = substitute_linear(sq, inv)
         new_center = (
             float(-rot[0][2]),
             float(-rot[1][2]),

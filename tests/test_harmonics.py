@@ -98,6 +98,13 @@ class TestStereographicFamily:
     def test_provenance_tags(self):
         assert stereographic_harmonic(3, "im").provenance == "stereo:k=3:im"
 
+    def test_function_and_domain_must_share_the_ambient_dimension(self):
+        two = SphereFunction.constant(4, 2)
+        with pytest.raises(ValueError, match="ambient dimension 4, domain has 3"):
+            custom_harmonic(two)
+        domain = CapDomain(4, (Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
+        assert custom_harmonic(two, domain=domain).m == 4
+
 
 class TestComplexPowerParts:
     def test_small_powers(self):

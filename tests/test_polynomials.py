@@ -131,6 +131,13 @@ class TestRawPolynomial:
         p = Polynomial(3, {(2, 1, 0): Fraction(3, 2), (0, 0, 0): Fraction(-1)})
         assert str(p) == "3/2 * x1^2 x2 + -1"
 
+    @pytest.mark.parametrize(
+        "text", ["1/0 * x1", "1/0", "x1", "1 * x1 * x2", "1 * y1", "1 * x4"]
+    )
+    def test_malformed_text_raises_value_error(self, text):
+        with pytest.raises(ValueError):
+            Polynomial.parse(text, 3)
+
 
 class TestEvaluation:
     def test_quotient_example(self):

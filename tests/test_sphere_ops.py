@@ -11,8 +11,6 @@ from sphere_sos.polynomials import (
 from sphere_sos.sphere_ops import (
     RotationField,
     apply_rotation_field,
-    check_spherical_eigenvalue,
-    check_sum_of_squares_identity,
     generate_harmonic_basis,
     harmonic_space_dimension,
     laplace_sphere,
@@ -21,6 +19,7 @@ from sphere_sos.sphere_ops import (
 )
 
 import oracles
+from oracles import check_spherical_eigenvalue, check_sum_of_squares_identity
 from conftest import random_polynomial, random_sphere_function
 
 
@@ -185,7 +184,7 @@ class TestHarmonicBasis:
         for d in range(5):
             for p in generate_harmonic_basis(m, d):
                 assert laplace_euclid(p).is_zero()
-                assert p.is_homogeneous()
+                assert oracles.is_homogeneous(p)
                 assert p.degree() == d or p.is_zero()
 
     def test_m2_degree2_span(self):
