@@ -275,6 +275,8 @@ def verify_certificate(
     """
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
+    if h.m != 3:
+        raise ValueError(f"sample_cap_points draws points on S^2 only, got ambient dimension {h.m}")
     start = time.perf_counter()
     points = sample_cap_points(sample_count, seed)
     expected = (h.m * (h.m - 1) // 2) ** k

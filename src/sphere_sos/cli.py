@@ -6,9 +6,10 @@ golden files in CI.  Exit codes: 0 all verdicts pass, 1 a mathematical
 verdict was falsified, 2 usage or validation error.
 
 ``verify-identities`` is driven by one table, ``IDENTITY_CASES``: each case
-names its sphere, its realization and its --algebra/--subalgebra selectors,
-and one pass over the verdicts serves every case.  Under a form other than
-the invariant one, the expected Laplacian scale is read off the two forms.
+names its sphere, its realization and whether it splits off so(m-1), and one
+pass over the verdicts serves every case; ``--case`` is the only selector.
+Under a form other than the invariant one, the expected Laplacian scale is
+read off the two forms.
 """
 
 from __future__ import annotations
@@ -35,22 +36,24 @@ EXIT_USAGE = 2
 SCHEMA_VERSION = 1
 
 # The one table of identity cases: name -> (m, realization on S^{m-1},
-# (--algebra, --subalgebra) selectors).  "so" realizes so(m) by rotation
-# fields; "su2" realizes su(2) by the quaternionic fields on S^3.
+# whether the case splits off the subalgebra so(m-1)).  "so" realizes so(m)
+# by rotation fields; "su2" realizes su(2) by the quaternionic fields on S^3.
 IDENTITY_CASES = {
-    "so3": (3, "so", ("so:3", None)),
-    "so4": (4, "so", ("so:4", None)),
-    "so5": (5, "so", ("so:5", None)),
-    "so3-over-so2": (3, "so", ("so:3", "so:2")),
-    "so4-over-so3": (4, "so", ("so:4", "so:3")),
-    "so5-over-so4": (5, "so", ("so:5", "so:4")),
-    "su2-group": (4, "su2", ("su2", None)),
+    "so3": (3, "so", False),
+    "so4": (4, "so", False),
+    "so5": (5, "so", False),
+    "so3-over-so2": (3, "so", True),
+    "so4-over-so3": (4, "so", True),
+    "so5-over-so4": (5, "so", True),
+    "su2-group": (4, "su2", False),
 }
 
 IDENTITY_FORMS = ("trace", "killing", "perturbed")
 
-NON_SUBHARMONIC_CONTROL = "control:equator-band"
+# Each command's negative control, a family its checker must reject:
+# x3 is not harmonic (certify), 1 - x3^2 is not subharmonic (growth).
 NON_HARMONIC_CONTROL = "control:x3"
+NON_SUBHARMONIC_CONTROL = "control:equator-band"
 
 
 class UsageError(ValueError):
@@ -62,8 +65,18 @@ class UsageError(ValueError):
 # ----------------------------------------------------------------------
 
 
-def resolve_harmonic(descriptor: str) -> harmonics.HarmonicFunction:
-    """Parse ``stereo:k=K:re|im``, the certified harmonic pullbacks."""
+def resolve_family(descriptor: str, control: str) -> harmonics.HarmonicFunction:
+    """Parse ``stereo:k=K:re|im``, the certified harmonic pullbacks, or the
+    calling command's negative control ``control``, which is wrapped on the
+    default cap without the harmonicity proof."""
+    if descriptor == control:
+        x3 = SpherePolynomial.variable(3, 3)
+        value = x3 if control == NON_HARMONIC_CONTROL else SpherePolynomial.one(3) - x3 * x3
+        return harmonics.HarmonicFunction(
+            value=SphereFunction.from_polynomial(value),
+            domain=harmonics.CapDomain(),
+            provenance=descriptor,
+        )
     parts = descriptor.split(":")
     if len(parts) == 3 and parts[0] == "stereo" and parts[1].startswith("k="):
         # K in canonical ASCII decimal, so the descriptor echoed in a report
@@ -73,29 +86,6 @@ def resolve_harmonic(descriptor: str) -> harmonics.HarmonicFunction:
             raise UsageError(f"bad family descriptor {descriptor!r}")
         return harmonics.stereographic_harmonic(int(k), parts[2])
     raise UsageError(f"unknown harmonic family {descriptor!r}")
-
-
-def resolve_certify_family(descriptor: str) -> harmonics.HarmonicFunction:
-    """A harmonic family, or the non-harmonic control: x3 on S^2 wrapped
-    without the harmonicity proof, a named negative case for the certificate
-    checker."""
-    if descriptor == NON_HARMONIC_CONTROL:
-        x3 = SphereFunction.from_polynomial(SpherePolynomial.variable(3, 3))
-        return harmonics.HarmonicFunction(
-            value=x3, domain=harmonics.CapDomain(), provenance=descriptor
-        )
-    return resolve_harmonic(descriptor)
-
-
-def resolve_family(descriptor: str) -> tuple[SphereFunction, str]:
-    """Map a family descriptor to (function, canonical descriptor): a harmonic
-    family, or the non-subharmonic control, a named negative case for the
-    growth checker."""
-    if descriptor == NON_SUBHARMONIC_CONTROL:
-        x3 = SpherePolynomial.variable(3, 3)
-        return SphereFunction.from_polynomial(SpherePolynomial.one(3) - x3 * x3), descriptor
-    h = resolve_harmonic(descriptor)
-    return h.value, h.provenance
 
 
 # ----------------------------------------------------------------------
@@ -173,7 +163,7 @@ def cmd_certify(args) -> int:
         raise UsageError(f"sample count must be >= 1, got {args.samples}")
     if args.samples > PLANE_SAMPLE_LIMIT:
         raise UsageError(f"sample count must be <= {PLANE_SAMPLE_LIMIT}, got {args.samples}")
-    h = resolve_certify_family(args.family)
+    h = resolve_family(args.family, NON_HARMONIC_CONTROL)
     report = certificates.verify_certificate(
         h,
         args.power,
@@ -185,18 +175,18 @@ def cmd_certify(args) -> int:
 
 
 def _identity_case(case: str):
-    """(algebra, invariant form, basis images on S^{m-1}, subalgebra basis or
-    None) of a named case; the projected Casimir of the invariant form is
-    exactly the round Laplacian of S^{m-1}."""
-    m, kind, selectors = IDENTITY_CASES[case]
+    """(realization kind, algebra, invariant form, basis images on S^{m-1},
+    subalgebra basis or None) of a named case; the projected Casimir of the
+    invariant form is exactly the round Laplacian of S^{m-1}."""
+    m, kind, splits = IDENTITY_CASES[case]
     if kind == "su2":
         algebra, invariant = lie.su2_algebra(), lie.su2_round_form()
         images = realization.su2_realization()
     else:
         algebra, invariant = lie.so_algebra(m), lie.trace_form(m)
         images = realization.so_realization(m)
-    subalgebra = lie.so_subalgebra_fixing_last_axis(m) if selectors[1] else None
-    return algebra, invariant, images, subalgebra
+    subalgebra = lie.so_subalgebra_fixing_last_axis(m) if splits else None
+    return kind, algebra, invariant, images, subalgebra
 
 
 def _identity_suite(case: str, form_kind: str) -> list[dict]:
@@ -211,7 +201,7 @@ def _identity_suite(case: str, form_kind: str) -> list[dict]:
             entry["detail"] = detail
         results.append(entry)
 
-    algebra, invariant, images, subalgebra = _identity_case(case)
+    kind, algebra, invariant, images, subalgebra = _identity_case(case)
     if form_kind == "trace":
         form = invariant
     elif form_kind == "killing":
@@ -233,7 +223,7 @@ def _identity_suite(case: str, form_kind: str) -> list[dict]:
     positive = form.is_positive_definite()
     record("positive_definite", positive)
 
-    if IDENTITY_CASES[case][1] == "su2":
+    if kind == "su2":
         record("group_sum_of_squares_equals_laplacian", realization.verify_group_case_identity())
         squares = realization.ProjectedCasimir.of_squares(realization.su2_fields())
         x1, x3 = SpherePolynomial.variable(4, 1), SpherePolynomial.variable(4, 3)
@@ -279,31 +269,16 @@ def _identity_suite(case: str, form_kind: str) -> list[dict]:
 
 
 def cmd_verify_identities(args) -> int:
-    if args.subalgebra is not None and args.algebra is None:
-        raise UsageError("--subalgebra needs --algebra")
-    case = args.case
-    if case is None:
-        if args.algebra is None:
-            raise UsageError("give either --case or --algebra")
-        by_selectors = {sel: name for name, (_, _, sel) in IDENTITY_CASES.items()}
-        case = by_selectors.get((args.algebra, args.subalgebra))
-        if case is None:
-            raise UsageError(
-                f"no shipped case has --algebra {args.algebra!r} "
-                f"and --subalgebra {args.subalgebra!r}"
-            )
-    elif args.algebra is not None:
-        raise UsageError("--case and --algebra are mutually exclusive")
-    if case not in IDENTITY_CASES:
-        raise UsageError(f"unknown case {case!r} (choose from {', '.join(IDENTITY_CASES)})")
+    if args.case not in IDENTITY_CASES:
+        raise UsageError(f"unknown case {args.case!r} (choose from {', '.join(IDENTITY_CASES)})")
     if args.form not in IDENTITY_FORMS:
         raise UsageError(f"unknown form {args.form!r}")
-    results = _identity_suite(case, args.form)
+    results = _identity_suite(args.case, args.form)
     all_passed = all(r["passed"] for r in results)
     payload = {
         "schema": SCHEMA_VERSION,
         "command": "verify-identities",
-        "config": {"case": case, "form": args.form},
+        "config": {"case": args.case, "form": args.form},
         "identities": results,
         "all_passed": all_passed,
     }
@@ -312,42 +287,40 @@ def cmd_verify_identities(args) -> int:
 
 
 def _resolve_center(text: str) -> tuple[float, float, float]:
+    """The center named "south" or x,y,z, which growth's check must accept."""
     if text == "south":
         return (0.0, 0.0, -1.0)
     try:
         coords = tuple(float(x) for x in text.split(","))
     except ValueError:
         raise UsageError(f"bad center {text!r}") from None
-    if len(coords) != 3:
-        raise UsageError("center needs three comma-separated coordinates")
-    if not all(math.isfinite(c) for c in coords):
-        raise UsageError(f"center coordinates must be finite, got {text!r}")
-    if abs(sum(c * c for c in coords) - 1.0) > 1e-12:
-        raise UsageError("center must lie on the unit sphere")
-    return coords
-
-
-WORKING_CAP_RADIUS = 3.0  # default cap about the south pole; keeps 1 - x3 bounded below
+    try:
+        return growth._finite_point(coords)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def cmd_growth(args) -> int:
-    value, descriptor = resolve_family(args.family)
+    h = resolve_family(args.family, NON_SUBHARMONIC_CONTROL)
     center = _resolve_center(args.center)
     if args.grid < 2:
         raise UsageError(f"grid must have at least 2 radii, got {args.grid}")
-    if args.quad < 8:
-        raise UsageError(f"quadrature order must be >= 8, got {args.quad}")
+    if args.quad < growth.MIN_QUADRATURE_ORDER:
+        raise UsageError(
+            f"quadrature order must be >= {growth.MIN_QUADRATURE_ORDER}, got {args.quad}"
+        )
     if not (math.isfinite(args.rmax) and args.rmax > 0):
         raise UsageError(f"rmax must be positive and finite, got {args.rmax}")
+    # Each family's cap is about the south pole; inside it 1 - x3 is bounded below.
     center_offset = math.acos(max(-1.0, min(1.0, -center[2])))
-    if center_offset + args.rmax > WORKING_CAP_RADIUS:
+    if center_offset + args.rmax > h.domain.radius:
         raise UsageError(
             "geodesic circles of radius rmax about this center leave the working cap"
         )
-    squared = value * value
+    squared = h.value * h.value
     try:
         report = growth.analyze_growth(
-            squared, descriptor, center, args.rmax, args.grid, args.quad
+            squared, h.provenance, center, args.rmax, args.grid, args.quad
         )
     except ZeroDivisionError:
         raise UsageError("geodesic circle leaves the function's domain") from None
@@ -355,7 +328,7 @@ def cmd_growth(args) -> int:
         "schema": SCHEMA_VERSION,
         "command": "growth",
         "config": {
-            "family": descriptor,
+            "family": h.provenance,
             "center": args.center,
             "rmax": args.rmax,
             "grid": args.grid,
@@ -413,10 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("verify-identities", help="run a named identity suite")
-    p.add_argument("--case", default=None, help=", ".join(IDENTITY_CASES))
-    pairs = "; ".join(f"{a} {b}" if b else a for _, _, (a, b) in IDENTITY_CASES.values())
-    p.add_argument("--algebra", default=None, help=f"instead of --case, with --subalgebra: {pairs}")
-    p.add_argument("--subalgebra", default=None, help="see --algebra")
+    p.add_argument("--case", required=True, help=", ".join(IDENTITY_CASES))
     p.add_argument("--form", default="trace", help=" | ".join(IDENTITY_FORMS))
     p.add_argument("--output", default=None)
     p.set_defaults(func=cmd_verify_identities)
@@ -445,10 +415,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (UsageError, OSError) as exc:
         # I/O faults are configuration problems, never mathematical verdicts.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

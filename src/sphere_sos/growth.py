@@ -90,7 +90,7 @@ def spherical_mean(
 
 def _finite_point(center) -> tuple[float, float, float]:
     """The center as 3 floats; ValueError unless it is 3 finite real numbers
-    whose squares sum to 1 within the CLI's tolerance, 1e-12."""
+    whose squares sum to 1 within 1e-12 (the CLI's --center check too)."""
     try:
         ok = len(center) == 3 and all(
             isinstance(c, (int, float)) and math.isfinite(c) for c in center

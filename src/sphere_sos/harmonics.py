@@ -38,8 +38,8 @@ class CapDomain(
 ):
     """Open geodesic ball B(rho) about the antipode of the excluded pole.
 
-    rho is metadata for sampling and quadrature; the exact checks are global
-    on the quotient ring and do not depend on it.
+    rho bounds the circles the ``growth`` command averages over; exact sampling
+    and the exact checks (global on the quotient ring) do not read it.
     """
 
     __slots__ = ()

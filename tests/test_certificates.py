@@ -18,7 +18,12 @@ from sphere_sos.certificates import (
     verify_certificate,
     word_span,
 )
-from sphere_sos.harmonics import CapDomain, HarmonicFunction, stereographic_harmonic
+from sphere_sos.harmonics import (
+    CapDomain,
+    HarmonicFunction,
+    custom_harmonic,
+    stereographic_harmonic,
+)
 from sphere_sos.polynomials import (
     Polynomial,
     SphereFunction,
@@ -253,6 +258,31 @@ class TestCertificateNegativeControl:
         assert nonzero
         for i in nonzero:
             assert _weighted_sum(squares[:i] + squares[i + 1:], 2) != lhs
+
+
+class TestSphereOnlySampler:
+    @staticmethod
+    def no_exact_work(monkeypatch):
+        def delta_power(*args):
+            raise AssertionError("delta_power ran")
+
+        monkeypatch.setattr(certificates, "delta_power", delta_power)
+
+    @pytest.mark.parametrize("m", [2, 4, 5])
+    def test_other_spheres_fail_before_the_exact_work(self, monkeypatch, m):
+        # A constant is harmonic on every sphere, but the sample points are
+        # drawn on S^2 alone, so the check must stop before Delta^k runs.
+        pole = (Fraction(0),) * (m - 1) + (Fraction(1),)
+        h = custom_harmonic(SphereFunction.constant(m, 2), domain=CapDomain(m, pole))
+        self.no_exact_work(monkeypatch)
+        with pytest.raises(ValueError, match=r"sample_cap_points draws points on S\^2 only"):
+            verify_certificate(h, 3)
+
+    def test_the_guard_sees_the_exact_work_on_s2(self, monkeypatch):
+        # The same stand-in is reached on S^2, so the test above sees it.
+        self.no_exact_work(monkeypatch)
+        with pytest.raises(AssertionError, match="delta_power ran"):
+            verify_certificate(stereographic_harmonic(1, "re"), 3)
 
 
 def rotation_span(h, k):

@@ -1,9 +1,24 @@
+import argparse
 import json
+import math
 import os
 
 import pytest
 
-from sphere_sos.cli import IDENTITY_CASES, IDENTITY_FORMS, main
+from sphere_sos import growth
+from sphere_sos.cli import (
+    IDENTITY_CASES,
+    IDENTITY_FORMS,
+    NON_HARMONIC_CONTROL,
+    NON_SUBHARMONIC_CONTROL,
+    UsageError,
+    build_parser,
+    main,
+    resolve_family,
+)
+from sphere_sos.harmonics import CapDomain, stereographic_harmonic
+from sphere_sos.polynomials import SphereFunction, SpherePolynomial
+from sphere_sos.sphere_ops import laplace_sphere
 
 
 def run(capsys, *argv):
@@ -332,42 +347,11 @@ class TestVerifyIdentities:
         assert code == 2
         assert "unknown case" in err
 
-    def test_algebra_selector_equivalent_to_case(self, capsys, tmp_path):
-        by_case = tmp_path / "case.json"
-        by_algebra = tmp_path / "alg.json"
-        run(capsys, "verify-identities", "--case", "so4-over-so3", "--output", str(by_case))
-        code, _, _ = run(
-            capsys,
-            "verify-identities", "--algebra", "so:4", "--subalgebra", "so:3",
-            "--output", str(by_algebra),
-        )
-        assert code == 0
-        assert by_case.read_bytes() == by_algebra.read_bytes()
-
-    def test_algebra_selector_su2(self, capsys):
-        code, out, _ = run(capsys, "verify-identities", "--algebra", "su2")
-        assert code == 0
-        assert json.loads(out)["config"]["case"] == "su2-group"
-
-    def test_algebra_selector_validation(self, capsys):
-        code, _, _ = run(capsys, "verify-identities", "--algebra", "so:9")
-        assert code == 2
-        code, _, _ = run(
-            capsys, "verify-identities", "--algebra", "so:4", "--subalgebra", "so:2"
-        )
-        assert code == 2
-        code, _, _ = run(capsys, "verify-identities")
-        assert code == 2
-        code, _, _ = run(
-            capsys, "verify-identities", "--case", "so3", "--algebra", "so:3"
-        )
-        assert code == 2
-        code, out, err = run(
-            capsys, "verify-identities", "--case", "so4-over-so3", "--subalgebra", "so:2"
-        )
-        assert code == 2
-        assert out == ""
-        assert "--subalgebra needs --algebra" in err
+    def test_case_is_required(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify-identities"])
+        assert exc.value.code == 2
+        assert "--case" in capsys.readouterr().err
 
     def test_determinism(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -453,6 +437,62 @@ class TestGrowth:
         assert out == ""
         assert "finite" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "center, message",
+        [
+            ("1,0", "center must be 3 finite floats"),
+            ("1,0,0,0", "center must be 3 finite floats"),
+            ("inf,0,0", "center must be 3 finite floats"),
+            ("1e400,0,0", "center must be 3 finite floats"),
+            ("1,1,1", "center must lie on the unit sphere"),
+            ("0,0,-1.000001", "center must lie on the unit sphere"),
+            ("x,0,0", "bad center"),
+        ],
+    )
+    def test_bad_centers_are_usage_errors(self, capsys, center, message):
+        code, out, err = run(capsys, "growth", "--family", "stereo:k=1:re", f"--center={center}")
+        assert code == 2
+        assert out == ""
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "z, accepted",
+        [
+            ("-1.0000000000001", True),
+            ("-0.9999999999999", True),
+            ("-1.000000000001", False),
+            ("-0.999999999999", False),
+        ],
+    )
+    def test_center_tolerance_is_the_growth_check(self, capsys, z, accepted):
+        # The squares sum to 1 within 2e-13 or miss it by 2e-12; the command
+        # accepts exactly the centers that growth's own check accepts.
+        try:
+            growth._finite_point((0.0, 0.0, float(z)))
+            by_growth = True
+        except ValueError:
+            by_growth = False
+        code, _, err = run(
+            capsys, "growth", "--family", "stereo:k=1:re", f"--center=0,0,{z}",
+            "--grid", "2", "--quad", "8", "--csv", os.devnull,
+        )
+        assert by_growth is accepted
+        assert (code == 0) is accepted
+        assert accepted or "center must lie on the unit sphere" in err
+
+    @pytest.mark.parametrize("overshoot, code", [(-1e-9, 0), (1e-9, 2)])
+    def test_working_cap_is_the_family_domain(self, capsys, overshoot, code):
+        # A center 2 radians from the south pole: circles may reach out to the
+        # radius of the family's cap and no further.
+        center = f"--center={math.sin(2.0)!r},0.0,{-math.cos(2.0)!r}"
+        rmax = CapDomain().radius - 2.0 + overshoot
+        got, _, err = run(
+            capsys, "growth", "--family", "stereo:k=1:re", center, "--rmax", repr(rmax),
+            "--grid", "2", "--quad", "8", "--csv", os.devnull,
+        )
+        assert got == code
+        assert code == 0 or "leave the working cap" in err
+
     def test_determinism(self, capsys, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -492,3 +532,60 @@ class TestGenHarmonic:
     def test_bad_dimension(self, capsys):
         code, _, _ = run(capsys, "gen-harmonic", "--ambient-dim", "1", "--degree", "2")
         assert code == 2
+
+
+class TestResolveFamily:
+    CONTROLS = (NON_HARMONIC_CONTROL, NON_SUBHARMONIC_CONTROL)
+
+    @pytest.mark.parametrize("control", CONTROLS)
+    def test_harmonic_family_is_the_certified_one(self, control):
+        assert resolve_family("stereo:k=3:im", control) == stereographic_harmonic(3, "im")
+
+    @pytest.mark.parametrize("control", CONTROLS)
+    def test_own_control_is_wrapped_without_the_proof(self, control):
+        x3 = SpherePolynomial.variable(3, 3)
+        expected = x3 if control == NON_HARMONIC_CONTROL else SpherePolynomial.one(3) - x3 * x3
+        h = resolve_family(control, control)
+        assert h.value == SphereFunction.from_polynomial(expected)
+        assert h.domain == CapDomain()
+        assert h.provenance == control
+        # Not harmonic, so no harmonicity proof could have wrapped it.
+        assert not laplace_sphere(h.value).is_zero()
+
+    @pytest.mark.parametrize("control", CONTROLS)
+    def test_the_other_control_is_unknown(self, control):
+        (other,) = set(self.CONTROLS) - {control}
+        with pytest.raises(UsageError, match="unknown harmonic family"):
+            resolve_family(other, control)
+
+
+# Each subcommand's options and which of them are required.  Each input has
+# one name, so a second selector cannot come back unnoticed; certify keeps
+# --workers, which the benchmark's golden reports echo.
+PARSER_SHAPE = {
+    "certify": (
+        {"--family", "--power", "--samples", "--seed", "--workers", "--timings", "--output"},
+        {"--family", "--power"},
+    ),
+    "verify-identities": ({"--case", "--form", "--output"}, {"--case"}),
+    "growth": (
+        {"--family", "--center", "--rmax", "--grid", "--quad", "--csv", "--output"},
+        {"--family"},
+    ),
+    "gen-harmonic": ({"--ambient-dim", "--degree", "--output"}, {"--ambient-dim", "--degree"}),
+}
+
+
+def test_parser_shape_is_pinned():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert {opt for a in parser._actions for opt in a.option_strings} == {
+        "-h", "--help", "--version",
+    }
+    assert set(sub.choices) == set(PARSER_SHAPE)
+    for name, command in sub.choices.items():
+        actions = [a for a in command._actions if not isinstance(a, argparse._HelpAction)]
+        assert all(a.option_strings for a in actions), f"{name} takes a positional"
+        options = {opt for a in actions for opt in a.option_strings}
+        required = {opt for a in actions if a.required for opt in a.option_strings}
+        assert (options, required) == PARSER_SHAPE[name], name

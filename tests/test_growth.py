@@ -11,7 +11,7 @@ from sphere_sos.growth import (
     spherical_mean,
 )
 from sphere_sos.harmonics import planar_combination, stereographic_harmonic
-from sphere_sos.cli import resolve_family
+from sphere_sos.cli import NON_SUBHARMONIC_CONTROL, resolve_family
 from sphere_sos.polynomials import Polynomial, SphereFunction, SpherePolynomial
 
 from oracles import (
@@ -29,7 +29,7 @@ def squared(h):
 
 
 def squared_control():
-    value, _ = resolve_family("control:equator-band")
+    value = resolve_family("control:equator-band", NON_SUBHARMONIC_CONTROL).value
     return value * value
 
 
@@ -122,7 +122,7 @@ GROWTH_FAMILIES = [f"stereo:k={k}:{part}" for k in range(7) for part in ("re", "
 def test_whole_report_matches_the_node_loop(family, order, monkeypatch):
     # Every circle mean of a report, and M''(0) fitted from three more, equal
     # the bits of the same report with each mean taken by the node loop.
-    value, _ = resolve_family(family)
+    value = resolve_family(family, NON_SUBHARMONIC_CONTROL).value
     f = value * value
     for center in (SOUTH, TILTED, (1.0, 0.0, 0.0)):
         got = analyze_growth(f, family, center, 1.2, 4, order)
@@ -136,9 +136,9 @@ def test_whole_report_matches_the_node_loop(family, order, monkeypatch):
 
 class TestCircleCaches:
     def test_interleaved_integrands_and_tables(self):
-        value, _ = resolve_family("stereo:k=3:re")
+        value = resolve_family("stereo:k=3:re", NON_SUBHARMONIC_CONTROL).value
         first, second = value * value, squared_control()
-        fresh_value, _ = resolve_family("stereo:k=3:re")
+        fresh_value = resolve_family("stereo:k=3:re", NON_SUBHARMONIC_CONTROL).value
         fresh = fresh_value * fresh_value
         assert fresh is not first and fresh == first
         tables = [(SOUTH, 64), (TILTED, 1024)]
@@ -302,7 +302,7 @@ def test_second_derivative_exact_is_within_rounding(family, center):
     # The float reference is half the Laplacian of h^2, summed in term order at
     # the float center; the exact rational value of the field sum at that same
     # point is the oracle, so only rounding separates them.
-    value, _ = resolve_family(family)
+    value = resolve_family(family, NON_SUBHARMONIC_CONTROL).value
     f = value * value
     point = tuple(float(c) for c in center.split(","))
     *_, exact = check_second_derivative_at_zero(f, point, order=8)

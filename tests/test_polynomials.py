@@ -377,9 +377,9 @@ class TestFloatEvaluator:
         + ["control:equator-band"],
     )
     def test_matches_the_float_loop_on_growth_integrands(self, family):
-        from sphere_sos.cli import resolve_family
+        from sphere_sos.cli import NON_SUBHARMONIC_CONTROL, resolve_family
 
-        value, _ = resolve_family(family)
+        value = resolve_family(family, NON_SUBHARMONIC_CONTROL).value
         f = value * value
         for pt in sample_cap_points(40, seed=4):
             pt = tuple(float(x) for x in pt)
