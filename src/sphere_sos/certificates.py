@@ -23,9 +23,10 @@ all harmonic exactly when every word term is.  Equality is verified exactly
 (cross-multiplication in the quotient field) and nonnegativity is then
 re-checked by exact rational sign tests at deterministic sample points on the
 cap, drawn first (a count below 1 fails before any certificate work) and
-built and evaluated in integers.  ``word_span`` takes the fields as
-callables, so the same engine with the coordinate partials certifies the
-Euclidean statement for harmonic polynomials.
+built and evaluated in integers.  Both statements run one engine: with the
+coordinate partials as fields, ``euclid_certificate`` runs the same stages on
+a harmonic polynomial of R^m and returns the same report, ``terms_harmonic``
+included (checked against the Euclidean Laplacian).
 """
 
 from __future__ import annotations
@@ -91,12 +92,19 @@ class CertificateReport(NamedTuple):
         return self.equality_verified and self.terms_harmonic and self.all_samples_nonnegative
 
 
-def delta_power(f: SphereFunction, k: int) -> SphereFunction:
-    """k-fold spherical Laplacian, exact."""
+def _laplacian(f: Polynomial | SphereFunction) -> Polynomial | SphereFunction:
+    # Both Laplacians are looked up when called, so a wrapper installed on
+    # this module runs (the benchmark tracer counts laplace_sphere this way).
+    return laplace_euclid(f) if isinstance(f, Polynomial) else laplace_sphere(f)
+
+
+def delta_power(f: Polynomial | SphereFunction, k: int) -> Polynomial | SphereFunction:
+    """k-fold Laplacian, exact: Euclidean on a Polynomial, spherical on a
+    SphereFunction."""
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     for _ in range(k):
-        f = laplace_sphere(f)
+        f = _laplacian(f)
     return f
 
 
@@ -110,8 +118,8 @@ def _weighted_sum(squares: Sequence[Polynomial | SphereFunction], k: int):
     return total.scale(Fraction(2) ** k)
 
 
-def _square_and_harmonicity(term: SphereFunction) -> tuple[SphereFunction, bool]:
-    return term * term, laplace_sphere(term).is_zero()
+def _square_and_harmonicity(term: Polynomial | SphereFunction):
+    return term * term, _laplacian(term).is_zero()
 
 
 def _map_ordered(fn: Callable, items: Sequence) -> list:
@@ -260,6 +268,41 @@ def gram_squares(
     return pivots, u
 
 
+def _certificate(
+    f: Polynomial | SphereFunction,
+    k: int,
+    fields: Sequence[Callable],
+    points: Sequence[tuple[Fraction, ...]],
+    family: str,
+    seed: int,
+    start: float,
+) -> CertificateReport:
+    """The certificate stages of S^(m-1) and R^m, for the word terms of f in
+    the fields; ``wall_time`` runs from the perf_counter reading ``start``."""
+    lhs = delta_power(f * f, k)
+    span = word_span(f, k, fields)
+    weights, u = gram_squares(span, gram_matrix(span))
+    per_square = _map_ordered(_square_and_harmonicity, u)
+    squares = [sq.scale(d) for d, (sq, _) in zip(weights, per_square)]
+    rhs = _weighted_sum(squares, k) if squares else type(f).zero(f.m)
+    equality = lhs == rhs
+    terms_harmonic = all(flag for _, flag in per_square)
+    samples = [SamplePoint(point=pt, value=lhs.evaluate(pt)) for pt in points]
+    return CertificateReport(
+        family=family,
+        k=k,
+        term_count=span.term_count,
+        expected_term_count=len(fields) ** k,
+        equality_verified=equality,
+        terms_harmonic=terms_harmonic,
+        samples=samples,
+        seed=seed,
+        wall_time=time.perf_counter() - start,
+        span_dimension=span.dimension,
+        square_count=len(squares),
+    )
+
+
 def verify_certificate(
     h: HarmonicFunction,
     k: int,
@@ -273,96 +316,32 @@ def verify_certificate(
     single empty word with term h itself.  An equality failure or a negative
     sample is recorded in the report, never dropped.
     """
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
     if h.m != 3:
         raise ValueError(f"sample_cap_points draws points on S^2 only, got ambient dimension {h.m}")
     start = time.perf_counter()
     points = sample_cap_points(sample_count, seed)
-    expected = (h.m * (h.m - 1) // 2) ** k
-    lhs = delta_power(h.value * h.value, k)
     # Bound when the certificate runs, so the fields call apply_rotation_field
     # as this module holds it then (the benchmark tracer wraps it).
     fields = [functools.partial(apply_rotation_field, field) for field in rotation_fields(h.m)]
-    span = word_span(h.value, k, fields)
-    weights, u = gram_squares(span, gram_matrix(span))
-    per_square = _map_ordered(_square_and_harmonicity, u)
-    squares = [sq.scale(d) for d, (sq, _) in zip(weights, per_square)]
-    rhs = _weighted_sum(squares, k) if squares else SphereFunction.zero(h.m)
-    equality = lhs == rhs
-    terms_harmonic = all(flag for _, flag in per_square)
-    samples = [SamplePoint(point=pt, value=lhs.evaluate(pt)) for pt in points]
-    return CertificateReport(
-        family=h.provenance,
-        k=k,
-        term_count=span.term_count,
-        expected_term_count=expected,
-        equality_verified=equality,
-        terms_harmonic=terms_harmonic,
-        samples=samples,
-        seed=seed,
-        wall_time=time.perf_counter() - start,
-        span_dimension=span.dimension,
-        square_count=len(squares),
-    )
+    return _certificate(h.value, k, fields, points, h.provenance, seed, start)
 
 
-# ----------------------------------------------------------------------
-# Euclidean baseline
-# ----------------------------------------------------------------------
-
-
-class EuclideanCertificateReport(NamedTuple):
-    k: int
-    term_count: int
-    equality_verified: bool
-    samples: Sequence[SamplePoint] = ()
-
-    @property
-    def all_samples_nonnegative(self) -> bool:
-        return all(s.nonnegative for s in self.samples)
-
-    @property
-    def passed(self) -> bool:
-        return self.equality_verified and self.all_samples_nonnegative
-
-
-def euclid_delta_power(p: Polynomial, k: int) -> Polynomial:
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    for _ in range(k):
-        p = laplace_euclid(p)
-    return p
-
-
-def euclid_certificate(p: Polynomial, k: int, grid: int = 5) -> EuclideanCertificateReport:
+def euclid_certificate(p: Polynomial, k: int, grid: int = 5) -> CertificateReport:
     """Certificate for the Euclidean power statement on a harmonic polynomial.
 
     Checks laplace_euclid^k (p^2) == 2^k * sum over the m^k length-k words in
     the coordinate partials of (d_w p)^2, exactly, then sign-tests the left
     side on a rational grid in [-1, 1]^m.  The partials commute with the
-    Laplacian, so the right-hand side is built as on the sphere: on the span
-    of the word terms, as 2^k sum_i d_i u_i^2.
+    Laplacian, so the stages are those of ``verify_certificate``, and the
+    report is a ``CertificateReport`` with family ``euclid:m=M``.  The grid
+    draws nothing at random, so ``seed`` keeps its default.
     """
     if not laplace_euclid(p).is_zero():
         raise ValueError("euclid_certificate needs a Euclidean-harmonic polynomial")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
     if grid < 1:
         raise ValueError(f"need grid >= 1, got {grid}")
-    m = p.m
-    lhs = euclid_delta_power(p * p, k)
-    span = word_span(p, k, [operator.methodcaller("partial", i) for i in range(1, m + 1)])
-    weights, u = gram_squares(span, gram_matrix(span))
-    squares = [(t * t).scale(d) for d, t in zip(weights, u)]
-    rhs = _weighted_sum(squares, k) if squares else Polynomial.zero(m)
-    samples = []
+    start = time.perf_counter()
     steps = [Fraction(2 * i, grid - 1) - 1 for i in range(grid)] if grid > 1 else [Fraction(0)]
-    for pt in product(steps, repeat=m):
-        samples.append(SamplePoint(point=tuple(pt), value=lhs.evaluate(pt)))
-    return EuclideanCertificateReport(
-        k=k,
-        term_count=span.term_count,
-        equality_verified=lhs == rhs,
-        samples=samples,
-    )
+    points = list(product(steps, repeat=p.m))
+    fields = [operator.methodcaller("partial", i) for i in range(1, p.m + 1)]
+    return _certificate(p, k, fields, points, f"euclid:m={p.m}", DEFAULT_SEED, start)

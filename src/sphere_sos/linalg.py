@@ -4,11 +4,12 @@ Small matrices only (harmonic-basis kernels, Gram matrices, complements).
 Every routine runs on one elimination loop, ``_bareiss``: rows are scaled to
 integers and eliminated fraction-free in the Bareiss style, so each
 intermediate entry stays an exact integer and each two-row update divides out
-the previous pivot exactly.  ``nullspace``, ``column_basis`` and ``invert``
-read the echelon form through one back-substitution.  Without row swaps the
-Bareiss pivots are the leading principal minors (Bareiss 1968) and the rows
-are the scaled rows of D L^T, which is how ``ldl`` factors a positive
-definite matrix; a matrix is positive definite exactly when ``ldl`` succeeds.
+the previous pivot exactly.  ``nullspace`` and ``column_basis`` read the
+echelon form through one back-substitution, and ``invert`` reads the inverse
+off the column basis of [A | I].  Without row swaps the Bareiss pivots are
+the leading principal minors (Bareiss 1968) and the rows are the scaled rows
+of D L^T, which is how ``ldl`` factors a positive definite matrix; a matrix
+is positive definite exactly when ``ldl`` succeeds.
 """
 
 from __future__ import annotations
@@ -82,16 +83,10 @@ def fraction_free_echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], li
 
 
 def _back_substitute(
-    echelon: list[list[int]],
-    pivots: list[int],
-    n: int,
-    free: int | None = None,
-    rhs_col: int | None = None,
+    echelon: list[list[int]], pivots: list[int], n: int, free: int
 ) -> tuple[list[int], int]:
-    """(y, d) with x = y / d the solution over n unknowns with x[free] = 1
-    (when given), every other non-pivot coordinate 0, and every echelon row
-    r reading sum_j echelon[r][j] x[j] = echelon[r][rhs_col] (= 0 when
-    rhs_col is None).
+    """(y, d) with x = y / d the kernel vector over n unknowns with
+    x[free] = 1 and every other non-pivot coordinate 0.
 
     Runs in integers on y = D x, D the last pivot.  D is the determinant of
     the pivot rows and columns of the scaled input (Bareiss 1968), so by
@@ -100,17 +95,12 @@ def _back_substitute(
     """
     d = echelon[len(pivots) - 1][pivots[-1]] if pivots else 1
     y = [0] * n
-    support = []
-    if free is not None:
-        y[free] = d
-        support.append(free)
+    y[free] = d
+    support = [free]
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
         row = echelon[r]
-        s = (0 if rhs_col is None else d * row[rhs_col]) - sum(
-            row[j] * y[j] for j in support
-        )
-        y[c], rest = divmod(s, row[c])
+        y[c], rest = divmod(-sum(row[j] * y[j] for j in support), row[c])
         if rest:
             raise ArithmeticError("fraction-free back-substitution left a remainder")
         if y[c]:
@@ -184,18 +174,18 @@ def column_basis(
 
 
 def invert(rows: Sequence[Sequence]) -> Matrix:
-    """Exact inverse from the echelon form of [A | I]; raises
+    """Exact inverse read off the column basis of [A | I]: column j of the
+    inverse is the coordinate vector of e_j in A's columns.  Raises
     ZeroDivisionError on singular input."""
     a = _square(rows)
     n = len(a)
-    echelon, pivots = fraction_free_echelon(
-        [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)]
+    pivots, coords = column_basis(
+        [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)], 2 * n
     )
     # [A | I] has rank n; A is invertible iff all n pivots fall in A's columns.
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    columns = [_back_substitute(echelon, pivots, n, rhs_col=n + j) for j in range(n)]
-    return [[Fraction(y[i], d) for y, d in columns] for i in range(n)]
+    return [[coords[n + j][i] for j in range(n)] for i in range(n)]
 
 
 def _square(rows: Sequence[Sequence]) -> Matrix:

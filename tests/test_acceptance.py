@@ -14,7 +14,6 @@ import pytest
 
 from sphere_sos.certificates import (
     delta_power,
-    euclid_delta_power,
     verify_certificate,
 )
 from sphere_sos.cli import main as cli_main
@@ -175,9 +174,9 @@ def test_criterion_06_euclidean_baseline():
     p = x1**2 - x2**2
     sq = p * p
     specific = (
-        euclid_delta_power(sq, 1) == 8 * (x1**2 + x2**2)
-        and euclid_delta_power(sq, 2) == Polynomial.constant(2, 32)
-        and euclid_delta_power(sq, 3).is_zero()
+        delta_power(sq, 1) == 8 * (x1**2 + x2**2)
+        and delta_power(sq, 2) == Polynomial.constant(2, 32)
+        and delta_power(sq, 3).is_zero()
     )
     general = True
     from sphere_sos.certificates import euclid_certificate

@@ -12,7 +12,6 @@ from sphere_sos.certificates import (
     _weighted_sum,
     delta_power,
     euclid_certificate,
-    euclid_delta_power,
     gram_matrix,
     gram_squares,
     verify_certificate,
@@ -474,19 +473,19 @@ class TestEuclideanCertificates:
     def test_m2_power_sequence(self):
         p = var(2, 1) ** 2 - var(2, 2) ** 2
         sq = p * p
-        assert euclid_delta_power(sq, 1) == 8 * (var(2, 1) ** 2 + var(2, 2) ** 2)
-        assert euclid_delta_power(sq, 2) == Polynomial.constant(2, 32)
-        assert euclid_delta_power(sq, 3).is_zero()
+        assert delta_power(sq, 1) == 8 * (var(2, 1) ** 2 + var(2, 2) ** 2)
+        assert delta_power(sq, 2) == Polynomial.constant(2, 32)
+        assert delta_power(sq, 3).is_zero()
 
     def test_linear_case(self):
         p = var(3, 1)
-        assert euclid_delta_power(p * p, 1) == Polynomial.constant(3, 2)
-        assert euclid_delta_power(p * p, 2).is_zero()
+        assert delta_power(p * p, 1) == Polynomial.constant(3, 2)
+        assert delta_power(p * p, 2).is_zero()
 
     def test_constant_case(self):
         p = Polynomial.constant(3, 5)
         for k in (1, 2, 3):
-            assert euclid_delta_power(p * p, k).is_zero()
+            assert delta_power(p * p, k).is_zero()
 
     @pytest.mark.parametrize("m", [2, 3])
     @pytest.mark.parametrize("k", [1, 2, 3])
@@ -513,7 +512,32 @@ class TestEuclideanCertificates:
     def test_term_count(self):
         p = var(3, 1)
         report = euclid_certificate(p, 2, grid=2)
-        assert report.term_count == 9
+        assert isinstance(report, CertificateReport)
+        assert report.family == "euclid:m=3"
+        assert report.term_count == report.expected_term_count == 9
+        assert report.terms_harmonic
+
+
+class TestEuclideanNegativeControls:
+    """The shared engine reaches a false verdict on R^m: run directly, it
+    takes a field set or a start term that euclid_certificate would refuse."""
+
+    def run(self, p, k, fields):
+        points = [(Fraction(1), Fraction(1))]
+        return certificates._certificate(p, k, fields, points, "control", 0, 0.0)
+
+    def test_missing_field_breaks_equality(self):
+        # Delta(x1^2 x2^2) = 2 x1^2 + 2 x2^2, but d_1 alone gives 2 x2^2.
+        report = self.run(var(2, 1) * var(2, 2), 1, partials(2)[:1])
+        assert not report.equality_verified
+        assert not report.passed
+
+    def test_non_harmonic_square_is_named(self):
+        # k = 0: the one square is p itself, so equality holds and Delta p = 2.
+        report = self.run(var(2, 1) ** 2, 0, partials(2))
+        assert report.equality_verified
+        assert not report.terms_harmonic
+        assert not report.passed
 
 
 class TestEuclideanSpanRoute:
@@ -531,7 +555,7 @@ class TestEuclideanSpanRoute:
             assert report.passed, k
             assert report.term_count == m**k
             word_rhs = euclid_word_rhs(p, k)
-            assert euclid_span_rhs(p, k) == word_rhs == euclid_delta_power(square, k), k
+            assert euclid_span_rhs(p, k) == word_rhs == delta_power(square, k), k
             assert word_rhs.is_zero() is (k > d)
 
     @pytest.mark.parametrize("m", [2, 3, 4, 5])

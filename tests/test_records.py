@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from sphere_sos.certificates import CertificateReport, EuclideanCertificateReport, SamplePoint
+from sphere_sos.certificates import CertificateReport, SamplePoint
 from sphere_sos.growth import GrowthReport
 from sphere_sos.harmonics import CapDomain, HarmonicFunction, stereographic_harmonic
 from sphere_sos.lie import BilinearForm, CasimirElement, LieAlgebraData, ReductiveDecomposition
@@ -58,10 +58,6 @@ RECORDS = [
         "CertificateReport(family='f', k=1, term_count=3, expected_term_count=3, "
         f"equality_verified=True, terms_harmonic=True, samples=[{SAMPLE}], seed=5, "
         "wall_time=0.5, span_dimension=2, square_count=2)",
-    ),
-    (
-        lambda: EuclideanCertificateReport(1, 3, True, [sample()]),
-        f"EuclideanCertificateReport(k=1, term_count=3, equality_verified=True, samples=[{SAMPLE}])",
     ),
     (
         lambda: GrowthReport("f", (0.0, 0.0, -1.0), [0.1], [1.5], 8, True, None, 0.25, 0.25, True),
@@ -132,7 +128,6 @@ def test_defaults_and_keywords():
     assert CapDomain(radius=1.5).radius == 1.5
     assert RotationField(j=2, i=1) == RotationField(1, 2)
     assert CertificateReport("f", 1, 3, 3, True, True).samples == ()
-    assert EuclideanCertificateReport(1, 3, True).samples == ()
 
 
 S1 = ((Fraction(3), F1),)
