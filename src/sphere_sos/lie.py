@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
@@ -255,11 +255,12 @@ def perturbed_form(base: BilinearForm, index: int = 0, bump=Fraction(1)) -> Bili
 def ad_invariance_witness(
     algebra: LieAlgebraData, form: BilinearForm
 ) -> tuple[int, int, int] | None:
-    """First basis triple (z, x, y) violating B([Z,X],Y) + B(X,[Z,Y]) = 0, or None."""
+    """First basis triple (z, x, y) violating B([Z,X],Y) + B(X,[Z,Y]) = 0, or None.
+    Only x <= y is scanned: the defect is symmetric in (x, y), as B is."""
     if form.dim != algebra.dim:
         raise ValueError("form and algebra dimensions differ")
-    s, b = algebra.structure, form.matrix
-    for z, x, y in product(range(algebra.dim), repeat=3):
+    s, b, dim = algebra.structure, form.matrix, algebra.dim
+    for z, (x, y) in product(range(dim), combinations_with_replacement(range(dim), 2)):
         if sum(c * b[k][y] for k, c in s[z][x]) + sum(c * b[x][k] for k, c in s[z][y]) != 0:
             return (z, x, y)
     return None

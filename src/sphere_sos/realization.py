@@ -16,15 +16,19 @@ normalization it coincides exactly with the spherical Laplacian, and as
 routes are independent.  The theorem-level checks (Casimir = Laplacian,
 commutation, group case) take the basis images, so they serve every realized
 algebra, and they are finite proofs on the 2-jets of ``jet_functions``.
+Omega is Q-linear and rotation fields keep the normal-form span
+{1, x_i, x_i x_j}, so both Casimir checks read Omega off one table of its
+values on normal-form monomials, built once per realized Casimir.
 """
 
 from __future__ import annotations
 
+import functools
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .lie import CasimirElement
-from .polynomials import SphereFunction, SpherePolynomial
+from .polynomials import Polynomial, SphereFunction, SpherePolynomial
 from .sphere_ops import (
     RotationField,
     apply_rotation_field,
@@ -141,6 +145,22 @@ def projected_casimir(
     )
 
 
+@functools.lru_cache(maxsize=16)
+def _tabulated(operator: ProjectedCasimir):
+    """p -> sum_e c_e * operator(x^e) on SpherePolynomials; each row is the
+    operator on its normal-form monomial x^e, computed on first use."""
+    table: dict = {}
+
+    def apply(p: SpherePolynomial) -> SpherePolynomial:
+        out = SpherePolynomial.zero(p.m)
+        for e, n in p.poly.numerators.items():
+            if e not in table:
+                table[e] = operator(SpherePolynomial(Polynomial(p.m, {e: 1})))
+            out = out + table[e].scale(n)
+        return out.scale(Fraction(1, p.poly.denominator))
+    return apply
+
+
 # ----------------------------------------------------------------------
 # the 2-jets and theorem-level checks
 # ----------------------------------------------------------------------
@@ -163,8 +183,8 @@ def jet_functions(m: int) -> list[SphereFunction]:
 
 
 def _operators_agree(lhs, rhs, m: int) -> bool:
-    """True iff lhs(f) == rhs(f) exactly on every 2-jet of S^{m-1}."""
-    return all(lhs(f) == rhs(f) for f in jet_functions(m))
+    """True iff lhs(p) == rhs(p) exactly on every 2-jet p = f.numerator of S^{m-1}."""
+    return all(lhs(f.numerator) == rhs(f.numerator) for f in jet_functions(m))
 
 
 def verify_lap_eq_casimir(
@@ -175,8 +195,8 @@ def verify_lap_eq_casimir(
     """True iff the projected Casimir equals scale * laplace_sphere on the
     2-jets, exactly: a proof."""
     return _operators_agree(
-        projected_casimir(casimir, images),
-        lambda f: laplace_sphere(f).scale(scale),
+        _tabulated(projected_casimir(casimir, images)),
+        lambda p: laplace_sphere(p).scale(scale),
         images[0].m,
     )
 
@@ -191,16 +211,15 @@ def verify_commutation_theorem(
     Returns verdicts for the complement fields (the theorem's statement) and
     for every field of the algebra (stronger, expected true on spheres where
     the operator is rotation invariant).  Each basis image's defect
-    Y_a(Omega f) - Omega(Y_a f) is computed once per 2-jet f; since
-    ``realize`` is linear, the defect of a complement vector c is
+    Y_a(Omega f) - Omega(Y_a f) is computed once per 2-jet f, Omega from the
+    table; as ``realize`` is linear, the defect of a complement vector c is
     sum_a c_a * defect_a.  Each commutator with the Casimir is again a sum of
-    compositions of two derivations, so on the 2-jets the verdicts are
-    proofs.
+    compositions of two derivations, so on the 2-jets the verdicts are proofs.
     """
     m = images[0].m
-    operator = projected_casimir(casimir, images)
-    applied = [(f, operator(f)) for f in jet_functions(m)]
-    defects = [[field(lf) - operator(field(f)) for f, lf in applied] for field in images]
+    omega = _tabulated(projected_casimir(casimir, images))
+    applied = [(p, omega(p)) for p in (f.numerator for f in jet_functions(m))]
+    defects = [[field(lp) - omega(field(p)) for p, lp in applied] for field in images]
 
     def commutes(coords) -> bool:
         if len(coords) != len(images):
@@ -208,7 +227,7 @@ def verify_commutation_theorem(
                 f"coordinate vector has length {len(coords)}, expected {len(images)}"
             )
         for j in range(len(applied)):
-            total = SphereFunction.zero(m)
+            total = SpherePolynomial.zero(m)
             for c, row in zip(coords, defects):
                 if c:
                     total = total + row[j].scale(c)

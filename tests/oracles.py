@@ -429,6 +429,21 @@ def apply_raw_loop(i: int, j: int, p: FractionPolynomial) -> FractionPolynomial:
 
 
 # ----------------------------------------------------------------------
+# the ad-invariance scan before it skipped the triples with x > y
+# ----------------------------------------------------------------------
+
+
+def ad_invariance_by_all_triples(algebra: LieAlgebraData, form: BilinearForm):
+    """First ordered triple (z, x, y) violating B([Z,X],Y) + B(X,[Z,Y]) = 0,
+    all dim^3 of them scanned, or None."""
+    s, b = algebra.structure, form.matrix
+    for z, x, y in product(range(algebra.dim), repeat=3):
+        if sum(c * b[k][y] for k, c in s[z][x]) + sum(c * b[x][k] for k, c in s[z][y]) != 0:
+            return (z, x, y)
+    return None
+
+
+# ----------------------------------------------------------------------
 # the projection route that B-orthogonality tests replaced in lie
 # ----------------------------------------------------------------------
 

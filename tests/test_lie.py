@@ -218,6 +218,26 @@ class TestAdInvariance:
         defect = B(alg.bracket(ez, ex), ey) + B(ex, alg.bracket(ez, ey))
         assert defect != 0
 
+    def test_trimmed_scan_matches_the_full_triple_scan(self):
+        cases = [
+            (so_algebra(m), perturbed_form(trace_form(m), index=index))
+            for m in (3, 4, 5)
+            for index in range(so_algebra(m).dim)
+        ]
+        rng = random.Random(19)
+        rows = [[Fraction(0)] * 6 for _ in range(6)]
+        for i in range(6):
+            for j in range(i, 6):
+                rows[i][j] = rows[j][i] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+        cases.append((so_algebra(4), BilinearForm.from_rows(rows)))
+        # B(E12, .) vanishes on [E12, so(3)], so the first violation is the
+        # diagonal triple (E12, E13, E13), which a strict x < y scan would skip.
+        cases.append((so_algebra(3), BilinearForm.from_rows([[1, 0, 0], [0, 1, 1], [0, 1, 1]])))
+        for alg, form in cases:
+            witness = ad_invariance_witness(alg, form)
+            assert witness is not None
+            assert witness == oracles.ad_invariance_by_all_triples(alg, form)
+
     def test_abelian_algebra_always_invariant(self):
         abelian = LieAlgebraData.from_brackets(("a", "b"), {})
         skew = BilinearForm.from_rows([[2, 1], [1, 3]])

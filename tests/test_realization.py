@@ -20,6 +20,7 @@ from sphere_sos.lie import (
 from sphere_sos.polynomials import Polynomial, SphereFunction, SpherePolynomial
 from sphere_sos.realization import (
     ProjectedCasimir,
+    _tabulated,
     jet_functions,
     projected_casimir,
     realize,
@@ -554,3 +555,50 @@ class TestRealizedFieldFirstTerm:
     def test_rejects_other_types(self):
         with pytest.raises(TypeError):
             so_realization(3)[0](Polynomial.one(3))
+
+
+TABLE_CASES = {
+    "so3": lambda: (so_algebra(3), trace_form(3), so_realization(3)),
+    "so4": lambda: (so_algebra(4), trace_form(4), so_realization(4)),
+    "so5": lambda: (so_algebra(5), trace_form(5), so_realization(5)),
+    "su2": lambda: (su2_algebra(), su2_round_form(), su2_realization()),
+}
+
+
+class TestCasimirTable:
+    """The monomial table behind both Casimir verdicts is a memo of the
+    projected Casimir on every sphere polynomial, not a restriction to the
+    2-jets, and it belongs to one realized Casimir."""
+
+    @pytest.mark.parametrize("case", TABLE_CASES)
+    def test_table_equals_the_untabulated_operator(self, case):
+        alg, form, images = TABLE_CASES[case]()
+        m = images[0].m
+        operator = projected_casimir(casimir_element(alg, form), images)
+        omega = _tabulated(operator)
+        rng = random.Random(f"table:{case}")
+        functions = [SpherePolynomial.constant(m, Fraction(7, 3)), SpherePolynomial.zero(m)]
+        for degree in (3, 4):
+            for _ in range(4):
+                p = random_polynomial(rng, m, max_degree=degree, max_terms=6)
+                top = Polynomial.variable(m, rng.randint(1, m)) ** degree
+                scale = Fraction(rng.randint(1, 9), rng.randint(1, 6))
+                functions.append(SpherePolynomial((p + top).scale(scale)))
+        assert {f.degree() for f in functions} >= {3, 4}
+        for f in functions:
+            assert omega(f) == operator(f), f
+
+    def test_table_is_keyed_by_the_casimir(self):
+        # A table keyed by the images alone would reuse the full Casimir's
+        # rows for the one with a pair dropped and pass it.
+        alg = su2_algebra()
+        cas = casimir_element(alg, su2_round_form())
+        basis = [alg.basis_vector(i) for i in range(alg.dim)]
+        images = su2_realization()
+        assert verify_lap_eq_casimir(cas, images)
+        full = verify_commutation_theorem(cas, images, complement_coords=basis)
+        assert full == {"complement": True, "full_algebra": True}
+        dropped = cas._replace(pairs=cas.pairs[1:])
+        assert not verify_lap_eq_casimir(dropped, images)
+        verdicts = verify_commutation_theorem(dropped, images, complement_coords=basis)
+        assert verdicts == {"complement": False, "full_algebra": False}
