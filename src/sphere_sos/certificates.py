@@ -45,11 +45,13 @@ from .linalg import Matrix
 from .polynomials import (
     DEFAULT_SAMPLE_COUNT,
     DEFAULT_SEED,
+    DEGREE_LIMIT,
     Polynomial,
     SphereFunction,
+    SpherePolynomial,
+    _multiply_into,
     laplace_euclid,
     sample_cap_points,
-    term_order_key,
 )
 from .sphere_ops import apply_rotation_field, laplace_sphere, rotation_fields
 
@@ -119,7 +121,21 @@ def _weighted_sum(squares: Sequence[Polynomial | SphereFunction], k: int):
 
 
 def _square_and_harmonicity(term: Polynomial | SphereFunction):
-    return term * term, _laplacian(term).is_zero()
+    """(term^2, whether term is harmonic).  The square of the numerator adds
+    each cross term 2 c_a c_b once, in a term order that no certificate
+    output depends on (``term * term`` keeps the order of the full product)."""
+    p = term if isinstance(term, Polynomial) else term.num.poly
+    if 2 * p.degree() > DEGREE_LIMIT:
+        raise ValueError(f"square degree exceeds the packed-key limit {DEGREE_LIMIT}")
+    items = list(p.numerators.items())
+    twice = [(e, 2 * c) for e, c in items]
+    out = {e + e: c * c for e, c in items}
+    for i, item in enumerate(items):
+        _multiply_into(out, (item,), twice[i + 1 :])
+    square = Polynomial.from_numerators(p.m, out, p.denominator**2)
+    if isinstance(term, SphereFunction):
+        square = SphereFunction._make(SpherePolynomial(square), term.base, 2 * term.exp, True)
+    return square, _laplacian(term).is_zero()
 
 
 def _map_ordered(fn: Callable, items: Sequence) -> list:
@@ -171,24 +187,8 @@ def _coefficient_rows(funcs: Sequence[Polynomial | SphereFunction]) -> list[list
         ]
     den = math.lcm(*(p.denominator for p in polys))
     columns = [(p.numerators, den // p.denominator) for p in polys]
-    monomials = sorted({mono for p in polys for mono in p.numerators}, key=term_order_key)
+    monomials = sorted({mono for p in polys for mono in p.numerators})
     return [[nums.get(mono, 0) * scale for nums, scale in columns] for mono in monomials]
-
-
-def _check_coordinates(rows: list[list[int]], pivots: list[int], coords: Matrix) -> None:
-    """Re-check column c == sum_r coords[c][r] * column pivots[r] for every
-    column, pivot columns included, in integers; a mismatch is an engine bug,
-    never a verdict."""
-    pivot_entries = [[row[p] for p in pivots] for row in rows]
-    for c, x in enumerate(coords):
-        den = math.lcm(*(q.denominator for q in x))
-        nums = [q.numerator * (den // q.denominator) for q in x]
-        for row, entries in zip(rows, pivot_entries):
-            if den * row[c] != sum(map(operator.mul, nums, entries)):
-                raise RuntimeError(
-                    f"certificate term {c} differs from its span coordinates "
-                    "(this indicates a bug in the engine)"
-                )
 
 
 def word_span(
@@ -206,7 +206,6 @@ def word_span(
         images = [field(v) for field in fields for v in basis]
         rows = _coefficient_rows(images)
         pivots, coords = linalg.column_basis(rows, len(images))
-        _check_coordinates(rows, pivots, coords)
         n = len(basis)
         matrices.append(
             [

@@ -415,8 +415,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (UsageError, OSError) as exc:
-        # I/O faults are configuration problems, never mathematical verdicts.
+    except (ValueError, OSError) as exc:
+        # Rejected inputs (a degree past the kernel's limit too) are never verdicts.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

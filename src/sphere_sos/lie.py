@@ -100,9 +100,12 @@ class LieAlgebraData(
         )
 
     def check_jacobi(self) -> bool:
-        """Jacobi identity on all basis triples, exactly."""
+        """Jacobi identity on all basis triples, exactly; J(i, j, k) sums the same three
+        double brackets as its rotations, so only the smallest rotation is checked."""
         s = self.structure
         for i, j, k in product(range(self.dim), repeat=3):
+            if (i, j, k) > min((j, k, i), (k, i, j)):
+                continue
             total: defaultdict[int, Fraction] = defaultdict(Fraction)
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 # [X_a, [X_b, X_c]]

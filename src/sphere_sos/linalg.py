@@ -10,15 +10,27 @@ off the column basis of [A | I].  Without row swaps the Bareiss pivots are
 the leading principal minors (Bareiss 1968) and the rows are the scaled rows
 of D L^T, which is how ``ldl`` factors a positive definite matrix; a matrix
 is positive definite exactly when ``ldl`` succeeds.
+
+``column_basis`` searches modulo PIVOT_PRIME and checks exactly (McConnell et
+al. 2011): the rows that carry the pivots mod p are eliminated alone, and then
+every column is checked against its coordinates on every row, in integers.
+A pass proves the full elimination's answer: its pivots are the first
+independent columns and coordinates in a basis are unique.  A prime that
+divides a minor fails the check and the level is redone on every row; only a
+failure there raises RuntimeError.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterator, Sequence
 
 Matrix = list[list[Fraction]]
+
+# column_basis searches its pivot rows modulo this prime (the largest below 2^30).
+PIVOT_PRIME = 1_073_741_789
 
 
 def _to_fraction_matrix(rows: Sequence[Sequence]) -> Matrix:
@@ -75,10 +87,7 @@ def fraction_free_echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], li
     copied; rational input is scaled row-wise to integers first, which does
     not change the row space or the kernel.
     """
-    if all(type(x) is int for row in rows for x in row):
-        m = [list(row) for row in rows]
-    else:
-        m = _clear_denominators(_to_fraction_matrix(rows))
+    m = _integer_rows(rows)
     return m, [c for _, c, _ in _bareiss(m)]
 
 
@@ -158,19 +167,70 @@ def column_basis(
     Returns (pivots, coords): column c equals the sum over r of
     coords[c][r] * column pivots[r], exactly.  A pivot column has unit
     coordinates; any other column reads its coordinates off the kernel vector
-    that it spans with the pivot columns before it.
+    that it spans with the pivot columns before it.  The answer is checked
+    exactly on every row (module docstring).
     """
     if not rows:
         if n_cols is None:
             raise ValueError("empty matrix needs an explicit column count")
         return [], [[] for _ in range(n_cols)]
-    echelon, pivots = fraction_free_echelon(rows)
+    m = _integer_rows(rows)
+    # With no pivot modulo the prime (m is zero there), the first try is m itself.
+    for candidate in ([m[i] for i in _pivot_rows_mod_p(m)] or m, m):
+        pivots, coords = _coordinates(candidate)
+        if _spans(m, pivots, coords):
+            return pivots, coords
+    raise RuntimeError(
+        "a column differs from its span coordinates (this indicates a bug in the engine)"
+    )
+
+
+def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    if all(type(x) is int for row in rows for x in row):
+        return [list(row) for row in rows]
+    return _clear_denominators(_to_fraction_matrix(rows))
+
+
+def _pivot_rows_mod_p(m: list[list[int]]) -> list[int]:
+    """The rows that carry the pivots of m's elimination modulo PIVOT_PRIME,
+    each pivot taken from the first remaining row that is nonzero there."""
+    p = PIVOT_PRIME
+    remaining = {i: [x % p for x in row] for i, row in enumerate(m)}
+    carriers = []
+    for c in range(len(m[0])):
+        r = next((i for i, row in remaining.items() if row[c]), None)
+        if r is not None:
+            carriers.append(r)
+            pivot = remaining.pop(r)
+            inverse = pow(pivot[c], -1, p)
+            for i, row in remaining.items():
+                if f := row[c] * inverse % p:
+                    remaining[i] = [(x - f * y) % p for x, y in zip(row, pivot)]
+    return carriers
+
+
+def _coordinates(m: list[list[int]]) -> tuple[list[int], list[list[Fraction]]]:
+    """column_basis of the integer rows m by Bareiss elimination, unchecked."""
+    echelon, pivots = fraction_free_echelon(m)
     coords: list[list[Fraction]] = [[] for _ in echelon[0]]
     for r, c in enumerate(pivots):
         coords[c] = [Fraction(int(i == r)) for i in range(len(pivots))]
     for free, y, d in _kernel_vectors(echelon, pivots):
         coords[free] = [Fraction(-y[c], d) for c in pivots]
     return pivots, coords
+
+
+def _spans(m: list[list[int]], pivots: list[int], coords: list[list[Fraction]]) -> bool:
+    """Whether column c == sum_r coords[c][r] * column pivots[r] on every row
+    of m, for every column, pivot columns included, checked in integers."""
+    pivot_entries = [[row[p] for p in pivots] for row in m]
+    for c, x in enumerate(coords):
+        den = math.lcm(*(q.denominator for q in x))
+        nums = [q.numerator * (den // q.denominator) for q in x]
+        for row, entries in zip(m, pivot_entries):
+            if den * row[c] != sum(map(mul, nums, entries)):
+                return False
+    return True
 
 
 def invert(rows: Sequence[Sequence]) -> Matrix:

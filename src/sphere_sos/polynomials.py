@@ -21,6 +21,13 @@ each polynomial reads its evaluation plan, built once, off one power table.
 Term order is part of the output (float sums run in it): each operation keeps
 the order of the sum it forms, where a monomial whose running sum cancels is
 dropped and comes back at the end if a later term revives it.
+
+Monomials are keyed by packed ints (Monagan & Pearce 2009): the degree in the
+top slot, then e_1..e_m, SLOT bits each, so int order is graded-lex order and
+multiplying monomials adds keys.  A degree past DEGREE_LIMIT = 2^SLOT - 1 would
+carry into a neighbouring slot, so the constructor and every product raise
+ValueError there.  Exponent tuples appear only in the constructor, ``terms``,
+``coefficient``, ``str`` and ``parse``.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ import math
 import re
 from fractions import Fraction
 from itertools import accumulate, repeat
-from operator import add, mul
+from operator import mul
 from types import MappingProxyType
 from typing import Callable, Mapping, Sequence
 
@@ -48,34 +55,50 @@ def _as_fraction(value: RationalLike) -> Fraction:
     raise TypeError(f"expected an exact rational, got {type(value).__name__}")
 
 
-def term_order_key(exponents: Exponents) -> tuple[int, Exponents]:
-    """Graded-lexicographic sort key (total degree first, then exponents)."""
-    return (sum(exponents), exponents)
+SLOT = 8
+DEGREE_LIMIT = (1 << SLOT) - 1
+
+
+def _pack(exps: Exponents) -> int:
+    key = degree = sum(exps)
+    if degree > DEGREE_LIMIT:
+        raise ValueError(f"degree {degree} exceeds the packed-key limit {DEGREE_LIMIT}")
+    for e in exps:
+        key = key << SLOT | e
+    return key
+
+
+def _unpack(key: int, m: int) -> Exponents:
+    return tuple(key >> SLOT * s & DEGREE_LIMIT for s in range(m - 1, -1, -1))
+
+
+def variable_key(m: int, index: int) -> int:
+    """The packed key of x_index (1-based index); adding it multiplies by x_index."""
+    return 1 << SLOT * m | 1 << SLOT * (m - index)
 
 
 def _square_and_multiply(base, exponent: int, one: Callable[[int], object]):
-    """base ** exponent by binary powering, starting from one(base.m)."""
+    """base ** exponent by binary powering; a product by one(base.m) is skipped."""
     if not isinstance(exponent, int) or exponent < 0:
         raise ValueError("exponent must be a nonnegative integer")
-    result = one(base.m)
-    n = exponent
+    result, n = None, exponent
     while n:
         if n & 1:
-            result = result * base
+            result = base if result is None else result * base
         n >>= 1
         if n:
             base = base * base
-    return result
+    return one(base.m) if result is None else result
 
 
 class Polynomial:
     """Sparse exact-rational polynomial in ``m`` ambient variables.
 
-    ``numerators`` maps exponent tuples of length ``m`` to nonzero ints over
-    the positive int ``denominator``, and gcd(all numerators, denominator) ==
-    1, so the form is unique; zero is the empty dict over 1.  ``terms`` (the
-    read-only {exponents: Fraction} view) and the evaluation plan are built on
-    first use.  Immutable.
+    ``numerators`` maps packed monomial keys to nonzero ints over the
+    positive int ``denominator``, and gcd(all numerators, denominator) == 1,
+    so the form is unique; zero is the empty dict over 1.  ``terms`` (the
+    read-only {exponent tuple: Fraction} view) and the evaluation plan are
+    built on first use.  Immutable.
     """
 
     __slots__ = ("m", "numerators", "denominator", "_terms", "_plan")
@@ -83,7 +106,7 @@ class Polynomial:
     def __init__(self, m: int, terms: Mapping[Exponents, RationalLike] | None = None):
         if m < 1:
             raise ValueError(f"need at least one variable, got m={m}")
-        clean: dict[Exponents, Fraction] = {}
+        clean: dict[int, Fraction] = {}
         for exps, coeff in (terms or {}).items():
             if not all(isinstance(e, int) and not isinstance(e, bool) for e in exps):
                 raise TypeError(f"exponents must be ints, got {exps!r}")
@@ -94,7 +117,7 @@ class Polynomial:
                 raise ValueError(f"negative exponent in {exps}")
             c = _as_fraction(coeff)
             if c != 0:
-                clean[exps] = c
+                clean[_pack(exps)] = c
         # Over the lcm of lowest-terms denominators the gcd is already 1.
         den = math.lcm(*(c.denominator for c in clean.values()))
         object.__setattr__(self, "m", m)
@@ -103,8 +126,8 @@ class Polynomial:
         object.__setattr__(self, "denominator", den)
 
     @classmethod
-    def _make(cls, m: int, numerators: dict[Exponents, int], denominator: int = 1) -> "Polynomial":
-        # Trusted constructor: already canonical (no zeros, right length, gcd 1).
+    def _make(cls, m: int, numerators: dict[int, int], denominator: int = 1) -> "Polynomial":
+        # Trusted constructor: already canonical (no zeros, packed keys, gcd 1).
         self = object.__new__(cls)
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "numerators", numerators)
@@ -112,7 +135,7 @@ class Polynomial:
         return self
 
     @classmethod
-    def from_numerators(cls, m: int, numerators: dict[Exponents, int], denominator: int):
+    def from_numerators(cls, m: int, numerators: dict[int, int], denominator: int):
         """Nonzero int ``numerators`` over a positive int ``denominator``, their
         gcd divided out; the dict's order is the term order."""
         if denominator != 1:
@@ -131,7 +154,7 @@ class Polynomial:
             return self._terms
         except AttributeError:
             den, nums = self.denominator, self.numerators
-            view = MappingProxyType({e: Fraction(n, den) for e, n in nums.items()})
+            view = MappingProxyType({_unpack(e, self.m): Fraction(n, den) for e, n in nums.items()})
             object.__setattr__(self, "_terms", view)
             return view
 
@@ -146,33 +169,26 @@ class Polynomial:
     @classmethod
     @functools.cache
     def one(cls, m: int) -> "Polynomial":
-        return cls._make(m, {(0,) * m: 1})
+        return cls._make(m, {0: 1})
 
     @classmethod
     def constant(cls, m: int, value: RationalLike) -> "Polynomial":
         c = _as_fraction(value)
         if c == 0:
             return cls.zero(m)
-        return cls._make(m, {(0,) * m: c.numerator}, c.denominator)
+        return cls._make(m, {0: c.numerator}, c.denominator)
 
     @classmethod
     def variable(cls, m: int, index: int) -> "Polynomial":
         """The polynomial x_index, with 1-based index as in x1..xm."""
         if not 1 <= index <= m:
             raise IndexError(f"variable index {index} out of range 1..{m}")
-        exps = [0] * m
-        exps[index - 1] = 1
-        return cls._make(m, {tuple(exps): 1})
+        return cls._make(m, {variable_key(m, index): 1})
 
     @classmethod
     def radius_squared(cls, m: int) -> "Polynomial":
         """x_1^2 + ... + x_m^2."""
-        terms = {}
-        for i in range(m):
-            exps = [0] * m
-            exps[i] = 2
-            terms[tuple(exps)] = 1
-        return cls._make(m, terms)
+        return cls._make(m, {2 * variable_key(m, i): 1 for i in range(1, m + 1)})
 
     # ------------------------------------------------------------------
     # structure
@@ -181,21 +197,19 @@ class Polynomial:
         return not self.numerators
 
     def is_constant(self) -> bool:
-        return all(all(e == 0 for e in exps) for exps in self.numerators)
+        return not any(self.numerators)
 
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("polynomial is not constant")
-        return self.coefficient((0,) * self.m)
+        return Fraction(self.numerators.get(0, 0), self.denominator)
 
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree -1 by convention."""
-        if not self.numerators:
-            return -1
-        return max(sum(exps) for exps in self.numerators)
+        return max(self.numerators) >> SLOT * self.m if self.numerators else -1
 
     def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return Fraction(self.numerators.get(tuple(exponents), 0), self.denominator)
+        return self.terms.get(tuple(exponents), Fraction(0))
 
     def content(self) -> Fraction:
         """Positive rational c with self = c * (primitive integer polynomial)."""
@@ -207,7 +221,7 @@ class Polynomial:
         """Coefficient of the graded-lex leading term (0 for the zero polynomial)."""
         if not self.numerators:
             return Fraction(0)
-        return self.coefficient(max(self.numerators, key=term_order_key))
+        return Fraction(self.numerators[max(self.numerators)], self.denominator)
 
     # ------------------------------------------------------------------
     # ring operations
@@ -224,12 +238,12 @@ class Polynomial:
         den = da * db // math.gcd(da, db)
         fa, fb = den // da, den // db
         out = dict(self.numerators) if fa == 1 else {e: n * fa for e, n in self.numerators.items()}
-        for exps, n in other.numerators.items():
-            s = out.get(exps, 0) + n * fb
+        for key, n in other.numerators.items():
+            s = out.get(key, 0) + n * fb
             if s:
-                out[exps] = s
+                out[key] = s
             else:
-                del out[exps]
+                del out[key]
         return Polynomial.from_numerators(self.m, out, den)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
@@ -248,6 +262,8 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_dim(other)
+        if self.degree() + other.degree() > DEGREE_LIMIT:
+            raise ValueError(f"product degree exceeds the packed-key limit {DEGREE_LIMIT}")
         out = _multiply_into({}, self.numerators.items(), other.numerators.items())
         return Polynomial.from_numerators(self.m, out, self.denominator * other.denominator)
 
@@ -285,20 +301,20 @@ class Polynomial:
         """Formal partial derivative with respect to x_index (1-based)."""
         if not 1 <= index <= self.m:
             raise IndexError(f"variable index {index} out of range 1..{self.m}")
-        i = index - 1
+        shift, step = SLOT * (self.m - index), variable_key(self.m, index)
         # Lowering exponent i is injective on the terms it keeps: no sums.
         out = {
-            exps[:i] + (exps[i] - 1,) + exps[index:]: n * exps[i]
-            for exps, n in self.numerators.items()
-            if exps[i]
+            key - step: n * e
+            for key, n in self.numerators.items()
+            if (e := key >> shift & DEGREE_LIMIT)
         }
         return Polynomial.from_numerators(self.m, out, self.denominator)
 
     def _evaluation_plan(self) -> tuple[int, list]:
         """(n, [(N_e, n - |e|, the nonzero (i, e_i)) per term]), n = max(degree, 0)."""
         if not hasattr(self, "_plan"):
-            n = max(self.degree(), 0)
-            terms = [(c, n - sum(e), [(i, x) for i, x in enumerate(e) if x])
+            n, m = max(self.degree(), 0), self.m
+            terms = [(c, n - (e >> SLOT * m), [(i, x) for i, x in enumerate(_unpack(e, m)) if x])
                      for e, c in self.numerators.items()]
             object.__setattr__(self, "_plan", (n, terms))
         return self._plan
@@ -344,22 +360,14 @@ class Polynomial:
     # canonical text form
     # ------------------------------------------------------------------
     def __str__(self) -> str:
-        if not self.terms:
-            return "0"
+        """Terms in graded-lex descending order, which is descending key order."""
         parts = []
-        for exps in sorted(self.terms, key=term_order_key, reverse=True):
-            c = self.terms[exps]
-            factors = []
-            for i, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"x{i + 1}")
-                elif e > 1:
-                    factors.append(f"x{i + 1}^{e}")
-            if factors:
-                parts.append(f"{c} * " + " ".join(factors))
-            else:
-                parts.append(str(c))
-        return " + ".join(parts)
+        for key in sorted(self.numerators, reverse=True):
+            c = Fraction(self.numerators[key], self.denominator)
+            exps = enumerate(_unpack(key, self.m), start=1)
+            factors = [f"x{i}" if e == 1 else f"x{i}^{e}" for i, e in exps if e]
+            parts.append(f"{c} * " + " ".join(factors) if factors else str(c))
+        return " + ".join(parts) or "0"
 
     def __repr__(self) -> str:
         return f"Polynomial(m={self.m}, {self})"
@@ -400,11 +408,12 @@ class Polynomial:
 
 def laplace_euclid(p: Polynomial) -> Polynomial:
     """Sum of second partials d_1^2 p, d_2^2 p, ... of a raw polynomial, in one int dict."""
-    out: dict[Exponents, int] = {}
-    for i in range(p.m):
-        for exps, n in p.numerators.items():
-            if (e := exps[i]) > 1:
-                key = exps[:i] + (e - 2,) + exps[i + 1 :]
+    out: dict[int, int] = {}
+    for i in range(1, p.m + 1):
+        shift, step = SLOT * (p.m - i), 2 * (1 << SLOT * p.m | 1 << SLOT * (p.m - i))
+        for mono, n in p.numerators.items():
+            if (e := mono >> shift & DEGREE_LIMIT) > 1:
+                key = mono - step
                 s = out.get(key, 0) + n * e * (e - 1)
                 if s:
                     out[key] = s
@@ -415,7 +424,7 @@ def laplace_euclid(p: Polynomial) -> Polynomial:
 
 def euler_operator(p: Polynomial) -> Polynomial:
     """Radial grading operator: sum_i x_i * d/dx_i.  Multiplies degree-d terms by d."""
-    out = {exps: n * sum(exps) for exps, n in p.numerators.items() if any(exps)}
+    out = {key: n * (key >> SLOT * p.m) for key, n in p.numerators.items() if key}
     return Polynomial.from_numerators(p.m, out, p.denominator)
 
 
@@ -547,15 +556,16 @@ def _reduce_terms(p: Polynomial) -> Polynomial:
     term order: first the expansions of the terms with q >= 1, in p's order,
     then the terms with x_m-exponent <= 1."""
     m = _sphere_dim(p.m)
-    if all(exps[-1] <= 1 for exps in p.numerators):
+    # Bits 1.. of the last slot are set exactly when x_m has exponent >= 2.
+    if not any(key & DEGREE_LIMIT - 1 for key in p.numerators):
         return p
-    out: dict[Exponents, int] = {}
-    for exps, c in p.numerators.items():
-        q, r = divmod(exps[-1], 2)
-        if q:
-            _multiply_into(out, [(exps[:-1] + (r,), c)], _complement_power(m, q).numerators.items())
-    kept = [(exps, c) for exps, c in p.numerators.items() if exps[-1] <= 1]
-    _multiply_into(out, kept, Polynomial.one(m).numerators.items())
+    out: dict[int, int] = {}
+    for key, c in p.numerators.items():
+        if q := (key & DEGREE_LIMIT) >> 1:
+            stem = key - 2 * q * variable_key(m, m)
+            _multiply_into(out, [(stem, c)], _complement_power(m, q).numerators.items())
+    kept = [(key, c) for key, c in p.numerators.items() if key & DEGREE_LIMIT <= 1]
+    _multiply_into(out, kept, ((0, 1),))
     return Polynomial.from_numerators(m, out, p.denominator)
 
 
@@ -566,17 +576,17 @@ def _sphere_dim(m: int) -> int:
 
 
 def _multiply_into(out: dict, left, right) -> dict:
-    """Adds every product of a (exponents, int) pair of left and one of right
-    into out, in order; a sum that cancels drops its monomial."""
+    """Adds every product of a (key, int) pair of left and one of right into
+    out, in order; a sum that cancels drops its monomial."""
     get = out.get
     for e1, c1 in left:
         for e2, c2 in right:
-            exps = tuple(map(add, e1, e2))
-            s = get(exps, 0) + c1 * c2
+            key = e1 + e2
+            s = get(key, 0) + c1 * c2
             if s:
-                out[exps] = s
+                out[key] = s
             else:
-                del out[exps]
+                del out[key]
     return out
 
 
@@ -630,8 +640,6 @@ class SphereFunction:
             raise ValueError(
                 f"ambient dimension mismatch: {numerator.m} vs {denominator.m}"
             )
-        if denominator.is_zero():
-            raise ZeroDivisionError("denominator is zero in the quotient ring")
         num, base, exp = _normalize(numerator, denominator, 1)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "base", base)
@@ -687,26 +695,21 @@ class SphereFunction:
         if self.m != other.m:
             raise ValueError(f"ambient dimension mismatch: {self.m} vs {other.m}")
 
+    def _over(self, base: SpherePolynomial, exp: int) -> SpherePolynomial:
+        """num over base ** exp >= self.exp, base self's unless self.exp is 0; never num * 1."""
+        return self.num if exp == self.exp else self.num * base ** (exp - self.exp)
+
     def __add__(self, other: "SphereFunction") -> "SphereFunction":
         if not isinstance(other, SphereFunction):
             return NotImplemented
         self._check_dim(other)
-        if self.exp == 0:
-            if other.exp == 0:
-                return SphereFunction._make(
-                    self.num + other.num, SpherePolynomial.one(self.m), 0, canonical=True
-                )
-            return SphereFunction._make(
-                self.num * other.base**other.exp + other.num, other.base, other.exp, canonical=True
-            )
-        if other.exp == 0:
+        if other.exp == 0 < self.exp:
             return other + self
-        if self.base == other.base:
+        # One base: a function with exp 0 has base 1 and takes the other's.
+        if self.exp == 0 or self.base == other.base:
+            base = other.base if self.exp == 0 else self.base
             e = max(self.exp, other.exp)
-            num = self.num * self.base ** (e - self.exp) + other.num * self.base ** (
-                e - other.exp
-            )
-            return SphereFunction._make(num, self.base, e, canonical=True)
+            return SphereFunction._make(self._over(base, e) + other._over(base, e), base, e, True)
         lhs_den = self.base**self.exp
         rhs_den = other.base**other.exp
         return SphereFunction._make(
@@ -727,14 +730,9 @@ class SphereFunction:
         if not isinstance(other, SphereFunction):
             return NotImplemented
         self._check_dim(other)
-        if self.exp == 0:
-            return SphereFunction._make(self.num * other.num, other.base, other.exp, canonical=True)
-        if other.exp == 0:
-            return SphereFunction._make(self.num * other.num, self.base, self.exp, canonical=True)
-        if self.base == other.base:
-            return SphereFunction._make(
-                self.num * other.num, self.base, self.exp + other.exp, canonical=True
-            )
+        if self.exp == 0 or other.exp == 0 or self.base == other.base:
+            base = other.base if self.exp == 0 else self.base
+            return SphereFunction._make(self.num * other.num, base, self.exp + other.exp, True)
         return SphereFunction._make(
             self.num * other.num, self.base**self.exp * other.base**other.exp, 1
         )
@@ -763,7 +761,7 @@ class SphereFunction:
         self._check_dim(other)
         if self.base == other.base:
             lo, hi = (self, other) if self.exp <= other.exp else (other, self)
-            return lo.num * lo.base ** (hi.exp - lo.exp) == hi.num
+            return lo._over(lo.base, hi.exp) == hi.num
         return self.num * other.denominator == other.num * self.denominator
 
     __hash__ = None  # equality is semantic (cross-multiplication), so no hashing

@@ -155,7 +155,7 @@ def _tabulated(operator: ProjectedCasimir):
         out = SpherePolynomial.zero(p.m)
         for e, n in p.poly.numerators.items():
             if e not in table:
-                table[e] = operator(SpherePolynomial(Polynomial(p.m, {e: 1})))
+                table[e] = operator(SpherePolynomial(Polynomial._make(p.m, {e: 1})))
             out = out + table[e].scale(n)
         return out.scale(Fraction(1, p.poly.denominator))
     return apply

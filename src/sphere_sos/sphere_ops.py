@@ -17,15 +17,18 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial
+from math import comb, factorial, gcd, lcm
 from typing import NamedTuple
 
 from .polynomials import (
+    DEGREE_LIMIT,
+    SLOT,
     Polynomial,
     SphereFunction,
     SpherePolynomial,
     euler_operator,
     laplace_euclid,
+    variable_key,
 )
 
 
@@ -47,15 +50,12 @@ class RotationField(NamedTuple("RotationField", [("i", int), ("j", int)])):
         terms in p's order, then the x_j d_i terms subtracted from them."""
         if self.j > p.m:
             raise IndexError(f"{self} out of range for m={p.m}")
-        i, j = self.i - 1, self.j - 1
-        out: dict[tuple[int, ...], int] = {}
-        for up, down, sign in ((i, j, 1), (j, i, -1)):
-            for exps, n in p.numerators.items():
-                e = exps[down]
-                if e:
-                    key = list(exps)
-                    key[down], key[up] = e - 1, key[up] + 1
-                    key = tuple(key)
+        m, out = p.m, {}
+        for up, down, sign in ((self.i, self.j, 1), (self.j, self.i, -1)):
+            shift, step = SLOT * (m - down), variable_key(m, up) - variable_key(m, down)
+            for mono, n in p.numerators.items():
+                if e := mono >> shift & DEGREE_LIMIT:
+                    key = mono + step
                     s = out.get(key, 0) + sign * n * e
                     if s:
                         out[key] = s
@@ -99,7 +99,7 @@ def apply_rotation_field(field: RotationField, f):
 def _laplacian_raw(p: Polynomial) -> Polynomial:
     """Sum of the X_ij^2 with r^2 = 1: laplace_euclid minus d(d + m - 2) on degree d."""
     m = p.m
-    radial = {e: -n * d * (d + m - 2) for e, n in p.numerators.items() if (d := sum(e))}
+    radial = {e: -n * d * (d + m - 2) for e, n in p.numerators.items() if (d := e >> SLOT * m)}
     return laplace_euclid(p) + Polynomial.from_numerators(m, radial, p.denominator)
 
 
@@ -176,18 +176,22 @@ def generate_harmonic_basis(m: int, d: int) -> list[Polynomial]:
         raise ValueError(f"need m >= 2, got {m}")
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")
-    basis = []
+    basis, x1 = [], variable_key(m, 1)
     for g in [g for g in monomials_of_degree(m, d) if g[0] <= 1]:
         e = g[0]
         terms = {}
         # D'^j(x'^a) has no x1, so the full Laplacian computes it.
         rest, j = Polynomial(m, {(0,) + g[1:]: 1}), 0
         while not rest.is_zero():
-            c = Fraction((-1) ** j, factorial(2 * j + e))
-            for exps, k in rest.terms.items():
-                terms[(2 * j + e,) + exps[1:]] = k * c
+            c = Fraction((-1) ** j, factorial(2 * j + e) * rest.denominator)
+            for key, k in rest.numerators.items():
+                terms[key + (2 * j + e) * x1] = k * c
             rest, j = laplace_euclid(rest), j + 1
-        p = Polynomial(m, dict(sorted(terms.items(), reverse=True)))
-        basis.append(p.scale(1 / p.content()))
+        # The terms are homogeneous, so descending keys are descending exponent tuples.
+        den = lcm(*(c.denominator for c in terms.values()))
+        ordered = sorted(terms.items(), reverse=True)
+        nums = {key: c.numerator * (den // c.denominator) for key, c in ordered}
+        content = gcd(*nums.values())
+        basis.append(Polynomial._make(m, {key: n // content for key, n in nums.items()}))
     return basis
 

@@ -169,6 +169,11 @@ def standard_test_suite(
     return suite
 
 
+def term_order_key(exponents: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
+    """Graded-lexicographic sort key (total degree first, then exponents)."""
+    return (sum(exponents), exponents)
+
+
 def evaluate_fraction_loop(p: Polynomial, point) -> Fraction:
     """Exact value as a Fraction sum over every monomial."""
     pt = [Fraction(v) for v in point]
@@ -443,6 +448,20 @@ def ad_invariance_by_all_triples(algebra: LieAlgebraData, form: BilinearForm):
     return None
 
 
+def jacobi_by_all_triples(algebra: LieAlgebraData) -> bool:
+    """The Jacobi identity on all dim^3 ordered triples, each cyclic sum
+    [X_i, [X_j, X_k]] + [X_j, [X_k, X_i]] + [X_k, [X_i, X_j]] in full."""
+    bracket = algebra.bracket
+    e = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    for i, j, k in product(range(algebra.dim), repeat=3):
+        total = [0] * algebra.dim
+        for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
+            total = [t + x for t, x in zip(total, bracket(e[a], bracket(e[b], e[c])))]
+        if any(total):
+            return False
+    return True
+
+
 # ----------------------------------------------------------------------
 # the projection route that B-orthogonality tests replaced in lie
 # ----------------------------------------------------------------------
@@ -639,7 +658,7 @@ def check_sum_of_squares_identity(p: Polynomial) -> bool:
 
 
 def is_homogeneous(p: Polynomial) -> bool:
-    return len({sum(exps) for exps in p.numerators}) <= 1
+    return len({sum(exps) for exps in p.terms}) <= 1
 
 
 def check_spherical_eigenvalue(p: Polynomial) -> bool:

@@ -383,10 +383,11 @@ class TestGramRoute:
 
     @pytest.mark.parametrize("column", ["first-pivot", "last-pivot", "first-other", "last"])
     def test_a_wrong_coordinate_in_any_column_is_caught(self, monkeypatch, column):
-        real = linalg.column_basis
+        # column_basis trusts no elimination: it re-checks what _coordinates returns.
+        real = linalg._coordinates
 
-        def wrong_in_one_column(rows, n_cols=None):
-            pivots, coords = real(rows, n_cols)
+        def wrong_in_one_column(rows):
+            pivots, coords = real(rows)
             others = [c for c in range(len(coords)) if c not in pivots]
             chosen = {"first-pivot": pivots[:1], "last-pivot": pivots[-1:],
                       "first-other": others[:1], "last": [len(coords) - 1]}[column]
@@ -394,21 +395,21 @@ class TestGramRoute:
                 coords[c] = coords[c][:-1] + [coords[c][-1] + Fraction(1, 3)]
             return pivots, coords
 
-        monkeypatch.setattr(linalg, "column_basis", wrong_in_one_column)
+        monkeypatch.setattr(linalg, "_coordinates", wrong_in_one_column)
         with pytest.raises(RuntimeError, match="span coordinates"):
             rotation_span(stereographic_harmonic(2, "re"), 2)
         with pytest.raises(RuntimeError, match="span coordinates"):
             word_span(harmonic_combination(3, 3), 2, partials(3))
 
     def test_wrong_span_coordinates_are_caught(self, monkeypatch):
-        real = linalg.column_basis
+        real = linalg._coordinates
 
-        def off_by_one(rows, n_cols=None):
-            pivots, coords = real(rows, n_cols)
+        def off_by_one(rows):
+            pivots, coords = real(rows)
             coords[-1] = [x + 1 for x in coords[-1]]
             return pivots, coords
 
-        monkeypatch.setattr(linalg, "column_basis", off_by_one)
+        monkeypatch.setattr(linalg, "_coordinates", off_by_one)
         with pytest.raises(RuntimeError, match="span coordinates"):
             rotation_span(stereographic_harmonic(2, "re"), 2)
 
@@ -453,6 +454,78 @@ class TestGramRoute:
         assert len(calls) == dimension
         assert report.equality_verified is True
         assert report.terms_harmonic is False
+
+    def test_squares_match_the_full_product(self):
+        # Each cross term once gives the value of term * term, in another term order.
+        rng = random.Random(31)
+        terms = [random_sphere_function(rng) for _ in range(30)]
+        terms += [f.num.poly for f in terms] + [SphereFunction.zero(3), Polynomial.zero(4)]
+        for term in terms:
+            square, harmonic = certificates._square_and_harmonicity(term)
+            assert square == term * term
+            assert harmonic is certificates._laplacian(term).is_zero()
+
+    def test_a_square_past_the_degree_limit_fails_loudly(self):
+        x = Polynomial.variable(2, 1)
+        assert certificates._square_and_harmonicity(x**127)[0] == x**254
+        with pytest.raises(ValueError, match="packed-key limit"):
+            certificates._square_and_harmonicity(x**128)
+
+
+def span_fingerprint(span):
+    return [[str(v) for v in level] for level in span.levels], span.matrices, span.term_count
+
+
+class TestBadPivotPrime:
+    """A pivot prime that divides a level's minor loses rank or moves a pivot
+    modulo p; the exact check fails and the level is eliminated on every row."""
+
+    @pytest.fixture
+    def failed_checks(self, monkeypatch):
+        real, failures = linalg._spans, []
+
+        def counted(rows, pivots, coords):
+            ok = real(rows, pivots, coords)
+            if not ok:
+                failures.append(pivots)
+            return ok
+
+        monkeypatch.setattr(linalg, "_spans", counted)
+        return failures
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("prime", [2, 3, 5])
+    def test_spans_and_reports_do_not_change(self, monkeypatch, tmp_path, failed_checks,
+                                             part, prime):
+        from sphere_sos.cli import main
+
+        h = stereographic_harmonic(3, part)
+        family = ["--family", f"stereo:k=3:{part}", "--power", "5", "--samples", "20"]
+        good = rotation_span(h, 6)
+        assert main(["certify", *family, "--output", str(tmp_path / "good.json")]) == 0
+        assert failed_checks == []
+        monkeypatch.setattr(linalg, "PIVOT_PRIME", prime)
+        assert span_fingerprint(rotation_span(h, 6)) == span_fingerprint(good)
+        assert main(["certify", *family, "--output", str(tmp_path / "bad.json")]) == 0
+        assert (tmp_path / "bad.json").read_bytes() == (tmp_path / "good.json").read_bytes()
+        if prime != 3:
+            # Modulo 2 and 5 some stereo:k=3 levels lose rank, so the fallback ran.
+            assert failed_checks
+
+    def test_a_corrupted_coordinate_on_the_full_path_raises(self, monkeypatch, failed_checks):
+        monkeypatch.setattr(linalg, "PIVOT_PRIME", 2)
+        real = linalg._coordinates
+
+        def corrupt_after_a_failed_check(rows):
+            pivots, coords = real(rows)
+            if failed_checks:  # the answer on the pivot rows mod 2 failed: the full path
+                coords[-1] = [x + 1 for x in coords[-1]]
+            return pivots, coords
+
+        monkeypatch.setattr(linalg, "_coordinates", corrupt_after_a_failed_check)
+        with pytest.raises(RuntimeError, match="span coordinates"):
+            rotation_span(stereographic_harmonic(3, "re"), 4)
+        assert len(failed_checks) == 2
 
 
 class TestGeneralizedLeibniz:

@@ -62,6 +62,17 @@ class TestCertify:
         code, _, _ = run(capsys, "certify", "--family", "stereo:k=x:re", "--power", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["certify", "--family", "stereo:k=256:re", "--power", "1"],
+        # h * h has degree 2 * 200, past the limit of 255.
+        ["certify", "--family", "stereo:k=200:im", "--power", "0", "--samples", "1"],
+        ["gen-harmonic", "--ambient-dim", "3", "--degree", "256"],
+    ])
+    def test_degrees_past_the_packed_key_limit_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "exceeds the packed-key limit 255" in err
+
     def test_negative_power_is_usage_error(self, capsys):
         code, _, _ = run(
             capsys, "certify", "--family", "stereo:k=1:re", "--power", "-1"

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sphere_sos.polynomials import Polynomial, _reduce_terms, term_order_key
+from sphere_sos.polynomials import DEGREE_LIMIT, Polynomial, _reduce_terms, laplace_euclid
 from sphere_sos.sphere_ops import rotation_fields
 
 from oracles import (
@@ -22,6 +22,7 @@ from oracles import (
     evaluate_float_loop,
     evaluate_fraction_loop,
     reduce_terms_loop,
+    term_order_key,
 )
 
 M = 3
@@ -184,7 +185,9 @@ def test_terms_view_is_read_only():
     with pytest.raises(TypeError):
         p.terms[(0, 0, 0)] = Fraction(1)
     assert p.terms == {(1, 0, 0): Fraction(1, 2)}
-    assert (p.numerators, p.denominator) == ({(1, 0, 0): 1}, 2)
+    # One int numerator over one int denominator, keyed as the kernel keys x1.
+    assert (list(p.numerators.values()), p.denominator) == ([1], 2)
+    assert p.numerators.keys() == Polynomial.variable(M, 1).numerators.keys()
 
 
 class TestInputGuard:
@@ -215,3 +218,86 @@ class TestInputGuard:
     def test_int_exponents_and_coefficients_accepted(self):
         p = Polynomial(3, {(1, 0, 2): 3, (0, 0, 0): Fraction(-1, 4)})
         assert list(p.terms.items()) == [((1, 0, 2), Fraction(3)), ((0, 0, 0), Fraction(-1, 4))]
+
+
+# ----------------------------------------------------------------------
+# packed monomial keys for m = 2..5, up to the degree limit
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def monomials(draw, m, degree):
+    """An exponent tuple of length m and total degree at most ``degree``
+    (exactly ``degree`` in about half the draws)."""
+    total = draw(st.one_of(st.just(degree), st.integers(0, degree)))
+    cuts = sorted(draw(st.lists(st.integers(0, total), min_size=m - 1, max_size=m - 1)))
+    return tuple(b - a for a, b in zip([0, *cuts], [*cuts, total]))
+
+
+def packed_terms(m, degree, last=None):
+    """Term maps of degree <= ``degree``; with ``last`` the exponent of x_m
+    is at most that, so the oracle's normal form stays small."""
+    keys = monomials(m, degree)
+    if last is not None:
+        keys = keys.filter(lambda e: e[-1] <= last)
+    return st.dictionaries(keys, st.one_of(small, large), max_size=5)
+
+
+@st.composite
+def packed_pairs(draw):
+    """(m, p, q) with deg p + deg q <= DEGREE_LIMIT, so p * q is representable."""
+    m = draw(st.integers(2, 5))
+    split = draw(st.integers(0, DEGREE_LIMIT))
+    return m, draw(packed_terms(m, split)), draw(packed_terms(m, DEGREE_LIMIT - split))
+
+
+@given(packed_pairs())
+@settings(max_examples=150, deadline=None)
+def test_packed_products_match(pair):
+    m, p, q = pair
+    a, oa = Polynomial(m, p), FractionPolynomial(m, p)
+    b, ob = Polynomial(m, q), FractionPolynomial(m, q)
+    assert_same(a * b, oa * ob)
+    assert_same(a + b, oa + ob)
+    assert a.degree() == max((sum(e) for e, c in p.items() if c), default=-1)
+
+
+@given(st.integers(2, 5).flatmap(lambda m: st.tuples(st.just(m), packed_terms(m, DEGREE_LIMIT))))
+@settings(max_examples=150, deadline=None)
+def test_packed_derivatives_and_fields_match(case):
+    m, terms = case
+    p, op = Polynomial(m, terms), FractionPolynomial(m, terms)
+    laplacian = FractionPolynomial(m)
+    for i in range(1, m + 1):
+        assert_same(p.partial(i), op.partial(i))
+        laplacian = laplacian + op.partial(i).partial(i)
+    assert_same(laplace_euclid(p), laplacian)
+    for field in rotation_fields(m):
+        assert_same(field.apply_raw(p), apply_raw_loop(field.i, field.j, op))
+    assert str(p) == str(op)
+
+
+@given(st.integers(2, 5).flatmap(lambda m: st.tuples(st.just(m), packed_terms(m, DEGREE_LIMIT, 9))))
+@settings(max_examples=100, deadline=None)
+def test_packed_normal_form_matches(case):
+    m, terms = case
+    p, op = Polynomial(m, terms), FractionPolynomial(m, terms)
+    assert_same(_reduce_terms(p), reduce_terms_loop(op))
+
+
+@pytest.mark.parametrize("m", [2, 3, 5])
+def test_past_the_degree_limit_fails_loudly(m):
+    top = (DEGREE_LIMIT,) + (0,) * (m - 1)
+    last = (0,) * (m - 1) + (DEGREE_LIMIT,)
+    # At the limit every slot holds its exponent exactly.
+    assert list(Polynomial(m, {top: 1, last: 2}).terms) == [top, last]
+    with pytest.raises(ValueError, match="packed-key limit"):
+        Polynomial(m, {(DEGREE_LIMIT + 1,) + (0,) * (m - 1): 1})
+    with pytest.raises(ValueError, match="packed-key limit"):
+        Polynomial(m, {(1,) * (m - 1) + (DEGREE_LIMIT - m + 2,): 1})
+    x = Polynomial.variable(m, m)
+    assert (x ** DEGREE_LIMIT).terms == {last: 1}
+    with pytest.raises(ValueError, match="packed-key limit"):
+        x ** (DEGREE_LIMIT + 1)
+    with pytest.raises(ValueError, match="packed-key limit"):
+        x ** 128 * x ** 128

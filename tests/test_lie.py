@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
@@ -81,6 +81,26 @@ class TestSoAlgebra:
         broken = LieAlgebraData.from_brackets(("a", "b", "c"), brackets)
         assert broken.check_antisymmetry()
         assert not broken.check_jacobi()
+
+    def test_jacobi_fails_at_a_triple_with_a_repeated_index(self):
+        # [a, a] = a: the only failing sums are J(a, a, a) and its rotations,
+        # which a scan of i < j < k alone would never visit.
+        assert not LieAlgebraData.from_brackets(("a",), {(0, 0): {0: 1}}).check_jacobi()
+
+    @pytest.mark.parametrize("algebra", [so_algebra(3), so_algebra(4), su2_algebra()],
+                             ids=["so3", "so4", "su2"])
+    def test_one_broken_constant_is_caught_as_by_the_full_scan(self, algebra):
+        # Each table differs from a Lie algebra's in one constant of one
+        # ordered pair, so its bracket is bilinear but not antisymmetric.
+        dim, broken = algebra.dim, 0
+        for a, b, n in product(range(dim), repeat=3):
+            brackets = {(i, j): dict(algebra.structure[i][j])
+                        for i in range(dim) for j in range(dim)}
+            brackets[a, b][n] = brackets[a, b].get(n, 0) + 1
+            table = LieAlgebraData.from_brackets(algebra.labels, brackets)
+            assert table.check_jacobi() is oracles.jacobi_by_all_triples(table)
+            broken += not table.check_jacobi()
+        assert broken > dim**3 // 2
 
     def test_malformed_constants_rejected(self):
         with pytest.raises(ValueError):

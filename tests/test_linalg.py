@@ -255,6 +255,54 @@ def test_column_basis_keeps_the_first_independent_columns():
     assert coords == [[0, 0], [1, 0], [2, 0], [0, 1]]
 
 
+class TestPivotPrime:
+    """column_basis eliminates the rows that carry its pivots modulo
+    PIVOT_PRIME and keeps the answer only if the exact check on every row
+    passes; otherwise it eliminates every row."""
+
+    # Modulo 2 the first row vanishes, so the pivot rows mod 2 miss column 0.
+    ROWS = [[2, 0, 4], [0, 1, 1], [2, 1, 5]]
+
+    def test_a_prime_dividing_a_minor_falls_back_to_every_row(self, monkeypatch):
+        expected = linalg.column_basis(self.ROWS)
+        assert expected == ([0, 1], [[1, 0], [0, 1], [2, 1]])
+        tried = []
+        real = linalg._coordinates
+        monkeypatch.setattr(linalg, "_coordinates", lambda rows: tried.append(rows) or real(rows))
+        monkeypatch.setattr(linalg, "PIVOT_PRIME", 2)
+        assert linalg.column_basis(self.ROWS) == expected
+        assert tried == [[[0, 1, 1]], self.ROWS]
+
+    def test_only_a_failure_on_every_row_raises(self, monkeypatch):
+        real = linalg._coordinates
+
+        def corrupt(when):
+            def coordinates(rows):
+                pivots, coords = real(rows)
+                if when(rows):
+                    coords[2] = [x + 1 for x in coords[2]]
+                return pivots, coords
+            return coordinates
+
+        monkeypatch.setattr(linalg, "PIVOT_PRIME", 2)
+        monkeypatch.setattr(linalg, "_coordinates", corrupt(lambda rows: len(rows) < 3))
+        assert linalg.column_basis(self.ROWS) == ([0, 1], [[1, 0], [0, 1], [2, 1]])
+        monkeypatch.setattr(linalg, "_coordinates", corrupt(lambda rows: len(rows) == 3))
+        with pytest.raises(RuntimeError, match="span coordinates"):
+            linalg.column_basis(self.ROWS)
+
+    @pytest.mark.parametrize("prime", [2, 3, 5, 7])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_any_prime_gives_the_same_answer(self, monkeypatch, prime, seed):
+        rng = random.Random(seed)
+        rows = [[rng.choice([0, 0, prime, 1, -prime, 2 * prime]) for _ in range(6)]
+                for _ in range(8)]
+        expected = linalg.column_basis(rows)
+        monkeypatch.setattr(linalg, "PIVOT_PRIME", prime)
+        assert linalg.column_basis(rows) == expected
+        assert len(expected[0]) == sympy.Matrix(rows).rank()
+
+
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("n", [1, 2, 4, 6])
 def test_ldl_matches_sympy_on_positive_definite(n, seed):
