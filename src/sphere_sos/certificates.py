@@ -253,10 +253,13 @@ def gram_squares(
     u = L^T v on the level-k basis v.
 
     G is the Gram matrix of the word terms, which include the basis itself,
-    so it is positive definite; ``linalg.ldl`` raises ValueError on a pivot
-    d_i <= 0, which would be an engine bug.
+    so it is positive definite; a pivot d_i <= 0, on which ``linalg.ldl``
+    raises ValueError, is an engine bug and raises EngineFault.
     """
-    lower, pivots = linalg.ldl(gram)
+    try:
+        lower, pivots = linalg.ldl(gram)
+    except ValueError as exc:
+        raise linalg.EngineFault(f"the Gram matrix has no LDL factors: {exc}") from exc
     basis = span.levels[-1]
     u = []
     for i, v in enumerate(basis):

@@ -3,7 +3,8 @@
 Subcommands emit deterministic JSON (and CSV for growth curves): identical
 configurations produce byte-identical reports, so the outputs can be used as
 golden files in CI.  Exit codes: 0 all verdicts pass, 1 a mathematical
-verdict was falsified, 2 usage or validation error.
+verdict was falsified, 2 usage or validation error, 3 an engine fault (an
+internal exact check failed, which is a bug and never a verdict).
 
 ``verify-identities`` is driven by one table, ``IDENTITY_CASES``: each case
 names its sphere, its realization and whether it splits off so(m-1), and one
@@ -19,8 +20,9 @@ import json
 import math
 import re
 import sys
+from fractions import Fraction
 
-from . import __version__, certificates, growth, harmonics, lie, realization, sphere_ops
+from . import __version__, certificates, growth, harmonics, lie, linalg, realization, sphere_ops
 from .polynomials import (
     DEFAULT_SAMPLE_COUNT,
     DEFAULT_SEED,
@@ -32,6 +34,7 @@ from .polynomials import (
 EXIT_PASS = 0
 EXIT_FALSIFIED = 1
 EXIT_USAGE = 2
+EXIT_ENGINE_FAULT = 3
 
 SCHEMA_VERSION = 1
 
@@ -240,7 +243,7 @@ def _identity_suite(case: str, form_kind: str) -> list[dict]:
         casimir = lie.casimir_element(algebra, form)
         # form = c * invariant rescales the projected Casimir by 1/c.  A wrong
         # c cannot pass: the comparison below is exact.
-        scale = invariant.matrix[0][0] / form.matrix[0][0]
+        scale = Fraction(invariant.matrix[0][0], form.matrix[0][0])
         record(
             "laplacian_equals_projected_casimir",
             realization.verify_lap_eq_casimir(casimir, images, scale=scale),
@@ -419,6 +422,9 @@ def main(argv=None) -> int:
         # Rejected inputs (a degree past the kernel's limit too) are never verdicts.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except linalg.EngineFault as exc:
+        print(f"error: engine fault: {exc}", file=sys.stderr)
+        return EXIT_ENGINE_FAULT
 
 
 if __name__ == "__main__":

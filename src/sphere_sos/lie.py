@@ -1,13 +1,15 @@
 """Exact Lie-algebra infrastructure.
 
-Algebras are given by rational structure constants on a labelled basis,
+Algebras are given by exact structure constants on a labelled basis,
 stored sparsely: for each basis pair (i, j) only the nonzero (k, c) with
 [X_i, X_j] = sum_k c X_k, sorted by k.  Only this module knows that layout;
 ``LieAlgebraData.from_brackets`` builds it and ``bracket`` returns dense
 coordinate tuples.  so(m) comes straight from the closed form of the
 matrix-unit commutators, its trace form is diagonal, and the Killing form is
 read from the constants, so no m x m matrix is ever multiplied.  Forms are
-symmetric rational matrices.  Everything downstream is exact: brackets,
+symmetric matrices.  Every stored value is an int where it is integral and a
+Fraction otherwise, never a float (``linalg.exact``), so the built-in cases
+run in integers.  Everything downstream is exact: brackets,
 invariance checks with explicit counterexample witnesses, orthogonal
 reductive decompositions, and Casimir elements as (dual vector, basis vector)
 pairs.  A decomposition needs a positive definite form, so a subalgebra k
@@ -24,17 +26,19 @@ from itertools import combinations, combinations_with_replacement, product
 from typing import Mapping, NamedTuple, Sequence
 
 from . import linalg
+from .linalg import exact
 
-Vector = tuple[Fraction, ...]
-Sparse = tuple[tuple[int, Fraction], ...]
+Rational = int | Fraction
+Vector = tuple[Rational, ...]
+Sparse = tuple[tuple[int, Rational], ...]
 
 
 def _vec(values: Sequence) -> Vector:
-    return tuple(Fraction(v) for v in values)
+    return tuple(map(exact, values))
 
 
-def _sparse(coeffs: Mapping[int, Fraction]) -> Sparse:
-    return tuple((k, Fraction(c)) for k, c in sorted(coeffs.items()) if c != 0)
+def _sparse(coeffs: Mapping[int, Rational]) -> Sparse:
+    return tuple((k, exact(c)) for k, c in sorted(coeffs.items()) if c != 0)
 
 
 class LieAlgebraData(
@@ -63,7 +67,7 @@ class LieAlgebraData(
 
     @classmethod
     def from_brackets(
-        cls, labels: Sequence[str], brackets: Mapping[tuple[int, int], Mapping[int, Fraction]]
+        cls, labels: Sequence[str], brackets: Mapping[tuple[int, int], Mapping[int, Rational]]
     ) -> "LieAlgebraData":
         """Algebra with [X_i, X_j] = sum_k brackets[i, j][k] X_k; pairs not
         listed bracket to zero (so antisymmetry is the caller's to state)."""
@@ -74,14 +78,14 @@ class LieAlgebraData(
         return cls(dim=dim, labels=tuple(labels), structure=structure)
 
     def basis_vector(self, index: int) -> Vector:
-        return _vec(1 if k == index else 0 for k in range(self.dim))
+        return tuple(int(k == index) for k in range(self.dim))
 
     def bracket(self, u: Sequence, v: Sequence) -> Vector:
         """[u, v] in coordinates; bilinear extension of the structure constants."""
         u, v = _vec(u), _vec(v)
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError("coordinate vectors must match the algebra dimension")
-        out = [Fraction(0)] * self.dim
+        out = [0] * self.dim
         for i, ci in enumerate(u):
             if ci == 0:
                 continue
@@ -90,7 +94,7 @@ class LieAlgebraData(
                     continue
                 for k, c in self.structure[i][j]:
                     out[k] += ci * cj * c
-        return tuple(out)
+        return _vec(out)
 
     def check_antisymmetry(self) -> bool:
         s = self.structure
@@ -106,7 +110,7 @@ class LieAlgebraData(
         for i, j, k in product(range(self.dim), repeat=3):
             if (i, j, k) > min((j, k, i), (k, i, j)):
                 continue
-            total: defaultdict[int, Fraction] = defaultdict(Fraction)
+            total: defaultdict[int, Rational] = defaultdict(int)
             for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
                 # [X_a, [X_b, X_c]]
                 for n, x in s[b][c]:
@@ -118,7 +122,7 @@ class LieAlgebraData(
 
 
 class BilinearForm(NamedTuple("BilinearForm", [("matrix", tuple[Vector, ...])])):
-    """Symmetric rational matrix; positive definiteness checked on demand."""
+    """Symmetric exact matrix; positive definiteness checked on demand."""
 
     __slots__ = ()
 
@@ -141,17 +145,17 @@ class BilinearForm(NamedTuple("BilinearForm", [("matrix", tuple[Vector, ...])]))
     def dim(self) -> int:
         return len(self.matrix)
 
-    def __call__(self, u: Sequence, v: Sequence) -> Fraction:
+    def __call__(self, u: Sequence, v: Sequence) -> Rational:
         """u^T B v, summed over the nonzero coordinates of u and v only."""
         if len(u) != self.dim or len(v) != self.dim:
             raise ValueError("coordinate vectors must match the form dimension")
-        v_support = [(j, Fraction(y)) for j, y in enumerate(v) if y]
-        total = Fraction(0)
+        v_support = [(j, exact(y)) for j, y in enumerate(v) if y]
+        total = 0
         for i, x in enumerate(u):
             if x:
                 row = self.matrix[i]
-                total += Fraction(x) * sum(row[j] * y for j, y in v_support)
-        return total
+                total += exact(x) * sum(row[j] * y for j, y in v_support)
+        return exact(total)
 
     def is_positive_definite(self) -> bool:
         """Exact: B = L D L^T with every pivot of D positive."""
@@ -162,7 +166,7 @@ class BilinearForm(NamedTuple("BilinearForm", [("matrix", tuple[Vector, ...])]))
         return True
 
     def scale(self, factor) -> "BilinearForm":
-        f = Fraction(factor)
+        f = exact(factor)
         return BilinearForm(tuple(_vec(x * f for x in row) for row in self.matrix))
 
 
@@ -212,7 +216,7 @@ def su2_round_form() -> BilinearForm:
     Laplacian on S^3 (the flow fields of the cyclic basis have length 1/2
     there, so the matching Gram matrix is I/4)."""
     return BilinearForm.from_rows(
-        [[Fraction(1, 4) if i == j else Fraction(0) for j in range(3)] for i in range(3)]
+        [[Fraction(1, 4) if i == j else 0 for j in range(3)] for i in range(3)]
     )
 
 
@@ -225,7 +229,7 @@ def trace_form(m: int, scale=Fraction(-1, 2)) -> BilinearForm:
     Casimir reproduces the round Laplacian with constant exactly one.
     """
     dim = m * (m - 1) // 2
-    diagonal = -2 * Fraction(scale)
+    diagonal = -2 * exact(scale)
     return BilinearForm.from_rows(
         [[diagonal if a == b else 0 for b in range(dim)] for a in range(dim)]
     )
@@ -237,16 +241,16 @@ def killing_form(algebra: LieAlgebraData) -> BilinearForm:
     s, dim = algebra.structure, algebra.dim
     lookup = [[dict(entry) for entry in row] for row in s]
 
-    def entry(a: int, b: int) -> Fraction:
+    def entry(a: int, b: int) -> Rational:
         return sum(c * lookup[b][l].get(k, 0) for k in range(dim) for l, c in s[a][k])
 
     return BilinearForm.from_rows([[entry(a, b) for b in range(dim)] for a in range(dim)])
 
 
-def perturbed_form(base: BilinearForm, index: int = 0, bump=Fraction(1)) -> BilinearForm:
+def perturbed_form(base: BilinearForm, index: int = 0, bump=1) -> BilinearForm:
     """Negative control: a symmetric but non-invariant perturbation of a form."""
     rows = [list(row) for row in base.matrix]
-    rows[index][index] += Fraction(bump)
+    rows[index][index] += exact(bump)
     return BilinearForm.from_rows(rows)
 
 
@@ -377,17 +381,16 @@ def casimir_element(
     inverse = linalg.invert(gram)  # raises ZeroDivisionError if singular
     duals = []
     for j in range(algebra.dim):
-        dual = [Fraction(0)] * algebra.dim
+        dual = [0] * algebra.dim
         for i in range(algebra.dim):
             c = inverse[i][j]
             if c != 0:
                 for t, v in enumerate(vecs[i]):
                     dual[t] += c * v
-        duals.append(tuple(dual))
+        duals.append(_vec(dual))
     for i in range(algebra.dim):
         for j in range(algebra.dim):
-            expected = Fraction(1) if i == j else Fraction(0)
-            if form(duals[i], vecs[j]) != expected:
+            if form(duals[i], vecs[j]) != int(i == j):
                 raise AssertionError("dual basis failed the Gram consistency check")
     return CasimirElement(pairs=tuple((duals[j], vecs[j]) for j in range(algebra.dim)))
 
@@ -395,10 +398,5 @@ def casimir_element(
 def so_subalgebra_fixing_last_axis(m: int) -> list[Vector]:
     """Coordinates in so(m) of the copy of so(m-1) acting on the first m-1 axes."""
     pairs = list(combinations(range(1, m + 1), 2))
-    out = []
-    for k, (i, j) in enumerate(pairs):
-        if j <= m - 1:
-            out.append(
-                tuple(Fraction(1) if t == k else Fraction(0) for t in range(len(pairs)))
-            )
-    return out
+    n = len(pairs)
+    return [tuple(int(t == k) for t in range(n)) for k, (_, j) in enumerate(pairs) if j < m]

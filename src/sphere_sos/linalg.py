@@ -17,7 +17,10 @@ every column is checked against its coordinates on every row, in integers.
 A pass proves the full elimination's answer: its pivots are the first
 independent columns and coordinates in a basis are unique.  A prime that
 divides a minor fails the check and the level is redone on every row; only a
-failure there raises RuntimeError.
+failure there raises EngineFault.
+
+Entries are normalised by ``exact``: an int where the value is integral and a
+Fraction otherwise, so integer input skips every Fraction round-trip.
 """
 
 from __future__ import annotations
@@ -27,26 +30,31 @@ from fractions import Fraction
 from operator import mul
 from typing import Iterator, Sequence
 
-Matrix = list[list[Fraction]]
+Matrix = list[list[int | Fraction]]
 
 # column_basis searches its pivot rows modulo this prime (the largest below 2^30).
 PIVOT_PRIME = 1_073_741_789
 
 
-def _to_fraction_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+class EngineFault(RuntimeError):
+    """An internal exact check failed: a bug in the engine, never a verdict."""
 
 
-def _den_lcm(row: Sequence[Fraction]) -> int:
+def exact(x) -> int | Fraction:
+    """x as an int when it is integral, else as a Fraction; any other
+    number, a float included, converts exactly."""
+    if type(x) is not int:
+        q = x if type(x) is Fraction else Fraction(x)
+        x = q.numerator if q.denominator == 1 else q
+    return x
+
+
+def _exact_rows(rows: Sequence[Sequence]) -> Matrix:
+    return [list(map(exact, row)) for row in rows]
+
+
+def _den_lcm(row: Sequence[int | Fraction]) -> int:
     return math.lcm(*(x.denominator for x in row))
-
-
-def _clear_denominators(rows: Matrix) -> list[list[int]]:
-    out = []
-    for row in rows:
-        lcm = _den_lcm(row)
-        out.append([int(x * lcm) for x in row])
-    return out
 
 
 def _bareiss(m: list[list[int]]) -> Iterator[tuple[int, int, int]]:
@@ -111,7 +119,7 @@ def _back_substitute(
         row = echelon[r]
         y[c], rest = divmod(-sum(row[j] * y[j] for j in support), row[c])
         if rest:
-            raise ArithmeticError("fraction-free back-substitution left a remainder")
+            raise EngineFault("fraction-free back-substitution left a remainder")
         if y[c]:
             support.append(c)
     return y, d
@@ -124,8 +132,8 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(pivots)
 
 
-def nullspace(rows: Sequence[Sequence], n_cols: int | None = None) -> list[list[Fraction]]:
-    """Exact basis of the right kernel.
+def nullspace(rows: Sequence[Sequence], n_cols: int | None = None) -> list[list[int]]:
+    """Exact basis of the right kernel, as primitive integer vectors.
 
     Back-substitution runs in integers on the echelon form; each kernel
     vector is rescaled to a primitive integer vector with a fixed sign
@@ -134,16 +142,13 @@ def nullspace(rows: Sequence[Sequence], n_cols: int | None = None) -> list[list[
     if not rows:
         if n_cols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        return [
-            [Fraction(1) if j == i else Fraction(0) for j in range(n_cols)]
-            for i in range(n_cols)
-        ]
+        return [[int(j == i) for j in range(n_cols)] for i in range(n_cols)]
     echelon, pivots = fraction_free_echelon(rows)
     basis = []
     for _, y, d in _kernel_vectors(echelon, pivots):
         # y[free] = d, so dividing by the gcd with d's sign makes it positive.
         g = math.gcd(*y) if d > 0 else -math.gcd(*y)
-        basis.append([Fraction(v // g) for v in y])
+        basis.append([v // g for v in y])
     return basis
 
 
@@ -160,7 +165,7 @@ def _kernel_vectors(
 
 def column_basis(
     rows: Sequence[Sequence], n_cols: int | None = None
-) -> tuple[list[int], list[list[Fraction]]]:
+) -> tuple[list[int], Matrix]:
     """The first maximal set of independent columns, and every column's
     coordinates in it.
 
@@ -180,15 +185,21 @@ def column_basis(
         pivots, coords = _coordinates(candidate)
         if _spans(m, pivots, coords):
             return pivots, coords
-    raise RuntimeError(
+    raise EngineFault(
         "a column differs from its span coordinates (this indicates a bug in the engine)"
     )
 
 
 def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
+    """The rows as ints: integer rows are copied, and any other row is made
+    exact and scaled by the lcm of its denominators."""
     if all(type(x) is int for row in rows for x in row):
         return [list(row) for row in rows]
-    return _clear_denominators(_to_fraction_matrix(rows))
+    out = []
+    for row in _exact_rows(rows):
+        lcm = _den_lcm(row)
+        out.append([int(x * lcm) for x in row])
+    return out
 
 
 def _pivot_rows_mod_p(m: list[list[int]]) -> list[int]:
@@ -209,18 +220,18 @@ def _pivot_rows_mod_p(m: list[list[int]]) -> list[int]:
     return carriers
 
 
-def _coordinates(m: list[list[int]]) -> tuple[list[int], list[list[Fraction]]]:
+def _coordinates(m: list[list[int]]) -> tuple[list[int], Matrix]:
     """column_basis of the integer rows m by Bareiss elimination, unchecked."""
     echelon, pivots = fraction_free_echelon(m)
-    coords: list[list[Fraction]] = [[] for _ in echelon[0]]
+    coords: Matrix = [[] for _ in echelon[0]]
     for r, c in enumerate(pivots):
-        coords[c] = [Fraction(int(i == r)) for i in range(len(pivots))]
+        coords[c] = [int(i == r) for i in range(len(pivots))]
     for free, y, d in _kernel_vectors(echelon, pivots):
         coords[free] = [Fraction(-y[c], d) for c in pivots]
     return pivots, coords
 
 
-def _spans(m: list[list[int]], pivots: list[int], coords: list[list[Fraction]]) -> bool:
+def _spans(m: list[list[int]], pivots: list[int], coords: Matrix) -> bool:
     """Whether column c == sum_r coords[c][r] * column pivots[r] on every row
     of m, for every column, pivot columns included, checked in integers."""
     pivot_entries = [[row[p] for p in pivots] for row in m]
@@ -240,16 +251,16 @@ def invert(rows: Sequence[Sequence]) -> Matrix:
     a = _square(rows)
     n = len(a)
     pivots, coords = column_basis(
-        [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(a)], 2 * n
+        [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)], 2 * n
     )
     # [A | I] has rank n; A is invertible iff all n pivots fall in A's columns.
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return [[coords[n + j][i] for j in range(n)] for i in range(n)]
+    return [[exact(coords[n + j][i]) for j in range(n)] for i in range(n)]
 
 
 def _square(rows: Sequence[Sequence]) -> Matrix:
-    a = _to_fraction_matrix(rows)
+    a = _exact_rows(rows)
     if any(len(row) != len(a) for row in a):
         raise ValueError("matrix must be square")
     return a
@@ -269,10 +280,10 @@ def ldl(rows: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:
     n = len(a)
     if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix must be symmetric")
-    lower = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    lower: Matrix = [[int(i == j) for j in range(n)] for i in range(n)]
     pivots: list[Fraction] = []
-    previous = Fraction(1)
-    m = _clear_denominators(a)
+    previous = 1
+    m = _integer_rows(a)
     scale = 1
     for r, c, p in _bareiss(m):
         # A step that swaps or skips a column has a zero leading minor.

@@ -27,7 +27,8 @@ import functools
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .lie import CasimirElement
+from .lie import CasimirElement, Rational
+from .linalg import exact
 from .polynomials import Polynomial, SphereFunction, SpherePolynomial
 from .sphere_ops import (
     RotationField,
@@ -38,15 +39,15 @@ from .sphere_ops import (
 
 
 class RealizedField(NamedTuple):
-    """Finite rational combination of rotation fields, acting as a derivation."""
+    """Finite exact combination of rotation fields, acting as a derivation."""
 
     m: int
-    weights: tuple[tuple[RotationField, Fraction], ...]
+    weights: tuple[tuple[RotationField, Rational], ...]
 
     @classmethod
-    def from_weights(cls, m: int, weights: dict[RotationField, Fraction]) -> "RealizedField":
+    def from_weights(cls, m: int, weights: dict[RotationField, Rational]) -> "RealizedField":
         clean = tuple(
-            (field, Fraction(c))
+            (field, exact(c))
             for field, c in sorted(weights.items(), key=lambda kv: (kv[0].i, kv[0].j))
             if c != 0
         )
@@ -64,7 +65,7 @@ class RealizedField(NamedTuple):
         return type(f).zero(self.m) if out is None else out
 
     def scale(self, factor) -> "RealizedField":
-        f = Fraction(factor)
+        f = exact(factor)
         return RealizedField.from_weights(
             self.m, {field: c * f for field, c in self.weights}
         )
@@ -74,7 +75,7 @@ def so_realization(m: int) -> tuple[RealizedField, ...]:
     """Images of the E_ij basis of so(m) on S^{m-1}, in pair order: E_ij -> -X_ij
     (the flow convention fixes the sign; squared sums are insensitive to it)."""
     return tuple(
-        RealizedField.from_weights(m, {field: Fraction(-1)}) for field in rotation_fields(m)
+        RealizedField.from_weights(m, {field: -1}) for field in rotation_fields(m)
     )
 
 
@@ -84,16 +85,9 @@ def su2_fields() -> tuple[RealizedField, RealizedField, RealizedField]:
     V_i = X12 + X34, V_j = X13 - X24, V_k = X14 + X23; they close with
     [V_i, V_j] = -2 V_k and realize left quaternion multiplication.
     """
-    one = Fraction(1)
-    vi = RealizedField.from_weights(
-        4, {RotationField(1, 2): one, RotationField(3, 4): one}
-    )
-    vj = RealizedField.from_weights(
-        4, {RotationField(1, 3): one, RotationField(2, 4): -one}
-    )
-    vk = RealizedField.from_weights(
-        4, {RotationField(1, 4): one, RotationField(2, 3): one}
-    )
+    vi = RealizedField.from_weights(4, {RotationField(1, 2): 1, RotationField(3, 4): 1})
+    vj = RealizedField.from_weights(4, {RotationField(1, 3): 1, RotationField(2, 4): -1})
+    vk = RealizedField.from_weights(4, {RotationField(1, 4): 1, RotationField(2, 3): 1})
     return vi, vj, vk
 
 
@@ -109,10 +103,10 @@ def realize(images: Sequence[RealizedField], coords: Sequence) -> RealizedField:
         raise ValueError(
             f"coordinate vector has length {len(coords)}, expected {len(images)}"
         )
-    weights: dict[RotationField, Fraction] = {}
-    for c, image in zip(coords, images):
+    weights: dict[RotationField, Rational] = {}
+    for c, image in zip(map(exact, coords), images):
         for field, w in image.weights:
-            weights[field] = weights.get(field, Fraction(0)) + Fraction(c) * w
+            weights[field] = weights.get(field, 0) + c * w
     return RealizedField.from_weights(images[0].m, weights)
 
 
@@ -190,7 +184,7 @@ def _operators_agree(lhs, rhs, m: int) -> bool:
 def verify_lap_eq_casimir(
     casimir: CasimirElement,
     images: Sequence[RealizedField],
-    scale: Fraction = Fraction(1),
+    scale: Rational = 1,
 ) -> bool:
     """True iff the projected Casimir equals scale * laplace_sphere on the
     2-jets, exactly: a proof."""

@@ -104,12 +104,14 @@ def _laplacian_raw(p: Polynomial) -> Polynomial:
 
 
 def _gamma(p: Polynomial, q: Polynomial) -> Polynomial:
-    """Carre du champ grad p . grad q - euler(p) euler(q); zero d_i q are skipped."""
+    """Carre du champ grad p . grad q - euler(p) euler(q); zero d_i q are
+    skipped and a constant d_i q (as of the base x3 - 1) scales d_i p."""
     out = -(euler_operator(p) * euler_operator(q))
     for i in range(1, p.m + 1):
         dq = q.partial(i)
         if not dq.is_zero():
-            out = out + p.partial(i) * dq
+            dp = p.partial(i)
+            out = out + (dp.scale(dq.constant_value()) if dq.is_constant() else dp * dq)
     return out
 
 

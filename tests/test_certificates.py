@@ -476,6 +476,28 @@ def span_fingerprint(span):
     return [[str(v) for v in level] for level in span.levels], span.matrices, span.term_count
 
 
+class TestCoefficientRows:
+    def test_a_term_without_denominator_is_lifted_to_the_common_base(self):
+        # A polynomial term (exponent 0) next to terms over x3 - 1: its column
+        # is its numerator times the base's power, as if written over it.
+        h = stereographic_harmonic(2, "re").value
+        p = SpherePolynomial(var(3, 2) + Polynomial.one(3))
+        g = SphereFunction.from_polynomial(p)
+        lifted = SphereFunction._make(p * h.base**h.exp, h.base, h.exp, canonical=True)
+        rows = certificates._coefficient_rows([h, g])
+        assert rows == certificates._coefficient_rows([h, lifted])
+        assert linalg.rank(rows) == 2
+        assert linalg.rank(certificates._coefficient_rows([h, g, h + g])) == 2
+
+
+class TestGramFault:
+    def test_a_gram_matrix_without_ldl_factors_is_an_engine_fault(self):
+        span = rotation_span(stereographic_harmonic(2, "re"), 2)
+        negated = [[-x for x in row] for row in gram_matrix(span)]
+        with pytest.raises(linalg.EngineFault, match="not positive definite"):
+            gram_squares(span, negated)
+
+
 class TestBadPivotPrime:
     """A pivot prime that divides a level's minor loses rank or moves a pivot
     modulo p; the exact check fails and the level is eliminated on every row."""
@@ -575,6 +597,11 @@ class TestEuclideanCertificates:
     def test_non_harmonic_rejected(self):
         with pytest.raises(ValueError):
             euclid_certificate(var(2, 1) ** 2, 1)
+
+    def test_a_one_point_grid_samples_the_origin_only(self):
+        report = euclid_certificate(var(2, 1) * var(2, 2), 2, grid=1)
+        assert [s.point for s in report.samples] == [(0, 0)]
+        assert report.passed
 
     @pytest.mark.parametrize("grid", [0, -5])
     def test_empty_grid_rejected(self, grid):

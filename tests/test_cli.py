@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from sphere_sos import growth
+from sphere_sos import growth, linalg
 from sphere_sos.cli import (
     IDENTITY_CASES,
     IDENTITY_FORMS,
@@ -334,6 +334,38 @@ def verdict_line(entry):
     if "detail" in entry:
         line += ": " + entry["detail"]
     return line
+
+
+class TestEngineFault:
+    """An engine fault exits 3 with one line and no traceback: it is neither a
+    refuted verdict (1) nor a rejected input (2)."""
+
+    @staticmethod
+    def not_positive(rows):
+        raise ValueError("matrix is not positive definite")
+
+    @pytest.mark.parametrize("site", ["column_basis", "back_substitute", "gram_squares"])
+    def test_each_fault_exits_3(self, capsys, monkeypatch, site):
+        if site == "column_basis":
+            # No answer passes the exact check, on the pivot rows or on every row.
+            monkeypatch.setattr(linalg, "_spans", lambda m, pivots, coords: False)
+        elif site == "back_substitute":
+            # An echelon form whose back-substitution leaves a remainder.
+            bad = ([[2, 1, 0], [0, 3, 1]], [0, 1])
+            monkeypatch.setattr(linalg, "fraction_free_echelon", lambda rows: bad)
+        else:
+            monkeypatch.setattr(linalg, "ldl", self.not_positive)
+        code, out, err = run(
+            capsys, "certify", "--family", "stereo:k=2:re", "--power", "2", "--samples", "5"
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: engine fault: ") and err.count("\n") == 1
+
+    def test_an_ldl_failure_in_the_identities_is_a_verdict(self, capsys, monkeypatch):
+        monkeypatch.setattr(linalg, "ldl", self.not_positive)
+        code, out, _ = run(capsys, "verify-identities", "--case", "so3")
+        verdicts = {r["name"]: r["passed"] for r in json.loads(out)["identities"]}
+        assert code == 1 and verdicts["positive_definite"] is False
 
 
 class TestVerifyIdentities:

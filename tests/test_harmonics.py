@@ -95,6 +95,14 @@ class TestStereographicFamily:
         with pytest.raises(HarmonicityError):
             custom_harmonic(bad)
 
+    def test_a_pole_off_the_excluded_point_is_rejected(self):
+        # x1 / (1 + x3) is harmonic, but its pole is the south pole, inside the cap.
+        base = SpherePolynomial(Polynomial.one(3) + var(3, 3))
+        south = SphereFunction(SpherePolynomial(var(3, 1)), base)
+        assert laplace_sphere(south).is_zero()
+        with pytest.raises(HarmonicityError, match="avoids the cap"):
+            custom_harmonic(south)
+
     def test_provenance_tags(self):
         assert stereographic_harmonic(3, "im").provenance == "stereo:k=3:im"
 

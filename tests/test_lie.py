@@ -6,6 +6,7 @@ import pytest
 
 import oracles
 from sphere_sos import linalg
+from sphere_sos.cli import IDENTITY_CASES, IDENTITY_FORMS, _identity_case
 from sphere_sos.lie import (
     BilinearForm,
     LieAlgebraData,
@@ -21,6 +22,7 @@ from sphere_sos.lie import (
     su2_round_form,
     trace_form,
 )
+from sphere_sos.realization import realize, so_realization
 
 
 def _mat_mul(a, b):
@@ -212,7 +214,9 @@ class TestForms:
                 Fraction(0),
             )
             value = B(u, v)
-            assert type(value) is Fraction and value == dense
+            # Exact: an int where integral, a Fraction otherwise, never a float.
+            assert type(value) is (int if dense.denominator == 1 else Fraction)
+            assert value == dense
 
 
 class TestAdInvariance:
@@ -527,3 +531,55 @@ class TestCasimir:
         for i, (dual_i, _) in enumerate(cas.pairs):
             for j, (_, vec_j) in enumerate(cas.pairs):
                 assert B(dual_i, vec_j) == (1 if i == j else 0)
+
+
+def _numbers(value):
+    """Every number inside nested tuples and lists (RotationField keys included)."""
+    if isinstance(value, (tuple, list)):
+        for item in value:
+            yield from _numbers(item)
+    else:
+        yield value
+
+
+def _exact(values) -> bool:
+    """Every value an int where integral and a Fraction otherwise: never a float."""
+    return all(
+        type(x) is int or (type(x) is Fraction and x.denominator != 1) for x in _numbers(values)
+    )
+
+
+class TestExactValues:
+    """The Lie layer keeps integral values as ints and every other value as a
+    Fraction, on every built-in case and form, and converts floats exactly."""
+
+    @pytest.mark.parametrize("form_kind", IDENTITY_FORMS)
+    @pytest.mark.parametrize("case", IDENTITY_CASES)
+    def test_every_value_of_every_case_is_exact(self, case, form_kind):
+        _, algebra, invariant, images, subalgebra = _identity_case(case)
+        form = {
+            "trace": invariant,
+            "killing": killing_form(algebra).scale(-1),
+            "perturbed": perturbed_form(invariant),
+        }[form_kind]
+        casimir = casimir_element(algebra, form)
+        values = [algebra.structure, form.matrix, casimir.pairs, [f.weights for f in images]]
+        values += [realize(images, v).weights for pair in casimir.pairs for v in pair]
+        if subalgebra is not None:
+            dec = orthogonal_decomposition(algebra, subalgebra, form)
+            values += [dec.subalgebra_basis, dec.complement_basis]
+        assert _exact(values)
+
+    def test_float_coordinates_give_exact_values(self):
+        algebra = so_algebra(3)
+        half, quarter = Fraction(1, 2), Fraction(1, 4)
+        value = algebra.bracket((0.5, 0, 0), (0, 0.25, 2.0))
+        assert value == algebra.bracket((half, 0, 0), (0, quarter, 2)) and _exact(value)
+        form = trace_form(3)
+        assert form((0.1, 0, 0), (1, 0, 0)) == Fraction(0.1) != Fraction(1, 10)
+        assert form((0.5, 0, 0), (2.0, 0, 0)) == 1 and _exact([form((0.5, 0, 0), (2.0, 0, 0))])
+        rows = BilinearForm.from_rows([[0.5, 0], [0, 2.0]]).matrix
+        assert rows == ((half, 0), (0, 2)) and _exact(rows)
+        field = realize(so_realization(3), (0.5, 0.0, 3.0))
+        assert [w for _, w in field.weights] == [-half, -3] and _exact(field.weights)
+        assert _exact(field.scale(0.5).weights) and _exact(form.scale(2.0).matrix)

@@ -178,7 +178,7 @@ def test_positive_definiteness_on_random_symmetric(n, seed):
 @pytest.mark.parametrize("rows", NEEDS_SWAP)
 def test_invert_with_row_swap(rows):
     inverse = linalg.invert(rows)
-    assert inverse == from_sympy(to_sympy(linalg._to_fraction_matrix(rows)).inv())
+    assert inverse == from_sympy(to_sympy(rows).inv())
     assert linalg.rank(rows) == len(rows)
     ones = [Fraction(1)] * len(rows)
     assert solve_by_column_basis(rows, ones) == matvec(inverse, ones)
@@ -342,3 +342,26 @@ def test_ldl_rejects_asymmetric_and_non_square_input():
     with pytest.raises(ValueError, match="square"):
         linalg.ldl([[1, 2, 3], [4, 5, 6]])
     assert linalg.ldl([]) == ([], [])
+
+
+class TestEngineFault:
+    """A failed internal check is an EngineFault, never a verdict or a rejection."""
+
+    def test_a_back_substitution_remainder_is_an_engine_fault(self):
+        # Not a Bareiss echelon form: x2 = 1 gives x0 = 1/6, and 3 * x0 is no integer.
+        with pytest.raises(linalg.EngineFault, match="remainder"):
+            linalg._back_substitute([[2, 1, 0], [0, 3, 1]], [0, 1], 3, free=2)
+
+    def test_a_failed_check_on_every_row_is_an_engine_fault(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_spans", lambda m, pivots, coords: False)
+        with pytest.raises(linalg.EngineFault, match="span coordinates"):
+            linalg.column_basis([[1, 2], [3, 4]])
+
+
+def test_integral_results_are_ints():
+    inverse = linalg.invert([[2, 0], [0, 1.0]])
+    assert inverse == [[Fraction(1, 2), 0], [0, 1]]
+    assert [type(x) for row in inverse for x in row] == [Fraction, int, int, int]
+    kernel = linalg.nullspace([[0.5, 1.0, 0]])
+    assert kernel == [[-2, 1, 0], [0, 0, 1]]
+    assert all(type(x) is int for v in kernel for x in v)

@@ -2,10 +2,13 @@ import random
 
 import pytest
 
+from sphere_sos import sphere_ops
+from sphere_sos.harmonics import stereographic_harmonic
 from sphere_sos.polynomials import (
     Polynomial,
     SphereFunction,
     SpherePolynomial,
+    euler_operator,
     laplace_euclid,
 )
 from sphere_sos.sphere_ops import (
@@ -119,6 +122,27 @@ class TestSphericalLaplacian:
     def test_raw_polynomial_rejected(self):
         with pytest.raises(TypeError):
             laplace_sphere(var(3, 1))
+
+    def test_no_product_by_a_constant(self, monkeypatch):
+        # The base x3 - 1 has the constant partial 1, which scales, not multiplies.
+        f = stereographic_harmonic(3, "re").value
+        n, b = f.num.poly, f.base.poly
+        # The carre du champ as the plain sum of products: same value, same term order.
+        products = -(euler_operator(n) * euler_operator(b))
+        for i in range(1, 4):
+            products = products + n.partial(i) * b.partial(i)
+        real, constants = Polynomial.__mul__, []
+
+        def counted(p, q):
+            if isinstance(q, Polynomial) and (p.is_constant() or q.is_constant()):
+                constants.append((p, q))
+            return real(p, q)
+
+        monkeypatch.setattr(Polynomial, "__mul__", counted)
+        gamma = sphere_ops._gamma(n, b)
+        assert gamma == products and list(gamma.numerators) == list(products.numerators)
+        laplace_sphere(f)
+        assert constants == []
 
 
 class TestOperatorIdentity:
