@@ -87,7 +87,11 @@ def resolve_family(descriptor: str, control: str) -> harmonics.HarmonicFunction:
         k = parts[1][2:]
         if not re.fullmatch("0|[1-9][0-9]*", k) or parts[2] not in ("re", "im"):
             raise UsageError(f"bad family descriptor {descriptor!r}")
-        return harmonics.stereographic_harmonic(int(k), parts[2])
+        try:
+            return harmonics.stereographic_harmonic(int(k), parts[2])
+        except harmonics.HarmonicityError as exc:
+            # A built-in family that fails its own check is an engine bug.
+            raise linalg.EngineFault(str(exc)) from exc
     raise UsageError(f"unknown harmonic family {descriptor!r}")
 
 

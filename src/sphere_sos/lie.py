@@ -315,7 +315,7 @@ def orthogonal_decomposition(
             raise ValueError("given span is not closed under the bracket")
     for k, mvec in product(k_basis, m_basis):
         if form(k, mvec) != 0:
-            raise AssertionError("complement is not B-orthogonal")
+            raise linalg.EngineFault("complement is not B-orthogonal")
         km = algebra.bracket(k, mvec)
         if any(form(km, kvec) != 0 for kvec in k_basis):
             raise ValueError("complement is not stable under the subalgebra")
@@ -391,7 +391,7 @@ def casimir_element(
     for i in range(algebra.dim):
         for j in range(algebra.dim):
             if form(duals[i], vecs[j]) != int(i == j):
-                raise AssertionError("dual basis failed the Gram consistency check")
+                raise linalg.EngineFault("dual basis failed the Gram consistency check")
     return CasimirElement(pairs=tuple((duals[j], vecs[j]) for j in range(algebra.dim)))
 
 

@@ -4,12 +4,12 @@ Small matrices only (harmonic-basis kernels, Gram matrices, complements).
 Every routine runs on one elimination loop, ``_bareiss``: rows are scaled to
 integers and eliminated fraction-free in the Bareiss style, so each
 intermediate entry stays an exact integer and each two-row update divides out
-the previous pivot exactly.  ``nullspace`` and ``column_basis`` read the
-echelon form through one back-substitution, and ``invert`` reads the inverse
-off the column basis of [A | I].  Without row swaps the Bareiss pivots are
-the leading principal minors (Bareiss 1968) and the rows are the scaled rows
-of D L^T, which is how ``ldl`` factors a positive definite matrix; a matrix
-is positive definite exactly when ``ldl`` succeeds.
+the previous pivot exactly.  ``column_basis`` reads the echelon form through
+one back-substitution and checks it, and rank, kernels and inverses are read
+off that checked column basis.  ``ldl`` is the loop's only other reader:
+without row swaps the Bareiss pivots are the leading principal minors
+(Bareiss 1968) and the rows are the scaled rows of D L^T, so a matrix is
+positive definite exactly when ``ldl`` succeeds.
 
 ``column_basis`` searches modulo PIVOT_PRIME and checks exactly (McConnell et
 al. 2011): the rows that carry the pivots mod p are eliminated alone, and then
@@ -126,41 +126,23 @@ def _back_substitute(
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    if not rows:
-        return 0
-    _, pivots = fraction_free_echelon(rows)
-    return len(pivots)
+    return len(column_basis(rows)[0]) if rows else 0
 
 
 def nullspace(rows: Sequence[Sequence], n_cols: int | None = None) -> list[list[int]]:
-    """Exact basis of the right kernel, as primitive integer vectors.
-
-    Back-substitution runs in integers on the echelon form; each kernel
-    vector is rescaled to a primitive integer vector with a fixed sign
-    convention (its free coordinate positive) so the basis is deterministic.
-    """
-    if not rows:
-        if n_cols is None:
-            raise ValueError("empty matrix needs an explicit column count")
-        return [[int(j == i) for j in range(n_cols)] for i in range(n_cols)]
-    echelon, pivots = fraction_free_echelon(rows)
+    """Exact basis of the right kernel, as primitive integer vectors: for each
+    non-pivot column c, e_c minus c's coordinates on the pivot columns, scaled
+    by the lcm of its denominators, so coordinate c is positive.  Each vector
+    is in the kernel by column_basis's exact check."""
+    pivots, coords = column_basis(rows, n_cols)
     basis = []
-    for _, y, d in _kernel_vectors(echelon, pivots):
-        # y[free] = d, so dividing by the gcd with d's sign makes it positive.
-        g = math.gcd(*y) if d > 0 else -math.gcd(*y)
-        basis.append([v // g for v in y])
-    return basis
-
-
-def _kernel_vectors(
-    echelon: list[list[int]], pivots: list[int]
-) -> Iterator[tuple[int, list[int], int]]:
-    """(free column c, y, d) with y / d the kernel vector whose coordinate c
-    is 1 and every other free coordinate 0, for each free column in order."""
-    n_cols = len(echelon[0])
-    pivot_set = set(pivots)
-    for free in (c for c in range(n_cols) if c not in pivot_set):
-        yield (free, *_back_substitute(echelon, pivots, n_cols, free=free))
+    for c in sorted(set(range(len(coords))) - set(pivots)):
+        vec = [0] * len(coords)
+        vec[c] = 1
+        for p, q in zip(pivots, coords[c]):
+            vec[p] = -q
+        basis.append(vec)
+    return _integer_rows(basis)
 
 
 def column_basis(
@@ -180,6 +162,8 @@ def column_basis(
             raise ValueError("empty matrix needs an explicit column count")
         return [], [[] for _ in range(n_cols)]
     m = _integer_rows(rows)
+    if n_cols is not None and n_cols != len(m[0]):
+        raise ValueError(f"rows have {len(m[0])} columns, not {n_cols}")
     # With no pivot modulo the prime (m is zero there), the first try is m itself.
     for candidate in ([m[i] for i in _pivot_rows_mod_p(m)] or m, m):
         pivots, coords = _coordinates(candidate)
@@ -192,7 +176,10 @@ def column_basis(
 
 def _integer_rows(rows: Sequence[Sequence]) -> list[list[int]]:
     """The rows as ints: integer rows are copied, and any other row is made
-    exact and scaled by the lcm of its denominators."""
+    exact and scaled by the lcm of its denominators.  Ragged rows are a
+    ValueError."""
+    if len({len(row) for row in rows}) > 1:
+        raise ValueError("matrix rows differ in length")
     if all(type(x) is int for row in rows for x in row):
         return [list(row) for row in rows]
     out = []
@@ -226,7 +213,8 @@ def _coordinates(m: list[list[int]]) -> tuple[list[int], Matrix]:
     coords: Matrix = [[] for _ in echelon[0]]
     for r, c in enumerate(pivots):
         coords[c] = [int(i == r) for i in range(len(pivots))]
-    for free, y, d in _kernel_vectors(echelon, pivots):
+    for free in sorted(set(range(len(coords))) - set(pivots)):
+        y, d = _back_substitute(echelon, pivots, len(coords), free=free)
         coords[free] = [Fraction(-y[c], d) for c in pivots]
     return pivots, coords
 

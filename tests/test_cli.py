@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from sphere_sos import growth, linalg
+from sphere_sos import growth, harmonics, lie, linalg
 from sphere_sos.cli import (
     IDENTITY_CASES,
     IDENTITY_FORMS,
@@ -344,6 +344,13 @@ class TestEngineFault:
     def not_positive(rows):
         raise ValueError("matrix is not positive definite")
 
+    @staticmethod
+    def assert_fault(capsys, *argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: engine fault: ") and err.count("\n") == 1
+        return err
+
     @pytest.mark.parametrize("site", ["column_basis", "back_substitute", "gram_squares"])
     def test_each_fault_exits_3(self, capsys, monkeypatch, site):
         if site == "column_basis":
@@ -355,11 +362,44 @@ class TestEngineFault:
             monkeypatch.setattr(linalg, "fraction_free_echelon", lambda rows: bad)
         else:
             monkeypatch.setattr(linalg, "ldl", self.not_positive)
-        code, out, err = run(
+        self.assert_fault(
             capsys, "certify", "--family", "stereo:k=2:re", "--power", "2", "--samples", "5"
         )
-        assert (code, out) == (3, "")
-        assert err.startswith("error: engine fault: ") and err.count("\n") == 1
+
+    def test_a_wrong_inverse_fails_the_gram_check(self, capsys, monkeypatch):
+        real = linalg.invert
+        monkeypatch.setattr(
+            linalg, "invert", lambda rows: [[2 * x for x in row] for row in real(rows)]
+        )
+        err = self.assert_fault(capsys, "verify-identities", "--case", "so3")
+        assert "Gram consistency" in err
+
+    def test_a_complement_off_the_kernel_fails_the_orthogonality_check(
+        self, capsys, monkeypatch
+    ):
+        # so(2) is abelian, so the closure check passes with the shifted
+        # complement, and the orthogonality check is the one that fails.
+        real = linalg.nullspace
+        so2 = lie.so_subalgebra_fixing_last_axis(3)[0]
+
+        def shifted(rows, n_cols=None):
+            return [[a + b for a, b in zip(v, so2)] for v in real(rows, n_cols)]
+
+        monkeypatch.setattr(linalg, "nullspace", shifted)
+        err = self.assert_fault(capsys, "verify-identities", "--case", "so3-over-so2")
+        assert "not B-orthogonal" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("certify", "--family", "stereo:k=1:re", "--power", "1"),
+            ("growth", "--family", "stereo:k=1:re", "--grid", "4", "--quad", "16"),
+        ],
+    )
+    def test_a_built_in_family_failing_its_check_is_a_fault(self, capsys, monkeypatch, argv):
+        monkeypatch.setattr(harmonics, "laplace_sphere", lambda f: f)
+        err = self.assert_fault(capsys, *argv)
+        assert "stereo:k=1:re: spherical Laplacian" in err
 
     def test_an_ldl_failure_in_the_identities_is_a_verdict(self, capsys, monkeypatch):
         monkeypatch.setattr(linalg, "ldl", self.not_positive)

@@ -249,6 +249,25 @@ def test_column_basis_of_an_empty_matrix_needs_a_column_count():
         linalg.column_basis([])
 
 
+RAGGED = [[[1], [3, 4]], [[1, 2], [3]], [[Fraction(1, 2)], [3, 4]]]
+
+
+@pytest.mark.parametrize("rows", RAGGED)
+@pytest.mark.parametrize(
+    "solve", [linalg.column_basis, linalg.nullspace, linalg.rank, linalg.fraction_free_echelon]
+)
+def test_ragged_rows_are_rejected(solve, rows):
+    with pytest.raises(ValueError, match="differ in length"):
+        solve(rows)
+
+
+@pytest.mark.parametrize("solve", [linalg.column_basis, linalg.nullspace])
+def test_a_column_count_the_rows_contradict_is_rejected(solve):
+    with pytest.raises(ValueError, match="2 columns, not 5"):
+        solve([[1, 2]], 5)
+    assert solve([[1, 2]], 2) == solve([[1, 2]])
+
+
 def test_column_basis_keeps_the_first_independent_columns():
     pivots, coords = linalg.column_basis([[0, 1, 2, 1], [0, 0, 0, 1]])
     assert pivots == [1, 3]
@@ -297,10 +316,11 @@ class TestPivotPrime:
         rng = random.Random(seed)
         rows = [[rng.choice([0, 0, prime, 1, -prime, 2 * prime]) for _ in range(6)]
                 for _ in range(8)]
-        expected = linalg.column_basis(rows)
+        solvers = (linalg.column_basis, linalg.nullspace, linalg.rank)
+        expected = [solve(rows) for solve in solvers]
         monkeypatch.setattr(linalg, "PIVOT_PRIME", prime)
-        assert linalg.column_basis(rows) == expected
-        assert len(expected[0]) == sympy.Matrix(rows).rank()
+        assert [solve(rows) for solve in solvers] == expected
+        assert len(expected[0][0]) == expected[2] == sympy.Matrix(rows).rank()
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -351,6 +371,20 @@ class TestEngineFault:
         # Not a Bareiss echelon form: x2 = 1 gives x0 = 1/6, and 3 * x0 is no integer.
         with pytest.raises(linalg.EngineFault, match="remainder"):
             linalg._back_substitute([[2, 1, 0], [0, 3, 1]], [0, 1], 3, free=2)
+
+    def test_a_wrong_kernel_vector_is_an_engine_fault(self, monkeypatch):
+        # One pivot coordinate of every back-substitution off by one: the
+        # kernel vector would miss the kernel, and the exact check says so.
+        real = linalg._back_substitute
+
+        def corrupt(echelon, pivots, n, free):
+            y, d = real(echelon, pivots, n, free)
+            y[pivots[0]] += 1
+            return y, d
+
+        monkeypatch.setattr(linalg, "_back_substitute", corrupt)
+        with pytest.raises(linalg.EngineFault, match="span coordinates"):
+            linalg.nullspace([[1, 2, 3], [4, 5, 6]])
 
     def test_a_failed_check_on_every_row_is_an_engine_fault(self, monkeypatch):
         monkeypatch.setattr(linalg, "_spans", lambda m, pivots, coords: False)
