@@ -324,10 +324,9 @@ def cmd_growth(args) -> int:
         raise UsageError(
             "geodesic circles of radius rmax about this center leave the working cap"
         )
-    squared = h.value * h.value
     try:
         report = growth.analyze_growth(
-            squared, h.provenance, center, args.rmax, args.grid, args.quad
+            h.value, h.provenance, center, args.rmax, args.grid, args.quad
         )
     except ZeroDivisionError:
         raise UsageError("geodesic circle leaves the function's domain") from None

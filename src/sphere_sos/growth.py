@@ -1,17 +1,20 @@
 """Floating-point spherical-mean analysis on S^2.
 
-The only non-exact module: circle means of a squared function are computed by
-the periodic trapezoid rule (spectrally accurate for smooth integrands), and
-two property-level verdicts are derived from them: the mean is nondecreasing
-in the radius for subharmonic integrands, and its second derivative at radius
-zero equals half the spherical Laplacian at the center.  The exact symbolic
-engine supplies that reference value, so the two routes stay independent.
+The only non-exact module: the L^2-growth function M(r), the mean of h^2 over
+the geodesic circle of radius r, is computed by the periodic trapezoid rule
+(spectrally accurate for smooth integrands), and two property-level verdicts
+are derived from it: M is nondecreasing in the radius when h^2 is
+subharmonic, and M''(0) equals half the spherical Laplacian of h^2 at the
+center.  The exact symbolic engine supplies that reference value, so the two
+routes stay independent.
 
-Each integrand is compiled once into a straight-line circle kernel
+The integrand is h itself, each node value squared: the expanded normal form
+of h * h would take twice the float powers per node, and its terms cancel
+near the zeros of h.  h is compiled once into a straight-line circle kernel
 (``_circle_kernel``), and the tangent offsets cos(phi) u + sin(phi) v of the
 nodes are computed once per (center, order) (``_tangent_table``), so a report's
-circles share them.  A mean runs the float operations of a node-by-node
-``evaluate_float`` loop, in the same order, so it is bit-identical to it.
+circles share them.  A mean equals, bit for bit, a node-by-node loop that
+squares ``h.evaluate_float`` at each node.
 """
 
 from __future__ import annotations
@@ -68,15 +71,15 @@ def _orthonormal_frame(center: Sequence[float]) -> tuple[list[float], list[float
 
 
 def spherical_mean(
-    f: SphereFunction, center: Sequence[float], r: float, order: int
+    h: SphereFunction, center: Sequence[float], r: float, order: int
 ) -> float:
-    """Mean of f over the geodesic circle of radius r about the center.
+    """Mean of h^2 over the geodesic circle of radius r about the center.
 
     Periodic trapezoid rule with ``order`` nodes; the center must be a unit
     vector, and the integrand must stay away from the denominator's zero set,
     which callers guarantee by keeping the circle inside the working cap.
     """
-    if f.m != 3:
+    if h.m != 3:
         raise ValueError("spherical means are implemented on S^2 (ambient dim 3)")
     if order < MIN_QUADRATURE_ORDER:
         raise ValueError(f"quadrature order must be >= {MIN_QUADRATURE_ORDER}")
@@ -85,7 +88,7 @@ def spherical_mean(
     center = _finite_point(center)
     cr, sr = math.cos(r), math.sin(r)
     a0, a1, a2 = (cr * c for c in center)
-    return _circle_kernel(f)(a0, a1, a2, sr, _tangent_table(center, order)) / order
+    return _circle_kernel(h)(a0, a1, a2, sr, _tangent_table(center, order)) / order
 
 
 def _finite_point(center) -> tuple[float, float, float]:
@@ -125,43 +128,57 @@ def _tangent_table(
 _kernel_cache: tuple = (None, None)
 
 
-def _circle_kernel(f: SphereFunction):
-    """f compiled into ``kernel(a0, a1, a2, sr, table)``: the sum over the
-    table's rows w of f(a + sr w).  Each coefficient becomes the float literal
-    ``repr(c / den)`` (int true division rounds as ``float`` of the Fraction),
-    and each node runs the operations of ``SphereFunction.evaluate_float`` in
-    its order: a term's nonzero powers multiply into the coefficient, the terms
-    add onto 0.0, and a zero float denominator raises ZeroDivisionError.  The
-    last integrand's kernel is kept, keyed by identity."""
+def _circle_kernel(h: SphereFunction):
+    """h compiled into ``kernel(a0, a1, a2, sr, table)``: the sum over the
+    table's rows w of v * v, v = h(a + sr w).  Squaring h's value takes half
+    the float powers of the expanded normal form of h * h, whose alternating
+    coefficients also cancel near the zeros of h.  v runs the operations of
+    ``SphereFunction.evaluate_float`` in its order, up to IEEE identities
+    that only the sign of a zero can tell apart, and v * v is never -0.0:
+    each coefficient is the float literal ``repr(c / den)`` (int true
+    division rounds as ``float`` of the Fraction), a term's nonzero powers
+    multiply into it, the terms add in order, and a zero float denominator
+    raises ZeroDivisionError.  The last kernel is kept, keyed by identity."""
     global _kernel_cache
     cached, kernel = _kernel_cache
-    if cached is f:
+    if cached is h:
         return kernel
-    num, base = (_float_sum(p.poly) for p in (f.num, f.base))
-    source = (
-        "def kernel(a0, a1, a2, sr, table):\n"
-        "    total = 0.0\n"
-        "    for w0, w1, w2 in table:\n"
-        "        x0 = a0 + sr * w0\n"
-        "        x1 = a1 + sr * w1\n"
-        "        x2 = a2 + sr * w2\n"
-        f"        total += {num} / {base} ** {f.exp}\n"
-        "    return total\n"
-    )
+    num, base = (_float_sum(p.poly) for p in (h.num, h.base))
+    value = f"{num} / {_power(base, h.exp)}" if h.exp else num
+    source = "".join([
+        "def kernel(a0, a1, a2, sr, table):\n",
+        "    total = 0.0\n",
+        "    for w0, w1, w2 in table:\n",
+        # Only the coordinates v reads; a float literal holds no "x".
+        *(f"        x{i} = a{i} + sr * w{i}\n" for i in range(3) if f"x{i}" in value),
+        f"        v = {value}\n",
+        "        total += v * v\n",
+        "    return total\n",
+    ])
     namespace: dict = {}
     exec(compile(source, "<circle kernel>", "exec"), namespace)
     kernel = namespace["kernel"]
-    _kernel_cache = (f, kernel)
+    _kernel_cache = (h, kernel)
     return kernel
 
 
+def _power(x: str, e: int) -> str:
+    return x if e == 1 else f"{x}**{e}"
+
+
 def _float_sum(p) -> str:
-    """p's float value at (x0, x1, x2) as one expression: (0.0 + t1 + t2 + ...)."""
+    """p's float value at (x0, x1, x2) as one expression, (t1 + t2 + ...) or
+    an empty sum's 0.0.  A coefficient 1.0 is left out of its term, as
+    1.0 * y == y for every float y."""
     den = p.denominator
-    terms = ["0.0"]
+    terms = []
     for c, _, factors in p._evaluation_plan()[1]:
-        terms.append("*".join([f"({c / den!r})"] + [f"x{i}**{e}" for i, e in factors]))
-    return f"({' + '.join(terms)})"
+        coefficient = c / den
+        powers = [_power(f"x{i}", e) for i, e in factors]
+        if coefficient != 1.0 or not powers:
+            powers.insert(0, f"({coefficient!r})")
+        terms.append("*".join(powers))
+    return f"({' + '.join(terms) or '0.0'})"
 
 
 def check_mean_monotonicity(means: Sequence[float], tol: float = MONOTONICITY_TOL):
@@ -173,16 +190,18 @@ def check_mean_monotonicity(means: Sequence[float], tol: float = MONOTONICITY_TO
 
 
 def second_derivative_at_zero_fd(
-    f: SphereFunction, center: Sequence[float], order: int, h: float = 0.04
+    h: SphereFunction, center: Sequence[float], order: int, step: float = 0.04
 ) -> float:
-    """Finite-difference second derivative of the mean profile at r = 0.
+    """Finite-difference second derivative of the mean profile of h^2 at r = 0.
 
     The profile is even in r, so fit M(r) = M(0) + (A/2) r^2 + B r^4 + C r^6
-    through radii h, 2h, 3h and return A; the truncation error is O(h^6).
+    through radii step, 2 step, 3 step and return A; the truncation error is
+    O(step^6).  M(0) is h(center)^2, squared in floats as the nodes are.
     """
-    m0 = f.evaluate_float(tuple(float(c) for c in center))
-    radii = [h, 2.0 * h, 3.0 * h]
-    values = [spherical_mean(f, center, r, order) for r in radii]
+    value = h.evaluate_float(tuple(float(c) for c in center))
+    m0 = value * value
+    radii = [step, 2.0 * step, 3.0 * step]
+    values = [spherical_mean(h, center, r, order) for r in radii]
     # Solve the 3x3 Vandermonde-in-r^2 system for the r^2 coefficient.
     rows = [[r**2, r**4, r**6] for r in radii]
     rhs = [v - m0 for v in values]
@@ -201,18 +220,19 @@ def _det3(a):
 
 
 def check_second_derivative_at_zero(
-    f: SphereFunction,
+    h: SphereFunction,
     center: Sequence[float],
     order: int = 256,
     rel_tol: float = SECOND_DERIVATIVE_REL_TOL,
     abs_tol: float = SECOND_DERIVATIVE_ABS_TOL,
 ) -> tuple[bool, float, float]:
-    """Compare the finite-difference M''(0) with half the exact Laplacian value.
+    """Compare the finite-difference M''(0) with half the exact Laplacian of
+    h^2 at the center.
 
     Returns (verdict, finite-difference value, exact reference value).
     """
-    fd = second_derivative_at_zero_fd(f, center, order)
-    exact_fn = laplace_sphere(f)
+    fd = second_derivative_at_zero_fd(h, center, order)
+    exact_fn = laplace_sphere(h * h)
     exact = 0.5 * exact_fn.evaluate_float(tuple(float(c) for c in center))
     if exact == 0.0:
         return abs(fd) <= abs_tol, fd, exact
@@ -220,22 +240,23 @@ def check_second_derivative_at_zero(
 
 
 def analyze_growth(
-    f: SphereFunction,
+    h: SphereFunction,
     family: str,
     center: Sequence[float],
     r_max: float,
     grid: int,
     order: int,
 ) -> GrowthReport:
-    """Full growth report: mean profile, monotonicity, and M''(0) cross-check."""
+    """Full growth report of h: the mean profile of h^2, its monotonicity, and
+    the M''(0) cross-check."""
     if grid < 2:
         raise ValueError(f"need at least 2 grid radii, got {grid}")
     if not 0 < r_max < math.pi:
         raise ValueError(f"r_max must lie in (0, pi), got {r_max}")
     radii = [r_max * (i + 1) / grid for i in range(grid)]
-    means = [spherical_mean(f, center, r, order) for r in radii]
+    means = [spherical_mean(h, center, r, order) for r in radii]
     monotone, violation = check_mean_monotonicity(means)
-    ok, fd, exact = check_second_derivative_at_zero(f, center, order)
+    ok, fd, exact = check_second_derivative_at_zero(h, center, order)
     return GrowthReport(
         family=family,
         center=tuple(float(c) for c in center),

@@ -13,7 +13,8 @@ positive definite exactly when ``ldl`` succeeds.
 
 ``column_basis`` searches modulo PIVOT_PRIME and checks exactly (McConnell et
 al. 2011): the rows that carry the pivots mod p are eliminated alone, and then
-every column is checked against its coordinates on every row, in integers.
+every column is checked against its coordinates in integers: a pivot column
+must have unit coordinates, and any other column is checked on every row.
 A pass proves the full elimination's answer: its pivots are the first
 independent columns and coordinates in a basis are unique.  A prime that
 divides a minor fails the check and the level is redone on every row; only a
@@ -221,9 +222,15 @@ def _coordinates(m: list[list[int]]) -> tuple[list[int], Matrix]:
 
 def _spans(m: list[list[int]], pivots: list[int], coords: Matrix) -> bool:
     """Whether column c == sum_r coords[c][r] * column pivots[r] on every row
-    of m, for every column, pivot columns included, checked in integers."""
+    of m, for every column, checked in integers.  Pivot column pivots[r]
+    passes exactly when its coordinates are the unit vector e_r; any other
+    column is checked on every row."""
+    units = [[int(i == r) for i in range(len(pivots))] for r in range(len(pivots))]
+    if [coords[p] for p in pivots] != units:
+        return False
     pivot_entries = [[row[p] for p in pivots] for row in m]
-    for c, x in enumerate(coords):
+    for c in sorted(set(range(len(coords))) - set(pivots)):
+        x = coords[c]
         den = math.lcm(*(q.denominator for q in x))
         nums = [q.numerator * (den // q.denominator) for q in x]
         for row, entries in zip(m, pivot_entries):

@@ -204,17 +204,33 @@ def function_evaluate_float_loop(f: SphereFunction, point) -> float:
     return evaluate_float_loop(f.num.poly, point) / den_val
 
 
-def spherical_mean_loop(f: SphereFunction, center, r: float, order: int) -> float:
-    """Trapezoid circle mean, rebuilding each node point with cos and sin."""
+def circle_nodes(center, r: float, order: int):
+    """The trapezoid nodes of the circle, each point rebuilt with cos and sin."""
     from sphere_sos.growth import _orthonormal_frame
 
     u, v = _orthonormal_frame(center)
-    total = 0.0
     for k in range(order):
         phi = 2.0 * math.pi * k / order
         cr, sr = math.cos(r), math.sin(r)
         cp, sp = math.cos(phi), math.sin(phi)
-        point = tuple(cr * center[i] + sr * (cp * u[i] + sp * v[i]) for i in range(3))
+        yield tuple(cr * center[i] + sr * (cp * u[i] + sp * v[i]) for i in range(3))
+
+
+def spherical_mean_loop(h: SphereFunction, center, r: float, order: int) -> float:
+    """Trapezoid circle mean of h^2: h's float value squared at each node."""
+    total = 0.0
+    for point in circle_nodes(center, r, order):
+        value = function_evaluate_float_loop(h, point)
+        total += value * value
+    return total / order
+
+
+def expanded_square_mean_loop(h: SphereFunction, center, r: float, order: int) -> float:
+    """Trapezoid circle mean of h^2 with the expanded normal form of h * h
+    evaluated at each node, as the growth means were once taken."""
+    f = h * h
+    total = 0.0
+    for point in circle_nodes(center, r, order):
         total += function_evaluate_float_loop(f, point)
     return total / order
 

@@ -12,10 +12,11 @@ from sphere_sos.growth import (
 )
 from sphere_sos.harmonics import planar_combination, stereographic_harmonic
 from sphere_sos.cli import NON_SUBHARMONIC_CONTROL, resolve_family
-from sphere_sos.polynomials import Polynomial, SphereFunction, SpherePolynomial
+from sphere_sos.polynomials import Polynomial, SphereFunction, SpherePolynomial, sample_cap_points
 
 from oracles import (
     evaluate_fraction_loop,
+    expanded_square_mean_loop,
     laplace_sphere_by_fields,
     spherical_mean_loop,
     substitute_linear,
@@ -24,13 +25,12 @@ from oracles import (
 SOUTH = (0.0, 0.0, -1.0)
 
 
-def squared(h):
-    return h.value * h.value
+def family_value(family):
+    return resolve_family(family, NON_SUBHARMONIC_CONTROL).value
 
 
-def squared_control():
-    value = resolve_family("control:equator-band", NON_SUBHARMONIC_CONTROL).value
-    return value * value
+def harmonic(k, part):
+    return stereographic_harmonic(k, part).value
 
 
 class TestSphericalMean:
@@ -40,25 +40,25 @@ class TestSphericalMean:
             assert spherical_mean(one, SOUTH, r, 64) == pytest.approx(1.0, abs=1e-14)
 
     def test_limit_at_zero_radius(self):
-        sq = squared(stereographic_harmonic(1, "re"))
-        small = spherical_mean(sq, SOUTH, 1e-5, 64)
-        assert abs(small - sq.evaluate_float(SOUTH)) < 1e-9
+        h = harmonic(1, "re")
+        small = spherical_mean(h, SOUTH, 1e-5, 64)
+        assert abs(small - h.evaluate_float(SOUTH) ** 2) < 1e-9
 
     def test_closed_form_oracle(self):
-        # For h = x1/(1 - x3) the circle mean about the south pole is
+        # For h = x1/(1 - x3) the circle mean of h^2 about the south pole is
         # tan(r/2)^2 / 2 (the pullback is the plane coordinate u).
-        sq = squared(stereographic_harmonic(1, "re"))
+        h = harmonic(1, "re")
         for r in (0.2, 0.4, 0.8):
-            assert spherical_mean(sq, SOUTH, r, 256) == pytest.approx(
+            assert spherical_mean(h, SOUTH, r, 256) == pytest.approx(
                 math.tan(r / 2) ** 2 / 2, rel=1e-12
             )
 
     def test_quadrature_self_consistency(self):
         for k, part in ((1, "re"), (2, "im"), (3, "re")):
-            sq = squared(stereographic_harmonic(k, part))
+            h = harmonic(k, part)
             for r in (0.3, 0.9):
-                m256 = spherical_mean(sq, SOUTH, r, 256)
-                m512 = spherical_mean(sq, SOUTH, r, 512)
+                m256 = spherical_mean(h, SOUTH, r, 256)
+                m512 = spherical_mean(h, SOUTH, r, 512)
                 assert abs(m256 - m512) < 1e-12
 
     def test_low_order_rejected(self):
@@ -69,19 +69,18 @@ class TestSphericalMean:
     def test_rotation_invariance(self):
         # Rotate by the exact rational orthogonal matrix built from (3,4,5)
         # in the x1 x3 plane; means about the rotated center must agree.
-        h = stereographic_harmonic(2, "re")
-        sq = squared(h)
+        h = harmonic(2, "re")
         c, s = Fraction(3, 5), Fraction(4, 5)
         rot = [[c, 0, -s], [0, 1, 0], [s, 0, c]]
         inv = [[c, 0, s], [0, 1, 0], [-s, 0, c]]
-        rotated = substitute_linear(sq, inv)
+        rotated = substitute_linear(h, inv)
         new_center = (
             float(-rot[0][2]),
             float(-rot[1][2]),
             float(-rot[2][2]),
         )  # image of the south pole
         for r in (0.2, 0.6, 1.0):
-            a = spherical_mean(sq, SOUTH, r, 128)
+            a = spherical_mean(h, SOUTH, r, 128)
             b = spherical_mean(rotated, new_center, r, 128)
             assert abs(a - b) < 1e-12
 
@@ -90,9 +89,9 @@ class TestSphericalMeanMatchesTheNodeLoop:
     @pytest.mark.parametrize("order", [8, 64, 1024])
     def test_bit_identical(self, order):
         integrands = [
-            squared(stereographic_harmonic(3, "re")),
-            squared(stereographic_harmonic(5, "im")),
-            squared_control(),
+            harmonic(3, "re"),
+            harmonic(5, "im"),
+            family_value("control:equator-band"),
         ]
         tilted = (0.1, 0.05, -math.sqrt(1 - 0.0125))
         for f in integrands:
@@ -104,7 +103,7 @@ class TestSphericalMeanMatchesTheNodeLoop:
     def test_circle_through_the_pole_raises(self):
         # The radius pi/2 circle about (1, 0, 0) meets the north pole at the
         # node phi = pi/2, where 1 - x3 is exactly 0.0 in floats.
-        f = squared(stereographic_harmonic(2, "re"))
+        f = harmonic(2, "re")
         with pytest.raises(ZeroDivisionError):
             spherical_mean_loop(f, (1.0, 0.0, 0.0), math.pi / 2, 8)
         with pytest.raises(ZeroDivisionError):
@@ -122,8 +121,7 @@ GROWTH_FAMILIES = [f"stereo:k={k}:{part}" for k in range(7) for part in ("re", "
 def test_whole_report_matches_the_node_loop(family, order, monkeypatch):
     # Every circle mean of a report, and M''(0) fitted from three more, equal
     # the bits of the same report with each mean taken by the node loop.
-    value = resolve_family(family, NON_SUBHARMONIC_CONTROL).value
-    f = value * value
+    f = family_value(family)
     for center in (SOUTH, TILTED, (1.0, 0.0, 0.0)):
         got = analyze_growth(f, family, center, 1.2, 4, order)
         with monkeypatch.context() as patch:
@@ -134,12 +132,49 @@ def test_whole_report_matches_the_node_loop(family, order, monkeypatch):
         assert got == expected
 
 
+@pytest.mark.parametrize("family", GROWTH_FAMILIES)
+def test_means_agree_with_the_expanded_square(family):
+    # Squaring h at each node and evaluating the expanded normal form of h * h
+    # there give the same mean up to rounding: the margin that the golden
+    # file's 1e-12 tolerance on growth means relies on.
+    h = family_value(family)
+    for center in (SOUTH, TILTED, (1.0, 0.0, 0.0)):
+        for r in (0.1, 0.7, 1.2):
+            got = spherical_mean(h, center, r, 64)
+            expected = expanded_square_mean_loop(h, center, r, 64)
+            assert abs(got - expected) <= 1e-13 * abs(expected)
+
+
+@pytest.mark.parametrize(
+    "family", [f"stereo:k={k}:{part}" for k in range(3, 7) for part in ("re", "im")]
+)
+def test_squared_node_values_beat_the_expanded_square(family):
+    # Against the exact square of h at the same float point, a node value
+    # v * v errs by less than the expanded form of h * h, whose alternating
+    # coefficients cancel near the zeros of h.  For k <= 2 and the control the
+    # two can tie at about 1e-16, so they are left out.
+    h = family_value(family)
+    expanded = h * h
+    squared_errors, expanded_errors = [], []
+    for point in sample_cap_points(40, seed=4):
+        point = tuple(float(x) for x in point)
+        at = [Fraction(x) for x in point]
+        num, base = (evaluate_fraction_loop(p.poly, at) for p in (h.num, h.base))
+        exact = (num / base**h.exp) ** 2
+        got = growth._circle_kernel(h)(0.0, 0.0, 0.0, 1.0, (point,))
+        if exact == 0:
+            assert got == 0.0
+            continue
+        squared_errors.append(abs(Fraction(got) - exact) / exact)
+        expanded_errors.append(abs(Fraction(expanded.evaluate_float(point)) - exact) / exact)
+    assert max(squared_errors) < Fraction(5e-14)
+    assert max(squared_errors) < max(expanded_errors)
+
+
 class TestCircleCaches:
     def test_interleaved_integrands_and_tables(self):
-        value = resolve_family("stereo:k=3:re", NON_SUBHARMONIC_CONTROL).value
-        first, second = value * value, squared_control()
-        fresh_value = resolve_family("stereo:k=3:re", NON_SUBHARMONIC_CONTROL).value
-        fresh = fresh_value * fresh_value
+        first, second = family_value("stereo:k=3:re"), family_value("control:equator-band")
+        fresh = family_value("stereo:k=3:re")
         assert fresh is not first and fresh == first
         tables = [(SOUTH, 64), (TILTED, 1024)]
         calls = [(first, 0), (second, 0), (first, 1), (second, 1), (fresh, 0), (first, 1),
@@ -157,7 +192,7 @@ class TestCircleCaches:
         assert info.maxsize == info.currsize == 1
 
     def test_signed_zero_centers_match_the_loop(self):
-        f = squared(stereographic_harmonic(3, "re"))
+        f = harmonic(3, "re")
         for center in ((0.0, 0.0, -1.0), (-0.0, -0.0, -1.0), (0.0, 0.0, -1.0)):
             for r in (0.0, 0.5):
                 got = spherical_mean(f, center, r, 16)
@@ -168,16 +203,24 @@ class TestCircleCaches:
         ids=["tiny", "huge", "negative"],
     )
     def test_coefficient_literals_are_exact(self, c):
-        # A constant's one-node kernel returns its float literal unchanged;
-        # 3e-310 is subnormal and 10**300 / 7 is not a short decimal.
+        # A constant's float sum is its float literal unchanged, and its
+        # one-node kernel squares that literal; 3e-310 is subnormal and
+        # 10**300 / 7 is not a short decimal.
+        assert eval(growth._float_sum(Polynomial.constant(3, c))) == float(c)
         assert growth._circle_kernel(SphereFunction.constant(3, c))(
             0.0, 0.0, 0.0, 1.0, ((0.0, 0.0, -1.0),)
-        ) == float(c)
+        ) == float(c) * float(c)
         x1, x2, x3 = (SpherePolynomial.variable(3, i) for i in (1, 2, 3))
         f = SphereFunction.from_polynomial(x1 * x1.scale(c) + x2.scale(c) + x3.scale(Fraction(1, 7)))
         for center in (SOUTH, TILTED):
             got = spherical_mean(f, center, 0.7, 64)
             assert got.hex() == spherical_mean_loop(f, center, 0.7, 64).hex()
+
+    def test_the_zero_function_has_mean_zero(self):
+        # Its numerator is the empty sum 0.0, over the base 1.
+        zero = SphereFunction.zero(3)
+        assert spherical_mean(zero, TILTED, 0.5, 8) == 0.0
+        assert spherical_mean_loop(zero, TILTED, 0.5, 8) == 0.0
 
     @pytest.mark.parametrize(
         "center",
@@ -193,7 +236,7 @@ class TestCircleCaches:
         one = SphereFunction.constant(3, 1)
         with pytest.raises(ValueError, match="center must lie on the unit sphere"):
             spherical_mean(one, (0.0, 0.0, -2.0), 0.5, 8)
-        f = squared(stereographic_harmonic(1, "re"))
+        f = harmonic(1, "re")
         with pytest.raises(ValueError, match="center must lie on the unit sphere"):
             analyze_growth(f, "x", (0.0, 0.0, -3.0), 1.2, 3, 8)
 
@@ -204,7 +247,7 @@ class TestCircleCaches:
             spherical_mean(one, (0.0, 0.0, -(1.0 + 1e-11)), 0.5, 8)
 
     def test_integer_center_is_read_as_floats(self):
-        f = squared(stereographic_harmonic(2, "im"))
+        f = harmonic(2, "im")
         got = spherical_mean(f, [1, 0, 0], 0.5, 32)
         assert got.hex() == spherical_mean(f, (1.0, 0.0, 0.0), 0.5, 32).hex()
 
@@ -219,9 +262,9 @@ class TestMonotonicity:
         "k,part", [(0, "re"), (1, "re"), (1, "im"), (2, "re"), (3, "im")]
     )
     def test_family_members_monotone(self, k, part):
-        sq = squared(stereographic_harmonic(k, part))
+        h = harmonic(k, part)
         radii = [1.2 * (i + 1) / 40 for i in range(40)]
-        means = [spherical_mean(sq, SOUTH, r, 128) for r in radii]
+        means = [spherical_mean(h, SOUTH, r, 128) for r in radii]
         ok, _ = check_mean_monotonicity(means)
         assert ok
 
@@ -230,9 +273,8 @@ class TestMonotonicity:
         # mean of f^2 strictly decreases, so the checker must flag it.
         x3 = SpherePolynomial.variable(3, 3)
         f = SphereFunction.from_polynomial(SpherePolynomial.one(3) - x3 * x3)
-        sq = f * f
         radii = [1.2 * (i + 1) / 40 for i in range(40)]
-        means = [spherical_mean(sq, (1.0, 0.0, 0.0), r, 128) for r in radii]
+        means = [spherical_mean(f, (1.0, 0.0, 0.0), r, 128) for r in radii]
         ok, idx = check_mean_monotonicity(means)
         assert not ok
         assert idx is not None
@@ -250,31 +292,30 @@ class TestSecondDerivative:
         # k >= 2 members vanish to high order at the pole: exact side is 0
         # and the finite difference must stay inside the absolute fallback.
         for k in (2, 3, 4):
-            sq = squared(stereographic_harmonic(k, "im"))
-            ok, fd, exact = check_second_derivative_at_zero(sq, SOUTH)
+            h = harmonic(k, "im")
+            ok, fd, exact = check_second_derivative_at_zero(h, SOUTH)
             assert exact == 0.0
             assert ok, (k, fd)
 
     def test_degree_one_pullback(self):
-        sq = squared(stereographic_harmonic(1, "re"))
-        ok, fd, exact = check_second_derivative_at_zero(sq, SOUTH)
+        h = harmonic(1, "re")
+        ok, fd, exact = check_second_derivative_at_zero(h, SOUTH)
         assert ok
         assert exact == pytest.approx(0.25, abs=1e-15)
         assert fd == pytest.approx(0.25, rel=1e-6)
 
     def test_combined_family_member(self):
         h = planar_combination([(1, "re", 1), (1, "im", 1)])
-        sq = squared(h)
-        ok, fd, exact = check_second_derivative_at_zero(sq, SOUTH)
+        ok, fd, exact = check_second_derivative_at_zero(h.value, SOUTH)
         assert ok
         # |grad h|^2 doubles relative to the single-part case
         assert exact == pytest.approx(0.5, abs=1e-15)
 
     def test_offcenter_reference_value(self):
         # The exact side is evaluated wherever the center sits.
-        sq = squared(stereographic_harmonic(2, "re"))
+        h = harmonic(2, "re")
         center = (math.sin(0.4), 0.0, -math.cos(0.4))
-        ok, fd, exact = check_second_derivative_at_zero(sq, center)
+        ok, fd, exact = check_second_derivative_at_zero(h, center)
         assert ok
 
 
@@ -302,11 +343,10 @@ def test_second_derivative_exact_is_within_rounding(family, center):
     # The float reference is half the Laplacian of h^2, summed in term order at
     # the float center; the exact rational value of the field sum at that same
     # point is the oracle, so only rounding separates them.
-    value = resolve_family(family, NON_SUBHARMONIC_CONTROL).value
-    f = value * value
+    h = family_value(family)
     point = tuple(float(c) for c in center.split(","))
-    *_, exact = check_second_derivative_at_zero(f, point, order=8)
-    lap = laplace_sphere_by_fields(f)
+    *_, exact = check_second_derivative_at_zero(h, point, order=8)
+    lap = laplace_sphere_by_fields(h * h)
     at = [Fraction(c) for c in point]
     reference = Fraction(1, 2) * evaluate_fraction_loop(lap.num.poly, at) / (
         evaluate_fraction_loop(lap.base.poly, at) ** lap.exp
@@ -316,8 +356,8 @@ def test_second_derivative_exact_is_within_rounding(family, center):
 
 class TestAnalyzeGrowth:
     def test_full_report_for_family_member(self):
-        sq = squared(stereographic_harmonic(2, "im"))
-        report = analyze_growth(sq, "stereo:k=2:im", SOUTH, 1.2, 40, 256)
+        h = harmonic(2, "im")
+        report = analyze_growth(h, "stereo:k=2:im", SOUTH, 1.2, 40, 256)
         assert report.monotone
         assert report.second_derivative_ok
         assert report.passed
@@ -325,15 +365,15 @@ class TestAnalyzeGrowth:
         assert report.radii[-1] == pytest.approx(1.2)
 
     def test_grid_validation(self):
-        sq = squared(stereographic_harmonic(1, "re"))
+        h = harmonic(1, "re")
         with pytest.raises(ValueError):
-            analyze_growth(sq, "x", SOUTH, 1.2, 1, 64)
+            analyze_growth(h, "x", SOUTH, 1.2, 1, 64)
         with pytest.raises(ValueError):
-            analyze_growth(sq, "x", SOUTH, 0.0, 10, 64)
+            analyze_growth(h, "x", SOUTH, 0.0, 10, 64)
 
     def test_control_report_fails(self):
         x3 = SpherePolynomial.variable(3, 3)
         f = SphereFunction.from_polynomial(SpherePolynomial.one(3) - x3 * x3)
-        report = analyze_growth(f * f, "control", (1.0, 0.0, 0.0), 1.2, 40, 128)
+        report = analyze_growth(f, "control", (1.0, 0.0, 0.0), 1.2, 40, 128)
         assert not report.monotone
         assert not report.passed

@@ -386,6 +386,20 @@ class TestEngineFault:
         with pytest.raises(linalg.EngineFault, match="span coordinates"):
             linalg.nullspace([[1, 2, 3], [4, 5, 6]])
 
+    def test_a_wrong_pivot_coordinate_is_an_engine_fault(self, monkeypatch):
+        # A pivot column is checked by its coordinates alone: twice the unit
+        # vector would say the column is twice itself.
+        real = linalg._coordinates
+
+        def corrupt(m):
+            pivots, coords = real(m)
+            coords[pivots[-1]] = [2 * q for q in coords[pivots[-1]]]
+            return pivots, coords
+
+        monkeypatch.setattr(linalg, "_coordinates", corrupt)
+        with pytest.raises(linalg.EngineFault, match="span coordinates"):
+            linalg.column_basis([[1, 2, 3], [4, 5, 6]])
+
     def test_a_failed_check_on_every_row_is_an_engine_fault(self, monkeypatch):
         monkeypatch.setattr(linalg, "_spans", lambda m, pivots, coords: False)
         with pytest.raises(linalg.EngineFault, match="span coordinates"):

@@ -354,12 +354,13 @@ class TestIntegerSampleStage:
             sample_cap_points(count, seed=0)
 
 
-def circle_kernel_at(f: SphereFunction, point) -> float:
-    """The growth circle kernel of f on a one-node table: 0.0 + 1.0 * point.
-    Exact for coordinates other than -0.0, which the cap samples never are."""
+def circle_kernel_at(h: SphereFunction, point) -> float:
+    """The growth circle kernel of h on a one-node table at 0.0 + 1.0 * point:
+    h's value there, squared.  Exact for coordinates other than -0.0, which
+    the cap samples never are."""
     from sphere_sos.growth import _circle_kernel
 
-    return _circle_kernel(f)(0.0, 0.0, 0.0, 1.0, (point,))
+    return _circle_kernel(h)(0.0, 0.0, 0.0, 1.0, (point,))
 
 
 class TestFloatEvaluator:
@@ -379,13 +380,13 @@ class TestFloatEvaluator:
     def test_matches_the_float_loop_on_growth_integrands(self, family):
         from sphere_sos.cli import NON_SUBHARMONIC_CONTROL, resolve_family
 
-        value = resolve_family(family, NON_SUBHARMONIC_CONTROL).value
-        f = value * value
+        h = resolve_family(family, NON_SUBHARMONIC_CONTROL).value
+        f = h * h
         for pt in sample_cap_points(40, seed=4):
             pt = tuple(float(x) for x in pt)
-            expected = function_evaluate_float_loop(f, pt)
-            assert same_float(circle_kernel_at(f, pt), expected)
-            assert same_float(f.evaluate_float(pt), expected)
+            value = function_evaluate_float_loop(h, pt)
+            assert same_float(circle_kernel_at(h, pt), value * value)
+            assert same_float(f.evaluate_float(pt), function_evaluate_float_loop(f, pt))
 
     def test_zero_denominator_raises(self):
         f = SphereFunction(
