@@ -45,11 +45,9 @@ from .linalg import Matrix
 from .polynomials import (
     DEFAULT_SAMPLE_COUNT,
     DEFAULT_SEED,
-    DEGREE_LIMIT,
     Polynomial,
     SphereFunction,
     SpherePolynomial,
-    _multiply_into,
     laplace_euclid,
     sample_cap_points,
 )
@@ -121,18 +119,8 @@ def _weighted_sum(squares: Sequence[Polynomial | SphereFunction], k: int):
 
 
 def _square_and_harmonicity(term: Polynomial | SphereFunction):
-    """(term^2, whether term is harmonic).  The square of the numerator adds
-    each cross term 2 c_a c_b once, in a term order that no certificate
-    output depends on (``term * term`` keeps the order of the full product)."""
-    p = term if isinstance(term, Polynomial) else term.num.poly
-    if 2 * p.degree() > DEGREE_LIMIT:
-        raise ValueError(f"square degree exceeds the packed-key limit {DEGREE_LIMIT}")
-    items = list(p.numerators.items())
-    twice = [(e, 2 * c) for e, c in items]
-    out = {e + e: c * c for e, c in items}
-    for i, item in enumerate(items):
-        _multiply_into(out, (item,), twice[i + 1 :])
-    square = Polynomial.from_numerators(p.m, out, p.denominator**2)
+    """(term^2, whether term is harmonic)."""
+    square = (term if isinstance(term, Polynomial) else term.num.poly).square()
     if isinstance(term, SphereFunction):
         square = SphereFunction._make(SpherePolynomial(square), term.base, 2 * term.exp, True)
     return square, _laplacian(term).is_zero()

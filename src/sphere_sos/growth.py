@@ -23,6 +23,7 @@ import functools
 import math
 from typing import NamedTuple, Sequence
 
+from .harmonics import HarmonicFunction
 from .polynomials import SphereFunction
 from .sphere_ops import laplace_sphere
 
@@ -31,6 +32,8 @@ SECOND_DERIVATIVE_REL_TOL = 1e-6
 # Absolute fallback for profiles whose second derivative vanishes at the
 # center: the O(h^6) truncation of the three-point fit stays below this.
 SECOND_DERIVATIVE_ABS_TOL = 1e-8
+# The radius step h of that fit.
+SECOND_DERIVATIVE_STEP = 0.04
 MIN_QUADRATURE_ORDER = 8
 
 
@@ -93,7 +96,7 @@ def spherical_mean(
 
 def _finite_point(center) -> tuple[float, float, float]:
     """The center as 3 floats; ValueError unless it is 3 finite real numbers
-    whose squares sum to 1 within 1e-12 (the CLI's --center check too)."""
+    whose squares sum to 1 within 1e-12."""
     try:
         ok = len(center) == 3 and all(
             isinstance(c, (int, float)) and math.isfinite(c) for c in center
@@ -181,26 +184,26 @@ def _float_sum(p) -> str:
     return f"({' + '.join(terms) or '0.0'})"
 
 
-def check_mean_monotonicity(means: Sequence[float], tol: float = MONOTONICITY_TOL):
-    """Nondecreasing within tol; returns (verdict, index of first violation or None)."""
+def check_mean_monotonicity(means: Sequence[float]):
+    """Nondecreasing within MONOTONICITY_TOL; returns (verdict, first violation or None)."""
     for i in range(len(means) - 1):
-        if means[i + 1] < means[i] - tol:
+        if means[i + 1] < means[i] - MONOTONICITY_TOL:
             return False, i
     return True, None
 
 
 def second_derivative_at_zero_fd(
-    h: SphereFunction, center: Sequence[float], order: int, step: float = 0.04
+    h: SphereFunction, center: Sequence[float], order: int
 ) -> float:
     """Finite-difference second derivative of the mean profile of h^2 at r = 0.
 
     The profile is even in r, so fit M(r) = M(0) + (A/2) r^2 + B r^4 + C r^6
-    through radii step, 2 step, 3 step and return A; the truncation error is
-    O(step^6).  M(0) is h(center)^2, squared in floats as the nodes are.
+    through radii s, 2 s, 3 s (s = SECOND_DERIVATIVE_STEP) and return A; the
+    error is O(s^6).  M(0) is h(center)^2, squared in floats as the nodes are.
     """
     value = h.evaluate_float(tuple(float(c) for c in center))
     m0 = value * value
-    radii = [step, 2.0 * step, 3.0 * step]
+    radii = [k * SECOND_DERIVATIVE_STEP for k in (1.0, 2.0, 3.0)]
     values = [spherical_mean(h, center, r, order) for r in radii]
     # Solve the 3x3 Vandermonde-in-r^2 system for the r^2 coefficient.
     rows = [[r**2, r**4, r**6] for r in radii]
@@ -220,14 +223,10 @@ def _det3(a):
 
 
 def check_second_derivative_at_zero(
-    h: SphereFunction,
-    center: Sequence[float],
-    order: int = 256,
-    rel_tol: float = SECOND_DERIVATIVE_REL_TOL,
-    abs_tol: float = SECOND_DERIVATIVE_ABS_TOL,
+    h: SphereFunction, center: Sequence[float], order: int = 256
 ) -> tuple[bool, float, float]:
     """Compare the finite-difference M''(0) with half the exact Laplacian of
-    h^2 at the center.
+    h^2 at the center, within the module's tolerances.
 
     Returns (verdict, finite-difference value, exact reference value).
     """
@@ -235,31 +234,36 @@ def check_second_derivative_at_zero(
     exact_fn = laplace_sphere(h * h)
     exact = 0.5 * exact_fn.evaluate_float(tuple(float(c) for c in center))
     if exact == 0.0:
-        return abs(fd) <= abs_tol, fd, exact
-    return abs(fd - exact) <= rel_tol * abs(exact) + abs_tol, fd, exact
+        return abs(fd) <= SECOND_DERIVATIVE_ABS_TOL, fd, exact
+    tol = SECOND_DERIVATIVE_REL_TOL * abs(exact) + SECOND_DERIVATIVE_ABS_TOL
+    return abs(fd - exact) <= tol, fd, exact
 
 
 def analyze_growth(
-    h: SphereFunction,
-    family: str,
-    center: Sequence[float],
-    r_max: float,
-    grid: int,
-    order: int,
+    h: HarmonicFunction, center: Sequence[float], r_max: float, grid: int, order: int
 ) -> GrowthReport:
-    """Full growth report of h: the mean profile of h^2, its monotonicity, and
-    the M''(0) cross-check."""
+    """Full growth report of h, for the family ``h.provenance``: the mean
+    profile of h^2, its monotonicity, and the M''(0) cross-check.
+
+    Every circle must lie in h's disk ``h.domain``, the cap of geodesic radius
+    rho about -pole, where the denominator is bounded away from zero:
+    acos(-center . pole) + r_max <= rho."""
+    center = _finite_point(center)
     if grid < 2:
         raise ValueError(f"need at least 2 grid radii, got {grid}")
     if not 0 < r_max < math.pi:
-        raise ValueError(f"r_max must lie in (0, pi), got {r_max}")
+        raise ValueError(f"r_max must be finite and lie in (0, pi), got {r_max}")
+    along_pole = sum(c * float(p) for c, p in zip(center, h.domain.pole))
+    offset = math.acos(max(-1.0, min(1.0, -along_pole)))
+    if offset + r_max > h.domain.radius:
+        raise ValueError("circles of radius r_max about this center leave the working cap")
     radii = [r_max * (i + 1) / grid for i in range(grid)]
-    means = [spherical_mean(h, center, r, order) for r in radii]
+    means = [spherical_mean(h.value, center, r, order) for r in radii]
     monotone, violation = check_mean_monotonicity(means)
-    ok, fd, exact = check_second_derivative_at_zero(h, center, order)
+    ok, fd, exact = check_second_derivative_at_zero(h.value, center, order)
     return GrowthReport(
-        family=family,
-        center=tuple(float(c) for c in center),
+        family=h.provenance,
+        center=center,
         radii=radii,
         means=means,
         quadrature_order=order,

@@ -281,6 +281,18 @@ class Polynomial:
             self.m, {e: n * a for e, n in self.numerators.items()}, self.denominator * c.denominator
         )
 
+    def square(self) -> "Polynomial":
+        """self * self, adding each cross term 2 c_a c_b once; the term order
+        differs from that of ``self * self``, which no caller depends on."""
+        if 2 * self.degree() > DEGREE_LIMIT:
+            raise ValueError(f"square degree exceeds the packed-key limit {DEGREE_LIMIT}")
+        items = list(self.numerators.items())
+        twice = [(e, 2 * c) for e, c in items]
+        out = {e + e: c * c for e, c in items}
+        for i, item in enumerate(items):
+            _multiply_into(out, (item,), twice[i + 1 :])
+        return Polynomial.from_numerators(self.m, out, self.denominator**2)
+
     def __pow__(self, exponent: int) -> "Polynomial":
         return _square_and_multiply(self, exponent, Polynomial.one)
 
@@ -836,7 +848,11 @@ def sample_plane_points(count: int, seed: int) -> list[tuple[Fraction, Fraction]
     import random
 
     if not 1 <= count <= PLANE_SAMPLE_LIMIT:
-        raise ValueError(f"need 1 to {PLANE_SAMPLE_LIMIT} distinct plane points, asked for {count}")
+        bound = ">= 1" if count < 1 else f"<= {PLANE_SAMPLE_LIMIT}"
+        raise ValueError(
+            f"sample count must be {bound}: need 1 to {PLANE_SAMPLE_LIMIT} "
+            f"distinct plane points, asked for {count}"
+        )
     rng = random.Random(seed)
     # Keyed by integers (a Fraction hashes slowly); the first draw of each point wins.
     points: dict[tuple[int, ...], tuple[Fraction, Fraction]] = {}

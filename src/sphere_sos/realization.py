@@ -149,7 +149,7 @@ def _tabulated(operator: ProjectedCasimir):
         out = SpherePolynomial.zero(p.m)
         for e, n in p.poly.numerators.items():
             if e not in table:
-                table[e] = operator(SpherePolynomial(Polynomial._make(p.m, {e: 1})))
+                table[e] = operator(SpherePolynomial(Polynomial.from_numerators(p.m, {e: 1}, 1)))
             out = out + table[e].scale(n)
         return out.scale(Fraction(1, p.poly.denominator))
     return apply

@@ -194,6 +194,7 @@ def generate_harmonic_basis(m: int, d: int) -> list[Polynomial]:
         ordered = sorted(terms.items(), reverse=True)
         nums = {key: c.numerator * (den // c.denominator) for key, c in ordered}
         content = gcd(*nums.values())
-        basis.append(Polynomial._make(m, {key: n // content for key, n in nums.items()}))
+        primitive = {key: n // content for key, n in nums.items()}
+        basis.append(Polynomial.from_numerators(m, primitive, 1))
     return basis
 

@@ -18,7 +18,7 @@ from sphere_sos.certificates import (
 )
 from sphere_sos.cli import main as cli_main
 from sphere_sos.growth import analyze_growth
-from sphere_sos.harmonics import stereographic_harmonic
+from sphere_sos.harmonics import CapDomain, HarmonicFunction, stereographic_harmonic
 from sphere_sos.lie import (
     ad_invariance_witness,
     casimir_element,
@@ -294,13 +294,14 @@ def test_criterion_10_growth_checks():
     ok = True
     for k_family, part in FAMILY:
         h = stereographic_harmonic(k_family, part)
-        rep = analyze_growth(h.value, h.provenance, south, 1.2, 40, 256)
+        rep = analyze_growth(h, south, 1.2, 40, 256)
         ok &= rep.monotone
         ok &= rep.second_derivative_ok
     # negative control: mean of (1 - x3^2)^2 about an equatorial center decreases
     x3 = SpherePolynomial.variable(3, 3)
     control = SphereFunction.from_polynomial(SpherePolynomial.one(3) - x3 * x3)
-    control_rep = analyze_growth(control, "control", (1.0, 0.0, 0.0), 1.2, 40, 256)
+    control_h = HarmonicFunction(control, CapDomain(), "control")
+    control_rep = analyze_growth(control_h, (1.0, 0.0, 0.0), 1.2, 40, 256)
     ok &= not control_rep.monotone
     elapsed = time.perf_counter() - start
     report(

@@ -73,12 +73,6 @@ class TestCertify:
         assert (code, out) == (2, "")
         assert "exceeds the packed-key limit 255" in err
 
-    def test_negative_power_is_usage_error(self, capsys):
-        code, _, _ = run(
-            capsys, "certify", "--family", "stereo:k=1:re", "--power", "-1"
-        )
-        assert code == 2
-
     def test_reports_are_byte_identical(self, capsys, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         for path in (a, b):
@@ -485,10 +479,6 @@ class TestGrowth:
         )
         assert code == 1
 
-    def test_small_grid_rejected(self, capsys):
-        code, _, _ = run(capsys, "growth", "--family", "stereo:k=1:re", "--grid", "1")
-        assert code == 2
-
     def test_circle_leaving_cap_rejected(self, capsys):
         code, _, err = run(
             capsys,
@@ -612,9 +602,27 @@ class TestGenHarmonic:
             p = Polynomial.parse(line, 3)
             assert laplace_euclid(p).is_zero()
 
-    def test_bad_dimension(self, capsys):
-        code, _, _ = run(capsys, "gen-harmonic", "--ambient-dim", "1", "--degree", "2")
-        assert code == 2
+
+# Bounds that only the library checks: each still exits 2 with one error line.
+@pytest.mark.parametrize(
+    "argv",
+    [
+        "certify --family stereo:k=1:re --power -1",
+        "growth --family stereo:k=1:re --grid 1",
+        "growth --family stereo:k=1:re --quad 4",
+        "growth --family stereo:k=1:re --rmax 0",
+        "growth --family stereo:k=1:re --rmax inf",
+        "gen-harmonic --ambient-dim 1 --degree 2",
+        "gen-harmonic --ambient-dim 3 --degree -1",
+    ],
+    ids=["power", "grid", "quad", "rmax-zero", "rmax-inf", "ambient-dim", "degree"],
+)
+def test_library_bounds_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv.split())
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 class TestResolveFamily:

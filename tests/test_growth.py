@@ -10,7 +10,12 @@ from sphere_sos.growth import (
     check_second_derivative_at_zero,
     spherical_mean,
 )
-from sphere_sos.harmonics import planar_combination, stereographic_harmonic
+from sphere_sos.harmonics import (
+    CapDomain,
+    HarmonicFunction,
+    planar_combination,
+    stereographic_harmonic,
+)
 from sphere_sos.cli import NON_SUBHARMONIC_CONTROL, resolve_family
 from sphere_sos.polynomials import Polynomial, SphereFunction, SpherePolynomial, sample_cap_points
 
@@ -121,12 +126,12 @@ GROWTH_FAMILIES = [f"stereo:k={k}:{part}" for k in range(7) for part in ("re", "
 def test_whole_report_matches_the_node_loop(family, order, monkeypatch):
     # Every circle mean of a report, and M''(0) fitted from three more, equal
     # the bits of the same report with each mean taken by the node loop.
-    f = family_value(family)
+    h = HarmonicFunction(family_value(family), CapDomain(), family)
     for center in (SOUTH, TILTED, (1.0, 0.0, 0.0)):
-        got = analyze_growth(f, family, center, 1.2, 4, order)
+        got = analyze_growth(h, center, 1.2, 4, order)
         with monkeypatch.context() as patch:
             patch.setattr(growth, "spherical_mean", spherical_mean_loop)
-            expected = analyze_growth(f, family, center, 1.2, 4, order)
+            expected = analyze_growth(h, center, 1.2, 4, order)
         assert [m.hex() for m in got.means] == [m.hex() for m in expected.means]
         assert got.second_derivative_fd.hex() == expected.second_derivative_fd.hex()
         assert got == expected
@@ -236,9 +241,9 @@ class TestCircleCaches:
         one = SphereFunction.constant(3, 1)
         with pytest.raises(ValueError, match="center must lie on the unit sphere"):
             spherical_mean(one, (0.0, 0.0, -2.0), 0.5, 8)
-        f = harmonic(1, "re")
+        h = HarmonicFunction(harmonic(1, "re"), CapDomain(), "x")
         with pytest.raises(ValueError, match="center must lie on the unit sphere"):
-            analyze_growth(f, "x", (0.0, 0.0, -3.0), 1.2, 3, 8)
+            analyze_growth(h, (0.0, 0.0, -3.0), 1.2, 3, 8)
 
     def test_the_unit_sphere_check_uses_the_cli_tolerance(self):
         one = SphereFunction.constant(3, 1)
@@ -356,8 +361,8 @@ def test_second_derivative_exact_is_within_rounding(family, center):
 
 class TestAnalyzeGrowth:
     def test_full_report_for_family_member(self):
-        h = harmonic(2, "im")
-        report = analyze_growth(h, "stereo:k=2:im", SOUTH, 1.2, 40, 256)
+        h = HarmonicFunction(harmonic(2, "im"), CapDomain(), "stereo:k=2:im")
+        report = analyze_growth(h, SOUTH, 1.2, 40, 256)
         assert report.monotone
         assert report.second_derivative_ok
         assert report.passed
@@ -365,15 +370,36 @@ class TestAnalyzeGrowth:
         assert report.radii[-1] == pytest.approx(1.2)
 
     def test_grid_validation(self):
-        h = harmonic(1, "re")
+        h = HarmonicFunction(harmonic(1, "re"), CapDomain(), "x")
         with pytest.raises(ValueError):
-            analyze_growth(h, "x", SOUTH, 1.2, 1, 64)
+            analyze_growth(h, SOUTH, 1.2, 1, 64)
         with pytest.raises(ValueError):
-            analyze_growth(h, "x", SOUTH, 0.0, 10, 64)
+            analyze_growth(h, SOUTH, 0.0, 10, 64)
 
     def test_control_report_fails(self):
         x3 = SpherePolynomial.variable(3, 3)
         f = SphereFunction.from_polynomial(SpherePolynomial.one(3) - x3 * x3)
-        report = analyze_growth(f, "control", (1.0, 0.0, 0.0), 1.2, 40, 128)
+        h = HarmonicFunction(f, CapDomain(), "control")
+        report = analyze_growth(h, (1.0, 0.0, 0.0), 1.2, 40, 128)
         assert not report.monotone
         assert not report.passed
+
+    def test_circles_that_leave_the_disk_are_refused(self):
+        # 0.2 + 3.05 > 3.0: the outer circles pass close to the pole, where the
+        # means grow past 1e5 and would read as a non-monotone verdict.
+        h = stereographic_harmonic(2, "re")
+        tilted = (math.sin(0.2), 0.0, -math.cos(0.2))
+        with pytest.raises(ValueError, match="leave the working cap"):
+            analyze_growth(h, tilted, 3.05, 40, 256)
+
+    def test_the_disk_is_read_off_the_domain_pole(self):
+        # A cap of radius 1 about the north pole (its excluded pole is south).
+        one = SphereFunction.constant(3, 1)
+        h = HarmonicFunction(one, CapDomain(pole=(0, 0, -1), radius=1.0), "one")
+        north = (0.0, 0.0, 1.0)
+        report = analyze_growth(h, north, 0.9, 4, 8)
+        assert report.passed and report.means == [1.0] * 4
+        with pytest.raises(ValueError, match="leave the working cap"):
+            analyze_growth(h, north, 1.1, 4, 8)
+        with pytest.raises(ValueError, match="leave the working cap"):
+            analyze_growth(h, SOUTH, 0.5, 4, 8)

@@ -5,7 +5,8 @@ process would hide what a cold start loads.  A registered submodule that has
 not run yet is a lazy module; once run, its type is plain ``ModuleType``.
 No command imports ``dataclasses`` or ``inspect``: the records are
 NamedTuples, and those two modules cost a cold start milliseconds.  The last
-test keeps src/ free of names that nothing in the package uses or exports.
+tests keep src/ free of names that nothing in the package uses or exports,
+and keep the polynomial kernel's private names inside `polynomials`.
 """
 
 import ast
@@ -141,3 +142,31 @@ def test_every_module_level_name_has_a_use():
             if not any(r == name and (m != module or id(n) not in own) for m, r, n in refs):
                 unused.append(f"{module}.{name}")
     assert sorted(set(unused) - KEPT) == []
+
+
+def _kernel_private_name(node) -> str | None:
+    """The name a node uses of the kernel's private product loop
+    ``_multiply_into`` or trusted constructor ``Polynomial._make``, if any."""
+    if isinstance(node, ast.alias) and node.name == "_multiply_into":
+        return node.name
+    if isinstance(node, ast.Name) and node.id == "_multiply_into":
+        return node.id
+    if isinstance(node, ast.Attribute):
+        if node.attr == "_multiply_into":
+            return node.attr
+        if node.attr == "_make" and ast.unparse(node.value).split(".")[-1] == "Polynomial":
+            return "Polynomial._make"
+    return None
+
+
+def test_kernel_private_names_stay_in_polynomials():
+    """Other modules build polynomials through the kernel's public methods
+    (``Polynomial.square``, ``Polynomial.from_numerators``)."""
+    found = []
+    for path in sorted(SRC.glob("sphere_sos/*.py")):
+        if path.stem == "polynomials":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if name := _kernel_private_name(node):
+                found.append(f"{path.stem}:{getattr(node, 'lineno', '?')}: {name}")
+    assert found == []
