@@ -170,9 +170,8 @@ def _coefficient_rows(funcs: Sequence[Polynomial | SphereFunction]) -> list[list
         if any(b != bases[0] for b in bases[1:]):
             raise ValueError("certificate terms do not share one denominator base")
         e = max(f.exp for f in funcs)
-        polys = [
-            f.num.poly if f.exp == e else (f.num * bases[0] ** (e - f.exp)).poly for f in funcs
-        ]
+        powers = {d: bases[0] ** d for d in {e - f.exp for f in funcs} if d}
+        polys = [f.num.poly if f.exp == e else (f.num * powers[e - f.exp]).poly for f in funcs]
     den = math.lcm(*(p.denominator for p in polys))
     columns = [(p.numerators, den // p.denominator) for p in polys]
     monomials = sorted({mono for p in polys for mono in p.numerators})

@@ -13,8 +13,15 @@ of h * h would take twice the float powers per node, and its terms cancel
 near the zeros of h.  h is compiled once into a straight-line circle kernel
 (``_circle_kernel``), and the tangent offsets cos(phi) u + sin(phi) v of the
 nodes are computed once per (center, order) (``_tangent_table``), so a report's
-circles share them.  A mean equals, bit for bit, a node-by-node loop that
-squares ``h.evaluate_float`` at each node.
+circles share them.  A float power x^e is the left-to-right product
+x * x * ... * x (``polynomials.float_power``), which the kernel takes once
+per node and shares among the terms, so no node calls libm's ``pow``; such a
+product overflows to inf where ``x ** e`` would raise OverflowError, which no
+circle inside h's disk comes near.  A mean equals, bit for bit, a
+node-by-node loop that squares ``h.evaluate_float`` at each node.
+
+Near the excluded pole h varies on the scale of the distance to it, so the
+M''(0) fit shrinks its radius step with that distance (``analyze_growth``).
 """
 
 from __future__ import annotations
@@ -32,8 +39,11 @@ SECOND_DERIVATIVE_REL_TOL = 1e-6
 # Absolute fallback for profiles whose second derivative vanishes at the
 # center: the O(h^6) truncation of the three-point fit stays below this.
 SECOND_DERIVATIVE_ABS_TOL = 1e-8
-# The radius step h of that fit.
+# The radius step s of that fit, at most SECOND_DERIVATIVE_STEP, and in
+# ``analyze_growth`` at most the center's distance to h's pole over
+# SECOND_DERIVATIVE_POLE_STEPS: h varies on the scale of that distance.
 SECOND_DERIVATIVE_STEP = 0.04
+SECOND_DERIVATIVE_POLE_STEPS = 25
 MIN_QUADRATURE_ORDER = 8
 
 
@@ -141,46 +151,87 @@ def _circle_kernel(h: SphereFunction):
     each coefficient is the float literal ``repr(c / den)`` (int true
     division rounds as ``float`` of the Fraction), a term's nonzero powers
     multiply into it, the terms add in order, and a zero float denominator
-    raises ZeroDivisionError.  The last kernel is kept, keyed by identity."""
+    raises ZeroDivisionError.  Powers are ``polynomials.float_power``'s
+    left-to-right products, each taken once per node and shared by the
+    terms, so no node calls libm's ``pow``; where ``**`` would raise
+    OverflowError a product gives inf, which no circle inside h's disk
+    reaches.  The last kernel is kept, keyed by identity."""
     global _kernel_cache
     cached, kernel = _kernel_cache
     if cached is h:
         return kernel
-    num, base = (_float_sum(p.poly) for p in (h.num, h.base))
-    value = f"{num} / {_power(base, h.exp)}" if h.exp else num
-    source = "".join([
-        "def kernel(a0, a1, a2, sr, table):\n",
-        "    total = 0.0\n",
-        "    for w0, w1, w2 in table:\n",
-        # Only the coordinates v reads; a float literal holds no "x".
-        *(f"        x{i} = a{i} + sr * w{i}\n" for i in range(3) if f"x{i}" in value),
-        f"        v = {value}\n",
-        "        total += v * v\n",
-        "    return total\n",
-    ])
     namespace: dict = {}
-    exec(compile(source, "<circle kernel>", "exec"), namespace)
+    exec(compile(_kernel_source(h), "<circle kernel>", "exec"), namespace)
     kernel = namespace["kernel"]
     _kernel_cache = (h, kernel)
     return kernel
 
 
+def _kernel_source(h: SphereFunction) -> str:
+    """The Python source of ``_circle_kernel(h)``.  Each node computes the
+    coordinates v reads and each power x{i}_e a term names, then the base b
+    and b_e for e = h.exp, and v from those names."""
+    polys = (h.num.poly, h.base.poly) if h.exp else (h.num.poly,)
+    exponents: list[set[int]] = [set(), set(), set()]
+    for p in polys:
+        for _, _, factors in p._evaluation_plan()[1]:
+            for i, e in factors:
+                exponents[i].add(e)
+    steps = []
+    for i, needed in enumerate(exponents):
+        if needed:
+            steps.append(f"x{i} = a{i} + sr * w{i}")
+            steps += _power_steps(f"x{i}", needed)
+    num = _float_sum(h.num.poly)
+    if h.exp:
+        steps += [f"b = {_float_sum(h.base.poly)}", *_power_steps("b", {h.exp})]
+        steps.append(f"v = {num} / {_power('b', h.exp)}")
+    else:
+        steps.append(f"v = {num}")
+    return "".join([
+        "def kernel(a0, a1, a2, sr, table):\n",
+        "    total = 0.0\n",
+        "    for w0, w1, w2 in table:\n",
+        *(f"        {step}\n" for step in steps),
+        "        total += v * v\n",
+        "    return total\n",
+    ])
+
+
 def _power(x: str, e: int) -> str:
-    return x if e == 1 else f"{x}**{e}"
+    """The name of x^e in a kernel: x itself, or x_e."""
+    return x if e == 1 else f"{x}_{e}"
+
+
+def _power_steps(x: str, needed: set[int]) -> list[str]:
+    """Assignments of x_e for each e in needed, as ``float_power``'s
+    left-to-right products: each continues the one below it, so with
+    needed = {3, 5}, x_3 = x * x * x and x_5 = x_3 * x * x."""
+    steps, below = [], 1
+    for e in sorted(needed - {1}):
+        steps.append(f"{_power(x, e)} = {_power(x, below)}" + f" * {x}" * (e - below))
+        below = e
+    return steps
 
 
 def _float_sum(p) -> str:
     """p's float value at (x0, x1, x2) as one expression, (t1 + t2 + ...) or
     an empty sum's 0.0.  A coefficient 1.0 is left out of its term, as
-    1.0 * y == y for every float y."""
+    1.0 * y == y for every float y, and a coefficient -1.0 becomes a
+    negation, as -1.0 * y == -y."""
     den = p.denominator
     terms = []
     for c, _, factors in p._evaluation_plan()[1]:
         coefficient = c / den
-        powers = [_power(f"x{i}", e) for i, e in factors]
-        if coefficient != 1.0 or not powers:
-            powers.insert(0, f"({coefficient!r})")
-        terms.append("*".join(powers))
+        powers = "*".join(_power(f"x{i}", e) for i, e in factors)
+        if not powers:
+            terms.append(f"({coefficient!r})")
+        elif coefficient == 1.0:
+            terms.append(powers)
+        elif coefficient == -1.0:
+            terms.append(f"-{powers}")
+        else:
+            terms.append(f"({coefficient!r})*{powers}")
     return f"({' + '.join(terms) or '0.0'})"
 
 
@@ -193,17 +244,20 @@ def check_mean_monotonicity(means: Sequence[float]):
 
 
 def second_derivative_at_zero_fd(
-    h: SphereFunction, center: Sequence[float], order: int
+    h: SphereFunction, center: Sequence[float], order: int, *,
+    step: float = SECOND_DERIVATIVE_STEP,
 ) -> float:
     """Finite-difference second derivative of the mean profile of h^2 at r = 0.
 
     The profile is even in r, so fit M(r) = M(0) + (A/2) r^2 + B r^4 + C r^6
-    through radii s, 2 s, 3 s (s = SECOND_DERIVATIVE_STEP) and return A; the
-    error is O(s^6).  M(0) is h(center)^2, squared in floats as the nodes are.
+    through radii s, 2 s, 3 s (s = ``step``) and return A; the error is
+    O(s^6) times the scale on which h varies, so near a pole of h the step
+    must shrink with the distance to it (``analyze_growth`` scales it).
+    M(0) is h(center)^2, squared in floats as the nodes are.
     """
     value = h.evaluate_float(tuple(float(c) for c in center))
     m0 = value * value
-    radii = [k * SECOND_DERIVATIVE_STEP for k in (1.0, 2.0, 3.0)]
+    radii = [k * step for k in (1.0, 2.0, 3.0)]
     values = [spherical_mean(h, center, r, order) for r in radii]
     # Solve the 3x3 Vandermonde-in-r^2 system for the r^2 coefficient.
     rows = [[r**2, r**4, r**6] for r in radii]
@@ -223,14 +277,16 @@ def _det3(a):
 
 
 def check_second_derivative_at_zero(
-    h: SphereFunction, center: Sequence[float], order: int = 256
+    h: SphereFunction, center: Sequence[float], order: int = 256, *,
+    step: float = SECOND_DERIVATIVE_STEP,
 ) -> tuple[bool, float, float]:
-    """Compare the finite-difference M''(0) with half the exact Laplacian of
-    h^2 at the center, within the module's tolerances.
+    """Compare the finite-difference M''(0), fitted with radius step ``step``,
+    with half the exact Laplacian of h^2 at the center, within the module's
+    tolerances.
 
     Returns (verdict, finite-difference value, exact reference value).
     """
-    fd = second_derivative_at_zero_fd(h, center, order)
+    fd = second_derivative_at_zero_fd(h, center, order, step=step)
     exact_fn = laplace_sphere(h * h)
     exact = 0.5 * exact_fn.evaluate_float(tuple(float(c) for c in center))
     if exact == 0.0:
@@ -247,7 +303,10 @@ def analyze_growth(
 
     Every circle must lie in h's disk ``h.domain``, the cap of geodesic radius
     rho about -pole, where the denominator is bounded away from zero:
-    acos(-center . pole) + r_max <= rho."""
+    acos(-center . pole) + r_max <= rho.  The M''(0) fit takes the step
+    min(SECOND_DERIVATIVE_STEP, d / SECOND_DERIVATIVE_POLE_STEPS), d the
+    center's distance to the pole; every center at least 1 rad from the
+    pole keeps SECOND_DERIVATIVE_STEP."""
     center = _finite_point(center)
     if grid < 2:
         raise ValueError(f"need at least 2 grid radii, got {grid}")
@@ -260,7 +319,8 @@ def analyze_growth(
     radii = [r_max * (i + 1) / grid for i in range(grid)]
     means = [spherical_mean(h.value, center, r, order) for r in radii]
     monotone, violation = check_mean_monotonicity(means)
-    ok, fd, exact = check_second_derivative_at_zero(h.value, center, order)
+    step = min(SECOND_DERIVATIVE_STEP, (math.pi - offset) / SECOND_DERIVATIVE_POLE_STEPS)
+    ok, fd, exact = check_second_derivative_at_zero(h.value, center, order, step=step)
     return GrowthReport(
         family=h.provenance,
         center=center,

@@ -273,7 +273,8 @@ class Polynomial:
         return NotImplemented
 
     def scale(self, value: RationalLike) -> "Polynomial":
-        c = _as_fraction(value)
+        # An int has numerator and denominator too, so it needs no Fraction.
+        c = value if type(value) is int else _as_fraction(value)
         if c == 0:
             return Polynomial.zero(self.m)
         a = c.numerator
@@ -356,7 +357,8 @@ class Polynomial:
     def evaluate_float(self, point: Sequence[float]) -> float:
         """The float value at a point: each coefficient becomes a float (int
         true division rounds as ``float`` of the Fraction does), a term's
-        nonzero powers multiply into it, and the terms add in order onto 0.0."""
+        nonzero powers (``float_power``) multiply into it, and the terms add
+        in order onto 0.0."""
         if len(point) != self.m:
             raise ValueError(f"point has length {len(point)}, expected {self.m}")
         den = self.denominator
@@ -364,7 +366,7 @@ class Polynomial:
         for c, _, factors in self._evaluation_plan()[1]:
             term = c / den
             for i, e in factors:
-                term *= point[i] ** e
+                term *= float_power(point[i], e)
             total += term
         return total
 
@@ -610,6 +612,17 @@ def _complement_power(m: int, q: int) -> Polynomial:
     return _complement_power(m, q - 1) * _complement_power(m, 1)
 
 
+def float_power(x: float, e: int) -> float:
+    """x^e for an int e >= 1 as the left-to-right product x * x * ... * x.
+
+    The one float power of the package: ``evaluate_float`` takes every power
+    this way, and the growth circle kernel emits the same products
+    (x_2 = x * x, x_3 = x_2 * x, ...), so the two agree bit for bit.  It can
+    differ from libm's ``x ** e`` in the last bits, and where ``x ** e``
+    raises OverflowError the product overflows to inf."""
+    return functools.reduce(mul, repeat(x, e))
+
+
 def _powers(xs: list[int], den: int, n: int) -> list[list[int]]:
     """Row i lists xs[i] ** e for e = 0..n; the last row lists den ** e."""
     return [list(accumulate(repeat(x, n), mul, initial=1)) for x in (*xs, den)]
@@ -793,7 +806,9 @@ class SphereFunction:
         return Fraction(a * b_den, a_den * b)
 
     def evaluate_float(self, point: Sequence[float]) -> float:
-        den_val = self.base.poly.evaluate_float(point) ** self.exp
+        """num / base^exp in floats, the power by ``float_power`` (exp 0 divides by 1.0)."""
+        base = self.base.poly.evaluate_float(point)
+        den_val = float_power(base, self.exp) if self.exp else 1.0
         return self.num.poly.evaluate_float(point) / den_val
 
     def __str__(self) -> str:

@@ -151,7 +151,8 @@ def _tabulated(operator: ProjectedCasimir):
             if e not in table:
                 table[e] = operator(SpherePolynomial(Polynomial.from_numerators(p.m, {e: 1}, 1)))
             out = out + table[e].scale(n)
-        return out.scale(Fraction(1, p.poly.denominator))
+        den = out.poly.denominator * p.poly.denominator
+        return SpherePolynomial._trusted(Polynomial.from_numerators(p.m, out.poly.numerators, den))
     return apply
 
 

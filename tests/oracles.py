@@ -187,21 +187,31 @@ def evaluate_fraction_loop(p: Polynomial, point) -> Fraction:
     return total
 
 
-def evaluate_float_loop(p: Polynomial, point) -> float:
-    """Float value, converting every coefficient on every call."""
+def product_power(v: float, e: int) -> float:
+    """v^e as the product 1.0 * v * v * ... * v, the package's float power
+    (1.0 * v == v, and e = 0 gives 1.0)."""
+    out = 1.0
+    for _ in range(e):
+        out *= v
+    return out
+
+
+def evaluate_float_loop(p: Polynomial, point, power=product_power) -> float:
+    """Float value, converting every coefficient on every call.  ``power``
+    takes each power; ``power=pow`` is the earlier libm ``v ** e`` loop."""
     total = 0.0
     for exps, c in p.terms.items():
         term = float(c)
         for v, e in zip(point, exps):
             if e:
-                term *= v**e
+                term *= power(v, e)
         total += term
     return total
 
 
-def function_evaluate_float_loop(f: SphereFunction, point) -> float:
-    den_val = evaluate_float_loop(f.base.poly, point) ** f.exp
-    return evaluate_float_loop(f.num.poly, point) / den_val
+def function_evaluate_float_loop(f: SphereFunction, point, power=product_power) -> float:
+    den_val = power(evaluate_float_loop(f.base.poly, point, power), f.exp)
+    return evaluate_float_loop(f.num.poly, point, power) / den_val
 
 
 def circle_nodes(center, r: float, order: int):
@@ -216,11 +226,13 @@ def circle_nodes(center, r: float, order: int):
         yield tuple(cr * center[i] + sr * (cp * u[i] + sp * v[i]) for i in range(3))
 
 
-def spherical_mean_loop(h: SphereFunction, center, r: float, order: int) -> float:
+def spherical_mean_loop(
+    h: SphereFunction, center, r: float, order: int, power=product_power
+) -> float:
     """Trapezoid circle mean of h^2: h's float value squared at each node."""
     total = 0.0
     for point in circle_nodes(center, r, order):
-        value = function_evaluate_float_loop(h, point)
+        value = function_evaluate_float_loop(h, point, power)
         total += value * value
     return total / order
 
@@ -388,7 +400,7 @@ class FractionPolynomial:
             total = 0.0
             for term, factors in terms:
                 for i, e in factors:
-                    term *= point[i] ** e
+                    term *= product_power(point[i], e)
                 total += term
             return total
 

@@ -176,6 +176,24 @@ def test_squared_node_values_beat_the_expanded_square(family):
     assert max(squared_errors) < max(expanded_errors)
 
 
+@pytest.mark.parametrize("family", GROWTH_FAMILIES)
+def test_means_agree_with_the_libm_power_loop(family):
+    # Powers taken as left-to-right products move a mean by a few roundings
+    # against the earlier node loop, whose powers were libm's v ** e.
+    h = family_value(family)
+    for center in (SOUTH, TILTED, (1.0, 0.0, 0.0)):
+        for r in (0.1, 0.7, 1.2):
+            got = spherical_mean(h, center, r, 64)
+            expected = spherical_mean_loop(h, center, r, 64, power=pow)
+            assert abs(got - expected) <= 1e-14 * abs(expected)
+
+
+@pytest.mark.parametrize("family", GROWTH_FAMILIES)
+def test_the_kernel_source_calls_no_pow(family):
+    source = growth._kernel_source(family_value(family))
+    assert "**" not in source and "pow" not in source
+
+
 class TestCircleCaches:
     def test_interleaved_integrands_and_tables(self):
         first, second = family_value("stereo:k=3:re"), family_value("control:equator-band")
@@ -322,6 +340,35 @@ class TestSecondDerivative:
         center = (math.sin(0.4), 0.0, -math.cos(0.4))
         ok, fd, exact = check_second_derivative_at_zero(h, center)
         assert ok
+
+
+class TestSecondDerivativeNearThePole:
+    # h = stereo:k=1:re varies on the scale of the distance d to its pole, the
+    # north pole.  With the fixed step 0.04 the fit was off by 2.2e-6, 1.1e-4,
+    # 1.1e-3 and 4.2e-3 relative at these angles from the south pole, and
+    # falsified the harmonic h; the step min(0.04, d / 25) keeps it near 1.5e-7.
+    @pytest.mark.parametrize("angle", [2.5, 2.8, 2.9, 2.94])
+    def test_the_step_shrinks_near_the_pole(self, angle):
+        h = stereographic_harmonic(1, "re")
+        center = (math.sin(angle), 0.0, -math.cos(angle))
+        report = analyze_growth(h, center, 0.05, 4, 256)
+        assert report.passed
+        assert abs(report.second_derivative_fd / report.second_derivative_exact - 1) < 1e-6
+
+    def test_centers_a_radian_from_the_pole_keep_the_fixed_step(self, monkeypatch):
+        steps = []
+        check = growth.check_second_derivative_at_zero
+
+        def spy(*args, step):
+            steps.append(step)
+            return check(*args, step=step)
+
+        monkeypatch.setattr(growth, "check_second_derivative_at_zero", spy)
+        h = stereographic_harmonic(1, "re")
+        for angle in (0.0, 1.0, 2.0, 2.5):
+            analyze_growth(h, (math.sin(angle), 0.0, -math.cos(angle)), 0.05, 2, 8)
+        assert steps[:3] == [growth.SECOND_DERIVATIVE_STEP] * 3
+        assert steps[3] == pytest.approx((math.pi - 2.5) / growth.SECOND_DERIVATIVE_POLE_STEPS)
 
 
 # The growth ops of the benchmark's growth-basis workload at seeds 0-3 (the

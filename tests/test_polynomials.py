@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from sphere_sos.polynomials import (
     SpherePolynomial,
     _normalize,
     euler_operator,
+    float_power,
     laplace_euclid,
     sample_cap_points,
     sample_plane_points,
@@ -401,6 +403,19 @@ class TestFloatEvaluator:
     def test_point_length_checked(self):
         with pytest.raises(ValueError):
             var(3, 1).evaluate_float((1.0, 2.0))
+
+    def test_powers_are_left_to_right_products(self):
+        x = 1.1
+        assert [float_power(x, e) for e in (1, 2, 3, 4)] == [x, x * x, x * x * x, x * x * x * x]
+        assert (var(3, 1).scale(3) ** 4).evaluate_float((x, 0.0, 0.0)) == 81 * (x * x * x * x)
+
+    def test_powers_overflow_to_inf(self):
+        # libm's pow raises where the product overflows; no circle inside a
+        # growth disk comes near either.
+        with pytest.raises(OverflowError):
+            1e200**2
+        assert float_power(1e200, 2) == math.inf
+        assert (var(3, 1) ** 2).evaluate_float((1e200, 0.0, 0.0)) == math.inf
 
 
 class TestSphereDimension:
