@@ -66,9 +66,9 @@ class SamplePoint(NamedTuple):
 class CertificateReport(NamedTuple):
     """Outcome of verifying one (h, k) pair.
 
-    ``expected_term_count`` is bookkeeping: the field count to the k-th power,
-    which ``term_count`` equals by construction, so it takes no part in
-    ``passed``.
+    ``term_count`` and ``expected_term_count`` are bookkeeping: both are the
+    field count to the k-th power, the number of words, so they take no part
+    in ``passed``.
     """
 
     family: str
@@ -142,15 +142,15 @@ class WordSpan(NamedTuple):
 
     ``levels[j]`` is a basis of the span of the length-j terms Y_w s
     (``levels[0]`` is [s], or [] when s = 0).  ``matrices[j - 1][a]`` is the
-    exact matrix of field a from level j - 1 to level j: Y_a applied to
-    ``levels[j - 1][i]`` is the sum over r of ``A[r][i] * levels[j][r]``.
-    ``term_count`` is the number of words, the product of the field counts
-    over the levels.
+    integer matrix A of field a from level j - 1 to level j over the level's
+    denominator q = ``denominators[j - 1]``: Y_a applied to
+    ``levels[j - 1][i]`` is the sum over r of ``A[r][i] / q * levels[j][r]``,
+    and q is the least such denominator (``linalg.column_basis``).
     """
 
     levels: list[list[Polynomial | SphereFunction]]
-    matrices: list[list[Matrix]]
-    term_count: int
+    matrices: list[list[list[list[int]]]]
+    denominators: list[int]
 
     @property
     def dimension(self) -> int:
@@ -188,11 +188,11 @@ def word_span(
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
     basis = [] if start.is_zero() else [start]
-    levels, matrices, term_count = [basis], [], 1
+    levels, matrices, denominators = [basis], [], []
     for _ in range(k):
         images = [field(v) for field in fields for v in basis]
         rows = _coefficient_rows(images)
-        pivots, coords = linalg.column_basis(rows, len(images))
+        pivots, coords, den = linalg.column_basis(rows, len(images))
         n = len(basis)
         matrices.append(
             [
@@ -200,27 +200,27 @@ def word_span(
                 for a in range(len(fields))
             ]
         )
+        denominators.append(den)
         basis = [images[c] for c in pivots]
         levels.append(basis)
-        term_count *= len(fields)
-    return WordSpan(levels=levels, matrices=matrices, term_count=term_count)
+    return WordSpan(levels=levels, matrices=matrices, denominators=denominators)
 
 
 def gram_matrix(span: WordSpan) -> Matrix:
     """G_k with sum over words w of (Y_w s)^2 = v^T G_k v on the level-k basis
     v: G_0 = [1] on the basis [s], G_j = sum_a A_a G_(j-1) A_a^T.
 
-    Runs in integers: G_j is an integer matrix over one denominator, and each
-    level's field matrices are scaled to integers by one common factor q, so
-    G_j takes the denominator of G_(j-1) times q^2.
+    Runs in integers: G_j is an integer matrix over one denominator, and the
+    level's integer field matrices share the level's denominator q, so G_j
+    takes the denominator of G_(j-1) times q^2.  That q is the lcm of the
+    reduced denominators of the level's coordinates y_i / D, since
+    v_p(lcm_i D / gcd(D, y_i)) = v_p(D / gcd(D, y_1, ...)) for every prime p.
     """
     gram, den = [[1] for _ in span.levels[0]], 1
-    for field_matrices in span.matrices:
-        q = math.lcm(*(x.denominator for a in field_matrices for row in a for x in row))
+    for field_matrices, q in zip(span.matrices, span.denominators):
         n = len(field_matrices[0])
         total = [[0] * n for _ in range(n)]
         for a in field_matrices:
-            a = [[x.numerator * (q // x.denominator) for x in row] for row in a]
             # G is symmetric, so its rows are its columns.
             ag = [[sum(map(operator.mul, row, col)) for col in gram] for row in a]
             for r in range(n):
@@ -277,11 +277,12 @@ def _certificate(
     equality = lhs == rhs
     terms_harmonic = all(flag for _, flag in per_square)
     samples = [SamplePoint(point=pt, value=lhs.evaluate(pt)) for pt in points]
+    words = len(fields) ** k
     return CertificateReport(
         family=family,
         k=k,
-        term_count=span.term_count,
-        expected_term_count=len(fields) ** k,
+        term_count=words,
+        expected_term_count=words,
         equality_verified=equality,
         terms_harmonic=terms_harmonic,
         samples=samples,

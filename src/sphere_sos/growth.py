@@ -250,30 +250,18 @@ def second_derivative_at_zero_fd(
     """Finite-difference second derivative of the mean profile of h^2 at r = 0.
 
     The profile is even in r, so fit M(r) = M(0) + (A/2) r^2 + B r^4 + C r^6
-    through radii s, 2 s, 3 s (s = ``step``) and return A; the error is
-    O(s^6) times the scale on which h varies, so near a pole of h the step
-    must shrink with the distance to it (``analyze_growth`` scales it).
-    M(0) is h(center)^2, squared in floats as the nodes are.
+    through radii s, 2 s, 3 s (s = ``step``) and return A.  With
+    y_j = M(j s) - M(0), Lagrange's weights at r^2 = 0 give
+    A/2 = (3/2 y_1 - 3/20 y_2 + 1/90 y_3) / s^2, that is
+    A = (135 y_1 - 13.5 y_2 + y_3) / (45 s^2); the error is O(s^6) times
+    the scale on which h varies, so near a pole of h the step must shrink
+    with the distance to it (``analyze_growth`` scales it).  M(0) is
+    h(center)^2, squared in floats as the nodes are.
     """
     value = h.evaluate_float(tuple(float(c) for c in center))
     m0 = value * value
-    radii = [k * step for k in (1.0, 2.0, 3.0)]
-    values = [spherical_mean(h, center, r, order) for r in radii]
-    # Solve the 3x3 Vandermonde-in-r^2 system for the r^2 coefficient.
-    rows = [[r**2, r**4, r**6] for r in radii]
-    rhs = [v - m0 for v in values]
-    det = _det3(rows)
-    replaced = [[rhs[i], rows[i][1], rows[i][2]] for i in range(3)]
-    half_a = _det3(replaced) / det
-    return 2.0 * half_a
-
-
-def _det3(a):
-    return (
-        a[0][0] * (a[1][1] * a[2][2] - a[1][2] * a[2][1])
-        - a[0][1] * (a[1][0] * a[2][2] - a[1][2] * a[2][0])
-        + a[0][2] * (a[1][0] * a[2][1] - a[1][1] * a[2][0])
-    )
+    y1, y2, y3 = (spherical_mean(h, center, j * step, order) - m0 for j in (1.0, 2.0, 3.0))
+    return (135.0 * y1 - 13.5 * y2 + y3) / (45.0 * step * step)
 
 
 def check_second_derivative_at_zero(

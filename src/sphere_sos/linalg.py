@@ -6,19 +6,20 @@ integers and eliminated fraction-free in the Bareiss style, so each
 intermediate entry stays an exact integer and each two-row update divides out
 the previous pivot exactly.  ``column_basis`` reads the echelon form through
 one back-substitution and checks it, and rank, kernels and inverses are read
-off that checked column basis.  ``ldl`` is the loop's only other reader:
-without row swaps the Bareiss pivots are the leading principal minors
-(Bareiss 1968) and the rows are the scaled rows of D L^T, so a matrix is
-positive definite exactly when ``ldl`` succeeds.
+off that checked column basis, in integers over one least denominator.
+``ldl`` is the loop's only other reader: without row swaps the Bareiss
+pivots are the leading principal minors (Bareiss 1968) and the rows are the
+scaled rows of D L^T, so a matrix is positive definite exactly when ``ldl``
+succeeds.
 
 ``column_basis`` searches modulo PIVOT_PRIME and checks exactly (McConnell et
 al. 2011): the rows that carry the pivots mod p are eliminated alone, and then
-every column is checked against its coordinates in integers: a pivot column
-must have unit coordinates, and any other column is checked on every row.
-A pass proves the full elimination's answer: its pivots are the first
-independent columns and coordinates in a basis are unique.  A prime that
-divides a minor fails the check and the level is redone on every row; only a
-failure there raises EngineFault.
+every column is checked against its coordinates in integers: den must be
+positive, a pivot column must have den e_r as its coordinates, and any other
+column is checked on every row.  A pass proves the full elimination's answer:
+its pivots are the first independent columns and coordinates in a basis are
+unique.  A prime that divides a minor fails the check and the level is redone
+on every row; only a failure there raises EngineFault.
 
 Entries are normalised by ``exact``: an int where the value is integral and a
 Fraction otherwise, so integer input skips every Fraction round-trip.
@@ -102,18 +103,17 @@ def fraction_free_echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], li
 
 def _back_substitute(
     echelon: list[list[int]], pivots: list[int], n: int, free: int
-) -> tuple[list[int], int]:
-    """(y, d) with x = y / d the kernel vector over n unknowns with
-    x[free] = 1 and every other non-pivot coordinate 0.
+) -> list[int]:
+    """y = D x, x the kernel vector over n unknowns with x[free] = 1 and
+    every other non-pivot coordinate 0, and D the last pivot.
 
-    Runs in integers on y = D x, D the last pivot.  D is the determinant of
-    the pivot rows and columns of the scaled input (Bareiss 1968), so by
-    Cramer's rule every y[c] is an integer and each row divides exactly.
-    Row r is zero left of its pivot, so its sum runs over the nonzero y only.
+    D is the determinant of the pivot rows and columns of the scaled input
+    (Bareiss 1968), so by Cramer's rule every y[c] is an integer and each row
+    divides exactly.  Row r is zero left of its pivot, so its sum runs over
+    the nonzero y only.
     """
-    d = echelon[len(pivots) - 1][pivots[-1]] if pivots else 1
     y = [0] * n
-    y[free] = d
+    y[free] = echelon[len(pivots) - 1][pivots[-1]] if pivots else 1
     support = [free]
     for r in range(len(pivots) - 1, -1, -1):
         c = pivots[r]
@@ -123,7 +123,7 @@ def _back_substitute(
             raise EngineFault("fraction-free back-substitution left a remainder")
         if y[c]:
             support.append(c)
-    return y, d
+    return y
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -132,44 +132,46 @@ def rank(rows: Sequence[Sequence]) -> int:
 
 def nullspace(rows: Sequence[Sequence], n_cols: int | None = None) -> list[list[int]]:
     """Exact basis of the right kernel, as primitive integer vectors: for each
-    non-pivot column c, e_c minus c's coordinates on the pivot columns, scaled
-    by the lcm of its denominators, so coordinate c is positive.  Each vector
-    is in the kernel by column_basis's exact check."""
-    pivots, coords = column_basis(rows, n_cols)
+    non-pivot column c, den e_c minus c's coordinates on the pivot columns,
+    over their gcd, so coordinate c is positive.  Each vector is in the kernel
+    by column_basis's exact check."""
+    pivots, coords, den = column_basis(rows, n_cols)
     basis = []
     for c in sorted(set(range(len(coords))) - set(pivots)):
         vec = [0] * len(coords)
-        vec[c] = 1
-        for p, q in zip(pivots, coords[c]):
-            vec[p] = -q
-        basis.append(vec)
-    return _integer_rows(basis)
+        vec[c] = den
+        for p, x in zip(pivots, coords[c]):
+            vec[p] = -x
+        g = math.gcd(*vec)
+        basis.append([x // g for x in vec])
+    return basis
 
 
 def column_basis(
     rows: Sequence[Sequence], n_cols: int | None = None
-) -> tuple[list[int], Matrix]:
+) -> tuple[list[int], list[list[int]], int]:
     """The first maximal set of independent columns, and every column's
-    coordinates in it.
+    coordinates in it, as integers over one denominator.
 
-    Returns (pivots, coords): column c equals the sum over r of
-    coords[c][r] * column pivots[r], exactly.  A pivot column has unit
-    coordinates; any other column reads its coordinates off the kernel vector
-    that it spans with the pivot columns before it.  The answer is checked
-    exactly on every row (module docstring).
+    Returns (pivots, coords, den) with den > 0 the least common denominator:
+    den times column c equals the sum over r of coords[c][r] * column
+    pivots[r], exactly.  A pivot column has coordinates den e_r; any other
+    column reads its coordinates off the kernel vector that it spans with the
+    pivot columns before it.  The answer is checked exactly on every row
+    (module docstring).
     """
     if not rows:
         if n_cols is None:
             raise ValueError("empty matrix needs an explicit column count")
-        return [], [[] for _ in range(n_cols)]
+        return [], [[] for _ in range(n_cols)], 1
     m = _integer_rows(rows)
     if n_cols is not None and n_cols != len(m[0]):
         raise ValueError(f"rows have {len(m[0])} columns, not {n_cols}")
     # With no pivot modulo the prime (m is zero there), the first try is m itself.
     for candidate in ([m[i] for i in _pivot_rows_mod_p(m)] or m, m):
-        pivots, coords = _coordinates(candidate)
-        if _spans(m, pivots, coords):
-            return pivots, coords
+        pivots, coords, den = _coordinates(candidate)
+        if _spans(m, pivots, coords, den):
+            return pivots, coords, den
     raise EngineFault(
         "a column differs from its span coordinates (this indicates a bug in the engine)"
     )
@@ -208,50 +210,56 @@ def _pivot_rows_mod_p(m: list[list[int]]) -> list[int]:
     return carriers
 
 
-def _coordinates(m: list[list[int]]) -> tuple[list[int], Matrix]:
-    """column_basis of the integer rows m by Bareiss elimination, unchecked."""
+def _coordinates(m: list[list[int]]) -> tuple[list[int], list[list[int]], int]:
+    """column_basis of the integer rows m by Bareiss elimination, unchecked.
+    Every back-substitution is over the last pivot D, so the coordinates are
+    integers over D; one gcd, taking D's sign, makes the denominator least."""
     echelon, pivots = fraction_free_echelon(m)
-    coords: Matrix = [[] for _ in echelon[0]]
+    n = len(echelon[0])
+    d = echelon[len(pivots) - 1][pivots[-1]] if pivots else 1
+    coords = [[0] * len(pivots) for _ in range(n)]
     for r, c in enumerate(pivots):
-        coords[c] = [int(i == r) for i in range(len(pivots))]
-    for free in sorted(set(range(len(coords))) - set(pivots)):
-        y, d = _back_substitute(echelon, pivots, len(coords), free=free)
-        coords[free] = [Fraction(-y[c], d) for c in pivots]
-    return pivots, coords
+        coords[c][r] = d
+    for c in sorted(set(range(n)) - set(pivots)):
+        y = _back_substitute(echelon, pivots, n, free=c)
+        coords[c] = [-y[p] for p in pivots]
+    g = math.gcd(d, *(x for column in coords for x in column)) * (1 if d > 0 else -1)
+    return pivots, [[x // g for x in column] for column in coords], d // g
 
 
-def _spans(m: list[list[int]], pivots: list[int], coords: Matrix) -> bool:
-    """Whether column c == sum_r coords[c][r] * column pivots[r] on every row
-    of m, for every column, checked in integers.  Pivot column pivots[r]
-    passes exactly when its coordinates are the unit vector e_r; any other
-    column is checked on every row."""
-    units = [[int(i == r) for i in range(len(pivots))] for r in range(len(pivots))]
+def _spans(m: list[list[int]], pivots: list[int], coords: list[list[int]], den: int) -> bool:
+    """Whether den > 0 and den * column c == sum_r coords[c][r] * column
+    pivots[r] on every row of m, for every column (den = 0 with zero
+    coordinates would pass every row).  Pivot column pivots[r] passes exactly
+    when its coordinates are den e_r; any other column is checked per row."""
+    if den <= 0:
+        return False
+    units = [[den * (i == r) for i in range(len(pivots))] for r in range(len(pivots))]
     if [coords[p] for p in pivots] != units:
         return False
     pivot_entries = [[row[p] for p in pivots] for row in m]
     for c in sorted(set(range(len(coords))) - set(pivots)):
         x = coords[c]
-        den = math.lcm(*(q.denominator for q in x))
-        nums = [q.numerator * (den // q.denominator) for q in x]
         for row, entries in zip(m, pivot_entries):
-            if den * row[c] != sum(map(mul, nums, entries)):
+            if den * row[c] != sum(map(mul, x, entries)):
                 return False
     return True
 
 
 def invert(rows: Sequence[Sequence]) -> Matrix:
     """Exact inverse read off the column basis of [A | I]: column j of the
-    inverse is the coordinate vector of e_j in A's columns.  Raises
-    ZeroDivisionError on singular input."""
+    inverse is the coordinate vector of e_j in A's columns, over den, and a
+    Fraction only where den does not divide it.  Raises ZeroDivisionError on
+    singular input."""
     a = _square(rows)
     n = len(a)
-    pivots, coords = column_basis(
+    pivots, coords, den = column_basis(
         [row + [int(i == j) for j in range(n)] for i, row in enumerate(a)], 2 * n
     )
     # [A | I] has rank n; A is invertible iff all n pivots fall in A's columns.
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
-    return [[exact(coords[n + j][i]) for j in range(n)] for i in range(n)]
+    return [[Fraction(x, den) if x % den else x // den for x in row] for row in zip(*coords[n:])]
 
 
 def _square(rows: Sequence[Sequence]) -> Matrix:

@@ -373,12 +373,16 @@ class TestGramRoute:
         h = stereographic_harmonic(2, "im")
         span = rotation_span(h, 3)
         fields = rotation_fields(3)
+        assert len(span.denominators) == len(span.matrices) == 3
         for j, field_matrices in enumerate(span.matrices, start=1):
+            q = span.denominators[j - 1]
+            assert q > 0
             for field, a in zip(fields, field_matrices):
+                assert all(type(x) is int for row in a for x in row)
                 for i, v in enumerate(span.levels[j - 1]):
                     combo = SphereFunction.zero(3)
                     for r, w in enumerate(span.levels[j]):
-                        combo = combo + w.scale(a[r][i])
+                        combo = combo + w.scale(Fraction(a[r][i], q))
                     assert apply_rotation_field(field, v) == combo
 
     @pytest.mark.parametrize("column", ["first-pivot", "last-pivot", "first-other", "last"])
@@ -387,13 +391,13 @@ class TestGramRoute:
         real = linalg._coordinates
 
         def wrong_in_one_column(rows):
-            pivots, coords = real(rows)
+            pivots, coords, den = real(rows)
             others = [c for c in range(len(coords)) if c not in pivots]
             chosen = {"first-pivot": pivots[:1], "last-pivot": pivots[-1:],
                       "first-other": others[:1], "last": [len(coords) - 1]}[column]
             for c in chosen:
-                coords[c] = coords[c][:-1] + [coords[c][-1] + Fraction(1, 3)]
-            return pivots, coords
+                coords[c] = coords[c][:-1] + [coords[c][-1] + 1]
+            return pivots, coords, den
 
         monkeypatch.setattr(linalg, "_coordinates", wrong_in_one_column)
         with pytest.raises(RuntimeError, match="span coordinates"):
@@ -405,9 +409,9 @@ class TestGramRoute:
         real = linalg._coordinates
 
         def off_by_one(rows):
-            pivots, coords = real(rows)
+            pivots, coords, den = real(rows)
             coords[-1] = [x + 1 for x in coords[-1]]
-            return pivots, coords
+            return pivots, coords, den
 
         monkeypatch.setattr(linalg, "_coordinates", off_by_one)
         with pytest.raises(RuntimeError, match="span coordinates"):
@@ -473,7 +477,7 @@ class TestGramRoute:
 
 
 def span_fingerprint(span):
-    return [[str(v) for v in level] for level in span.levels], span.matrices, span.term_count
+    return [[str(v) for v in level] for level in span.levels], span.matrices, span.denominators
 
 
 class TestCoefficientRows:
@@ -506,8 +510,8 @@ class TestBadPivotPrime:
     def failed_checks(self, monkeypatch):
         real, failures = linalg._spans, []
 
-        def counted(rows, pivots, coords):
-            ok = real(rows, pivots, coords)
+        def counted(rows, pivots, coords, den):
+            ok = real(rows, pivots, coords, den)
             if not ok:
                 failures.append(pivots)
             return ok
@@ -539,10 +543,10 @@ class TestBadPivotPrime:
         real = linalg._coordinates
 
         def corrupt_after_a_failed_check(rows):
-            pivots, coords = real(rows)
+            pivots, coords, den = real(rows)
             if failed_checks:  # the answer on the pivot rows mod 2 failed: the full path
                 coords[-1] = [x + 1 for x in coords[-1]]
-            return pivots, coords
+            return pivots, coords, den
 
         monkeypatch.setattr(linalg, "_coordinates", corrupt_after_a_failed_check)
         with pytest.raises(RuntimeError, match="span coordinates"):
@@ -674,7 +678,9 @@ class TestEuclideanSpanRoute:
         span = word_span(p, 3, partials(2))
         first = [2 * var(2, 1), -2 * var(2, 2)]
         assert span.levels == [[p], first, [Polynomial.constant(2, 2)], []]
-        assert span.term_count == 8
+        # d1 and d2 take first to [2] and [-2]: the coordinates [1, 0], [0, -1] over 1.
+        assert span.matrices[1] == [[[1, 0]], [[0, -1]]]
+        assert span.denominators == [1, 1, 1]
 
     def test_deep_certificate(self):
         # 4^8 = 65,536 words; the span route lists none of them.

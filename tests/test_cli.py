@@ -345,11 +345,22 @@ class TestEngineFault:
         assert err.startswith("error: engine fault: ") and err.count("\n") == 1
         return err
 
-    @pytest.mark.parametrize("site", ["column_basis", "back_substitute", "gram_squares"])
+    @pytest.mark.parametrize(
+        "site", ["column_basis", "zero_denominator", "back_substitute", "gram_squares"]
+    )
     def test_each_fault_exits_3(self, capsys, monkeypatch, site):
         if site == "column_basis":
             # No answer passes the exact check, on the pivot rows or on every row.
-            monkeypatch.setattr(linalg, "_spans", lambda m, pivots, coords: False)
+            monkeypatch.setattr(linalg, "_spans", lambda m, pivots, coords, den: False)
+        elif site == "zero_denominator":
+            # Zero coordinates over 0 satisfy every row; the check refuses den <= 0.
+            real = linalg._coordinates
+
+            def over_zero(m):
+                pivots, coords, _ = real(m)
+                return pivots, [[0] * len(x) for x in coords], 0
+
+            monkeypatch.setattr(linalg, "_coordinates", over_zero)
         elif site == "back_substitute":
             # An echelon form whose back-substitution leaves a remainder.
             bad = ([[2, 1, 0], [0, 3, 1]], [0, 1])

@@ -341,6 +341,23 @@ class TestSecondDerivative:
         ok, fd, exact = check_second_derivative_at_zero(h, center)
         assert ok
 
+    @pytest.mark.parametrize("step", [0.04, 0.1, 0.3])
+    def test_the_fit_is_exact_on_an_even_sextic_profile(self, monkeypatch, step):
+        # M(r) = M(0) + (A/2) r^2 + B r^4 + C r^6 is the fitted form, so the
+        # fit returns A (twice the r^2 coefficient) up to rounding.  Off the
+        # pole M(0) = h(center)^2 is not 0, so the fit subtracts it.
+        h = harmonic(1, "re")
+        center = (math.sin(0.4), 0.0, -math.cos(0.4))
+        m0 = h.evaluate_float(center) ** 2
+        assert m0 > 0.04
+        a, b, c = 0.7, -2.5, 11.0
+        monkeypatch.setattr(
+            growth, "spherical_mean",
+            lambda f, center, r, order: m0 + a / 2 * r**2 + b * r**4 + c * r**6,
+        )
+        fd = growth.second_derivative_at_zero_fd(h, center, 64, step=step)
+        assert fd == pytest.approx(a, rel=1e-12)
+
 
 class TestSecondDerivativeNearThePole:
     # h = stereo:k=1:re varies on the scale of the distance d to its pole, the

@@ -40,11 +40,19 @@ def matvec(rows, vec):
     return [sum((a * b for a, b in zip(row, vec)), Fraction(0)) for row in rows]
 
 
+def as_fractions(pivots, coords, den):
+    """column_basis's answer with each coordinate as a Fraction: (pivots,
+    coords[c][r] / den)."""
+    return pivots, [[Fraction(x, den) for x in column] for column in coords]
+
+
 def solve_by_column_basis(rows, rhs):
     """One solution of A x = b read off the column basis of [A | b], or None
     when b is a pivot column, that is when A x = b is inconsistent."""
     n_cols = len(rows[0])
-    pivots, coords = linalg.column_basis([list(row) + [b] for row, b in zip(rows, rhs)])
+    pivots, coords = as_fractions(
+        *linalg.column_basis([list(row) + [b] for row, b in zip(rows, rhs)])
+    )
     if pivots and pivots[-1] == n_cols:
         return None
     x = [Fraction(0)] * n_cols
@@ -108,7 +116,11 @@ class TestAgainstSympy:
 
     def test_column_basis(self, shape, seed):
         a = random_matrix(random.Random(seed), *shape)
-        pivots, coords = linalg.column_basis(a)
+        answer = linalg.column_basis(a)
+        pivots, coords, den = answer
+        assert den > 0 and math.gcd(den, *sum(coords, [])) == 1
+        assert all(type(x) is int for column in coords for x in column)
+        pivots, coords = as_fractions(*answer)
         assert tuple(pivots) == to_sympy(a).rref()[1]
         columns = [list(col) for col in zip(*a)]
         for c, x in enumerate(coords):
@@ -244,7 +256,7 @@ def test_non_square_rejected():
 
 
 def test_column_basis_of_an_empty_matrix_needs_a_column_count():
-    assert linalg.column_basis([], 3) == ([], [[], [], []])
+    assert linalg.column_basis([], 3) == ([], [[], [], []], 1)
     with pytest.raises(ValueError):
         linalg.column_basis([])
 
@@ -269,9 +281,22 @@ def test_a_column_count_the_rows_contradict_is_rejected(solve):
 
 
 def test_column_basis_keeps_the_first_independent_columns():
-    pivots, coords = linalg.column_basis([[0, 1, 2, 1], [0, 0, 0, 1]])
+    pivots, coords, den = linalg.column_basis([[0, 1, 2, 1], [0, 0, 0, 1]])
     assert pivots == [1, 3]
     assert coords == [[0, 0], [1, 0], [2, 0], [0, 1]]
+    assert den == 1
+
+
+def test_column_basis_reads_integers_over_the_least_positive_denominator():
+    # The last Bareiss pivot is -2: every coordinate is an integer over it,
+    # and the answer takes the least denominator, with a positive sign.
+    assert linalg.fraction_free_echelon([[1, 2, 1], [3, 4, 0]])[0][1][1] == -2
+    assert linalg.column_basis([[1, 2, 1], [3, 4, 0]]) == (
+        [0, 1], [[2, 0], [0, 2], [-4, 3]], 2
+    )
+    # Pivots 6 and 6 * 5: the coordinates share the factor 6 with D = 30.
+    pivots, coords, den = linalg.column_basis([[6, 0, 6], [0, 5, 10]])
+    assert (pivots, coords, den) == ([0, 1], [[1, 0], [0, 1], [1, 2]], 1)
 
 
 class TestPivotPrime:
@@ -284,7 +309,7 @@ class TestPivotPrime:
 
     def test_a_prime_dividing_a_minor_falls_back_to_every_row(self, monkeypatch):
         expected = linalg.column_basis(self.ROWS)
-        assert expected == ([0, 1], [[1, 0], [0, 1], [2, 1]])
+        assert expected == ([0, 1], [[1, 0], [0, 1], [2, 1]], 1)
         tried = []
         real = linalg._coordinates
         monkeypatch.setattr(linalg, "_coordinates", lambda rows: tried.append(rows) or real(rows))
@@ -297,15 +322,15 @@ class TestPivotPrime:
 
         def corrupt(when):
             def coordinates(rows):
-                pivots, coords = real(rows)
+                pivots, coords, den = real(rows)
                 if when(rows):
                     coords[2] = [x + 1 for x in coords[2]]
-                return pivots, coords
+                return pivots, coords, den
             return coordinates
 
         monkeypatch.setattr(linalg, "PIVOT_PRIME", 2)
         monkeypatch.setattr(linalg, "_coordinates", corrupt(lambda rows: len(rows) < 3))
-        assert linalg.column_basis(self.ROWS) == ([0, 1], [[1, 0], [0, 1], [2, 1]])
+        assert linalg.column_basis(self.ROWS) == ([0, 1], [[1, 0], [0, 1], [2, 1]], 1)
         monkeypatch.setattr(linalg, "_coordinates", corrupt(lambda rows: len(rows) == 3))
         with pytest.raises(RuntimeError, match="span coordinates"):
             linalg.column_basis(self.ROWS)
@@ -378,9 +403,9 @@ class TestEngineFault:
         real = linalg._back_substitute
 
         def corrupt(echelon, pivots, n, free):
-            y, d = real(echelon, pivots, n, free)
+            y = real(echelon, pivots, n, free)
             y[pivots[0]] += 1
-            return y, d
+            return y
 
         monkeypatch.setattr(linalg, "_back_substitute", corrupt)
         with pytest.raises(linalg.EngineFault, match="span coordinates"):
@@ -392,16 +417,32 @@ class TestEngineFault:
         real = linalg._coordinates
 
         def corrupt(m):
-            pivots, coords = real(m)
+            pivots, coords, den = real(m)
             coords[pivots[-1]] = [2 * q for q in coords[pivots[-1]]]
-            return pivots, coords
+            return pivots, coords, den
 
         monkeypatch.setattr(linalg, "_coordinates", corrupt)
         with pytest.raises(linalg.EngineFault, match="span coordinates"):
             linalg.column_basis([[1, 2, 3], [4, 5, 6]])
 
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            # Zero coordinates over 0 would pass every row check, vacuously.
+            lambda pivots, coords, den: (pivots, [[0] * len(x) for x in coords], 0),
+            # Every coordinate and den negated: the same ratios, but den < 0.
+            lambda pivots, coords, den: (pivots, [[-q for q in x] for x in coords], -den),
+        ],
+        ids=["zero-denominator", "negated-denominator"],
+    )
+    def test_a_denominator_that_is_not_positive_is_an_engine_fault(self, monkeypatch, corrupt):
+        real = linalg._coordinates
+        monkeypatch.setattr(linalg, "_coordinates", lambda m: corrupt(*real(m)))
+        with pytest.raises(linalg.EngineFault, match="span coordinates"):
+            linalg.column_basis([[1, 2, 3], [4, 5, 6]])
+
     def test_a_failed_check_on_every_row_is_an_engine_fault(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_spans", lambda m, pivots, coords: False)
+        monkeypatch.setattr(linalg, "_spans", lambda m, pivots, coords, den: False)
         with pytest.raises(linalg.EngineFault, match="span coordinates"):
             linalg.column_basis([[1, 2], [3, 4]])
 
