@@ -18,8 +18,10 @@ Parrilo 2003):
     dimensions (2(K + k) + 1 at most for the stereographic family of degree
     K), where the word route has 3^k.
 
-Since L^T is invertible and every basis element is a word term, the u_i are
-all harmonic exactly when every word term is.  Equality is verified exactly
+Harmonicity is checked on the basis v itself: L^T is unit upper triangular,
+so the u_i are all harmonic exactly when the v_i are, and every v_i is a word
+term and every word term a combination of them.  The squares are added in
+ascending denominator exponent.  Equality is verified exactly
 (cross-multiplication in the quotient field) and nonnegativity is then
 re-checked by exact rational sign tests at deterministic sample points on the
 cap, drawn first (a count below 1 fails before any certificate work) and
@@ -109,27 +111,32 @@ def delta_power(f: Polynomial | SphereFunction, k: int) -> Polynomial | SphereFu
 
 
 def _weighted_sum(squares: Sequence[Polynomial | SphereFunction], k: int):
-    """2^k times the sum of the squares, accumulated in the order given."""
+    """2^k times the sum of the squares, added in ascending denominator
+    exponent, so the running total is lifted once per step up rather than
+    each lower square.  Every partial sum is in lowest terms: they keep small
+    denominators, where one sum over the lcm of all the squares' denominators
+    would not (16,251 bits against at most 2,147 at stereo:k=3:re, power 16)."""
     if not squares:
         raise ValueError("certificate needs at least one term")
-    total = None
-    for sq in squares:
-        total = sq if total is None else total + sq
-    return total.scale(Fraction(2) ** k)
+    ordered = sorted(squares, key=lambda sq: getattr(sq, "exp", 0))
+    total = ordered[0]
+    for sq in ordered[1:]:
+        total = total + sq
+    return total.scale(2**k)
 
 
-def _square_and_harmonicity(term: Polynomial | SphereFunction):
-    """(term^2, whether term is harmonic)."""
+def _square_and_harmonicity(term: Polynomial | SphereFunction, basis_term=None):
+    """(term^2, whether basis_term, term itself by default, is harmonic)."""
     square = (term if isinstance(term, Polynomial) else term.num.poly).square()
     if isinstance(term, SphereFunction):
         square = SphereFunction._make(SpherePolynomial(square), term.base, 2 * term.exp, True)
-    return square, _laplacian(term).is_zero()
+    return square, _laplacian(term if basis_term is None else basis_term).is_zero()
 
 
-def _map_ordered(fn: Callable, items: Sequence) -> list:
+def _map_ordered(fn: Callable, *items: Sequence) -> list:
     # A plain in-order map, kept as a named function because the benchmark
     # tracer times the square/harmonicity stage through it.
-    return [fn(item) for item in items]
+    return list(map(fn, *items))
 
 
 # ----------------------------------------------------------------------
@@ -178,9 +185,7 @@ def _coefficient_rows(funcs: Sequence[Polynomial | SphereFunction]) -> list[list
     return [[nums.get(mono, 0) * scale for nums, scale in columns] for mono in monomials]
 
 
-def word_span(
-    start: Polynomial | SphereFunction, k: int, fields: Sequence[Callable]
-) -> WordSpan:
+def word_span(start: Polynomial | SphereFunction, k: int, fields: Sequence[Callable]) -> WordSpan:
     """Exact bases of the spans of the length-0..k word terms of start, and
     the field matrices between them.  Each field is a callable that maps a
     term to its image; images are taken field by field, and each level keeps
@@ -193,13 +198,9 @@ def word_span(
         images = [field(v) for field in fields for v in basis]
         rows = _coefficient_rows(images)
         pivots, coords, den = linalg.column_basis(rows, len(images))
+        # Field a's matrix: the coordinates of its n images, as columns.
         n = len(basis)
-        matrices.append(
-            [
-                [[coords[a * n + i][r] for i in range(n)] for r in range(len(pivots))]
-                for a in range(len(fields))
-            ]
-        )
+        matrices.append([[list(r) for r in zip(*coords[a * n :][:n])] for a in range(len(fields))])
         denominators.append(den)
         basis = [images[c] for c in pivots]
         levels.append(basis)
@@ -257,38 +258,24 @@ def gram_squares(
     return pivots, u
 
 
-def _certificate(
-    f: Polynomial | SphereFunction,
-    k: int,
-    fields: Sequence[Callable],
-    points: Sequence[tuple[Fraction, ...]],
-    family: str,
-    seed: int,
-    start: float,
-) -> CertificateReport:
+def _certificate(f: Polynomial | SphereFunction, k: int, fields: Sequence[Callable],
+                 points: Sequence[tuple[Fraction, ...]], family: str, seed: int,
+                 start: float) -> CertificateReport:
     """The certificate stages of S^(m-1) and R^m, for the word terms of f in
     the fields; ``wall_time`` runs from the perf_counter reading ``start``."""
     lhs = delta_power(f * f, k)
     span = word_span(f, k, fields)
     weights, u = gram_squares(span, gram_matrix(span))
-    per_square = _map_ordered(_square_and_harmonicity, u)
+    per_square = _map_ordered(_square_and_harmonicity, u, span.levels[-1])
     squares = [sq.scale(d) for d, (sq, _) in zip(weights, per_square)]
     rhs = _weighted_sum(squares, k) if squares else type(f).zero(f.m)
-    equality = lhs == rhs
-    terms_harmonic = all(flag for _, flag in per_square)
-    samples = [SamplePoint(point=pt, value=lhs.evaluate(pt)) for pt in points]
     words = len(fields) ** k
+    # Keyword arguments run in order: equality, harmonicity, then the samples.
     return CertificateReport(
-        family=family,
-        k=k,
-        term_count=words,
-        expected_term_count=words,
-        equality_verified=equality,
-        terms_harmonic=terms_harmonic,
-        samples=samples,
-        seed=seed,
-        wall_time=time.perf_counter() - start,
-        span_dimension=span.dimension,
+        family=family, k=k, term_count=words, expected_term_count=words,
+        equality_verified=lhs == rhs, terms_harmonic=all(flag for _, flag in per_square),
+        samples=[SamplePoint(point=pt, value=lhs.evaluate(pt)) for pt in points], seed=seed,
+        wall_time=time.perf_counter() - start, span_dimension=span.dimension,
         square_count=len(squares),
     )
 

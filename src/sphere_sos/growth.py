@@ -174,7 +174,7 @@ def _kernel_source(h: SphereFunction) -> str:
     polys = (h.num.poly, h.base.poly) if h.exp else (h.num.poly,)
     exponents: list[set[int]] = [set(), set(), set()]
     for p in polys:
-        for _, _, factors in p._evaluation_plan()[1]:
+        for _, factors in p._evaluation_plan():
             for i, e in factors:
                 exponents[i].add(e)
     steps = []
@@ -221,7 +221,7 @@ def _float_sum(p) -> str:
     negation, as -1.0 * y == -y."""
     den = p.denominator
     terms = []
-    for c, _, factors in p._evaluation_plan()[1]:
+    for c, factors in p._evaluation_plan():
         coefficient = c / den
         powers = "*".join(_power(f"x{i}", e) for i, e in factors)
         if not powers:

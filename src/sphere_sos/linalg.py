@@ -16,10 +16,15 @@ succeeds.
 al. 2011): the rows that carry the pivots mod p are eliminated alone, and then
 every column is checked against its coordinates in integers: den must be
 positive, a pivot column must have den e_r as its coordinates, and any other
-column is checked on every row.  A pass proves the full elimination's answer:
-its pivots are the first independent columns and coordinates in a basis are
-unique.  A prime that divides a minor fails the check and the level is redone
-on every row; only a failure there raises EngineFault.
+column c is checked on every row at once.  Packed as P = sum_i m[i] 2^(W i)
+(Kronecker substitution), it passes when den P_c == sum_r x_r P_(p_r).  The
+digits of the difference are the row errors z_i = den m[i][c] - sum_r x_r
+m[i][p_r], with |z_i| <= max|m| (den + sum_r |x_r|) < 2^W, so a zero proves
+every row: a lowest nonzero z_i would leave it nonzero modulo 2^(W (i + 1)).
+A pass proves the full elimination's answer: its pivots are the first
+independent columns and coordinates in a basis are unique.  A prime that
+divides a minor fails the check and the level is redone on every row; only a
+failure there raises EngineFault.
 
 Entries are normalised by ``exact``: an int where the value is integral and a
 Fraction otherwise, so integer input skips every Fraction round-trip.
@@ -101,9 +106,7 @@ def fraction_free_echelon(rows: Sequence[Sequence]) -> tuple[list[list[int]], li
     return m, [c for _, c, _ in _bareiss(m)]
 
 
-def _back_substitute(
-    echelon: list[list[int]], pivots: list[int], n: int, free: int
-) -> list[int]:
+def _back_substitute(echelon: list[list[int]], pivots: list[int], n: int, free: int) -> list[int]:
     """y = D x, x the kernel vector over n unknowns with x[free] = 1 and
     every other non-pivot coordinate 0, and D the last pivot.
 
@@ -203,10 +206,11 @@ def _pivot_rows_mod_p(m: list[list[int]]) -> list[int]:
         if r is not None:
             carriers.append(r)
             pivot = remaining.pop(r)
-            inverse = pow(pivot[c], -1, p)
-            for i, row in remaining.items():
+            inverse, tail = pow(pivot[c], -1, p), pivot[c + 1 :]
+            # Columns up to c are never read again: only the tail is updated.
+            for row in remaining.values():
                 if f := row[c] * inverse % p:
-                    remaining[i] = [(x - f * y) % p for x, y in zip(row, pivot)]
+                    row[c + 1 :] = [(x - f * y) % p for x, y in zip(row[c + 1 :], tail)]
     return carriers
 
 
@@ -231,19 +235,24 @@ def _spans(m: list[list[int]], pivots: list[int], coords: list[list[int]], den: 
     """Whether den > 0 and den * column c == sum_r coords[c][r] * column
     pivots[r] on every row of m, for every column (den = 0 with zero
     coordinates would pass every row).  Pivot column pivots[r] passes exactly
-    when its coordinates are den e_r; any other column is checked per row."""
+    when its coordinates are den e_r; any other column is checked packed."""
     if den <= 0:
         return False
     units = [[den * (i == r) for i in range(len(pivots))] for r in range(len(pivots))]
     if [coords[p] for p in pivots] != units:
         return False
-    pivot_entries = [[row[p] for p in pivots] for row in m]
-    for c in sorted(set(range(len(coords))) - set(pivots)):
-        x = coords[c]
-        for row, entries in zip(m, pivot_entries):
-            if den * row[c] != sum(map(mul, x, entries)):
-                return False
-    return True
+    others = sorted(set(range(len(coords))) - set(pivots))
+    # W whole bytes, 2^W > the row error bound (module docstring): each entry,
+    # offset by 2^(W - 1) into [0, 2^W), is one digit, in one pass per column.
+    top = max((abs(x) for row in m for x in row), default=0)
+    bound = top * (den + max((sum(map(abs, coords[c])) for c in others), default=0))
+    size = bound.bit_length() // 8 + 1
+    offset = 1 << 8 * size - 1
+    offsets = int.from_bytes(offset.to_bytes(size, "little") * len(m), "little")
+    packed = [int.from_bytes(b"".join((x + offset).to_bytes(size, "little") for x in col), "little")
+              - offsets for col in zip(*m)]
+    basis = [packed[p] for p in pivots]
+    return all(den * packed[c] == sum(map(mul, coords[c], basis)) for c in others)
 
 
 def invert(rows: Sequence[Sequence]) -> Matrix:

@@ -16,7 +16,7 @@ Everything is immutable and exact.  Equality of quotients is decided by
 cross-multiplication, valid because the sphere relation is irreducible over
 the rationals (the quotient ring is an integral domain for every m >= 2).
 Exact values are summed in integers: a point is cleared to X / D once, and
-each polynomial reads its evaluation plan, built once, off one power table.
+each polynomial is summed by Horner's rule over its runs, built once.
 
 Term order is part of the output (float sums run in it): each operation keeps
 the order of the sum it forms, where a monomial whose running sum cancels is
@@ -101,7 +101,7 @@ class Polynomial:
     built on first use.  Immutable.
     """
 
-    __slots__ = ("m", "numerators", "denominator", "_terms", "_plan")
+    __slots__ = ("m", "numerators", "denominator", "_terms", "_plan", "_horner")
 
     def __init__(self, m: int, terms: Mapping[Exponents, RationalLike] | None = None):
         if m < 1:
@@ -323,36 +323,56 @@ class Polynomial:
         }
         return Polynomial.from_numerators(self.m, out, self.denominator)
 
-    def _evaluation_plan(self) -> tuple[int, list]:
-        """(n, [(N_e, n - |e|, the nonzero (i, e_i)) per term]), n = max(degree, 0)."""
+    def _evaluation_plan(self) -> list:
+        """The float plan: [(N_e, the nonzero (i, e_i))] per term, in term order."""
         if not hasattr(self, "_plan"):
-            n, m = max(self.degree(), 0), self.m
-            terms = [(c, n - (e >> SLOT * m), [(i, x) for i, x in enumerate(_unpack(e, m)) if x])
-                     for e, c in self.numerators.items()]
-            object.__setattr__(self, "_plan", (n, terms))
+            plan = [(c, [(i, x) for i, x in enumerate(_unpack(e, self.m)) if x])
+                    for e, c in self.numerators.items()]
+            object.__setattr__(self, "_plan", plan)
         return self._plan
 
-    def _value_over(self, powers: list[list[int]]) -> tuple[int, int]:
-        """The value at X / D as (sum_e N_e X^e D^(n-|e|), L D^n), off a ``_powers`` table."""
-        n, terms = self._evaluation_plan()
-        total, dpow = 0, powers[-1]
-        for c, rest, factors in terms:
-            c *= dpow[rest]
+    def _horner_runs(self) -> tuple[int, int, list]:
+        """(n, v, runs) for Horner's rule on sum_e N_e X^e D^(n-|e|), n = max(degree, 0),
+        in coordinate v (0-based): x_(m-1), as normal forms have e_m <= 1 (x_1 if m = 1).
+        The terms that agree off v form a run: (its other nonzero (i, e_i), and per term
+        in descending e_v (the step down to it, N_e, n - |e|), then a last step to 0)."""
+        if not hasattr(self, "_horner"):
+            m, n, v, runs = self.m, max(self.degree(), 0), max(self.m - 2, 0), {}
+            for key, c in self.numerators.items():
+                e = _unpack(key, m)
+                runs.setdefault(e[:v] + (0,) + e[v + 1 :], []).append((e[v], c, n - sum(e)))
+            for rest, terms in runs.items():
+                terms.sort(reverse=True)
+                steps = zip(terms[:1] + terms, terms + [(0, 0, 0)])
+                runs[rest] = ([(i, x) for i, x in enumerate(rest) if x],
+                              [(up - e, c, r) for (up, _, _), (e, c, r) in steps])
+            object.__setattr__(self, "_horner", (n, v, list(runs.values())))
+        return self._horner
+
+    def _value_at(self, xs: Sequence[int], den: int) -> tuple[int, int]:
+        """The value at X / D as (sum_e N_e X^e D^(n-|e|), L D^n), D = den, by
+        ``_horner_runs``: each run by Horner's rule, times its other powers."""
+        if len(xs) != self.m:
+            raise ValueError(f"point has length {len(xs)}, expected {self.m}")
+        n, v, runs = self._horner_runs()
+        xp, dpow, total = _powers(xs[v], n), _powers(den, n), 0
+        for factors, steps in runs:
+            a = 0
+            for step, c, r in steps:
+                a = a * xp[step] + c * dpow[r]
             for i, e in factors:
-                c *= powers[i][e]
-            total += c
+                a *= xs[i] ** e
+            total += a
         return total, self.denominator * dpow[n]
 
     def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
-        """Exact value at a rational point, summed in integers: with N_e / L
-        the coefficients, the point X / D over one common denominator and n
-        the degree, it is sum_e N_e X^e D^(n-|e|) / (L D^n)."""
-        if len(point) != self.m:
-            raise ValueError(f"point has length {len(point)}, expected {self.m}")
+        """Exact value at a rational point: with N_e / L the coefficients, the point
+        X / D over one common denominator and n the degree, it is
+        sum_e N_e X^e D^(n-|e|) / (L D^n), summed in integers by ``_value_at``."""
         pt = [_as_fraction(v) for v in point]
         den = math.lcm(*(v.denominator for v in pt))
         xs = [v.numerator * (den // v.denominator) for v in pt]
-        return Fraction(*self._value_over(_powers(xs, den, self._evaluation_plan()[0])))
+        return Fraction(*self._value_at(xs, den))
 
     def evaluate_float(self, point: Sequence[float]) -> float:
         """The float value at a point: each coefficient becomes a float (int
@@ -363,7 +383,7 @@ class Polynomial:
             raise ValueError(f"point has length {len(point)}, expected {self.m}")
         den = self.denominator
         total = 0.0
-        for c, _, factors in self._evaluation_plan()[1]:
+        for c, factors in self._evaluation_plan():
             term = c / den
             for i, e in factors:
                 term *= float_power(point[i], e)
@@ -623,9 +643,9 @@ def float_power(x: float, e: int) -> float:
     return functools.reduce(mul, repeat(x, e))
 
 
-def _powers(xs: list[int], den: int, n: int) -> list[list[int]]:
-    """Row i lists xs[i] ** e for e = 0..n; the last row lists den ** e."""
-    return [list(accumulate(repeat(x, n), mul, initial=1)) for x in (*xs, den)]
+def _powers(x: int, n: int) -> list[int]:
+    """[x^0, x^1, ..., x^n]."""
+    return list(accumulate(repeat(x, n), mul, initial=1))
 
 
 def require_on_sphere(point: Sequence[RationalLike]) -> tuple[list[int], int]:
@@ -657,14 +677,10 @@ class SphereFunction:
     __slots__ = ("num", "base", "exp")
 
     def __init__(self, numerator: SpherePolynomial, denominator: SpherePolynomial):
-        if not isinstance(numerator, SpherePolynomial) or not isinstance(
-            denominator, SpherePolynomial
-        ):
+        if not all(isinstance(x, SpherePolynomial) for x in (numerator, denominator)):
             raise TypeError("numerator and denominator must be SpherePolynomial values")
         if numerator.m != denominator.m:
-            raise ValueError(
-                f"ambient dimension mismatch: {numerator.m} vs {denominator.m}"
-            )
+            raise ValueError(f"ambient dimension mismatch: {numerator.m} vs {denominator.m}")
         num, base, exp = _normalize(numerator, denominator, 1)
         object.__setattr__(self, "num", num)
         object.__setattr__(self, "base", base)
@@ -737,9 +753,7 @@ class SphereFunction:
             return SphereFunction._make(self._over(base, e) + other._over(base, e), base, e, True)
         lhs_den = self.base**self.exp
         rhs_den = other.base**other.exp
-        return SphereFunction._make(
-            self.num * rhs_den + other.num * lhs_den, lhs_den * rhs_den, 1
-        )
+        return SphereFunction._make(self.num * rhs_den + other.num * lhs_den, lhs_den * rhs_den, 1)
 
     def __sub__(self, other: "SphereFunction") -> "SphereFunction":
         if not isinstance(other, SphereFunction):
@@ -792,17 +806,13 @@ class SphereFunction:
     __hash__ = None  # equality is semantic (cross-multiplication), so no hashing
 
     def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
-        """Exact value at a rational sphere point (one power table); rejects denominator zeros."""
+        """Exact value at a rational sphere point (``_value_at``); rejects denominator zeros."""
         xs, den = require_on_sphere(point)
-        if len(xs) != self.m:
-            raise ValueError(f"point has length {len(xs)}, expected {self.m}")
-        num, base = self.num.poly, self.base.poly
-        powers = _powers(xs, den, max(num._evaluation_plan()[0], base._evaluation_plan()[0]))
-        b, b_den = (v**self.exp for v in base._value_over(powers))
+        b, b_den = (v**self.exp for v in self.base.poly._value_at(xs, den))
         if b == 0:
             pt = tuple(str(_as_fraction(v)) for v in point)
             raise ZeroDivisionError(f"denominator vanishes at {pt}")
-        a, a_den = num._value_over(powers)
+        a, a_den = self.num.poly._value_at(xs, den)
         return Fraction(a * b_den, a_den * b)
 
     def evaluate_float(self, point: Sequence[float]) -> float:

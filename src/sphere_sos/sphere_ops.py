@@ -16,7 +16,7 @@ polynomials and against the field sum.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, gcd, lcm
 from typing import NamedTuple
 
@@ -74,25 +74,25 @@ def apply_rotation_field(field: RotationField, f):
 
     Well-defined on residue classes because the field annihilates the sphere
     relation; on quotients the factored-power denominator makes the quotient
-    rule raise the denominator exponent by one instead of squaring it.
+    rule raise the denominator exponent by one instead of squaring it.  Its
+    numerator X(N) B - e N X(B) is formed raw and reduced once.  X(B) is zero
+    raw exactly when its normal form is: for B = B0 + x_m B1 that needs
+    x_i B1 = (1 - x_1^2 - ... - x_(m-1)^2) d_i B1, whose top x_i-power in the
+    top degree, c x_i^K, gives (1 + K) c = 0.
     """
     if isinstance(f, Polynomial):
         return field.apply_raw(f)
+    if isinstance(f, (SpherePolynomial, SphereFunction)) and field.j > f.m:
+        raise IndexError(f"{field} out of range for m={f.m}")
     if isinstance(f, SpherePolynomial):
-        if field.j > f.m:
-            raise IndexError(f"{field} out of range for m={f.m}")
         return SpherePolynomial(field.apply_raw(f.poly))
     if isinstance(f, SphereFunction):
-        if field.j > f.m:
-            raise IndexError(f"{field} out of range for m={f.m}")
-        d_num = SpherePolynomial(field.apply_raw(f.num.poly))
-        if f.exp == 0:
-            return SphereFunction.from_polynomial(d_num)
-        d_base = SpherePolynomial(field.apply_raw(f.base.poly))
+        d_num = field.apply_raw(f.num.poly)
+        d_base = field.apply_raw(f.base.poly) if f.exp else Polynomial.zero(f.m)
         if d_base.is_zero():
-            return SphereFunction._make(d_num, f.base, f.exp, canonical=True)
-        num = d_num * f.base - f.num * d_base.scale(f.exp)
-        return SphereFunction._make(num, f.base, f.exp + 1, canonical=True)
+            return SphereFunction._make(SpherePolynomial(d_num), f.base, f.exp, canonical=True)
+        num = d_num * f.base.poly - f.num.poly * d_base.scale(f.exp)
+        return SphereFunction._make(SpherePolynomial(num), f.base, f.exp + 1, canonical=True)
     raise TypeError(f"cannot differentiate {type(f).__name__}")
 
 
@@ -142,17 +142,8 @@ def laplace_sphere(f):
 
 def monomials_of_degree(m: int, d: int) -> list[tuple[int, ...]]:
     """Exponent tuples of total degree d, graded-lex descending (deterministic)."""
-    out: list[tuple[int, ...]] = []
-
-    def rec(prefix: list[int], remaining: int, slots: int):
-        if slots == 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for e in range(remaining, -1, -1):
-            rec(prefix + [e], remaining - e, slots - 1)
-
-    rec([], d, m)
-    return out
+    multisets = combinations_with_replacement(range(m), d)
+    return sorted((tuple(map(c.count, range(m))) for c in multisets), reverse=True)
 
 
 def harmonic_space_dimension(m: int, d: int) -> int:

@@ -443,21 +443,28 @@ class TestGramRoute:
             assert verify_certificate(h, 2, sample_count=1).equality_verified is False
 
     def test_every_square_counts_for_harmonicity(self, monkeypatch):
+        # Harmonicity is checked on the level basis v (u = L^T v is unit
+        # triangular in it): a Laplacian that fails on any one basis element,
+        # the last included, fails the verdict and leaves equality alone.
         h = stereographic_harmonic(2, "re")
-        dimension = verify_certificate(h, 2, sample_count=1).span_dimension
-        real = certificates._square_and_harmonicity
-        calls = []
+        basis = rotation_span(h, 2).levels[-1]
+        assert verify_certificate(h, 2, sample_count=1).span_dimension == len(basis) > 1
+        real = certificates._laplacian
+        for bad in basis:
+            checked = []
 
-        def last_one_fails(term):
-            square, harmonic = real(term)
-            calls.append(term)
-            return square, harmonic and len(calls) < dimension
+            def fails_on_bad(f, bad=bad):
+                image = real(f)
+                if isinstance(f, SphereFunction) and f.exp and f == bad:
+                    checked.append(f)
+                    return image + bad
+                return image
 
-        monkeypatch.setattr(certificates, "_square_and_harmonicity", last_one_fails)
-        report = verify_certificate(h, 2, sample_count=1)
-        assert len(calls) == dimension
-        assert report.equality_verified is True
-        assert report.terms_harmonic is False
+            monkeypatch.setattr(certificates, "_laplacian", fails_on_bad)
+            report = verify_certificate(h, 2, sample_count=1)
+            assert len(checked) == 1
+            assert report.equality_verified is True
+            assert report.terms_harmonic is False
 
     def test_squares_match_the_full_product(self):
         # Each cross term once gives the value of term * term, in another term order.

@@ -447,6 +447,49 @@ class TestEngineFault:
             linalg.column_basis([[1, 2], [3, 4]])
 
 
+class TestPackedCheck:
+    """_spans checks every row of a dependent column as one identity of
+    packed columns; the digit width must keep one row's error from carrying
+    into the next, and the lowest and highest digits must count."""
+
+    @pytest.mark.parametrize("w", [8, 16, 32, 64])
+    def test_row_errors_that_cancel_at_a_narrow_width_are_caught(self, w):
+        # Column 2 is 3 a + 2 e, claimed as (3 - 2^w) a + 3 e: the row errors
+        # are +2^w in row 1 and -1 in row 2, which cancel as w-bit digits.  The
+        # entries fit in 3 bits, so a width read off them alone is too narrow.
+        m = [[0, 0, 0], [1, 0, 3], [0, 1, 2], [0, 0, 0]]
+        assert linalg.column_basis(m) == ([0, 1], [[1, 0], [0, 1], [3, 2]], 1)
+        claimed = [[1, 0], [0, 1], [3 - (1 << w), 3]]
+        errors = [row[2] - sum(x * q for x, q in zip(claimed[2], row)) for row in m]
+        assert errors == [0, 1 << w, -1, 0]
+        assert sum(z << w * i for i, z in enumerate(errors)) == 0
+        assert linalg._spans(m, [0, 1], claimed, 1) is False
+        # The same errors times -5, over den 5.
+        assert linalg._spans(m, [0, 1], [[5, 0], [0, 5], [5 * (3 + (1 << w)), 5]], 5) is False
+
+    @pytest.mark.parametrize("scale", [1, 1 << 70])
+    @pytest.mark.parametrize("row", [0, -1])
+    def test_an_entry_off_by_one_in_the_first_or_last_row_is_caught(self, row, scale):
+        # Columns 2 and 4 depend on 0, 1 and 3 with den 2; the entries reach 2^72.
+        rng = random.Random(row)
+        a, b, c = ([rng.randint(-9, 9) * 2 * scale for _ in range(6)] for _ in range(3))
+        m = [[x, y, x - y, z, (x + 3 * y + z) // 2] for x, y, z in zip(a, b, c)]
+        pivots, coords, den = linalg.column_basis(m)
+        assert pivots == [0, 1, 3] and den in (1, 2) and linalg._spans(m, pivots, coords, den)
+        for column in (2, 4):
+            bad = [list(r) for r in m]
+            bad[row][column] += 1
+            assert linalg._spans(bad, pivots, coords, den) is False
+
+    @pytest.mark.parametrize("den", [0, -1])
+    def test_a_denominator_that_is_not_positive_is_rejected(self, den):
+        # den * column 1 == 2 den * column 0 holds on every row, packed or not.
+        m = [[1, 2], [3, 6], [-5, -10]]
+        coords = [[den], [2 * den]]
+        assert all(den * r[1] == 2 * den * r[0] for r in m)
+        assert linalg._spans(m, [0], coords, den) is False
+
+
 def test_integral_results_are_ints():
     inverse = linalg.invert([[2, 0], [0, 1.0]])
     assert inverse == [[Fraction(1, 2), 0], [0, 1]]

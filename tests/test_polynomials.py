@@ -1,6 +1,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import assume, given, settings
@@ -354,6 +355,69 @@ class TestIntegerSampleStage:
             sample_plane_points(count, seed=0)
         with pytest.raises(ValueError, match="distinct plane points, asked for"):
             sample_cap_points(count, seed=0)
+
+
+# Cap points whose coordinates, in lowest terms, do not share one denominator.
+UNEQUAL_DENOMINATORS = [
+    pt for pt in sample_cap_points(300, seed=9) if len({x.denominator for x in pt}) > 1
+][:25] + [(Fraction(3, 5), Fraction(0), Fraction(-4, 5)), (Fraction(-1), 0, 0)]
+
+
+class TestHornerEvaluation:
+    """Exact values by Horner's rule over the point's common denominator,
+    against the Fraction loops they replaced."""
+
+    def test_random_sphere_functions_at_points_with_unequal_denominators(self):
+        rng = random.Random(2718)
+        assert len(UNEQUAL_DENOMINATORS) == 27
+        for _ in range(60):
+            f = random_sphere_function(rng)
+            f = f * f * f  # degrees up to 9: long runs with uneven steps
+            for pt in UNEQUAL_DENOMINATORS:
+                assert f.evaluate(pt) == function_evaluate_fraction_loop(f, pt)
+
+    def test_exp_zero_functions(self):
+        rng = random.Random(3141)
+        for _ in range(40):
+            f = SphereFunction.from_polynomial(SpherePolynomial(random_polynomial(rng, 3, 6, 12)))
+            assert f.exp == 0
+            for pt in UNEQUAL_DENOMINATORS:
+                assert f.evaluate(pt) == function_evaluate_fraction_loop(f, pt)
+                assert f.num.evaluate(pt) == evaluate_fraction_loop(f.num.poly, pt)
+
+    @pytest.mark.parametrize("m, grid", [(1, 7), (2, 5), (3, 4), (4, 3), (5, 2)])
+    def test_polynomials_on_the_euclidean_grid(self, m, grid):
+        # The sample points of euclid_certificate: every coordinate in
+        # {2i/(grid - 1) - 1}, so a point mixes denominators 1 and grid - 1.
+        rng = random.Random(m)
+        steps = [Fraction(2 * i, grid - 1) - 1 for i in range(grid)]
+        for _ in range(15):
+            p = random_polynomial(rng, m, 8, 10).scale(Fraction(5, 6))
+            p = p + Polynomial.constant(m, Fraction(-1, 35))
+            for pt in product(steps, repeat=m):
+                assert p.evaluate(pt) == evaluate_fraction_loop(p, pt)
+
+    @given(st.integers(1, 5).flatmap(lambda m: st.tuples(
+        st.dictionaries(st.tuples(*[st.integers(0, 7)] * m), coeffs, max_size=12),
+        st.tuples(*[exact_coords] * m))))
+    @settings(max_examples=200, deadline=None)
+    def test_sparse_polynomials_in_any_dimension(self, case):
+        terms, pt = case
+        p = Polynomial(len(pt), terms)
+        assert p.evaluate(pt) == evaluate_fraction_loop(p, pt)
+
+    @pytest.mark.parametrize("exp", [1, 2])
+    def test_a_vanishing_denominator_keeps_its_message(self, exp):
+        # A base that vanishes away from the north pole, at a point whose
+        # coordinates have denominators 1 and 5.
+        f = SphereFunction._make(SpherePolynomial(var(3, 2)), SpherePolynomial(var(3, 1)), exp)
+        point = (0, Fraction(3, 5), Fraction(-8, 10))
+        with pytest.raises(ZeroDivisionError) as expected:
+            function_evaluate_fraction_loop(f, point)
+        with pytest.raises(ZeroDivisionError) as got:
+            f.evaluate(point)
+        assert str(got.value) == str(expected.value)
+        assert str(got.value) == "denominator vanishes at ('0', '3/5', '-4/5')"
 
 
 def circle_kernel_at(h: SphereFunction, point) -> float:
