@@ -16,19 +16,23 @@ normalization it coincides exactly with the spherical Laplacian, and as
 routes are independent.  The theorem-level checks (Casimir = Laplacian,
 commutation, group case) take the basis images, so they serve every realized
 algebra, and they are finite proofs on the 2-jets of ``jet_functions``.
-Omega is Q-linear and rotation fields keep the normal-form span
-{1, x_i, x_i x_j}, so both Casimir checks read Omega off one table of its
-values on normal-form monomials, built once per realized Casimir.
+Every operator they compare maps W, the span of the normal-form monomials
+1, x_i, x_i x_j, into itself: fields and the Laplacian raise no degree, and a
+normal form of degree <= 2 lies in W.  The 2-jets span W (1 = sum x_i^2), so
+agreement on them is equality of exact matrices on W.  A realized field's
+matrix combines the rotation fields' integer matrices, read once per m, over
+one denominator; the projected Casimir's is the sum of the M_dual M_basic.
 """
 
 from __future__ import annotations
 
 import functools
 from fractions import Fraction
+from math import lcm
 from typing import NamedTuple, Sequence
 
 from .lie import CasimirElement, Rational
-from .linalg import exact
+from .linalg import EngineFault, exact
 from .polynomials import Polynomial, SphereFunction, SpherePolynomial
 from .sphere_ops import (
     RotationField,
@@ -99,6 +103,8 @@ def su2_realization() -> tuple[RealizedField, ...]:
 
 def realize(images: Sequence[RealizedField], coords: Sequence) -> RealizedField:
     """The field sum_a coords[a] * images[a] of a coordinate vector."""
+    if not images:
+        raise ValueError("need at least one image")
     if len(coords) != len(images):
         raise ValueError(
             f"coordinate vector has length {len(coords)}, expected {len(images)}"
@@ -121,11 +127,7 @@ class ProjectedCasimir(NamedTuple):
         return cls(pairs=tuple((v, v) for v in fields))
 
     def __call__(self, f):
-        result = None
-        for dual, basic in self.pairs:
-            term = dual(basic(f))
-            result = term if result is None else result + term
-        return result
+        return sum((dual(basic(f)) for dual, basic in self.pairs), type(f).zero(f.m))
 
 
 def projected_casimir(
@@ -137,23 +139,6 @@ def projected_casimir(
             (realize(images, dual), realize(images, vec)) for dual, vec in casimir.pairs
         )
     )
-
-
-@functools.lru_cache(maxsize=16)
-def _tabulated(operator: ProjectedCasimir):
-    """p -> sum_e c_e * operator(x^e) on SpherePolynomials; each row is the
-    operator on its normal-form monomial x^e, computed on first use."""
-    table: dict = {}
-
-    def apply(p: SpherePolynomial) -> SpherePolynomial:
-        out = SpherePolynomial.zero(p.m)
-        for e, n in p.poly.numerators.items():
-            if e not in table:
-                table[e] = operator(SpherePolynomial(Polynomial.from_numerators(p.m, {e: 1}, 1)))
-            out = out + table[e].scale(n)
-        den = out.poly.denominator * p.poly.denominator
-        return SpherePolynomial._trusted(Polynomial.from_numerators(p.m, out.poly.numerators, den))
-    return apply
 
 
 # ----------------------------------------------------------------------
@@ -177,9 +162,60 @@ def jet_functions(m: int) -> list[SphereFunction]:
     return [SphereFunction.from_polynomial(p) for p in xs + products]
 
 
-def _operators_agree(lhs, rhs, m: int) -> bool:
-    """True iff lhs(p) == rhs(p) exactly on every 2-jet p = f.numerator of S^{m-1}."""
-    return all(lhs(f.numerator) == rhs(f.numerator) for f in jet_functions(m))
+@functools.cache
+def _w_keys(m: int) -> frozenset[int]:
+    """The packed keys of W's monomials, read off the 2-jets' normal forms."""
+    return frozenset(e for f in jet_functions(m) for e in f.numerator.poly.numerators)
+
+
+@functools.cache
+def _w_matrix(m: int, field: RotationField | None = None) -> dict:
+    """The integer matrix on W of a rotation field, or of laplace_sphere
+    without one: entry (e, f) is the coefficient of x^e in the image of x^f.
+    An image that leaves W is an engine fault."""
+    keys, matrix = _w_keys(m), {}
+    for key in keys:
+        p = SpherePolynomial._trusted(Polynomial.from_numerators(m, {key: 1}, 1))
+        image = (laplace_sphere(p) if field is None else apply_rotation_field(field, p)).poly
+        if image.denominator != 1 or not image.numerators.keys() <= keys:
+            raise EngineFault(f"the image {image} of a basis monomial leaves W")
+        matrix.update(((e, key), n) for e, n in image.numerators.items())
+    return matrix
+
+
+def _combination(terms: Sequence) -> tuple[dict, int]:
+    """(N, d) with N / d = sum c * A over the (rational c, integer matrix A)
+    terms, d the least common denominator of the c; zero entries may stay."""
+    d = lcm(*(c.denominator for c, _ in terms))
+    out: dict = {}
+    for c, matrix in terms:
+        k = c.numerator * (d // c.denominator)
+        for rj, v in matrix.items():
+            out[rj] = out.get(rj, 0) + k * v
+    return out, d
+
+
+def _product(a: dict, b: dict) -> dict:
+    """The matrix of a after b."""
+    columns: dict[int, list] = {}
+    for (r, k), v in a.items():
+        columns.setdefault(k, []).append((r, v))
+    out: dict = {}
+    for (k, j), w in b.items():
+        for r, v in columns.get(k, ()):
+            out[r, j] = out.get((r, j), 0) + v * w
+    return out
+
+
+def _realized_matrix(field: RealizedField) -> tuple[dict, int]:
+    """(N, d): the field's matrix on W is N / d."""
+    return _combination([(c, _w_matrix(field.m, f)) for f, c in field.weights])
+
+
+def _casimir_matrix(operator: ProjectedCasimir) -> tuple[dict, int]:
+    """(N, d): the sum of M_dual M_basic over the pairs is N / d."""
+    terms = [(*_realized_matrix(dual), *_realized_matrix(basic)) for dual, basic in operator.pairs]
+    return _combination([(Fraction(1, da * db), _product(a, b)) for a, da, b, db in terms])
 
 
 def verify_lap_eq_casimir(
@@ -189,11 +225,9 @@ def verify_lap_eq_casimir(
 ) -> bool:
     """True iff the projected Casimir equals scale * laplace_sphere on the
     2-jets, exactly: a proof."""
-    return _operators_agree(
-        _tabulated(projected_casimir(casimir, images)),
-        lambda p: laplace_sphere(p).scale(scale),
-        images[0].m,
-    )
+    n, d = _casimir_matrix(projected_casimir(casimir, images))
+    difference, _ = _combination(((Fraction(1, d), n), (-exact(scale), _w_matrix(images[0].m))))
+    return not any(difference.values())
 
 
 def verify_commutation_theorem(
@@ -205,38 +239,34 @@ def verify_commutation_theorem(
 
     Returns verdicts for the complement fields (the theorem's statement) and
     for every field of the algebra (stronger, expected true on spheres where
-    the operator is rotation invariant).  Each basis image's defect
-    Y_a(Omega f) - Omega(Y_a f) is computed once per 2-jet f, Omega from the
-    table; as ``realize`` is linear, the defect of a complement vector c is
-    sum_a c_a * defect_a.  Each commutator with the Casimir is again a sum of
-    compositions of two derivations, so on the 2-jets the verdicts are proofs.
+    the operator is rotation invariant).  The defects D_a = [M_a, M_Omega] of
+    the basis images are formed once on W; as ``realize`` is linear, a
+    complement vector c commutes iff sum_a c_a D_a = 0.  Each commutator is a
+    sum of compositions of two derivations, so these are 2-jet proofs.
     """
-    m = images[0].m
-    omega = _tabulated(projected_casimir(casimir, images))
-    applied = [(p, omega(p)) for p in (f.numerator for f in jet_functions(m))]
-    defects = [[field(lp) - omega(field(p)) for p, lp in applied] for field in images]
+    omega, _ = _casimir_matrix(projected_casimir(casimir, images))
+    # D_a = K_a / (d_a * Omega's denominator), K_a an integer commutator.
+    defects = [
+        (_combination(((1, _product(a, omega)), (-1, _product(omega, a))))[0], d)
+        for a, d in map(_realized_matrix, images)
+    ]
 
     def commutes(coords) -> bool:
         if len(coords) != len(images):
             raise ValueError(
                 f"coordinate vector has length {len(coords)}, expected {len(images)}"
             )
-        for j in range(len(applied)):
-            total = SpherePolynomial.zero(m)
-            for c, row in zip(coords, defects):
-                if c:
-                    total = total + row[j].scale(c)
-            if not total.is_zero():
-                return False
-        return True
+        terms = [(Fraction(c, d), k) for c, (k, d) in zip(map(exact, coords), defects) if c]
+        return not any(_combination(terms)[0].values())
 
     complement = all(commutes(coords) for coords in complement_coords)
-    full_algebra = all(d.is_zero() for row in defects for d in row)
+    full_algebra = not any(v for k, _ in defects for v in k.values())
     return {"complement": complement, "full_algebra": full_algebra}
 
 
 def verify_group_case_identity() -> bool:
     """The three-field and six-field sums of squares agree exactly on S^3;
     on the 2-jets this is a proof."""
-    return _operators_agree(ProjectedCasimir.of_squares(su2_fields()), laplace_sphere, 4)
-
+    n, d = _casimir_matrix(ProjectedCasimir.of_squares(su2_fields()))
+    difference, _ = _combination(((Fraction(1, d), n), (-1, _w_matrix(4))))
+    return not any(difference.values())

@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from sphere_sos import growth, harmonics, lie, linalg
+from sphere_sos import growth, harmonics, lie, linalg, realization
 from sphere_sos.cli import (
     IDENTITY_CASES,
     IDENTITY_FORMS,
@@ -405,6 +405,18 @@ class TestEngineFault:
         monkeypatch.setattr(harmonics, "laplace_sphere", lambda f: f)
         err = self.assert_fault(capsys, *argv)
         assert "stereo:k=1:re: spherical Laplacian" in err
+
+    @pytest.mark.parametrize("operator", ["apply_rotation_field", "laplace_sphere"])
+    def test_an_image_leaving_w_is_a_fault(self, capsys, monkeypatch, operator):
+        # A cube of a basis monomial has degree up to 6, outside W.  The cached
+        # matrices on W are cleared so that they are built under the patch.
+        monkeypatch.setattr(realization, operator, lambda *args: args[-1] ** 3)
+        realization._w_matrix.cache_clear()
+        try:
+            err = self.assert_fault(capsys, "verify-identities", "--case", "so3")
+        finally:
+            realization._w_matrix.cache_clear()
+        assert "leaves W" in err
 
     def test_an_ldl_failure_in_the_identities_is_a_verdict(self, capsys, monkeypatch):
         monkeypatch.setattr(linalg, "ldl", self.not_positive)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,9 @@ from sphere_sos.lie import (
 from sphere_sos.polynomials import Polynomial, SphereFunction, SpherePolynomial
 from sphere_sos.realization import (
     ProjectedCasimir,
-    _tabulated,
+    _casimir_matrix,
+    _realized_matrix,
+    _w_keys,
     jet_functions,
     projected_casimir,
     realize,
@@ -389,6 +392,24 @@ class TestCommutationNegativeControl:
         oracle = commutation_by_fields(cas, so_realization(3), coords, full)
         assert fast == oracle == {"complement": expected, "full_algebra": False}
 
+    @pytest.mark.parametrize("coords, expected", [((1, 2, 2), True), ((1, 1, 1), False)])
+    def test_complement_verdict_is_unchanged_by_rescaled_images(self, coords, expected):
+        # Images e_a -> Y_a / k_a over different denominators, with the Casimir
+        # and the vector rescaled to match, realize the same operators.
+        k = (1, 2, 3)
+        w = (1, 2, 2)
+        form = BilinearForm.from_rows([[(i == j) + w[i] * w[j] for j in range(3)] for i in range(3)])
+        cas = casimir_element(so_algebra(3), form)
+        images = tuple(v.scale(Fraction(1, s)) for s, v in zip(k, so_realization(3)))
+
+        def stretch(u):
+            return tuple(s * x for s, x in zip(k, u))
+
+        rescaled = cas._replace(pairs=tuple((stretch(a), stretch(b)) for a, b in cas.pairs))
+        assert verify_lap_eq_casimir(rescaled, images) == verify_lap_eq_casimir(cas, so_realization(3))
+        verdicts = verify_commutation_theorem(rescaled, images, [stretch(coords)])
+        assert verdicts == {"complement": expected, "full_algebra": False}
+
     def test_wrong_length_complement_vector_rejected(self):
         cas = casimir_element(so_algebra(3), trace_form(3))
         with pytest.raises(ValueError, match="length 2, expected 3"):
@@ -500,6 +521,23 @@ class TestJetProof:
         assert all(operator(f) == laplace_sphere(f) for f in jet_functions(m)[:m])
         assert not agrees_on_jets(operator, laplace_sphere, m)
 
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_casimir_with_a_cross_pair_fails(self, m):
+        # The pair (E12*, E12) becomes (E12*, E12 + E34), which adds the cross
+        # term E12* E34.  A pair replaced outright would drop its square, which
+        # moves every x_i; this change kills every x_i, so only the quadratic
+        # columns of W can reject it.
+        alg = so_algebra(m)
+        cas = casimir_element(alg, trace_form(m))
+        labels = list(combinations(range(1, m + 1), 2))
+        e12, e34 = (alg.basis_vector(labels.index(p)) for p in ((1, 2), (3, 4)))
+        (dual, vec), rest = cas.pairs[0], cas.pairs[1:]
+        assert vec == e12
+        crossed = cas._replace(pairs=((dual, tuple(a + b for a, b in zip(vec, e34))),) + rest)
+        operator = projected_casimir(crossed, so_realization(m))
+        assert all(operator(x) == laplace_sphere(x) for x in jet_functions(m)[:m])
+        assert not verify_lap_eq_casimir(crossed, so_realization(m))
+
     def test_group_sum_missing_a_field_fails(self):
         fields = su2_fields()
         for dropped in range(3):
@@ -507,6 +545,30 @@ class TestJetProof:
             assert not agrees_on_jets(
                 ProjectedCasimir.of_squares(kept), laplace_sphere, 4
             )
+
+
+class TestEmptyInputs:
+    """No pairs is the zero operator, which gets a verdict; no images is
+    rejected."""
+
+    def test_casimir_without_pairs_is_zero(self):
+        x1 = sphere_var(3, 1)
+        assert ProjectedCasimir(pairs=())(x1) == SphereFunction.zero(3)
+        assert ProjectedCasimir(pairs=())(x1.numerator) == SpherePolynomial.zero(3)
+
+    @pytest.mark.parametrize("case", ["so3", "so4", "su2"])
+    def test_zero_casimir_gets_a_verdict(self, case):
+        alg, form, images = TABLE_CASES[case]()
+        empty = casimir_element(alg, form)._replace(pairs=())
+        basis = [alg.basis_vector(i) for i in range(alg.dim)]
+        assert verify_lap_eq_casimir(empty, images) is False
+        assert verify_lap_eq_casimir(empty, images, scale=0) is True
+        verdicts = verify_commutation_theorem(empty, images, complement_coords=basis)
+        assert verdicts == {"complement": True, "full_algebra": True}
+
+    def test_realize_needs_an_image(self):
+        with pytest.raises(ValueError, match="at least one image"):
+            realize([], [])
 
 
 IMAGES = {
@@ -565,28 +627,42 @@ TABLE_CASES = {
 }
 
 
+def w_image(matrix, p):
+    """The image of p in W under the W-matrix N / d, as a sphere polynomial."""
+    (n, d), nums = matrix, p.poly.numerators
+    assert nums.keys() <= _w_keys(p.m)
+    out = {}
+    for (e, f), v in n.items():
+        if f in nums:
+            out[e] = out.get(e, 0) + v * nums[f]
+    terms = {e: c for e, c in out.items() if c}
+    return SpherePolynomial(Polynomial.from_numerators(p.m, terms, d * p.poly.denominator))
+
+
 class TestCasimirTable:
-    """The monomial table behind both Casimir verdicts is a memo of the
-    projected Casimir on every sphere polynomial, not a restriction to the
-    2-jets, and it belongs to one realized Casimir."""
+    """The exact integer matrices on W = span{1, x_i, x_i x_j} behind the
+    Casimir verdicts: each is the operator itself on W, and the verdicts
+    belong to one realized Casimir."""
 
     @pytest.mark.parametrize("case", TABLE_CASES)
-    def test_table_equals_the_untabulated_operator(self, case):
+    def test_w_matrices_equal_the_operators(self, case):
         alg, form, images = TABLE_CASES[case]()
         m = images[0].m
         operator = projected_casimir(casimir_element(alg, form), images)
-        omega = _tabulated(operator)
-        rng = random.Random(f"table:{case}")
-        functions = [SpherePolynomial.constant(m, Fraction(7, 3)), SpherePolynomial.zero(m)]
-        for degree in (3, 4):
-            for _ in range(4):
-                p = random_polynomial(rng, m, max_degree=degree, max_terms=6)
-                top = Polynomial.variable(m, rng.randint(1, m)) ** degree
-                scale = Fraction(rng.randint(1, 9), rng.randint(1, 6))
-                functions.append(SpherePolynomial((p + top).scale(scale)))
-        assert {f.degree() for f in functions} >= {3, 4}
+        assert len(_w_keys(m)) == m + m * (m + 1) // 2
+        rng = random.Random(f"w-matrix:{case}")
+        functions = [f.numerator for f in jet_functions(m)]
+        functions += [SpherePolynomial.constant(m, Fraction(7, 3)), SpherePolynomial.zero(m)]
+        for _ in range(8):
+            scale = Fraction(rng.randint(1, 9), rng.randint(1, 6))
+            p = random_polynomial(rng, m, max_degree=2, max_terms=6).scale(scale)
+            functions.append(SpherePolynomial(p))
+        assert {f.degree() for f in functions} >= {0, 1, 2}
+        fields = {*images, *(v for pair in operator.pairs for v in pair)}
         for f in functions:
-            assert omega(f) == operator(f), f
+            for field in fields:
+                assert w_image(_realized_matrix(field), f) == field(f), (field, f)
+            assert w_image(_casimir_matrix(operator), f) == operator(f), f
 
     def test_table_is_keyed_by_the_casimir(self):
         # A table keyed by the images alone would reuse the full Casimir's
