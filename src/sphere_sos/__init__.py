@@ -29,17 +29,19 @@ def _lazy(name: str):
     return module
 
 
-linalg, polynomials, sphere_ops, harmonics, certificates, growth, lie, realization = map(
+(linalg, polynomials, quotients, sphere_ops, harmonics, certificates, growth, lie,
+ realization) = map(
     _lazy,
-    ("linalg", "polynomials", "sphere_ops", "harmonics", "certificates", "growth", "lie",
-     "realization"),
+    ("linalg", "polynomials", "quotients", "sphere_ops", "harmonics", "certificates", "growth",
+     "lie", "realization"),
 )
 
 # Public name -> the submodule that defines it.
 _EXPORTS = {
     name: module
     for module, names in (
-        (polynomials, "Polynomial SphereFunction SpherePolynomial euler_operator laplace_euclid"),
+        (polynomials, "Polynomial SpherePolynomial euler_operator laplace_euclid"),
+        (quotients, "SphereFunction"),
         (sphere_ops, "RotationField apply_rotation_field generate_harmonic_basis laplace_sphere "
                      "rotation_fields"),
         (harmonics, "CapDomain HarmonicFunction HarmonicityError custom_harmonic "

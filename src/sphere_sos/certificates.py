@@ -48,11 +48,10 @@ from .polynomials import (
     DEFAULT_SAMPLE_COUNT,
     DEFAULT_SEED,
     Polynomial,
-    SphereFunction,
     SpherePolynomial,
     laplace_euclid,
-    sample_cap_points,
 )
+from .quotients import SphereFunction, sample_cap_points
 from .sphere_ops import apply_rotation_field, laplace_sphere, rotation_fields
 
 

@@ -25,13 +25,9 @@ import re
 import sys
 from fractions import Fraction
 
-from . import __version__, certificates, growth, harmonics, lie, linalg, realization, sphere_ops
-from .polynomials import (
-    DEFAULT_SAMPLE_COUNT,
-    DEFAULT_SEED,
-    SphereFunction,
-    SpherePolynomial,
-)
+from . import (__version__, certificates, growth, harmonics, lie, linalg, quotients, realization,
+               sphere_ops)
+from .polynomials import DEFAULT_SAMPLE_COUNT, DEFAULT_SEED, SpherePolynomial
 
 EXIT_PASS = 0
 EXIT_FALSIFIED = 1
@@ -78,7 +74,7 @@ def resolve_family(descriptor: str, control: str) -> harmonics.HarmonicFunction:
         x3 = SpherePolynomial.variable(3, 3)
         value = x3 if control == NON_HARMONIC_CONTROL else SpherePolynomial.one(3) - x3 * x3
         return harmonics.HarmonicFunction(
-            value=SphereFunction.from_polynomial(value),
+            value=quotients.SphereFunction.from_polynomial(value),
             domain=harmonics.CapDomain(),
             provenance=descriptor,
         )
@@ -232,11 +228,7 @@ def _identity_suite(case: str, form_kind: str) -> list[dict]:
         x1, x3 = SpherePolynomial.variable(4, 1), SpherePolynomial.variable(4, 3)
         for d, p in ((1, x1), (2, x1 * x3)):
             # A degree-d harmonic on S^3 has Laplacian eigenvalue -d(d + 2).
-            f = SphereFunction.from_polynomial(p)
-            record(
-                f"spot_eigenvalue_degree_{d}",
-                squares(f) == f.scale(-d * (d + 2)),
-            )
+            record(f"spot_eigenvalue_degree_{d}", squares(p) == p.scale(-d * (d + 2)))
 
     casimir = None
     if witness is None:

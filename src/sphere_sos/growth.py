@@ -31,7 +31,7 @@ import math
 from typing import NamedTuple, Sequence
 
 from .harmonics import HarmonicFunction
-from .polynomials import SphereFunction
+from .quotients import SphereFunction
 from .sphere_ops import laplace_sphere
 
 MONOTONICITY_TOL = 1e-10

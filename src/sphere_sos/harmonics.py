@@ -14,14 +14,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .polynomials import (
-    Polynomial,
-    RationalLike,
-    SphereFunction,
-    SpherePolynomial,
-    laplace_euclid,
-    require_on_sphere,
-)
+from .polynomials import Polynomial, RationalLike, SpherePolynomial, laplace_euclid
+from .quotients import SphereFunction, require_on_sphere
 from .sphere_ops import generate_harmonic_basis, harmonic_space_dimension, laplace_sphere
 
 NORTH_POLE = (Fraction(0), Fraction(0), Fraction(1))

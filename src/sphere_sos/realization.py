@@ -15,13 +15,20 @@ normalization it coincides exactly with the spherical Laplacian, and as
 ``laplace_sphere`` uses the Euclidean identity, not the fields, the two
 routes are independent.  The theorem-level checks (Casimir = Laplacian,
 commutation, group case) take the basis images, so they serve every realized
-algebra, and they are finite proofs on the 2-jets of ``jet_functions``.
-Every operator they compare maps W, the span of the normal-form monomials
-1, x_i, x_i x_j, into itself: fields and the Laplacian raise no degree, and a
-normal form of degree <= 2 lies in W.  The 2-jets span W (1 = sum x_i^2), so
-agreement on them is equality of exact matrices on W.  A realized field's
-matrix combines the rotation fields' integer matrices, read once per m, over
-one denominator; the projected Casimir's is the sum of the M_dual M_basic.
+algebra, and they are finite proofs on the 2-jets x_i and x_i x_j (i <= j).
+Agreement on these proves an operator identity on the whole quotient field,
+provided both sides are sums of compositions of two derivations (first-order
+terms allowed).  Such an L kills constants and its carre du champ
+Gamma(f, g) = (L(fg) - f Lg - g Lf) / 2 is a biderivation, so Gamma is fixed
+by Gamma(x_i, x_j), and L is then fixed on products and quotients by L(x_i)
+and the Leibniz rule L(fg) = f Lg + g Lf + 2 Gamma(f, g) (Bakry, Gentil &
+Ledoux 2014).  Every operator they compare maps W, the span of the
+normal-form monomials 1, x_i, x_i x_j, into itself: fields and the Laplacian
+raise no degree, and a normal form of degree <= 2 lies in W.  The 2-jets span
+W (1 = sum x_i^2), so agreement on them is equality of exact matrices on W.
+A realized field's matrix combines the rotation fields' integer matrices,
+read once per m, over one denominator; the projected Casimir's is the sum of
+the M_dual M_basic.
 """
 
 from __future__ import annotations
@@ -31,9 +38,10 @@ from fractions import Fraction
 from math import lcm
 from typing import NamedTuple, Sequence
 
+from . import quotients
 from .lie import CasimirElement, Rational
 from .linalg import EngineFault, exact
-from .polynomials import Polynomial, SphereFunction, SpherePolynomial
+from .polynomials import Polynomial, SpherePolynomial
 from .sphere_ops import (
     RotationField,
     apply_rotation_field,
@@ -58,7 +66,8 @@ class RealizedField(NamedTuple):
         return cls(m=m, weights=clean)
 
     def __call__(self, f):
-        if not isinstance(f, (SphereFunction, SpherePolynomial)):
+        # The sphere ring first: a quotient's type is looked up only off it.
+        if not isinstance(f, SpherePolynomial) and not isinstance(f, quotients.SphereFunction):
             raise TypeError(f"cannot differentiate {type(f).__name__}")
         out = None
         for field, c in self.weights:
@@ -146,26 +155,12 @@ def projected_casimir(
 # ----------------------------------------------------------------------
 
 
-def jet_functions(m: int) -> list[SphereFunction]:
-    """The 2-jets x_i and x_i x_j (i <= j): m + m(m+1)/2 functions.
-
-    Agreement on these proves an operator identity on the whole quotient
-    field, provided both sides are sums of compositions of two derivations
-    (first-order terms allowed).  Such an L kills constants and its carre du
-    champ Gamma(f, g) = (L(fg) - f Lg - g Lf) / 2 is a biderivation, so Gamma
-    is fixed by Gamma(x_i, x_j), and L is then fixed on products and quotients
-    by L(x_i) and the Leibniz rule L(fg) = f Lg + g Lf + 2 Gamma(f, g)
-    (Bakry, Gentil & Ledoux 2014).
-    """
-    xs = [SpherePolynomial.variable(m, i) for i in range(1, m + 1)]
-    products = [xs[i] * xs[j] for i in range(m) for j in range(i, m)]
-    return [SphereFunction.from_polynomial(p) for p in xs + products]
-
-
 @functools.cache
 def _w_keys(m: int) -> frozenset[int]:
-    """The packed keys of W's monomials, read off the 2-jets' normal forms."""
-    return frozenset(e for f in jet_functions(m) for e in f.numerator.poly.numerators)
+    """The packed keys of W's monomials, read off the normal forms of the 2-jets."""
+    xs = [SpherePolynomial.variable(m, i) for i in range(1, m + 1)]
+    jets = xs + [xs[i] * xs[j] for i in range(m) for j in range(i, m)]
+    return frozenset(e for p in jets for e in p.poly.numerators)
 
 
 @functools.cache

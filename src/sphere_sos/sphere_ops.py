@@ -20,11 +20,11 @@ from itertools import combinations, combinations_with_replacement
 from math import comb, factorial, gcd, lcm
 from typing import NamedTuple
 
+from . import quotients
 from .polynomials import (
     DEGREE_LIMIT,
     SLOT,
     Polynomial,
-    SphereFunction,
     SpherePolynomial,
     euler_operator,
     laplace_euclid,
@@ -82,18 +82,18 @@ def apply_rotation_field(field: RotationField, f):
     """
     if isinstance(f, Polynomial):
         return field.apply_raw(f)
-    if isinstance(f, (SpherePolynomial, SphereFunction)) and field.j > f.m:
-        raise IndexError(f"{field} out of range for m={f.m}")
+    # apply_raw raises IndexError for a field past m.
     if isinstance(f, SpherePolynomial):
         return SpherePolynomial(field.apply_raw(f.poly))
-    if isinstance(f, SphereFunction):
-        d_num = field.apply_raw(f.num.poly)
-        d_base = field.apply_raw(f.base.poly) if f.exp else Polynomial.zero(f.m)
-        if d_base.is_zero():
-            return SphereFunction._make(SpherePolynomial(d_num), f.base, f.exp, canonical=True)
-        num = d_num * f.base.poly - f.num.poly * d_base.scale(f.exp)
-        return SphereFunction._make(SpherePolynomial(num), f.base, f.exp + 1, canonical=True)
-    raise TypeError(f"cannot differentiate {type(f).__name__}")
+    SphereFunction = quotients.SphereFunction
+    if not isinstance(f, SphereFunction):
+        raise TypeError(f"cannot differentiate {type(f).__name__}")
+    d_num = field.apply_raw(f.num.poly)
+    d_base = field.apply_raw(f.base.poly) if f.exp else Polynomial.zero(f.m)
+    if d_base.is_zero():
+        return SphereFunction._make(SpherePolynomial(d_num), f.base, f.exp, canonical=True)
+    num = d_num * f.base.poly - f.num.poly * d_base.scale(f.exp)
+    return SphereFunction._make(SpherePolynomial(num), f.base, f.exp + 1, canonical=True)
 
 
 def _laplacian_raw(p: Polynomial) -> Polynomial:
@@ -124,6 +124,7 @@ def laplace_sphere(f):
     """
     if isinstance(f, SpherePolynomial):
         return SpherePolynomial(_laplacian_raw(f.poly))
+    SphereFunction = quotients.SphereFunction
     if not isinstance(f, SphereFunction):
         raise TypeError(f"laplace_sphere acts on residue classes, got {type(f).__name__}")
     n, e = f.num.poly, f.exp

@@ -26,7 +26,7 @@ from sphere_sos.polynomials import (
     laplace_euclid,
     sample_plane_points,
 )
-from sphere_sos.realization import jet_functions, projected_casimir, realize
+from sphere_sos.realization import projected_casimir, realize
 from sphere_sos.sphere_ops import (
     apply_rotation_field,
     generate_harmonic_basis,
@@ -564,6 +564,22 @@ def natural_reductivity_by_projection(dec: ReductiveDecomposition):
         if form(pzx, ey) + form(ex, pzy) != 0:
             return (z, x, y)
     return None
+
+
+# ----------------------------------------------------------------------
+# the 2-jets, the proof set of the realization identities
+# ----------------------------------------------------------------------
+
+
+def jet_functions(m: int) -> list[SphereFunction]:
+    """The 2-jets x_i and x_i x_j (i <= j) as quotients: m + m(m+1)/2 functions.
+
+    Agreement on these proves an operator identity of sums of compositions of
+    two derivations on the whole quotient field (``realization`` docstring).
+    """
+    xs = [SpherePolynomial.variable(m, i) for i in range(1, m + 1)]
+    products = [xs[i] * xs[j] for i in range(m) for j in range(i, m)]
+    return [SphereFunction.from_polynomial(p) for p in xs + products]
 
 
 # ----------------------------------------------------------------------

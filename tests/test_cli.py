@@ -463,6 +463,30 @@ class TestVerifyIdentities:
             )
         assert a.read_bytes() == b.read_bytes()
 
+    @pytest.mark.parametrize(
+        "tamper",
+        [lambda vs: vs[:2], lambda vs: (vs[0].scale(2), *vs[1:])],
+        ids=["two-of-three-squares", "one-field-doubled"],
+    )
+    def test_spot_eigenvalues_reject_a_wrong_sum_of_squares(self, capsys, monkeypatch, tamper):
+        # The spot checks apply the su2 squares to the sphere polynomials x1
+        # and x1 x3: a wrong sum of squares must fail both.
+        of_squares = realization.ProjectedCasimir.of_squares
+        monkeypatch.setattr(
+            realization.ProjectedCasimir, "of_squares",
+            classmethod(lambda cls, fields: of_squares(tamper(tuple(fields)))),
+        )
+        code, out, _ = run(capsys, "verify-identities", "--case", "su2-group")
+        verdicts = {r["name"]: r["passed"] for r in json.loads(out)["identities"]}
+        assert code == 1
+        assert verdicts["spot_eigenvalue_degree_1"] is False
+        assert verdicts["spot_eigenvalue_degree_2"] is False
+
+    @pytest.mark.parametrize("value", [SpherePolynomial.variable(4, 1).poly, 3, "x1"])
+    def test_a_realized_field_rejects_a_value_off_the_sphere(self, value):
+        with pytest.raises(TypeError, match="cannot differentiate"):
+            realization.su2_fields()[0](value)
+
 
 class TestGrowth:
     def test_family_run(self, capsys, tmp_path):

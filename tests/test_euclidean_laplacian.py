@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 
 from sphere_sos.harmonics import HarmonicityError, custom_harmonic, stereographic_harmonic
 from sphere_sos.polynomials import Polynomial, SphereFunction, SpherePolynomial
-from sphere_sos.realization import jet_functions
 from sphere_sos.sphere_ops import generate_harmonic_basis, laplace_sphere
 
-from oracles import check_spherical_eigenvalue, laplace_sphere_by_fields
+from oracles import check_spherical_eigenvalue, jet_functions, laplace_sphere_by_fields
 
 coefficients = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))
 

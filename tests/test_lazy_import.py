@@ -3,6 +3,8 @@
 Each check runs in a fresh interpreter, since an earlier import in the test
 process would hide what a cold start loads.  A registered submodule that has
 not run yet is a lazy module; once run, its type is plain ``ModuleType``.
+``verify-identities`` and ``gen-harmonic`` stay in the sphere ring, so they
+never run ``quotients``; ``polynomials`` forwards the names moved there.
 No command imports ``dataclasses`` or ``inspect``: the records are
 NamedTuples, and those two modules cost a cold start milliseconds.  The last
 tests keep src/ free of names that nothing in the package uses or exports,
@@ -21,8 +23,8 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 SUBMODULES = (
-    "certificates", "growth", "harmonics", "lie", "linalg", "polynomials", "realization",
-    "sphere_ops",
+    "certificates", "growth", "harmonics", "lie", "linalg", "polynomials", "quotients",
+    "realization", "sphere_ops",
 )
 UNUSED_STDLIB = ("dataclasses", "inspect")
 
@@ -65,11 +67,11 @@ def test_import_registers_every_submodule_and_runs_only_polynomials():
     "argv, executed",
     [
         ("certify --family stereo:k=1:re --power 1 --samples 3",
-         {"certificates", "harmonics", "linalg", "polynomials", "sphere_ops"}),
+         {"certificates", "harmonics", "linalg", "polynomials", "quotients", "sphere_ops"}),
         ("verify-identities --case so3",
          {"lie", "linalg", "polynomials", "realization", "sphere_ops"}),
         ("growth --family stereo:k=1:re --grid 4 --quad 16",
-         {"growth", "harmonics", "polynomials", "sphere_ops"}),
+         {"growth", "harmonics", "polynomials", "quotients", "sphere_ops"}),
         ("gen-harmonic --ambient-dim 3 --degree 2", {"polynomials", "sphere_ops"}),
     ],
 )
@@ -78,6 +80,54 @@ def test_each_command_runs_only_its_layers(argv, executed):
     assert out["code"] == 0
     assert set(out["after_command"]) == executed
     assert out["stdlib_after_command"] == []
+
+
+RING_ONLY = """
+import contextlib, io, json, sys, types
+import sphere_sos.cli as cli
+codes = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes,
+                  "quotients": type(sys.modules["sphere_sos.quotients"]) is types.ModuleType}))
+"""
+
+
+def test_identities_and_gen_harmonic_never_run_the_quotient_field():
+    """Every identity case under every form, and gen-harmonic, in one cold
+    interpreter: the sphere ring serves them all, so quotients never runs."""
+    from sphere_sos.cli import IDENTITY_CASES, IDENTITY_FORMS
+
+    commands = [["verify-identities", "--case", case, "--form", form]
+                for case in IDENTITY_CASES for form in IDENTITY_FORMS]
+    commands.append(["gen-harmonic", "--ambient-dim", "4", "--degree", "3"])
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", RING_ONLY, json.dumps(commands)],
+                          env=env, capture_output=True, text=True, check=True)
+    out = json.loads(proc.stdout)
+    assert len(out["codes"]) == len(IDENTITY_CASES) * len(IDENTITY_FORMS) + 1
+    assert set(out["codes"]) <= {0, 1}  # perturbed forms are refuted, never rejected
+    assert out["quotients"] is False
+
+
+MOVED = ("PLANE_SAMPLE_LIMIT", "SphereFunction", "require_on_sphere", "sample_cap_points",
+         "sample_plane_points")
+
+
+def test_polynomials_forwards_the_moved_names_to_quotients():
+    from sphere_sos import polynomials, quotients
+
+    for name in MOVED:
+        assert name not in vars(polynomials), name
+        assert getattr(polynomials, name) is vars(quotients)[name], name
+    from sphere_sos.polynomials import SphereFunction
+
+    assert SphereFunction is quotients.SphereFunction
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        polynomials.no_such_name
+    with pytest.raises(AttributeError):
+        polynomials._normalize
 
 
 PUBLIC = [

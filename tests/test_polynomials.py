@@ -8,14 +8,16 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sphere_sos.polynomials import (
-    PLANE_SAMPLE_LIMIT,
     Polynomial,
-    SphereFunction,
     SpherePolynomial,
-    _normalize,
     euler_operator,
     float_power,
     laplace_euclid,
+)
+from sphere_sos.quotients import (
+    PLANE_SAMPLE_LIMIT,
+    SphereFunction,
+    _normalize,
     sample_cap_points,
     sample_plane_points,
 )

@@ -24,7 +24,6 @@ from sphere_sos.realization import (
     _casimir_matrix,
     _realized_matrix,
     _w_keys,
-    jet_functions,
     projected_casimir,
     realize,
     so_realization,
@@ -39,6 +38,7 @@ from sphere_sos.sphere_ops import RotationField, apply_rotation_field, laplace_s
 from conftest import random_polynomial
 from oracles import (
     commutation_by_fields,
+    jet_functions,
     realization_antihomomorphism_defect,
     realized_field_by_zero_sum,
     so_basis_matrix,

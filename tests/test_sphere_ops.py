@@ -65,6 +65,8 @@ class TestRotationFields:
             RotationField(2, 2)
         with pytest.raises(IndexError):
             apply_rotation_field(RotationField(1, 4), SpherePolynomial.one(3))
+        with pytest.raises(IndexError):
+            apply_rotation_field(RotationField(1, 4), SphereFunction.constant(3, 1))
 
     def test_leibniz_rule(self, rng):
         for _ in range(10):
