@@ -67,22 +67,29 @@ class SamplePoint(NamedTuple):
 class CertificateReport(NamedTuple):
     """Outcome of verifying one (h, k) pair.
 
-    ``term_count`` and ``expected_term_count`` are bookkeeping: both are the
-    field count to the k-th power, the number of words, so they take no part
-    in ``passed``.
+    ``term_count`` is bookkeeping: the field count to the k-th power, the
+    number of words, so it takes no part in ``passed``.  The certificate has
+    one square per element of the level-k span basis, so ``square_count`` is
+    ``span_dimension``.
     """
 
     family: str
     k: int
     term_count: int
-    expected_term_count: int
     equality_verified: bool
     terms_harmonic: bool
     samples: Sequence[SamplePoint] = ()
     seed: int = DEFAULT_SEED
     wall_time: float = 0.0
     span_dimension: int = 0
-    square_count: int = 0
+
+    @property
+    def expected_term_count(self) -> int:
+        return self.term_count
+
+    @property
+    def square_count(self) -> int:
+        return self.span_dimension
 
     @property
     def all_samples_nonnegative(self) -> bool:
@@ -124,12 +131,12 @@ def _weighted_sum(squares: Sequence[Polynomial | SphereFunction], k: int):
     return total.scale(2**k)
 
 
-def _square_and_harmonicity(term: Polynomial | SphereFunction, basis_term=None):
-    """(term^2, whether basis_term, term itself by default, is harmonic)."""
+def _square_and_harmonicity(term: Polynomial | SphereFunction, basis_term):
+    """(term^2, whether basis_term is harmonic)."""
     square = (term if isinstance(term, Polynomial) else term.num.poly).square()
     if isinstance(term, SphereFunction):
         square = SphereFunction._make(SpherePolynomial(square), term.base, 2 * term.exp, True)
-    return square, _laplacian(term if basis_term is None else basis_term).is_zero()
+    return square, _laplacian(basis_term).is_zero()
 
 
 def _map_ordered(fn: Callable, *items: Sequence) -> list:
@@ -268,14 +275,12 @@ def _certificate(f: Polynomial | SphereFunction, k: int, fields: Sequence[Callab
     per_square = _map_ordered(_square_and_harmonicity, u, span.levels[-1])
     squares = [sq.scale(d) for d, (sq, _) in zip(weights, per_square)]
     rhs = _weighted_sum(squares, k) if squares else type(f).zero(f.m)
-    words = len(fields) ** k
     # Keyword arguments run in order: equality, harmonicity, then the samples.
     return CertificateReport(
-        family=family, k=k, term_count=words, expected_term_count=words,
+        family=family, k=k, term_count=len(fields) ** k,
         equality_verified=lhs == rhs, terms_harmonic=all(flag for _, flag in per_square),
         samples=[SamplePoint(point=pt, value=lhs.evaluate(pt)) for pt in points], seed=seed,
         wall_time=time.perf_counter() - start, span_dimension=span.dimension,
-        square_count=len(squares),
     )
 
 

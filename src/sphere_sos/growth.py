@@ -48,11 +48,9 @@ MIN_QUADRATURE_ORDER = 8
 
 
 class GrowthReport(NamedTuple):
-    family: str
     center: tuple[float, float, float]
     radii: list[float]
     means: list[float]
-    quadrature_order: int
     monotone: bool
     first_violation: int | None
     second_derivative_fd: float
@@ -286,8 +284,8 @@ def check_second_derivative_at_zero(
 def analyze_growth(
     h: HarmonicFunction, center: Sequence[float], r_max: float, grid: int, order: int
 ) -> GrowthReport:
-    """Full growth report of h, for the family ``h.provenance``: the mean
-    profile of h^2, its monotonicity, and the M''(0) cross-check.
+    """Full growth report of h: the mean profile of h^2, its monotonicity,
+    and the M''(0) cross-check.
 
     Every circle must lie in h's disk ``h.domain``, the cap of geodesic radius
     rho about -pole, where the denominator is bounded away from zero:
@@ -310,11 +308,9 @@ def analyze_growth(
     step = min(SECOND_DERIVATIVE_STEP, (math.pi - offset) / SECOND_DERIVATIVE_POLE_STEPS)
     ok, fd, exact = check_second_derivative_at_zero(h.value, center, order, step=step)
     return GrowthReport(
-        family=h.provenance,
         center=center,
         radii=radii,
         means=means,
-        quadrature_order=order,
         monotone=monotone,
         first_violation=violation,
         second_derivative_fd=fd,

@@ -26,9 +26,7 @@ class HarmonicityError(RuntimeError):
 
 
 class CapDomain(
-    NamedTuple(
-        "CapDomain", [("ambient_dim", int), ("pole", tuple[Fraction, ...]), ("radius", float)]
-    )
+    NamedTuple("CapDomain", [("pole", tuple[Fraction, ...]), ("radius", float)])
 ):
     """Open geodesic ball B(rho) about the antipode of the excluded pole.
 
@@ -38,15 +36,16 @@ class CapDomain(
 
     __slots__ = ()
 
-    def __new__(cls, ambient_dim: int = 3, pole: tuple[Fraction, ...] = NORTH_POLE,
-                radius: float = 3.0):
-        self = super().__new__(cls, ambient_dim, pole, radius)
+    def __new__(cls, pole: tuple[Fraction, ...] = NORTH_POLE, radius: float = 3.0):
+        self = super().__new__(cls, pole, radius)
         if not 0 < self.radius < math.pi:
             raise ValueError(f"cap radius must lie in (0, pi), got {self.radius}")
         require_on_sphere(self.pole)
-        if len(self.pole) != self.ambient_dim:
-            raise ValueError("pole dimension does not match ambient dimension")
         return self
+
+    @property
+    def ambient_dim(self) -> int:
+        return len(self.pole)
 
 
 class HarmonicFunction(NamedTuple):

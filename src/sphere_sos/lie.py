@@ -5,11 +5,11 @@ stored sparsely: for each basis pair (i, j) only the nonzero (k, c) with
 [X_i, X_j] = sum_k c X_k, sorted by k.  Only this module knows that layout;
 ``LieAlgebraData.from_brackets`` builds it and ``bracket`` returns dense
 coordinate tuples.  so(m) comes straight from the closed form of the
-matrix-unit commutators, its trace form is diagonal, and the Killing form is
-read from the constants, so no m x m matrix is ever multiplied.  Forms are
-symmetric matrices.  Every stored value is an int where it is integral and a
-Fraction otherwise, never a float (``linalg.exact``), so the built-in cases
-run in integers.  Everything downstream is exact: brackets,
+matrix-unit commutators, its trace form is the identity, and the Killing
+form is read from the constants, so no m x m matrix is ever multiplied.
+Forms are symmetric matrices.  Every stored value is an int where it is
+integral and a Fraction otherwise, never a float (``linalg.exact``), so the
+built-in cases run in integers.  Everything downstream is exact: brackets,
 invariance checks with explicit counterexample witnesses, orthogonal
 reductive decompositions, and Casimir elements as (dual vector, basis vector)
 pairs.  A decomposition needs a positive definite form, so a subalgebra k
@@ -20,6 +20,7 @@ nothing is ever projected onto m.
 
 from __future__ import annotations
 
+import operator
 from collections import defaultdict
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
@@ -44,7 +45,7 @@ def _sparse(coeffs: Mapping[int, Rational]) -> Sparse:
 class LieAlgebraData(
     NamedTuple(
         "LieAlgebraData",
-        [("dim", int), ("labels", tuple[str, ...]), ("structure", tuple[tuple[Sparse, ...], ...])],
+        [("labels", tuple[str, ...]), ("structure", tuple[tuple[Sparse, ...], ...])],
     )
 ):
     """Sparse structure constants: structure[i][j] lists the nonzero (k, c)
@@ -52,10 +53,8 @@ class LieAlgebraData(
 
     __slots__ = ()
 
-    def __new__(cls, dim: int, labels: tuple[str, ...], structure: tuple[tuple[Sparse, ...], ...]):
-        self = super().__new__(cls, dim, labels, structure)
-        if len(self.labels) != self.dim:
-            raise ValueError("label count does not match dimension")
+    def __new__(cls, labels: tuple[str, ...], structure: tuple[tuple[Sparse, ...], ...]):
+        self = super().__new__(cls, labels, structure)
         if len(self.structure) != self.dim or any(
             len(row) != self.dim or any(entry != _sparse(dict(entry)) for entry in row)
             for row in self.structure
@@ -64,6 +63,10 @@ class LieAlgebraData(
         if any(not 0 <= k < self.dim for row in self.structure for entry in row for k, _ in entry):
             raise ValueError("structure constant index out of range")
         return self
+
+    @property
+    def dim(self) -> int:
+        return len(self.labels)
 
     @classmethod
     def from_brackets(
@@ -75,7 +78,7 @@ class LieAlgebraData(
         structure = tuple(
             tuple(_sparse(brackets.get((i, j), {})) for j in range(dim)) for i in range(dim)
         )
-        return cls(dim=dim, labels=tuple(labels), structure=structure)
+        return cls(labels=tuple(labels), structure=structure)
 
     def basis_vector(self, index: int) -> Vector:
         return tuple(int(k == index) for k in range(self.dim))
@@ -220,19 +223,16 @@ def su2_round_form() -> BilinearForm:
     )
 
 
-def trace_form(m: int, scale=Fraction(-1, 2)) -> BilinearForm:
-    """B(X, Y) = scale * trace(XY) on the E_ij basis of so(m).
+def trace_form(m: int) -> BilinearForm:
+    """B(X, Y) = -1/2 trace(XY) on the E_ij basis of so(m).
 
     trace(E_ij E_kl) is -2 on equal pairs and 0 otherwise, so B is the
-    diagonal -2 * scale * I.  The default scale -1/2 makes {E_ij}
-    orthonormal, which is the normalization under which the projected
-    Casimir reproduces the round Laplacian with constant exactly one.
+    identity: {E_ij} is orthonormal, which is the normalization under which
+    the projected Casimir reproduces the round Laplacian with constant
+    exactly one.  Any other multiple of the trace is ``BilinearForm.scale``.
     """
     dim = m * (m - 1) // 2
-    diagonal = -2 * exact(scale)
-    return BilinearForm.from_rows(
-        [[diagonal if a == b else 0 for b in range(dim)] for a in range(dim)]
-    )
+    return BilinearForm.from_rows([[int(a == b) for b in range(dim)] for a in range(dim)])
 
 
 def killing_form(algebra: LieAlgebraData) -> BilinearForm:
@@ -247,10 +247,11 @@ def killing_form(algebra: LieAlgebraData) -> BilinearForm:
     return BilinearForm.from_rows([[entry(a, b) for b in range(dim)] for a in range(dim)])
 
 
-def perturbed_form(base: BilinearForm, index: int = 0, bump=1) -> BilinearForm:
-    """Negative control: a symmetric but non-invariant perturbation of a form."""
+def perturbed_form(base: BilinearForm) -> BilinearForm:
+    """Negative control: base with 1 added to entry (0, 0), symmetric but not
+    invariant for the invariant forms of the built-in cases."""
     rows = [list(row) for row in base.matrix]
-    rows[index][index] += exact(bump)
+    rows[0][0] += 1
     return BilinearForm.from_rows(rows)
 
 
@@ -359,40 +360,23 @@ class CasimirElement(NamedTuple):
     pairs: tuple[tuple[Vector, Vector], ...]
 
 
-def casimir_element(
-    algebra: LieAlgebraData,
-    form: BilinearForm,
-    basis: Sequence[Sequence] | None = None,
-) -> CasimirElement:
-    """Casimir pairs for any basis: dual vectors come from the inverse Gram matrix.
+def casimir_element(algebra: LieAlgebraData, form: BilinearForm) -> CasimirElement:
+    """Casimir pairs (dual_j, e_j) on the unit basis.  The Casimir's
+    coefficient tensor is B^-1 in any basis, and B is the symmetric Gram
+    matrix of the unit basis, so dual_j is row j of B^-1.
 
-    Raises on a singular Gram matrix (degenerate form or dependent basis).
-    Gram consistency B(dual_i, basis_j) = delta_ij is re-verified exactly.
+    Raises ZeroDivisionError on a degenerate form.  The duality
+    B(dual_i, e_j) = delta_ij is re-verified exactly.
     """
     if form.dim != algebra.dim:
         raise ValueError("form and algebra dimensions differ")
-    if basis is None:
-        vecs = [algebra.basis_vector(i) for i in range(algebra.dim)]
-    else:
-        vecs = [_vec(v) for v in basis]
-        if len(vecs) != algebra.dim:
-            raise ValueError("basis must have exactly dim vectors")
-    gram = [[form(a, b) for b in vecs] for a in vecs]
-    inverse = linalg.invert(gram)  # raises ZeroDivisionError if singular
-    duals = []
-    for j in range(algebra.dim):
-        dual = [0] * algebra.dim
-        for i in range(algebra.dim):
-            c = inverse[i][j]
-            if c != 0:
-                for t, v in enumerate(vecs[i]):
-                    dual[t] += c * v
-        duals.append(_vec(dual))
-    for i in range(algebra.dim):
-        for j in range(algebra.dim):
-            if form(duals[i], vecs[j]) != int(i == j):
-                raise linalg.EngineFault("dual basis failed the Gram consistency check")
-    return CasimirElement(pairs=tuple((duals[j], vecs[j]) for j in range(algebra.dim)))
+    basis = [algebra.basis_vector(i) for i in range(algebra.dim)]
+    duals = [_vec(row) for row in linalg.invert(form.matrix)]
+    # B(dual_i, e_j) is dual_i times column j of B, which is row j.
+    for dual, unit in zip(duals, basis):
+        if tuple(sum(map(operator.mul, dual, row)) for row in form.matrix) != unit:
+            raise linalg.EngineFault("dual basis failed the Gram consistency check")
+    return CasimirElement(pairs=tuple(zip(duals, basis)))
 
 
 def so_subalgebra_fixing_last_axis(m: int) -> list[Vector]:

@@ -196,7 +196,7 @@ class TestVerifyCertificate:
 def report_with(equality=True, harmonic=True, sample_value=1, term_count=9):
     south = (Fraction(0), Fraction(0), Fraction(-1))
     sample = SamplePoint(point=south, value=Fraction(sample_value))
-    return CertificateReport("f", 2, term_count, 9, equality, harmonic, [sample])
+    return CertificateReport("f", 2, term_count, equality, harmonic, [sample])
 
 
 class TestPassedVerdict:
@@ -209,9 +209,11 @@ class TestPassedVerdict:
         assert report_with(**broken).passed is False
 
     def test_term_counts_are_bookkeeping(self):
-        report = report_with(term_count=8)
-        assert report.term_count != report.expected_term_count
-        assert report.passed is True
+        # k = 2 has 9 words; any other count leaves the verdict alone.
+        for count in (0, 8, 9):
+            report = report_with(term_count=count)
+            assert report.expected_term_count == report.term_count == count
+            assert report.passed is True
 
 
 class TestCertificateNegativeControl:
@@ -272,7 +274,7 @@ class TestSphereOnlySampler:
         # A constant is harmonic on every sphere, but the sample points are
         # drawn on S^2 alone, so the check must stop before Delta^k runs.
         pole = (Fraction(0),) * (m - 1) + (Fraction(1),)
-        h = custom_harmonic(SphereFunction.constant(m, 2), domain=CapDomain(m, pole))
+        h = custom_harmonic(SphereFunction.constant(m, 2), domain=CapDomain(pole))
         self.no_exact_work(monkeypatch)
         with pytest.raises(ValueError, match=r"sample_cap_points draws points on S\^2 only"):
             verify_certificate(h, 3)
@@ -472,15 +474,15 @@ class TestGramRoute:
         terms = [random_sphere_function(rng) for _ in range(30)]
         terms += [f.num.poly for f in terms] + [SphereFunction.zero(3), Polynomial.zero(4)]
         for term in terms:
-            square, harmonic = certificates._square_and_harmonicity(term)
+            square, harmonic = certificates._square_and_harmonicity(term, term)
             assert square == term * term
             assert harmonic is certificates._laplacian(term).is_zero()
 
     def test_a_square_past_the_degree_limit_fails_loudly(self):
         x = Polynomial.variable(2, 1)
-        assert certificates._square_and_harmonicity(x**127)[0] == x**254
+        assert certificates._square_and_harmonicity(x**127, x)[0] == x**254
         with pytest.raises(ValueError, match="packed-key limit"):
-            certificates._square_and_harmonicity(x**128)
+            certificates._square_and_harmonicity(x**128, x)
 
 
 def span_fingerprint(span):

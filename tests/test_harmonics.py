@@ -110,7 +110,7 @@ class TestStereographicFamily:
         two = SphereFunction.constant(4, 2)
         with pytest.raises(ValueError, match="ambient dimension 4, domain has 3"):
             custom_harmonic(two)
-        domain = CapDomain(4, (Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
+        domain = CapDomain((Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
         assert custom_harmonic(two, domain=domain).m == 4
 
 

@@ -108,9 +108,7 @@ class TestSoAlgebra:
         with pytest.raises(ValueError):
             LieAlgebraData.from_brackets(("a", "b"), {(0, 1): {2: 1}})
         with pytest.raises(ValueError):
-            LieAlgebraData(
-                dim=2, labels=("a", "b"), structure=(((), ()), ((), ((1, Fraction(0)),)))
-            )
+            LieAlgebraData(labels=("a", "b"), structure=(((), ()), ((), ((1, Fraction(0)),))))
 
     def test_su2_jacobi(self):
         alg = su2_algebra()
@@ -148,7 +146,7 @@ class TestForms:
             tuple(sum(_mat_mul(a, b)[i][i] for i in range(m)) for b in mats)
             for a in mats
         )
-        assert trace_form(m, scale=1).matrix == expected
+        assert trace_form(m).scale(-2).matrix == expected
 
     def test_killing_form_so3(self):
         K = killing_form(so_algebra(3))
@@ -160,7 +158,7 @@ class TestForms:
         # Killing(X, Y) = (m - 2) * trace(XY) on so(m) basis pairs.
         alg = so_algebra(m)
         K = killing_form(alg)
-        T = trace_form(m, scale=Fraction(1))
+        T = trace_form(m).scale(-2)
         for i in range(alg.dim):
             for j in range(alg.dim):
                 u, v = alg.basis_vector(i), alg.basis_vector(j)
@@ -219,6 +217,13 @@ class TestForms:
             assert value == dense
 
 
+def _bumped(form: BilinearForm, index: int) -> BilinearForm:
+    """The form with 1 added to diagonal entry (index, index)."""
+    rows = [list(row) for row in form.matrix]
+    rows[index][index] += 1
+    return BilinearForm.from_rows(rows)
+
+
 class TestAdInvariance:
     @pytest.mark.parametrize("m", [3, 4, 5])
     def test_trace_form_invariant(self, m):
@@ -244,10 +249,11 @@ class TestAdInvariance:
 
     def test_trimmed_scan_matches_the_full_triple_scan(self):
         cases = [
-            (so_algebra(m), perturbed_form(trace_form(m), index=index))
+            (so_algebra(m), _bumped(trace_form(m), index))
             for m in (3, 4, 5)
             for index in range(so_algebra(m).dim)
         ]
+        assert cases[0][1] == perturbed_form(trace_form(3))
         rng = random.Random(19)
         rows = [[Fraction(0)] * 6 for _ in range(6)]
         for i in range(6):
@@ -523,14 +529,25 @@ class TestCasimir:
         with pytest.raises(ZeroDivisionError):
             casimir_element(so_algebra(3), singular)
 
-    def test_arbitrary_basis_gram(self):
-        alg = so_algebra(3)
-        B = trace_form(3)
-        basis = [(1, 1, 0), (0, 1, 0), (2, 0, 3)]
-        cas = casimir_element(alg, B, basis=basis)
-        for i, (dual_i, _) in enumerate(cas.pairs):
-            for j, (_, vec_j) in enumerate(cas.pairs):
-                assert B(dual_i, vec_j) == (1 if i == j else 0)
+    @pytest.mark.parametrize("form_kind", ["invariant", "killing"])
+    @pytest.mark.parametrize("group", ["so3", "so4", "so5", "so6", "su2"])
+    def test_casimir_tensor_is_the_inverse_form(self, group, form_kind):
+        # The coefficient tensor sum_j dual_j (x) e_j of the Casimir is B^-1
+        # in any basis; on the unit basis it is read against sympy's inverse.
+        if group == "su2":
+            alg, invariant = su2_algebra(), su2_round_form()
+        else:
+            alg, invariant = so_algebra(int(group[2:])), trace_form(int(group[2:]))
+        form = invariant if form_kind == "invariant" else killing_form(alg).scale(-1)
+        cas = casimir_element(alg, form)
+        assert [vec for _, vec in cas.pairs] == [alg.basis_vector(j) for j in range(alg.dim)]
+        tensor = [
+            [sum(dual[s] * vec[t] for dual, vec in cas.pairs) for t in range(alg.dim)]
+            for s in range(alg.dim)
+        ]
+        inverse = oracles.sp.Matrix(form.matrix).inv()
+        assert tensor == [[Fraction(int(x.p), int(x.q)) for x in inverse.row(s)]
+                          for s in range(alg.dim)]
 
 
 def _numbers(value):

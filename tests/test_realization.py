@@ -170,27 +170,6 @@ class TestProjectedCasimir:
             suite,
         )
 
-    def test_basis_independence(self):
-        # Casimir from the standard basis and from a random invertible basis
-        # realize to identical operators.
-        alg = so_algebra(3)
-        B = trace_form(3)
-        standard = projected_casimir(casimir_element(alg, B), so_realization(3))
-        rng = random.Random(10)
-        from sphere_sos import linalg
-
-        while True:
-            basis = [
-                tuple(Fraction(rng.randint(-3, 3)) for _ in range(3))
-                for _ in range(3)
-            ]
-            if linalg.rank(basis) == 3:
-                break
-        other = projected_casimir(casimir_element(alg, B, basis=basis), so_realization(3))
-        suite = standard_test_suite(3, max_harmonic_degree=3, random_count=6)
-        for f in suite:
-            assert standard(f) == other(f)
-
 
 class TestCommutationTheorem:
     @pytest.mark.parametrize("m", [3, 4])

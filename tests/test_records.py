@@ -2,28 +2,45 @@
 ordering and constructor checks of the dataclasses they replaced.
 
 The expected reprs and messages are pinned literally from the dataclass
-versions, except that the Lie records store integral values as ints.  Unlike
-three of those dataclasses, every record is immutable, and a report's samples
-default to ().
+versions, except that the Lie records store integral values as ints, and
+that a field another field determines is a property, not a field: a
+certificate's expected term count and square count, a cap's ambient
+dimension and an algebra's dimension; a growth report keeps no family or
+quadrature order, which nothing read.  Unlike three of those dataclasses,
+every record is immutable, and a report's samples default to ().
 """
 
 from fractions import Fraction
 
 import pytest
 
-from sphere_sos.certificates import CertificateReport, SamplePoint
+from sphere_sos.certificates import CertificateReport, SamplePoint, verify_certificate
+from sphere_sos.cli import NON_HARMONIC_CONTROL, resolve_family
 from sphere_sos.growth import GrowthReport
-from sphere_sos.harmonics import CapDomain, HarmonicFunction, stereographic_harmonic
-from sphere_sos.lie import BilinearForm, CasimirElement, LieAlgebraData, ReductiveDecomposition
+from sphere_sos.harmonics import (
+    CapDomain,
+    HarmonicFunction,
+    custom_harmonic,
+    stereographic_harmonic,
+)
+from sphere_sos.lie import (
+    BilinearForm,
+    CasimirElement,
+    LieAlgebraData,
+    ReductiveDecomposition,
+    so_algebra,
+    su2_algebra,
+)
+from sphere_sos.quotients import SphereFunction
 from sphere_sos.realization import ProjectedCasimir, RealizedField, su2_fields
 from sphere_sos.sphere_ops import RotationField, rotation_fields
 
 F0, F1 = Fraction(0), Fraction(1)
 POLE = "(Fraction(0, 1), Fraction(0, 1), Fraction(1, 1))"
-CAP = f"CapDomain(ambient_dim=3, pole={POLE}, radius=3.0)"
+CAP = f"CapDomain(pole={POLE}, radius=3.0)"
 SAMPLE = "SamplePoint(point=(Fraction(1, 2), Fraction(0, 1), Fraction(-1, 1)), value=Fraction(-3, 4))"
 ALGEBRA = (
-    "LieAlgebraData(dim=2, labels=('e1', 'e2'), "
+    "LieAlgebraData(labels=('e1', 'e2'), "
     "structure=(((), ((1, 1),)), (((1, -1),), ())))"
 )
 FORM = "BilinearForm(matrix=((1, 0), (0, 2)))"
@@ -54,15 +71,15 @@ RECORDS = [
     ),
     (sample, SAMPLE),
     (
-        lambda: CertificateReport("f", 1, 3, 3, True, True, [sample()], 5, 0.5, 2, 2),
-        "CertificateReport(family='f', k=1, term_count=3, expected_term_count=3, "
+        lambda: CertificateReport("f", 1, 3, True, True, [sample()], 5, 0.5, 2),
+        "CertificateReport(family='f', k=1, term_count=3, "
         f"equality_verified=True, terms_harmonic=True, samples=[{SAMPLE}], seed=5, "
-        "wall_time=0.5, span_dimension=2, square_count=2)",
+        "wall_time=0.5, span_dimension=2)",
     ),
     (
-        lambda: GrowthReport("f", (0.0, 0.0, -1.0), [0.1], [1.5], 8, True, None, 0.25, 0.25, True),
-        "GrowthReport(family='f', center=(0.0, 0.0, -1.0), radii=[0.1], means=[1.5], "
-        "quadrature_order=8, monotone=True, first_violation=None, second_derivative_fd=0.25, "
+        lambda: GrowthReport((0.0, 0.0, -1.0), [0.1], [1.5], True, None, 0.25, 0.25, True),
+        "GrowthReport(center=(0.0, 0.0, -1.0), radii=[0.1], means=[1.5], "
+        "monotone=True, first_violation=None, second_derivative_fd=0.25, "
         "second_derivative_exact=0.25, second_derivative_ok=True)",
     ),
     (algebra, ALGEBRA),
@@ -127,10 +144,34 @@ def test_rotation_fields_sort_by_index_pair():
 
 
 def test_defaults_and_keywords():
-    assert CapDomain() == CapDomain(3, (F0, F0, F1), 3.0)
+    assert CapDomain() == CapDomain((F0, F0, F1), 3.0)
     assert CapDomain(radius=1.5).radius == 1.5
     assert RotationField(j=2, i=1) == RotationField(1, 2)
-    assert CertificateReport("f", 1, 3, 3, True, True).samples == ()
+    assert CertificateReport("f", 1, 3, True, True).samples == ()
+
+
+@pytest.mark.parametrize(
+    "make, span",
+    [
+        (lambda: custom_harmonic(SphereFunction.zero(3), "zero"), 0),
+        (lambda: resolve_family(NON_HARMONIC_CONTROL, NON_HARMONIC_CONTROL), 1),
+    ],
+    ids=["zero", NON_HARMONIC_CONTROL],
+)
+def test_certificate_counts_are_read_off_their_sources(make, span):
+    # At k = 0 there is one word, the empty one, and one square per element
+    # of the span of the start term: none for 0, one for x3.
+    report = verify_certificate(make(), 0, sample_count=1)
+    assert report.expected_term_count == report.term_count == 1
+    assert report.square_count == report.span_dimension == span
+
+
+def test_dimensions_are_read_off_their_sources():
+    assert CapDomain().ambient_dim == len(CapDomain().pole) == 3
+    assert CapDomain((F0, F0, F0, F1)).ambient_dim == 4
+    for m in (3, 4, 5, 6):
+        assert so_algebra(m).dim == len(so_algebra(m).labels) == m * (m - 1) // 2
+    assert su2_algebra().dim == len(su2_algebra().labels) == 3
 
 
 S1 = ((Fraction(3), F1),)
@@ -144,17 +185,12 @@ S1 = ((Fraction(3), F1),)
         (lambda: CapDomain(radius=4.0), r"cap radius must lie in \(0, pi\), got 4.0"),
         (lambda: CapDomain(radius=0.0), r"cap radius must lie in \(0, pi\), got 0.0"),
         (lambda: CapDomain(pole=(1, 1, 0)), r"point \('1', '1', '0'\) is not on the unit sphere"),
-        (lambda: CapDomain(ambient_dim=4), "pole dimension does not match ambient dimension"),
         (
-            lambda: LieAlgebraData(dim=1, labels=("a", "b"), structure=((),)),
-            "label count does not match dimension",
-        ),
-        (
-            lambda: LieAlgebraData(dim=1, labels=("a",), structure=((((0, F0),),),)),
+            lambda: LieAlgebraData(labels=("a",), structure=((((0, F0),),),)),
             r"structure constants must be dim x dim sorted nonzero \(k, c\) lists",
         ),
         (
-            lambda: LieAlgebraData(dim=1, labels=("a",), structure=((S1,),)),
+            lambda: LieAlgebraData(labels=("a",), structure=((S1,),)),
             "structure constant index out of range",
         ),
         (lambda: BilinearForm(((F1,), (F1, F1))), "form matrix must be square"),
