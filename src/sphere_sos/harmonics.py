@@ -16,7 +16,7 @@ from typing import NamedTuple, Sequence
 
 from .polynomials import Polynomial, RationalLike, SpherePolynomial, laplace_euclid
 from .quotients import SphereFunction, require_on_sphere
-from .sphere_ops import generate_harmonic_basis, harmonic_space_dimension, laplace_sphere
+from .sphere_ops import generate_harmonic_basis, laplace_sphere
 
 NORTH_POLE = (Fraction(0), Fraction(0), Fraction(1))
 
@@ -118,12 +118,11 @@ def stereographic_harmonic(
     """Re or Im of ((x1 + i*x2)/(1 - x3))^k as a certified harmonic function on S^2."""
     if part not in ("re", "im"):
         raise ValueError(f"part must be 're' or 'im', got {part!r}")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
+    # complex_power_parts rejects k < 0.
+    re, im = complex_power_parts(k)
     domain = domain or CapDomain()
     if domain.ambient_dim != 3:
         raise ValueError("the stereographic family lives on S^2 (ambient dimension 3)")
-    re, im = complex_power_parts(k)
     numerator = SpherePolynomial(re if part == "re" else im)
     base = SpherePolynomial.one(3) - SpherePolynomial.variable(3, 3)
     value = SphereFunction._make(numerator, base, k)
@@ -159,7 +158,7 @@ def euclidean_harmonic(m: int, d: int, coefficients: Sequence[RationalLike]) -> 
     if len(coefficients) != len(basis):
         raise ValueError(
             f"coefficient vector has length {len(coefficients)}, "
-            f"expected {harmonic_space_dimension(m, d)}"
+            f"expected {len(basis)}"
         )
     total = Polynomial.zero(m)
     for c, b in zip(coefficients, basis):

@@ -178,10 +178,6 @@ class BilinearForm(NamedTuple("BilinearForm", [("matrix", tuple[Vector, ...])]))
 # ----------------------------------------------------------------------
 
 
-def so_basis_labels(m: int) -> list[str]:
-    return [f"E{i}{j}" for i, j in combinations(range(1, m + 1), 2)]
-
-
 def so_algebra(m: int) -> LieAlgebraData:
     """so(m) on the basis {E_ij}_{i<j}, from the closed form
     [E_ij, E_kl] = d_jk E_il - d_ik E_jl - d_jl E_ik + d_il E_jk
@@ -202,7 +198,7 @@ def so_algebra(m: int) -> LieAlgebraData:
             if delta and p != q:
                 coeffs[index[min(p, q), max(p, q)]] += sign if p < q else -sign
         brackets[a, b] = coeffs
-    return LieAlgebraData.from_brackets(so_basis_labels(m), brackets)
+    return LieAlgebraData.from_brackets([f"E{i}{j}" for i, j in pairs], brackets)
 
 
 def su2_algebra() -> LieAlgebraData:

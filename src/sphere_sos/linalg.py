@@ -129,10 +129,6 @@ def _back_substitute(echelon: list[list[int]], pivots: list[int], n: int, free: 
     return y
 
 
-def rank(rows: Sequence[Sequence]) -> int:
-    return len(column_basis(rows)[0]) if rows else 0
-
-
 def nullspace(rows: Sequence[Sequence], n_cols: int | None = None) -> list[list[int]]:
     """Exact basis of the right kernel, as primitive integer vectors: for each
     non-pivot column c, den e_c minus c's coordinates on the pivot columns,

@@ -22,7 +22,7 @@ top slot, then e_1..e_m, SLOT bits each, so int order is graded-lex order and
 multiplying monomials adds keys.  A degree past DEGREE_LIMIT = 2^SLOT - 1 would
 carry into a neighbouring slot, so the constructor and every product raise
 ValueError there.  Exponent tuples appear only in the constructor, ``terms``,
-``coefficient``, ``str`` and ``parse``.
+``str`` and ``parse``.
 """
 
 from __future__ import annotations
@@ -203,9 +203,6 @@ class Polynomial:
     def degree(self) -> int:
         """Total degree; the zero polynomial has degree -1 by convention."""
         return max(self.numerators) >> SLOT * self.m if self.numerators else -1
-
-    def coefficient(self, exponents: Sequence[int]) -> Fraction:
-        return self.terms.get(tuple(exponents), Fraction(0))
 
     def content(self) -> Fraction:
         """Positive rational c with self = c * (primitive integer polynomial)."""
@@ -564,15 +561,6 @@ class SpherePolynomial:
 
     def __hash__(self) -> int:
         return hash(self.poly)
-
-    def evaluate(self, point: Sequence[RationalLike]) -> Fraction:
-        """Exact value at a rational point of the sphere."""
-        from .quotients import SphereFunction
-
-        return SphereFunction.from_polynomial(self).evaluate(point)
-
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        return self.poly.evaluate_float(point)
 
     def __str__(self) -> str:
         return str(self.poly)

@@ -2,8 +2,8 @@
 
   SphereFunction    quotient of two sphere polynomials.  Internally the
                     denominator is carried as ``base ** exp`` so that repeated
-                    differentiation does not square denominators; the public
-                    ``numerator``/``denominator`` view is unchanged.
+                    differentiation does not square denominators; ``num``
+                    is the numerator and ``denominator`` forms the power.
 
 Everything is immutable and exact.  Equality of quotients is decided by
 cross-multiplication, valid because the sphere relation is irreducible over
@@ -89,10 +89,6 @@ class SphereFunction:
     @property
     def m(self) -> int:
         return self.num.m
-
-    @property
-    def numerator(self) -> SpherePolynomial:
-        return self.num
 
     @property
     def denominator(self) -> SpherePolynomial:

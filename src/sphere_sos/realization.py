@@ -28,7 +28,9 @@ raise no degree, and a normal form of degree <= 2 lies in W.  The 2-jets span
 W (1 = sum x_i^2), so agreement on them is equality of exact matrices on W.
 A realized field's matrix combines the rotation fields' integer matrices,
 read once per m, over one denominator; the projected Casimir's is the sum of
-the M_dual M_basic.
+the M_dual M_basic.  One comparator, ``_equals_laplacian``, sets such a
+matrix against scale * laplace_sphere's, for Casimir = Laplacian and for the
+group case.
 """
 
 from __future__ import annotations
@@ -77,12 +79,6 @@ class RealizedField(NamedTuple):
             out = term if out is None else out + term
         return type(f).zero(self.m) if out is None else out
 
-    def scale(self, factor) -> "RealizedField":
-        f = exact(factor)
-        return RealizedField.from_weights(
-            self.m, {field: c * f for field, c in self.weights}
-        )
-
 
 def so_realization(m: int) -> tuple[RealizedField, ...]:
     """Images of the E_ij basis of so(m) on S^{m-1}, in pair order: E_ij -> -X_ij
@@ -107,7 +103,7 @@ def su2_fields() -> tuple[RealizedField, RealizedField, RealizedField]:
 def su2_realization() -> tuple[RealizedField, ...]:
     """Images of the cyclic su(2) basis ([e1, e2] = e3) on S^3: e_i -> V_i / 2,
     the halving that makes the map an antihomomorphism."""
-    return tuple(v.scale(Fraction(1, 2)) for v in su2_fields())
+    return tuple(realize((v,), (Fraction(1, 2),)) for v in su2_fields())
 
 
 def realize(images: Sequence[RealizedField], coords: Sequence) -> RealizedField:
@@ -213,6 +209,14 @@ def _casimir_matrix(operator: ProjectedCasimir) -> tuple[dict, int]:
     return _combination([(Fraction(1, da * db), _product(a, b)) for a, da, b, db in terms])
 
 
+def _equals_laplacian(operator: ProjectedCasimir, m: int, scale: Rational = 1) -> bool:
+    """True iff the operator's matrix on W is scale times laplace_sphere's on
+    S^(m-1); m is an argument, since an operator without pairs carries none."""
+    n, d = _casimir_matrix(operator)
+    difference, _ = _combination(((Fraction(1, d), n), (-exact(scale), _w_matrix(m))))
+    return not any(difference.values())
+
+
 def verify_lap_eq_casimir(
     casimir: CasimirElement,
     images: Sequence[RealizedField],
@@ -220,9 +224,7 @@ def verify_lap_eq_casimir(
 ) -> bool:
     """True iff the projected Casimir equals scale * laplace_sphere on the
     2-jets, exactly: a proof."""
-    n, d = _casimir_matrix(projected_casimir(casimir, images))
-    difference, _ = _combination(((Fraction(1, d), n), (-exact(scale), _w_matrix(images[0].m))))
-    return not any(difference.values())
+    return _equals_laplacian(projected_casimir(casimir, images), images[0].m, scale)
 
 
 def verify_commutation_theorem(
@@ -262,6 +264,4 @@ def verify_commutation_theorem(
 def verify_group_case_identity() -> bool:
     """The three-field and six-field sums of squares agree exactly on S^3;
     on the 2-jets this is a proof."""
-    n, d = _casimir_matrix(ProjectedCasimir.of_squares(su2_fields()))
-    difference, _ = _combination(((Fraction(1, d), n), (-1, _w_matrix(4))))
-    return not any(difference.values())
+    return _equals_laplacian(ProjectedCasimir.of_squares(su2_fields()), 4)

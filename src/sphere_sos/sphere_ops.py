@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import comb, factorial, gcd, lcm
+from math import factorial, gcd, lcm
 from typing import NamedTuple
 
 from . import quotients
@@ -70,7 +70,8 @@ def rotation_fields(m: int) -> list[RotationField]:
 
 
 def apply_rotation_field(field: RotationField, f):
-    """Apply a rotation field to a polynomial, sphere polynomial, or quotient.
+    """Apply a rotation field to a sphere polynomial or a quotient, same kind
+    back; a raw polynomial goes through ``RotationField.apply_raw``.
 
     Well-defined on residue classes because the field annihilates the sphere
     relation; on quotients the factored-power denominator makes the quotient
@@ -80,8 +81,6 @@ def apply_rotation_field(field: RotationField, f):
     x_i B1 = (1 - x_1^2 - ... - x_(m-1)^2) d_i B1, whose top x_i-power in the
     top degree, c x_i^K, gives (1 + K) c = 0.
     """
-    if isinstance(f, Polynomial):
-        return field.apply_raw(f)
     # apply_raw raises IndexError for a field past m.
     if isinstance(f, SpherePolynomial):
         return SpherePolynomial(field.apply_raw(f.poly))
@@ -145,15 +144,6 @@ def monomials_of_degree(m: int, d: int) -> list[tuple[int, ...]]:
     """Exponent tuples of total degree d, graded-lex descending (deterministic)."""
     multisets = combinations_with_replacement(range(m), d)
     return sorted((tuple(map(c.count, range(m))) for c in multisets), reverse=True)
-
-
-def harmonic_space_dimension(m: int, d: int) -> int:
-    """Dimension of degree-d harmonic polynomials in m variables."""
-    if d < 0:
-        return 0
-    if d < 2:
-        return comb(m + d - 1, d)
-    return comb(m + d - 1, d) - comb(m + d - 3, d - 2)
 
 
 def generate_harmonic_basis(m: int, d: int) -> list[Polynomial]:

@@ -247,6 +247,16 @@ def expanded_square_mean_loop(h: SphereFunction, center, r: float, order: int) -
     return total / order
 
 
+def harmonic_space_dimension(m: int, d: int) -> int:
+    """Dimension of degree-d harmonic polynomials in m variables: the degree-d
+    monomials minus the degree-(d - 2) ones, onto which the Laplacian maps."""
+    if d < 0:
+        return 0
+    if d < 2:
+        return math.comb(m + d - 1, d)
+    return math.comb(m + d - 1, d) - math.comb(m + d - 3, d - 2)
+
+
 def harmonic_basis_by_nullspace(m: int, d: int) -> list[Polynomial]:
     """Kernel of the Laplacian's coefficient matrix from degree d to d - 2."""
     from sphere_sos import linalg
@@ -497,7 +507,10 @@ def jacobi_by_all_triples(algebra: LieAlgebraData) -> bool:
 
 def in_span(vectors, target) -> bool:
     """target lies in the span of vectors iff stacking it on them adds no rank."""
-    return linalg.rank([*vectors, target]) == linalg.rank(vectors)
+    n = len(target)
+    return len(linalg.column_basis([*vectors, target], n)[0]) == len(
+        linalg.column_basis(vectors, n)[0]
+    )
 
 
 def project_complement(dec: ReductiveDecomposition, u) -> tuple[Fraction, ...]:
@@ -526,7 +539,7 @@ def decomposition_by_projection(
     if not form.is_positive_definite():
         raise ValueError("decomposition needs a positive definite form")
     k_basis = [tuple(Fraction(x) for x in v) for v in subalgebra_basis]
-    if linalg.rank(k_basis) != len(k_basis):
+    if len(linalg.column_basis(k_basis, algebra.dim)[0]) != len(k_basis):
         raise ValueError("subalgebra basis vectors are linearly dependent")
     for a, b in product(k_basis, repeat=2):
         if not in_span(k_basis, algebra.bracket(a, b)):
@@ -740,3 +753,62 @@ def substitute_linear(f, matrix):
                 term = term * image**e
         result = result + term
     return result
+
+
+# ----------------------------------------------------------------------
+# closed forms on S^2 for the stereographic family
+# ----------------------------------------------------------------------
+
+
+def stereo_power(h: SphereFunction) -> int:
+    """K with h = Re w^K or Im w^K, w = (x1 + i x2)/(1 - x3), found by
+    comparing h with both parts, built here from the binomial expansion, for
+    each K up to h's denominator exponent.  Any other function, such as a
+    sum of two powers, is refused with ValueError."""
+    one_minus_x3 = SpherePolynomial.one(3) - SpherePolynomial.variable(3, 3)
+    for K in range(h.exp + 1):
+        # i^j is (-1)^(j // 2) times 1 for even j and i for odd j.
+        parts: tuple[dict, dict] = ({}, {})
+        for j in range(K + 1):
+            parts[j % 2][K - j, j, 0] = math.comb(K, j) * (-1) ** (j // 2)
+        for terms in parts:
+            if h == SphereFunction._make(SpherePolynomial(Polynomial(3, terms)), one_minus_x3, K):
+                return K
+    raise ValueError("h is not Re or Im of a power of w, so the closed form does not apply")
+
+
+def stereo_square_weights(K: int, k: int) -> dict[int, int]:
+    """The integer weights c_n with Delta^k(h^2) = 1/2 sum_n c_n t^n for
+    h = Re or Im w^K and k >= 1, where t = |w|^2 = (1 + x3)/(1 - x3).
+
+    h^2 = |w^K|^2 / 2 + Re(w^(2K)) / 2 and the second part is harmonic.  In
+    the chart Delta = (1 + |w|^2)^2 d dbar, so Delta t^n = n^2 (1 + t)^2
+    t^(n-1): from c^(0) = e_K, c_n^(j+1) = (n+1)^2 c_(n+1) + 2 n^2 c_n +
+    (n-1)^2 c_(n-1).  Every c_n is >= 0, and t^n = (Re w^n)^2 + (Im w^n)^2.
+    """
+    if k < 1:
+        raise ValueError(f"the closed form needs k >= 1, got {k}")
+    weights = {K: 1}
+    for _ in range(k):
+        step: dict[int, int] = {}
+        for n, c in weights.items():
+            for target, factor in ((n - 1, n * n), (n, 2 * n * n), (n + 1, n * n)):
+                if factor:
+                    step[target] = step.get(target, 0) + factor * c
+        weights = {n: c for n, c in step.items() if c}
+    return weights
+
+
+def radial_sum(weights: dict[int, int]) -> SphereFunction:
+    """1/2 sum_n c_n t^n, each t^n written over (1 - x3)^N, N the top n."""
+    one, x3 = Polynomial.one(3), Polynomial.variable(3, 3)
+    top = max(weights, default=0)
+    num = Polynomial.zero(3)
+    for n, c in weights.items():
+        num = num + ((one + x3) ** n * (one - x3) ** (top - n)).scale(Fraction(c, 2))
+    return SphereFunction._make(SpherePolynomial(num), SpherePolynomial(one - x3), top)
+
+
+def stereo_closed_form(h: SphereFunction, k: int) -> SphereFunction:
+    """Delta^k(h^2) for h = Re or Im w^K and k >= 1, in closed form."""
+    return radial_sum(stereo_square_weights(stereo_power(h), k))

@@ -330,7 +330,7 @@ def numerator_vectors(funcs):
     e = max(f.exp for f in funcs)
     polys = [(f.num * base ** (e - f.exp)).poly if f.exp < e else f.num.poly for f in funcs]
     monomials = sorted({mono for p in polys for mono in p.terms})
-    return [[p.coefficient(mono) for mono in monomials] for p in polys]
+    return [[p.terms.get(mono, 0) for mono in monomials] for p in polys]
 
 
 class TestGramRoute:
@@ -361,7 +361,7 @@ class TestGramRoute:
         span = rotation_span(h, 3)
         for k in (1, 2, 3):
             vectors = numerator_vectors(sos_certificate(h, k))
-            assert len(span.levels[k]) == linalg.rank(vectors)
+            assert len(span.levels[k]) == len(linalg.column_basis(vectors)[0])
         assert span.dimension == len(span.levels[3])
 
     @pytest.mark.parametrize("k", [0, 1, 3])
@@ -499,8 +499,8 @@ class TestCoefficientRows:
         lifted = SphereFunction._make(p * h.base**h.exp, h.base, h.exp, canonical=True)
         rows = certificates._coefficient_rows([h, g])
         assert rows == certificates._coefficient_rows([h, lifted])
-        assert linalg.rank(rows) == 2
-        assert linalg.rank(certificates._coefficient_rows([h, g, h + g])) == 2
+        assert len(linalg.column_basis(rows)[0]) == 2
+        assert len(linalg.column_basis(certificates._coefficient_rows([h, g, h + g]))[0]) == 2
 
 
 class TestGramFault:

@@ -465,7 +465,7 @@ class TestVerifyIdentities:
 
     @pytest.mark.parametrize(
         "tamper",
-        [lambda vs: vs[:2], lambda vs: (vs[0].scale(2), *vs[1:])],
+        [lambda vs: vs[:2], lambda vs: (realization.realize(vs[:1], (2,)), *vs[1:])],
         ids=["two-of-three-squares", "one-field-doubled"],
     )
     def test_spot_eigenvalues_reject_a_wrong_sum_of_squares(self, capsys, monkeypatch, tamper):

@@ -4,7 +4,8 @@ Each check runs in a fresh interpreter, since an earlier import in the test
 process would hide what a cold start loads.  A registered submodule that has
 not run yet is a lazy module; once run, its type is plain ``ModuleType``.
 ``verify-identities`` and ``gen-harmonic`` stay in the sphere ring, so they
-never run ``quotients``; ``polynomials`` forwards the names moved there.
+never run ``quotients``; ``polynomials`` forwards the names moved there, and
+refers to ``quotients`` nowhere else.
 No command imports ``dataclasses`` or ``inspect``: the records are
 NamedTuples, and those two modules cost a cold start milliseconds.  The last
 tests keep src/ free of names that nothing in the package uses or exports,
@@ -130,6 +131,35 @@ def test_polynomials_forwards_the_moved_names_to_quotients():
         polynomials._normalize
 
 
+def _docstrings(tree) -> set[int]:
+    nodes = [tree, *(n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.ClassDef)))]
+    return {id(n.body[0].value) for n in nodes if ast.get_docstring(n) is not None}
+
+
+def test_polynomials_reaches_quotients_only_through_its_forward():
+    """The ring layer never uses the quotient field: in ``polynomials`` the
+    one reference to ``quotients``, an import, a name or a string, is in the
+    module ``__getattr__`` that forwards the moved names."""
+    tree = ast.parse((SRC / "sphere_sos" / "polynomials.py").read_text())
+    (forward,) = [n for n in tree.body if getattr(n, "name", None) == "__getattr__"]
+    inside, docs = {id(n) for n in ast.walk(forward)}, _docstrings(tree)
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            text = " ".join([getattr(node, "module", None) or ""] + [a.name for a in node.names])
+        elif isinstance(node, ast.Name):
+            text = node.id
+        elif isinstance(node, ast.Attribute):
+            text = node.attr
+        elif isinstance(node, ast.Constant) and id(node) not in docs:
+            text = str(node.value)
+        else:
+            continue
+        if "quotients" in text:
+            found.append((node.lineno, id(node) in inside))
+    assert found and all(inside for _, inside in found), found
+
+
 PUBLIC = [
     "CapDomain", "CertificateReport", "HarmonicFunction", "HarmonicityError", "Polynomial",
     "RotationField", "SphereFunction", "SpherePolynomial", "apply_rotation_field",
@@ -161,8 +191,9 @@ else:
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
-# Kept without a caller in src/: the README documents it as library API.
-KEPT = {"linalg.rank"}
+# Names kept without a caller in src/ because the README documents them as
+# library API: none.
+KEPT: set[str] = set()
 
 
 def test_every_module_level_name_has_a_use():

@@ -87,7 +87,7 @@ SINGULAR = [
 class TestAgainstSympy:
     def test_rank(self, shape, seed):
         a = random_matrix(random.Random(seed), *shape)
-        assert linalg.rank(a) == to_sympy(a).rank()
+        assert len(linalg.column_basis(a)[0]) == to_sympy(a).rank()
 
     def test_echelon_pivots_and_integrality(self, shape, seed):
         a = random_matrix(random.Random(seed), *shape)
@@ -191,7 +191,7 @@ def test_positive_definiteness_on_random_symmetric(n, seed):
 def test_invert_with_row_swap(rows):
     inverse = linalg.invert(rows)
     assert inverse == from_sympy(to_sympy(rows).inv())
-    assert linalg.rank(rows) == len(rows)
+    assert len(linalg.column_basis(rows)[0]) == len(rows)
     ones = [Fraction(1)] * len(rows)
     assert solve_by_column_basis(rows, ones) == matvec(inverse, ones)
 
@@ -200,7 +200,7 @@ def test_invert_with_row_swap(rows):
 def test_singular_matrix_rejected(rows):
     with pytest.raises(ZeroDivisionError):
         linalg.invert(rows)
-    assert linalg.rank(rows) < len(rows)
+    assert len(linalg.column_basis(rows)[0]) < len(rows)
 
 
 def test_swap_trap_is_not_positive_definite():
@@ -266,7 +266,7 @@ RAGGED = [[[1], [3, 4]], [[1, 2], [3]], [[Fraction(1, 2)], [3, 4]]]
 
 @pytest.mark.parametrize("rows", RAGGED)
 @pytest.mark.parametrize(
-    "solve", [linalg.column_basis, linalg.nullspace, linalg.rank, linalg.fraction_free_echelon]
+    "solve", [linalg.column_basis, linalg.nullspace, linalg.fraction_free_echelon]
 )
 def test_ragged_rows_are_rejected(solve, rows):
     with pytest.raises(ValueError, match="differ in length"):
@@ -341,11 +341,11 @@ class TestPivotPrime:
         rng = random.Random(seed)
         rows = [[rng.choice([0, 0, prime, 1, -prime, 2 * prime]) for _ in range(6)]
                 for _ in range(8)]
-        solvers = (linalg.column_basis, linalg.nullspace, linalg.rank)
+        solvers = (linalg.column_basis, linalg.nullspace)
         expected = [solve(rows) for solve in solvers]
         monkeypatch.setattr(linalg, "PIVOT_PRIME", prime)
         assert [solve(rows) for solve in solvers] == expected
-        assert len(expected[0][0]) == expected[2] == sympy.Matrix(rows).rank()
+        assert len(expected[0][0]) == sympy.Matrix(rows).rank()
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -316,9 +316,8 @@ class TestIntegerSampleStage:
     def test_zero_constant_and_polynomial_functions(self, f):
         for pt in sample_cap_points(20, seed=8):
             assert f.evaluate(pt) == function_evaluate_fraction_loop(f, pt)
-            assert f.num.evaluate(pt) == function_evaluate_fraction_loop(
-                SphereFunction.from_polynomial(f.num), pt
-            )
+            g = SphereFunction.from_polynomial(f.num)
+            assert g.evaluate(pt) == function_evaluate_fraction_loop(g, pt)
 
     @pytest.mark.parametrize(
         "point", [(1, Fraction(1, 2), 0), (Fraction(3, 5), Fraction(4, 5), Fraction(1, 7)), (0, 0)]
@@ -332,14 +331,14 @@ class TestIntegerSampleStage:
         assert str(got.value) == str(expected.value)
         assert str(got.value).endswith("is not on the unit sphere")
         with pytest.raises(ValueError, match="is not on the unit sphere"):
-            f.num.evaluate(point)
+            SphereFunction.from_polynomial(f.num).evaluate(point)
 
     def test_wrong_length_message_is_unchanged(self):
         f = SphereFunction.constant(4, 1)
         with pytest.raises(ValueError, match=r"^point has length 3, expected 4$"):
             f.evaluate((0, 0, 1))
         with pytest.raises(ValueError, match=r"^point has length 3, expected 4$"):
-            f.num.evaluate((0, 0, 1))
+            SphereFunction.from_polynomial(f.num).evaluate((0, 0, 1))
 
     @pytest.mark.parametrize("exp", [1, 3])
     def test_north_pole_message_is_unchanged(self, exp):
@@ -385,7 +384,8 @@ class TestHornerEvaluation:
             assert f.exp == 0
             for pt in UNEQUAL_DENOMINATORS:
                 assert f.evaluate(pt) == function_evaluate_fraction_loop(f, pt)
-                assert f.num.evaluate(pt) == evaluate_fraction_loop(f.num.poly, pt)
+                g = SphereFunction.from_polynomial(f.num)
+                assert g.evaluate(pt) == evaluate_fraction_loop(f.num.poly, pt)
 
     @pytest.mark.parametrize("m, grid", [(1, 7), (2, 5), (3, 4), (4, 3), (5, 2)])
     def test_polynomials_on_the_euclidean_grid(self, m, grid):
