@@ -1,12 +1,13 @@
 """Floating-point spherical-mean analysis on S^2.
 
-The only non-exact module: the L^2-growth function M(r), the mean of h^2 over
-the geodesic circle of radius r, is computed by the periodic trapezoid rule
-(spectrally accurate for smooth integrands), and two property-level verdicts
-are derived from it: M is nondecreasing in the radius when h^2 is
-subharmonic, and M''(0) equals half the spherical Laplacian of h^2 at the
-center.  The exact symbolic engine supplies that reference value, so the two
-routes stay independent.
+The only non-exact module, and the package's only float evaluator: the
+L^2-growth function M(r), the mean of h^2 over the geodesic circle of radius
+r, is computed by the periodic trapezoid rule (spectrally accurate for smooth
+integrands), and two property-level verdicts are derived from it: M is
+nondecreasing in the radius when h^2 is subharmonic, and M''(0) equals half
+the spherical Laplacian of h^2 at the center.  The exact symbolic engine
+supplies that reference value, exact at the float center and rounded to float
+once, so the two routes stay independent.
 
 The integrand is h itself, each node value squared: the expanded normal form
 of h * h would take twice the float powers per node, and its terms cancel
@@ -14,11 +15,12 @@ near the zeros of h.  h is compiled once into a straight-line circle kernel
 (``_circle_kernel``), and the tangent offsets cos(phi) u + sin(phi) v of the
 nodes are computed once per (center, order) (``_tangent_table``), so a report's
 circles share them.  A float power x^e is the left-to-right product
-x * x * ... * x (``polynomials.float_power``), which the kernel takes once
-per node and shares among the terms, so no node calls libm's ``pow``; such a
-product overflows to inf where ``x ** e`` would raise OverflowError, which no
-circle inside h's disk comes near.  A mean equals, bit for bit, a
-node-by-node loop that squares ``h.evaluate_float`` at each node.
+x * x * ... * x, which the kernel takes once per node and shares among the
+terms, so no node calls libm's ``pow``; such a product overflows to inf where
+``x ** e`` would raise OverflowError, which no circle inside h's disk comes
+near.  A mean equals, bit for bit, a node-by-node loop that sums h's float
+terms in term order and squares the value at each node.  M(0) is the same
+kernel on one node at radius 0.
 
 Near the excluded pole h varies on the scale of the distance to it, so the
 M''(0) fit shrinks its radius step with that distance (``analyze_growth``).
@@ -28,9 +30,11 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 from .harmonics import HarmonicFunction
+from .polynomials import _unpack
 from .quotients import SphereFunction
 from .sphere_ops import laplace_sphere
 
@@ -143,17 +147,17 @@ def _circle_kernel(h: SphereFunction):
     """h compiled into ``kernel(a0, a1, a2, sr, table)``: the sum over the
     table's rows w of v * v, v = h(a + sr w).  Squaring h's value takes half
     the float powers of the expanded normal form of h * h, whose alternating
-    coefficients also cancel near the zeros of h.  v runs the operations of
-    ``SphereFunction.evaluate_float`` in its order, up to IEEE identities
-    that only the sign of a zero can tell apart, and v * v is never -0.0:
+    coefficients also cancel near the zeros of h.  v is h's float value:
     each coefficient is the float literal ``repr(c / den)`` (int true
     division rounds as ``float`` of the Fraction), a term's nonzero powers
-    multiply into it, the terms add in order, and a zero float denominator
-    raises ZeroDivisionError.  Powers are ``polynomials.float_power``'s
-    left-to-right products, each taken once per node and shared by the
-    terms, so no node calls libm's ``pow``; where ``**`` would raise
-    OverflowError a product gives inf, which no circle inside h's disk
-    reaches.  The last kernel is kept, keyed by identity."""
+    multiply into it, the terms add in term order, v is the numerator's sum
+    over the base's power, and a zero float denominator raises
+    ZeroDivisionError.  Only the sign of a zero v depends on how the sum
+    starts, and v * v is never -0.0.  Powers are left-to-right products
+    (``_power_steps``), each taken once per node and shared by the terms, so
+    no node calls libm's ``pow``; where ``**`` would raise OverflowError a
+    product gives inf, which no circle inside h's disk reaches.  The last
+    kernel is kept, keyed by identity."""
     global _kernel_cache
     cached, kernel = _kernel_cache
     if cached is h:
@@ -172,7 +176,7 @@ def _kernel_source(h: SphereFunction) -> str:
     polys = (h.num.poly, h.base.poly) if h.exp else (h.num.poly,)
     exponents: list[set[int]] = [set(), set(), set()]
     for p in polys:
-        for _, factors in p._evaluation_plan():
+        for _, factors in _float_terms(p):
             for i, e in factors:
                 exponents[i].add(e)
     steps = []
@@ -202,14 +206,20 @@ def _power(x: str, e: int) -> str:
 
 
 def _power_steps(x: str, needed: set[int]) -> list[str]:
-    """Assignments of x_e for each e in needed, as ``float_power``'s
-    left-to-right products: each continues the one below it, so with
-    needed = {3, 5}, x_3 = x * x * x and x_5 = x_3 * x * x."""
+    """Assignments of x_e for each e in needed, as left-to-right products:
+    each continues the one below it, so with needed = {3, 5},
+    x_3 = x * x * x and x_5 = x_3 * x * x."""
     steps, below = [], 1
     for e in sorted(needed - {1}):
         steps.append(f"{_power(x, e)} = {_power(x, below)}" + f" * {x}" * (e - below))
         below = e
     return steps
+
+
+def _float_terms(p) -> list:
+    """[(N_e, the nonzero (i, e_i))] per term of p, in term order."""
+    return [(c, [(i, x) for i, x in enumerate(_unpack(e, p.m)) if x])
+            for e, c in p.numerators.items()]
 
 
 def _float_sum(p) -> str:
@@ -219,7 +229,7 @@ def _float_sum(p) -> str:
     negation, as -1.0 * y == -y."""
     den = p.denominator
     terms = []
-    for c, factors in p._evaluation_plan():
+    for c, factors in _float_terms(p):
         coefficient = c / den
         powers = "*".join(_power(f"x{i}", e) for i, e in factors)
         if not powers:
@@ -254,11 +264,11 @@ def second_derivative_at_zero_fd(
     A = (135 y_1 - 13.5 y_2 + y_3) / (45 s^2); the error is O(s^6) times
     the scale on which h varies, so near a pole of h the step must shrink
     with the distance to it (``analyze_growth`` scales it).  M(0) is
-    h(center)^2, squared in floats as the nodes are.
+    h(center)^2: the circle kernel on one node at radius 0.
     """
-    value = h.evaluate_float(tuple(float(c) for c in center))
-    m0 = value * value
-    y1, y2, y3 = (spherical_mean(h, center, j * step, order) - m0 for j in (1.0, 2.0, 3.0))
+    means = [spherical_mean(h, center, j * step, order) for j in (1.0, 2.0, 3.0)]
+    m0 = _circle_kernel(h)(*center, 0.0, ((0.0, 0.0, 0.0),))
+    y1, y2, y3 = (mean - m0 for mean in means)
     return (135.0 * y1 - 13.5 * y2 + y3) / (45.0 * step * step)
 
 
@@ -268,13 +278,16 @@ def check_second_derivative_at_zero(
 ) -> tuple[bool, float, float]:
     """Compare the finite-difference M''(0), fitted with radius step ``step``,
     with half the exact Laplacian of h^2 at the center, within the module's
-    tolerances.
+    tolerances.  The reference is exact at the float center, each coordinate
+    read as its exact Fraction, and rounded to float once; a zero base raises
+    ZeroDivisionError.
 
-    Returns (verdict, finite-difference value, exact reference value).
+    Returns (verdict, finite-difference value, reference value).
     """
     fd = second_derivative_at_zero_fd(h, center, order, step=step)
-    exact_fn = laplace_sphere(h * h)
-    exact = 0.5 * exact_fn.evaluate_float(tuple(float(c) for c in center))
+    lap = laplace_sphere(h * h)
+    at = [Fraction(c) for c in center]
+    exact = float(lap.num.poly.evaluate(at) / lap.base.poly.evaluate(at) ** lap.exp / 2)
     if exact == 0.0:
         return abs(fd) <= SECOND_DERIVATIVE_ABS_TOL, fd, exact
     tol = SECOND_DERIVATIVE_REL_TOL * abs(exact) + SECOND_DERIVATIVE_ABS_TOL

@@ -93,11 +93,11 @@ class Polynomial:
     ``numerators`` maps packed monomial keys to nonzero ints over the
     positive int ``denominator``, and gcd(all numerators, denominator) == 1,
     so the form is unique; zero is the empty dict over 1.  ``terms`` (the
-    read-only {exponent tuple: Fraction} view) and the evaluation plan are
+    read-only {exponent tuple: Fraction} view) and the Horner runs are
     built on first use.  Immutable.
     """
 
-    __slots__ = ("m", "numerators", "denominator", "_terms", "_plan", "_horner")
+    __slots__ = ("m", "numerators", "denominator", "_terms", "_horner")
 
     def __init__(self, m: int, terms: Mapping[Exponents, RationalLike] | None = None):
         if m < 1:
@@ -316,14 +316,6 @@ class Polynomial:
         }
         return Polynomial.from_numerators(self.m, out, self.denominator)
 
-    def _evaluation_plan(self) -> list:
-        """The float plan: [(N_e, the nonzero (i, e_i))] per term, in term order."""
-        if not hasattr(self, "_plan"):
-            plan = [(c, [(i, x) for i, x in enumerate(_unpack(e, self.m)) if x])
-                    for e, c in self.numerators.items()]
-            object.__setattr__(self, "_plan", plan)
-        return self._plan
-
     def _horner_runs(self) -> tuple[int, int, list]:
         """(n, v, runs) for Horner's rule on sum_e N_e X^e D^(n-|e|), n = max(degree, 0),
         in coordinate v (0-based): x_(m-1), as normal forms have e_m <= 1 (x_1 if m = 1).
@@ -366,22 +358,6 @@ class Polynomial:
         den = math.lcm(*(v.denominator for v in pt))
         xs = [v.numerator * (den // v.denominator) for v in pt]
         return Fraction(*self._value_at(xs, den))
-
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        """The float value at a point: each coefficient becomes a float (int
-        true division rounds as ``float`` of the Fraction does), a term's
-        nonzero powers (``float_power``) multiply into it, and the terms add
-        in order onto 0.0."""
-        if len(point) != self.m:
-            raise ValueError(f"point has length {len(point)}, expected {self.m}")
-        den = self.denominator
-        total = 0.0
-        for c, factors in self._evaluation_plan():
-            term = c / den
-            for i, e in factors:
-                term *= float_power(point[i], e)
-            total += term
-        return total
 
     # ------------------------------------------------------------------
     # canonical text form
@@ -616,17 +592,6 @@ def _complement_power(m: int, q: int) -> Polynomial:
     if q == 1:
         return Polynomial.one(m) - (Polynomial.radius_squared(m) - Polynomial.variable(m, m) ** 2)
     return _complement_power(m, q - 1) * _complement_power(m, 1)
-
-
-def float_power(x: float, e: int) -> float:
-    """x^e for an int e >= 1 as the left-to-right product x * x * ... * x.
-
-    The one float power of the package: ``evaluate_float`` takes every power
-    this way, and the growth circle kernel emits the same products
-    (x_2 = x * x, x_3 = x_2 * x, ...), so the two agree bit for bit.  It can
-    differ from libm's ``x ** e`` in the last bits, and where ``x ** e``
-    raises OverflowError the product overflows to inf."""
-    return functools.reduce(mul, repeat(x, e))
 
 
 def _powers(x: int, n: int) -> list[int]:

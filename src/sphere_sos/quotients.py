@@ -19,7 +19,7 @@ import math
 from fractions import Fraction
 from typing import Sequence
 
-from .polynomials import RationalLike, SpherePolynomial, _as_fraction, float_power
+from .polynomials import RationalLike, SpherePolynomial, _as_fraction
 
 
 def require_on_sphere(point: Sequence[RationalLike]) -> tuple[list[int], int]:
@@ -149,16 +149,6 @@ class SphereFunction:
     def scale(self, value: RationalLike) -> "SphereFunction":
         return SphereFunction._make(self.num.scale(value), self.base, self.exp, canonical=True)
 
-    def __truediv__(self, other: "SphereFunction") -> "SphereFunction":
-        if not isinstance(other, SphereFunction):
-            return NotImplemented
-        self._check_dim(other)
-        if other.is_zero():
-            raise ZeroDivisionError("division by the zero function")
-        num = self.num * other.base**other.exp
-        den = other.num * self.base**self.exp
-        return SphereFunction._make(num, den, 1)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SphereFunction):
             return NotImplemented
@@ -179,12 +169,6 @@ class SphereFunction:
             raise ZeroDivisionError(f"denominator vanishes at {pt}")
         a, a_den = self.num.poly._value_at(xs, den)
         return Fraction(a * b_den, a_den * b)
-
-    def evaluate_float(self, point: Sequence[float]) -> float:
-        """num / base^exp in floats, the power by ``float_power`` (exp 0 divides by 1.0)."""
-        base = self.base.poly.evaluate_float(point)
-        den_val = float_power(base, self.exp) if self.exp else 1.0
-        return self.num.poly.evaluate_float(point) / den_val
 
     def __str__(self) -> str:
         if self.exp == 0:

@@ -400,22 +400,6 @@ class FractionPolynomial:
                 out[key] = s
         return FractionPolynomial._make(self.m, out)
 
-    def float_evaluator(self):
-        terms = [
-            (float(c), [(i, e) for i, e in enumerate(exps) if e])
-            for exps, c in self.terms.items()
-        ]
-
-        def evaluate(point) -> float:
-            total = 0.0
-            for term, factors in terms:
-                for i, e in factors:
-                    term *= product_power(point[i], e)
-                total += term
-            return total
-
-        return evaluate
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"

@@ -18,10 +18,12 @@ from sphere_sos.harmonics import (
 )
 from sphere_sos.cli import NON_SUBHARMONIC_CONTROL, resolve_family
 from sphere_sos.polynomials import Polynomial, SphereFunction, SpherePolynomial, sample_cap_points
+from sphere_sos.sphere_ops import laplace_sphere
 
 from oracles import (
     evaluate_fraction_loop,
     expanded_square_mean_loop,
+    function_evaluate_float_loop,
     laplace_sphere_by_fields,
     spherical_mean_loop,
     substitute_linear,
@@ -47,7 +49,7 @@ class TestSphericalMean:
     def test_limit_at_zero_radius(self):
         h = harmonic(1, "re")
         small = spherical_mean(h, SOUTH, 1e-5, 64)
-        assert abs(small - h.evaluate_float(SOUTH) ** 2) < 1e-9
+        assert abs(small - function_evaluate_float_loop(h, SOUTH) ** 2) < 1e-9
 
     def test_closed_form_oracle(self):
         # For h = x1/(1 - x3) the circle mean of h^2 about the south pole is
@@ -171,7 +173,8 @@ def test_squared_node_values_beat_the_expanded_square(family):
             assert got == 0.0
             continue
         squared_errors.append(abs(Fraction(got) - exact) / exact)
-        expanded_errors.append(abs(Fraction(expanded.evaluate_float(point)) - exact) / exact)
+        expanded_value = function_evaluate_float_loop(expanded, point)
+        expanded_errors.append(abs(Fraction(expanded_value) - exact) / exact)
     assert max(squared_errors) < Fraction(5e-14)
     assert max(squared_errors) < max(expanded_errors)
 
@@ -348,7 +351,7 @@ class TestSecondDerivative:
         # pole M(0) = h(center)^2 is not 0, so the fit subtracts it.
         h = harmonic(1, "re")
         center = (math.sin(0.4), 0.0, -math.cos(0.4))
-        m0 = h.evaluate_float(center) ** 2
+        m0 = function_evaluate_float_loop(h, center) ** 2
         assert m0 > 0.04
         a, b, c = 0.7, -2.5, 11.0
         monkeypatch.setattr(
@@ -409,18 +412,19 @@ BENCH_GROWTH_OPS = [
 
 @pytest.mark.parametrize("family, center", BENCH_GROWTH_OPS)
 def test_second_derivative_exact_is_within_rounding(family, center):
-    # The float reference is half the Laplacian of h^2, summed in term order at
-    # the float center; the exact rational value of the field sum at that same
-    # point is the oracle, so only rounding separates them.
+    # The reference is half the Laplacian of h^2, exact at the float center and
+    # rounded once; the exact rational value there of the package's Laplacian
+    # and of the field sum, each by the Fraction loop, is the oracle, so the
+    # reference must be that value correctly rounded.
     h = family_value(family)
     point = tuple(float(c) for c in center.split(","))
     *_, exact = check_second_derivative_at_zero(h, point, order=8)
-    lap = laplace_sphere_by_fields(h * h)
     at = [Fraction(c) for c in point]
-    reference = Fraction(1, 2) * evaluate_fraction_loop(lap.num.poly, at) / (
-        evaluate_fraction_loop(lap.base.poly, at) ** lap.exp
-    )
-    assert abs(Fraction(exact) - reference) <= Fraction(2e-15) * abs(reference)
+    for lap in (laplace_sphere(h * h), laplace_sphere_by_fields(h * h)):
+        reference = Fraction(1, 2) * evaluate_fraction_loop(lap.num.poly, at) / (
+            evaluate_fraction_loop(lap.base.poly, at) ** lap.exp
+        )
+        assert exact == float(reference)
 
 
 class TestAnalyzeGrowth:
