@@ -29,6 +29,31 @@ built and evaluated in integers.  Both statements run one engine: with the
 coordinate partials as fields, ``euclid_certificate`` runs the same stages on
 a harmonic polynomial of R^m and returns the same report, ``terms_harmonic``
 included (checked against the Euclidean Laplacian).
+
+An input built in the chart w = (x1 + i x2)/(1 - x3) carries its coordinates
+there (``HarmonicFunction.chart``: the stereographic family and its planar
+combinations), and ``chart_span`` builds the same span with no elimination
+over monomials.  Every word term lies in the module spanned by 1, Re w^n and
+Im w^n (n <= K + k).  A field X is a real derivation, so
+X(Re(b w^n)) = Re(b n w^(n-1) X(w)) for b = 1 or -i (the Leibniz rule), with
+X12 w = i w, X13 w = (1 + w^2)/2 and X23 w = i (1 - w^2)/2: on the module the
+fields are sparse integer matrices over 2 (``chart_matrices``).  The three
+X(w) are proved, not assumed: six exact ``apply_rotation_field`` calls check
+the columns of Re w and Im w (X(1) = 0 for any derivation), and every column
+for n >= 2 is the same algebra in w on a proved X(w).  The elements are
+linearly independent (on the circle |w| = r, Re w^n and Im w^n are
+r^n cos(nt) and r^n sin(nt)), so the images' coordinate vectors, at most
+2(K + k) + 1 rows, have exactly the images' linear relations, and
+``linalg.column_basis`` returns the same pivots, coordinates and least
+denominators on them.  Each level function is then rebuilt over base^e from
+its coordinates.  ``apply_rotation_field`` raises the exponent by one exactly
+for X13 and X23, which are also the fields that raise the top power of w, so
+e is the largest n a function uses plus the start's excess (zero unless a
+combination's top terms cancel); over a given base^e the numerator's normal
+form is unique, so the levels are the elimination route's down to their str.
+A chart that does not give its function is refused with ValueError.  Either
+route only builds the right-hand side: equality and harmonicity are checked
+on the functions, so no span can make a false identity pass.
 """
 
 from __future__ import annotations
@@ -191,26 +216,132 @@ def _coefficient_rows(funcs: Sequence[Polynomial | SphereFunction]) -> list[list
     return [[nums.get(mono, 0) * scale for nums, scale in columns] for mono in monomials]
 
 
+def _span(basis: list, k: int, n_fields: int, images_of: Callable, rows_of: Callable) -> WordSpan:
+    """The level loop of both span routes: images_of(basis) lists the images
+    field by field, rows_of(images) gives their coefficient rows, and each
+    level keeps the first independent images."""
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    levels, matrices, denominators = [basis], [], []
+    for _ in range(k):
+        images = images_of(basis)
+        pivots, coords, den = linalg.column_basis(rows_of(images), len(images))
+        # Field a's matrix: the coordinates of its n images, as columns.
+        n = len(basis)
+        matrices.append([[list(r) for r in zip(*coords[a * n :][:n])] for a in range(n_fields)])
+        denominators.append(den)
+        basis = [images[c] for c in pivots]
+        levels.append(basis)
+    return WordSpan(levels=levels, matrices=matrices, denominators=denominators)
+
+
 def word_span(start: Polynomial | SphereFunction, k: int, fields: Sequence[Callable]) -> WordSpan:
     """Exact bases of the spans of the length-0..k word terms of start, and
     the field matrices between them.  Each field is a callable that maps a
     term to its image; images are taken field by field, and each level keeps
     the first independent ones."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    basis = [] if start.is_zero() else [start]
-    levels, matrices, denominators = [basis], [], []
-    for _ in range(k):
-        images = [field(v) for field in fields for v in basis]
-        rows = _coefficient_rows(images)
-        pivots, coords, den = linalg.column_basis(rows, len(images))
-        # Field a's matrix: the coordinates of its n images, as columns.
-        n = len(basis)
-        matrices.append([[list(r) for r in zip(*coords[a * n :][:n])] for a in range(len(fields))])
-        denominators.append(den)
-        basis = [images[c] for c in pivots]
-        levels.append(basis)
-    return WordSpan(levels=levels, matrices=matrices, denominators=denominators)
+    return _span([] if start.is_zero() else [start], k, len(fields),
+                 lambda basis: [field(v) for field in fields for v in basis], _coefficient_rows)
+
+
+def _chart_entry(n: int, im: bool, x) -> dict:
+    """x on Im w^n (im) or Re w^n, at its module index; Im w^0 = 0 has none."""
+    return {2 * n - 1 + im if n else 0: x} if n or not im else {}
+
+
+def chart_matrices(top: int) -> list[list[dict[int, int]]]:
+    """Twice X12, X13 and X23 on the module {1, Re w^n, Im w^n : n <= top} as
+    sparse integer matrices: column j of a field is {row: entry}, with 1 at
+    index 0 and Re w^n, Im w^n at 2n - 1 and 2n (rows reach 2 top + 2).  From
+    X(w^n) = n w^(n-1) X(w) (module docstring), with s = 1 on Re w^n, s = -1
+    on Im w^n, P its part and Q the other:
+    2 X12 (P w^n) = -2sn Q w^n, 2 X13 (P w^n) = n (P w^(n-1) + P w^(n+1)) and
+    2 X23 (P w^n) = sn (Q w^(n+1) - Q w^(n-1))."""
+    entry = _chart_entry
+    matrices = [[{}], [{}], [{}]]  # X(1) = 0
+    for n in range(1, top + 1):
+        for im, s in ((False, 1), (True, -1)):
+            matrices[0].append(entry(n, not im, -2 * s * n))
+            matrices[1].append({**entry(n - 1, im, n), **entry(n + 1, im, n)})
+            matrices[2].append({**entry(n - 1, not im, -s * n), **entry(n + 1, not im, s * n)})
+    return matrices
+
+
+def chart_span(start: SphereFunction, chart: Sequence[tuple], k: int) -> WordSpan:
+    """``word_span`` of start over the rotation fields of S^2, run on the
+    coordinates of its chart, terms (n, part, c) of c Re w^n or c Im w^n:
+    the same levels, matrices and denominators (module docstring).  A chart
+    that does not give start is a ValueError; a field matrix column that
+    ``apply_rotation_field`` disproves is an EngineFault."""
+    top = max((n for n, _, _ in chart), default=0) + k
+    # SphereFunction keeps 1 - x3 as the base x3 - 1 (primitive, leading
+    # coefficient positive), so w^n = (-z)^n / base^n with z = x1 + i x2.
+    one = SpherePolynomial.one(3)
+    base = SpherePolynomial.variable(3, 3) - one
+    x1, x2 = -Polynomial.variable(3, 1), -Polynomial.variable(3, 2)
+    re, im, nums = Polynomial.one(3), Polynomial.zero(3), [one]
+    for _ in range(top + 1):  # the images of the elements up to top
+        re, im = re * x1 - im * x2, re * x2 + im * x1
+        nums += [SpherePolynomial(re), SpherePolynomial(im)]
+    lifted = {}
+
+    def numerator(j: int, e: int) -> SpherePolynomial:
+        # Element j's numerator over base^e, for e at least its power n.
+        if (j, e) not in lifted:
+            lifted[j, e] = nums[j] if e == (j + 1) // 2 else numerator(j, e - 1) * base
+        return lifted[j, e]
+
+    def rebuild(vector: Sequence[int], scale: Fraction) -> SphereFunction:
+        # scale * sum_j vector[j] element_j over base^e, e the largest n it uses plus shift.
+        used = [j for j, x in enumerate(vector) if x]
+        if not used:
+            return SphereFunction.zero(3)
+        e, total = (used[-1] + 1) // 2 + shift, {}
+        for j in used:
+            for key, x in numerator(j, e).poly.numerators.items():
+                total[key] = total.get(key, 0) + vector[j] * x
+        scaled = {key: x * scale.numerator for key, x in total.items() if x}
+        poly = Polynomial.from_numerators(3, scaled, scale.denominator)
+        return SphereFunction._make(SpherePolynomial._trusted(poly), base if e else one, e, True)
+
+    coords = [Fraction(0)] * len(nums)
+    for n, part, c in chart:
+        for r, x in _chart_entry(n, part == "im", Fraction(c)).items():
+            coords[r] += x
+    den = math.lcm(*(c.denominator for c in coords))
+    vector = [int(c * den) for c in coords]
+    used = [j for j, x in enumerate(vector) if x]
+    # A combination whose top terms cancel keeps the larger exponent of its sum.
+    shift = start.exp - (used[-1] + 1) // 2 if used else 0
+    if shift < 0 or rebuild(vector, Fraction(1, den)) != start:
+        raise ValueError(f"the chart {chart} does not give the function it comes with")
+    matrices = chart_matrices(top)
+    for field, columns in zip(rotation_fields(3), matrices if k else ()):
+        for j in (1, 2):
+            column = [columns[j].get(r, 0) for r in range(len(vector))]
+            element = SphereFunction._make(nums[j], base, 1, canonical=True)
+            if apply_rotation_field(field, element) != rebuild(column, Fraction(1, 2)):
+                raise linalg.EngineFault(f"the chart matrix of {field} is wrong on element {j}")
+
+    def images_of(basis: list[list[int]]) -> list[list[int]]:
+        out = []
+        for columns in matrices:
+            for v in basis:
+                image = [0] * len(v)
+                for j, x in enumerate(v):
+                    if x:
+                        for r, y in columns[j].items():
+                            image[r] += x * y
+                out.append(image)
+        return out
+
+    span = _span([] if start.is_zero() else [vector], k, 3, images_of,
+                 lambda images: [row for row in zip(*images) if any(row)])
+    # Level j's vectors are den 2^j times its functions' coordinates.
+    levels = [[start] if span.levels[0] else []]
+    levels += [[rebuild(v, Fraction(1, den << j)) for v in level]
+               for j, level in enumerate(span.levels[1:], start=1)]
+    return span._replace(levels=levels)
 
 
 def gram_matrix(span: WordSpan) -> Matrix:
@@ -266,11 +397,12 @@ def gram_squares(
 
 def _certificate(f: Polynomial | SphereFunction, k: int, fields: Sequence[Callable],
                  points: Sequence[tuple[Fraction, ...]], family: str, seed: int,
-                 start: float) -> CertificateReport:
+                 start: float, chart: Sequence[tuple] = ()) -> CertificateReport:
     """The certificate stages of S^(m-1) and R^m, for the word terms of f in
-    the fields; ``wall_time`` runs from the perf_counter reading ``start``."""
+    the fields, on f's chart coordinates when it has them; ``wall_time`` runs
+    from the perf_counter reading ``start``."""
     lhs = delta_power(f * f, k)
-    span = word_span(f, k, fields)
+    span = chart_span(f, chart, k) if chart else word_span(f, k, fields)
     weights, u = gram_squares(span, gram_matrix(span))
     per_square = _map_ordered(_square_and_harmonicity, u, span.levels[-1])
     squares = [sq.scale(d) for d, (sq, _) in zip(weights, per_square)]
@@ -304,7 +436,7 @@ def verify_certificate(
     # Bound when the certificate runs, so the fields call apply_rotation_field
     # as this module holds it then (the benchmark tracer wraps it).
     fields = [functools.partial(apply_rotation_field, field) for field in rotation_fields(h.m)]
-    return _certificate(h.value, k, fields, points, h.provenance, seed, start)
+    return _certificate(h.value, k, fields, points, h.provenance, seed, start, h.chart)
 
 
 def euclid_certificate(p: Polynomial, k: int, grid: int = 5) -> CertificateReport:

@@ -53,19 +53,26 @@ class HarmonicFunction(NamedTuple):
 
     Instances are built through the constructors below, which verify
     laplace_sphere(value) == 0 exactly and that the denominator vanishes only
-    at the excluded pole.
+    at the excluded pole.  ``chart`` is value's coordinates in the chart
+    w = (x1 + i*x2)/(1 - x3) when a constructor knows them: terms
+    (n, part, coefficient) of Re w^n or Im w^n, which the certificate's span
+    stage runs on (``certificates.chart_span``, which checks them against
+    value); () means none are known.
     """
 
     value: SphereFunction
     domain: CapDomain
     provenance: str
+    chart: tuple[tuple[int, str, RationalLike], ...] = ()
 
     @property
     def m(self) -> int:
         return self.value.m
 
 
-def _certify(value: SphereFunction, domain: CapDomain, provenance: str) -> HarmonicFunction:
+def _certify(
+    value: SphereFunction, domain: CapDomain, provenance: str, chart: tuple = ()
+) -> HarmonicFunction:
     if value.m != domain.ambient_dim:
         raise ValueError(
             f"{provenance}: function has ambient dimension {value.m}, "
@@ -78,7 +85,7 @@ def _certify(value: SphereFunction, domain: CapDomain, provenance: str) -> Harmo
             "(this indicates a bug in the construction or the engine)"
         )
     _check_denominator_pole_only(value, domain)
-    return HarmonicFunction(value=value, domain=domain, provenance=provenance)
+    return HarmonicFunction(value=value, domain=domain, provenance=provenance, chart=chart)
 
 
 def _check_denominator_pole_only(value: SphereFunction, domain: CapDomain) -> None:
@@ -126,7 +133,7 @@ def stereographic_harmonic(
     numerator = SpherePolynomial(re if part == "re" else im)
     base = SpherePolynomial.one(3) - SpherePolynomial.variable(3, 3)
     value = SphereFunction._make(numerator, base, k)
-    return _certify(value, domain, f"stereo:k={k}:{part}")
+    return _certify(value, domain, f"stereo:k={k}:{part}", ((k, part, 1),))
 
 
 def custom_harmonic(
@@ -149,7 +156,8 @@ def planar_combination(
         total = total + h.value.scale(Fraction(coeff))
         tags.append(f"{coeff}*(k={k}:{part})")
     provenance = "combo:" + "+".join(tags) if tags else "combo:zero"
-    return _certify(total, domain, provenance)
+    chart = tuple((k, part, Fraction(coeff)) for k, part, coeff in coefficients)
+    return _certify(total, domain, provenance, chart)
 
 
 def euclidean_harmonic(m: int, d: int, coefficients: Sequence[RationalLike]) -> Polynomial:

@@ -160,6 +160,8 @@ def generate_harmonic_basis(m: int, d: int) -> list[Polynomial]:
         raise ValueError(f"need m >= 2, got {m}")
     if d < 0:
         raise ValueError(f"need d >= 0, got {d}")
+    if d > DEGREE_LIMIT:  # before any monomial is listed
+        raise ValueError(f"degree {d} exceeds the packed-key limit {DEGREE_LIMIT}")
     basis, x1 = [], variable_key(m, 1)
     for g in [g for g in monomials_of_degree(m, d) if g[0] <= 1]:
         e = g[0]

@@ -4,12 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphere_sos import certificates, linalg
 from sphere_sos.certificates import (
     CertificateReport,
     SamplePoint,
     _weighted_sum,
+    chart_matrices,
+    chart_span,
     delta_power,
     euclid_certificate,
     gram_matrix,
@@ -21,6 +25,7 @@ from sphere_sos.harmonics import (
     CapDomain,
     HarmonicFunction,
     custom_harmonic,
+    planar_combination,
     stereographic_harmonic,
 )
 from sphere_sos.polynomials import (
@@ -420,17 +425,22 @@ class TestGramRoute:
             rotation_span(stereographic_harmonic(2, "re"), 2)
 
     def test_perturbed_field_matrix_breaks_equality(self, monkeypatch):
-        real = word_span
+        # A stereographic input runs the chart route, a copy without its chart
+        # the elimination route: perturbing either route's last matrix is caught.
+        h = stereographic_harmonic(2, "re")
+        for route, family in (("chart_span", h), ("word_span", h._replace(chart=()))):
+            real = getattr(certificates, route)
 
-        def perturbed(start, k, fields):
-            span = real(start, k, fields)
-            span.matrices[-1][0][0][0] += 1
-            return span
+            def perturbed(*args, real=real):
+                span = real(*args)
+                span.matrices[-1][0][0][0] += 1
+                return span
 
-        monkeypatch.setattr(certificates, "word_span", perturbed)
-        report = verify_certificate(stereographic_harmonic(2, "re"), 2, sample_count=2)
-        assert report.equality_verified is False
-        assert report.terms_harmonic is True
+            with monkeypatch.context() as patch:
+                patch.setattr(certificates, route, perturbed)
+                report = verify_certificate(family, 2, sample_count=2)
+            assert report.equality_verified is False, route
+            assert report.terms_harmonic is True, route
 
     def test_dropping_any_weighted_square_breaks_equality(self, monkeypatch):
         h = stereographic_harmonic(2, "re")
@@ -487,6 +497,98 @@ class TestGramRoute:
 
 def span_fingerprint(span):
     return [[str(v) for v in level] for level in span.levels], span.matrices, span.denominators
+
+
+def module_element(j):
+    """Element j of the chart module: 1, then Re w^n and Im w^n at 2n - 1 and 2n."""
+    if j == 0:
+        return SphereFunction.constant(3, 1)
+    return stereographic_harmonic((j + 1) // 2, "re" if j % 2 else "im").value
+
+
+def planar_terms():
+    coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool)
+    term = st.tuples(st.integers(0, 4), st.sampled_from(["re", "im"]), coefficient)
+    return st.lists(term, min_size=1, max_size=3)
+
+
+class TestChartRoute:
+    """chart_span builds word_span's span from h's chart coordinates; the
+    elimination route over monomials is the reference, down to the str of
+    every level function."""
+
+    def test_every_column_is_the_field_applied_to_its_element(self):
+        top = 12
+        elements = [module_element(j) for j in range(2 * top + 1)]
+        for field, columns in zip(rotation_fields(3), chart_matrices(top - 1)):
+            assert len(columns) == 2 * top - 1
+            for j, column in enumerate(columns):
+                assert all(type(x) is int for x in column.values()) and len(column) <= 2
+                image = SphereFunction.zero(3)
+                for r, x in column.items():
+                    image = image + elements[r].scale(Fraction(x, 2))
+                assert apply_rotation_field(field, elements[j]) == image, (field, j)
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("K", [0, 1, 2, 3, 5])
+    def test_the_span_is_the_elimination_span(self, K, part):
+        h = stereographic_harmonic(K, part)
+        reference = span_fingerprint(rotation_span(h, 6))
+        for k in range(7):
+            levels, matrices, denominators = reference
+            truncated = levels[: k + 1], matrices[:k], denominators[:k]
+            assert span_fingerprint(chart_span(h.value, h.chart, k)) == truncated, k
+
+    @given(planar_terms(), st.integers(0, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_planar_combinations_span_as_by_elimination(self, terms, k):
+        h = planar_combination(terms)
+        assert h.chart == tuple((n, part, Fraction(c)) for n, part, c in terms)
+        expected = span_fingerprint(rotation_span(h, k))
+        assert span_fingerprint(chart_span(h.value, h.chart, k)) == expected
+
+    def test_a_combination_whose_top_terms_cancel_keeps_its_exponent(self):
+        # Re w^3 + Re w - Re w^3 is Re w over (x3 - 1)^3, and so is every image's base power.
+        h = planar_combination([(3, "re", 1), (1, "re", 1), (3, "re", -1)])
+        assert h.value.exp == 3
+        expected = span_fingerprint(rotation_span(h, 3))
+        assert span_fingerprint(chart_span(h.value, h.chart, 3)) == expected
+
+    @pytest.mark.parametrize("K, part", [(1, "re"), (3, "im")])
+    def test_reports_match_the_elimination_route(self, K, part):
+        h = stereographic_harmonic(K, part)
+        for k in range(5):
+            chart = verify_certificate(h, k, sample_count=5)
+            plain = verify_certificate(h._replace(chart=()), k, sample_count=5)
+            assert chart._replace(wall_time=0) == plain._replace(wall_time=0)
+            assert chart.passed
+
+    @pytest.mark.parametrize("j", [1, 2])
+    @pytest.mark.parametrize("field", range(3))
+    def test_a_corrupted_first_power_column_is_an_engine_fault(self, monkeypatch, field, j):
+        real = chart_matrices
+
+        def corrupted(top):
+            matrices = real(top)
+            column = matrices[field][j]
+            column[0] = column.get(0, 0) + 1
+            return matrices
+
+        monkeypatch.setattr(certificates, "chart_matrices", corrupted)
+        h = stereographic_harmonic(2, "re")
+        with pytest.raises(linalg.EngineFault, match="chart matrix"):
+            chart_span(h.value, h.chart, 1)
+        with pytest.raises(linalg.EngineFault, match="chart matrix"):
+            verify_certificate(h, 1, sample_count=1)
+
+    @pytest.mark.parametrize("chart", [
+        ((2, "im", 1),), ((2, "re", 2),), ((2, "re", 1), (0, "re", 1)), ((1, "re", 1),),
+        ((3, "re", 1),), ((0, "im", 1),),
+    ])
+    def test_a_chart_that_is_not_the_value_is_refused(self, chart):
+        h = stereographic_harmonic(2, "re")._replace(chart=chart)
+        with pytest.raises(ValueError, match="does not give the function"):
+            verify_certificate(h, 2, sample_count=1)
 
 
 class TestCoefficientRows:

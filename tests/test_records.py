@@ -67,7 +67,7 @@ RECORDS = [
     (
         lambda: stereographic_harmonic(1, "re"),
         "HarmonicFunction(value=SphereFunction(m=3, (-1 * x1) / (1 * x3 + -1)^1), "
-        f"domain={CAP}, provenance='stereo:k=1:re')",
+        f"domain={CAP}, provenance='stereo:k=1:re', chart=((1, 're', 1),))",
     ),
     (sample, SAMPLE),
     (
@@ -216,5 +216,6 @@ def test_replace_keeps_the_record_type():
 
 def test_harmonic_function_keyword_construction():
     h = stereographic_harmonic(2, "im")
-    copy = HarmonicFunction(value=h.value, domain=h.domain, provenance=h.provenance)
+    copy = HarmonicFunction(value=h.value, domain=h.domain, provenance=h.provenance, chart=h.chart)
     assert copy == h and copy.m == 3
+    assert HarmonicFunction(value=h.value, domain=h.domain, provenance=h.provenance).chart == ()
