@@ -3,9 +3,12 @@
 For a harmonic h the k-th spherical Laplacian power of h^2 equals
 2^k times the sum of (X_w h)^2 over all length-k words w in the rotation
 fields; every word term is again harmonic because the fields commute with the
-Laplacian.  ``verify_certificate`` proves the identity on the span of the
-terms, never listing the 3^k words (the Gram-matrix form of a sum of squares,
-Parrilo 2003):
+Laplacian.  ``verify_certificate`` proves the identity as 2^k sum_i d_i u_i^2
+with every d_i > 0 and every u_i harmonic, never listing the 3^k words, by
+one of two routes.
+
+The span route (the Gram-matrix form of a sum of squares, Parrilo 2003)
+serves every input:
 
   * level by level, the fields are applied to a basis of the span of the
     length-(j-1) terms; exact elimination keeps the first independent images
@@ -13,47 +16,54 @@ Parrilo 2003):
     is re-checked on every image;
   * the sum of the squared terms is then v^T G_k v over the level-k basis v,
     with G_0 = [1] and G_j = sum_a A_a G_(j-1) A_a^T;
-  * G_k = L diag(d) L^T exactly, every d_i > 0, so the right-hand side is
-    2^k sum_i d_i u_i^2 with u = L^T v: as many squares as the span has
-    dimensions (2(K + k) + 1 at most for the stereographic family of degree
-    K), where the word route has 3^k.
+  * G_k = L diag(d) L^T exactly, so u = L^T v: as many squares as the span
+    has dimensions (2(K + k) + 1 at most for the stereographic family of
+    degree K), where the word route has 3^k.
 
 Harmonicity is checked on the basis v itself: L^T is unit upper triangular,
 so the u_i are all harmonic exactly when the v_i are, and every v_i is a word
-term and every word term a combination of them.  The squares are added in
-ascending denominator exponent.  Equality is verified exactly
-(cross-multiplication in the quotient field) and nonnegativity is then
-re-checked by exact rational sign tests at deterministic sample points on the
-cap, drawn first (a count below 1 fails before any certificate work) and
-built and evaluated in integers.  Both statements run one engine: with the
-coordinate partials as fields, ``euclid_certificate`` runs the same stages on
-a harmonic polynomial of R^m and returns the same report, ``terms_harmonic``
-included (checked against the Euclidean Laplacian).
+term and every word term a combination of them.
 
-An input built in the chart w = (x1 + i x2)/(1 - x3) carries its coordinates
-there (``HarmonicFunction.chart``: the stereographic family and its planar
-combinations), and ``chart_span`` builds the same span with no elimination
-over monomials.  Every word term lies in the module spanned by 1, Re w^n and
-Im w^n (n <= K + k).  A field X is a real derivation, so
-X(Re(b w^n)) = Re(b n w^(n-1) X(w)) for b = 1 or -i (the Leibniz rule), with
-X12 w = i w, X13 w = (1 + w^2)/2 and X23 w = i (1 - w^2)/2: on the module the
-fields are sparse integer matrices over 2 (``chart_matrices``).  The three
-X(w) are proved, not assumed: six exact ``apply_rotation_field`` calls check
-the columns of Re w and Im w (X(1) = 0 for any derivation), and every column
-for n >= 2 is the same algebra in w on a proved X(w).  The elements are
-linearly independent (on the circle |w| = r, Re w^n and Im w^n are
-r^n cos(nt) and r^n sin(nt)), so the images' coordinate vectors, at most
-2(K + k) + 1 rows, have exactly the images' linear relations, and
-``linalg.column_basis`` returns the same pivots, coordinates and least
-denominators on them.  Each level function is then rebuilt over base^e from
-its coordinates.  ``apply_rotation_field`` raises the exponent by one exactly
-for X13 and X23, which are also the fields that raise the top power of w, so
-e is the largest n a function uses plus the start's excess (zero unless a
-combination's top terms cancel); over a given base^e the numerator's normal
-form is unique, so the levels are the elimination route's down to their str.
-A chart that does not give its function is refused with ValueError.  Either
-route only builds the right-hand side: equality and harmonicity are checked
-on the functions, so no span can make a false identity pass.
+The chart route serves an input that carries its coordinates in the chart
+w = (x1 + i x2)/(1 - x3) (``HarmonicFunction.chart``: the stereographic
+family and its planar combinations).  Such an h is Re f, f = sum_n b_n w^n
+with b_n in Q(i), as Im(c w^n) = Re(-i c w^n):
+
+  * the round metric is 4 |dw|^2 / (1 + |w|^2)^2, so the Laplacian is
+    (1 + |w|^2)^2 d dbar: it takes w^p wbar^q to
+    pq (w^(p-1) wbar^(q-1) + 2 w^p wbar^q + w^(p+1) wbar^(q+1));
+  * h^2 = Re(f^2) / 2 + |f|^2 / 2 and dbar kills the holomorphic f^2, so for
+    k >= 1 Delta^k(h^2) = 1/2 sum_pq C_pq w^p wbar^q, with C^(0) = b b* and
+    C^(j+1)_pq = (p+1)(q+1) C_(p+1,q+1) + 2pq C_pq + (p-1)(q-1) C_(p-1,q-1)
+    in integers over one denominator (``hermitian_form``);
+  * C = A + iB is Hermitian (A symmetric, B antisymmetric), so with
+    x_p = Re w^p and y_p = Im w^p the cross terms of (x + iy)^T C (x - iy)
+    cancel: the sum is x^T A x + 2 x^T B y + y^T A y, the quadratic form of
+    M = [[A, B], [B^T, A]] on the elements Re w^p and Im w^p (Im w^0 = 0
+    is left out);
+  * M = L diag(d) L^T exactly (``linalg.ldl`` skips a zero pivot whose row
+    is zero: M is only semidefinite when k is small against the spread of
+    the degrees), and u_i = sum_r L_ri e_r over the elements e_r.
+
+No word term, level or field matrix is built; k = 0 keeps the single square
+h.  Harmonicity is checked on the elements whose row of M is nonzero: a zero
+row stays zero in elimination, so every u_i is a combination of them.  The
+square count is the rank of M, the dimension of the span of the word terms
+of h and of its harmonic conjugate Im f: in the chart each rotation field
+acts on f as a holomorphic field V_a, and X_w Re f = Re(V_w f).
+
+Either route only builds the right-hand side: equality, the signs of the d_i
+and harmonicity are checked on the functions, so a wrong span or recursion
+can only turn a true verdict false.  A chart that does not give its function
+is refused with ValueError.  The squares are added in ascending denominator
+exponent.  Equality is verified exactly (cross-multiplication in the
+quotient field) and nonnegativity is then re-checked by exact rational sign
+tests at deterministic sample points on the cap, drawn first (a count below
+1 fails before any certificate work) and built and evaluated in integers.
+Both statements run one engine: with the coordinate partials as fields,
+``euclid_certificate`` runs the span route on a harmonic polynomial of R^m
+and returns the same report, ``terms_harmonic`` included (checked against
+the Euclidean Laplacian).
 """
 
 from __future__ import annotations
@@ -94,8 +104,9 @@ class CertificateReport(NamedTuple):
 
     ``term_count`` is bookkeeping: the field count to the k-th power, the
     number of words, so it takes no part in ``passed``.  The certificate has
-    one square per element of the level-k span basis, so ``square_count`` is
-    ``span_dimension``.
+    one square per positive pivot, so ``square_count`` is ``span_dimension``:
+    the dimension of the level-k span on the span route and the rank of the
+    real form M on the chart route (module docstring).
     """
 
     family: str
@@ -156,17 +167,17 @@ def _weighted_sum(squares: Sequence[Polynomial | SphereFunction], k: int):
     return total.scale(2**k)
 
 
-def _square_and_harmonicity(term: Polynomial | SphereFunction, basis_term):
-    """(term^2, whether basis_term is harmonic)."""
+def _square(term: Polynomial | SphereFunction) -> Polynomial | SphereFunction:
+    """term^2, by ``Polynomial.square`` on the numerator."""
     square = (term if isinstance(term, Polynomial) else term.num.poly).square()
     if isinstance(term, SphereFunction):
         square = SphereFunction._make(SpherePolynomial(square), term.base, 2 * term.exp, True)
-    return square, _laplacian(basis_term).is_zero()
+    return square
 
 
 def _map_ordered(fn: Callable, *items: Sequence) -> list:
     # A plain in-order map, kept as a named function because the benchmark
-    # tracer times the square/harmonicity stage through it.
+    # tracer times the square and harmonicity stage through it.
     return list(map(fn, *items))
 
 
@@ -216,132 +227,25 @@ def _coefficient_rows(funcs: Sequence[Polynomial | SphereFunction]) -> list[list
     return [[nums.get(mono, 0) * scale for nums, scale in columns] for mono in monomials]
 
 
-def _span(basis: list, k: int, n_fields: int, images_of: Callable, rows_of: Callable) -> WordSpan:
-    """The level loop of both span routes: images_of(basis) lists the images
-    field by field, rows_of(images) gives their coefficient rows, and each
-    level keeps the first independent images."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
-    levels, matrices, denominators = [basis], [], []
-    for _ in range(k):
-        images = images_of(basis)
-        pivots, coords, den = linalg.column_basis(rows_of(images), len(images))
-        # Field a's matrix: the coordinates of its n images, as columns.
-        n = len(basis)
-        matrices.append([[list(r) for r in zip(*coords[a * n :][:n])] for a in range(n_fields)])
-        denominators.append(den)
-        basis = [images[c] for c in pivots]
-        levels.append(basis)
-    return WordSpan(levels=levels, matrices=matrices, denominators=denominators)
-
-
 def word_span(start: Polynomial | SphereFunction, k: int, fields: Sequence[Callable]) -> WordSpan:
     """Exact bases of the spans of the length-0..k word terms of start, and
     the field matrices between them.  Each field is a callable that maps a
     term to its image; images are taken field by field, and each level keeps
     the first independent ones."""
-    return _span([] if start.is_zero() else [start], k, len(fields),
-                 lambda basis: [field(v) for field in fields for v in basis], _coefficient_rows)
-
-
-def _chart_entry(n: int, im: bool, x) -> dict:
-    """x on Im w^n (im) or Re w^n, at its module index; Im w^0 = 0 has none."""
-    return {2 * n - 1 + im if n else 0: x} if n or not im else {}
-
-
-def chart_matrices(top: int) -> list[list[dict[int, int]]]:
-    """Twice X12, X13 and X23 on the module {1, Re w^n, Im w^n : n <= top} as
-    sparse integer matrices: column j of a field is {row: entry}, with 1 at
-    index 0 and Re w^n, Im w^n at 2n - 1 and 2n (rows reach 2 top + 2).  From
-    X(w^n) = n w^(n-1) X(w) (module docstring), with s = 1 on Re w^n, s = -1
-    on Im w^n, P its part and Q the other:
-    2 X12 (P w^n) = -2sn Q w^n, 2 X13 (P w^n) = n (P w^(n-1) + P w^(n+1)) and
-    2 X23 (P w^n) = sn (Q w^(n+1) - Q w^(n-1))."""
-    entry = _chart_entry
-    matrices = [[{}], [{}], [{}]]  # X(1) = 0
-    for n in range(1, top + 1):
-        for im, s in ((False, 1), (True, -1)):
-            matrices[0].append(entry(n, not im, -2 * s * n))
-            matrices[1].append({**entry(n - 1, im, n), **entry(n + 1, im, n)})
-            matrices[2].append({**entry(n - 1, not im, -s * n), **entry(n + 1, not im, s * n)})
-    return matrices
-
-
-def chart_span(start: SphereFunction, chart: Sequence[tuple], k: int) -> WordSpan:
-    """``word_span`` of start over the rotation fields of S^2, run on the
-    coordinates of its chart, terms (n, part, c) of c Re w^n or c Im w^n:
-    the same levels, matrices and denominators (module docstring).  A chart
-    that does not give start is a ValueError; a field matrix column that
-    ``apply_rotation_field`` disproves is an EngineFault."""
-    top = max((n for n, _, _ in chart), default=0) + k
-    # SphereFunction keeps 1 - x3 as the base x3 - 1 (primitive, leading
-    # coefficient positive), so w^n = (-z)^n / base^n with z = x1 + i x2.
-    one = SpherePolynomial.one(3)
-    base = SpherePolynomial.variable(3, 3) - one
-    x1, x2 = -Polynomial.variable(3, 1), -Polynomial.variable(3, 2)
-    re, im, nums = Polynomial.one(3), Polynomial.zero(3), [one]
-    for _ in range(top + 1):  # the images of the elements up to top
-        re, im = re * x1 - im * x2, re * x2 + im * x1
-        nums += [SpherePolynomial(re), SpherePolynomial(im)]
-    lifted = {}
-
-    def numerator(j: int, e: int) -> SpherePolynomial:
-        # Element j's numerator over base^e, for e at least its power n.
-        if (j, e) not in lifted:
-            lifted[j, e] = nums[j] if e == (j + 1) // 2 else numerator(j, e - 1) * base
-        return lifted[j, e]
-
-    def rebuild(vector: Sequence[int], scale: Fraction) -> SphereFunction:
-        # scale * sum_j vector[j] element_j over base^e, e the largest n it uses plus shift.
-        used = [j for j, x in enumerate(vector) if x]
-        if not used:
-            return SphereFunction.zero(3)
-        e, total = (used[-1] + 1) // 2 + shift, {}
-        for j in used:
-            for key, x in numerator(j, e).poly.numerators.items():
-                total[key] = total.get(key, 0) + vector[j] * x
-        scaled = {key: x * scale.numerator for key, x in total.items() if x}
-        poly = Polynomial.from_numerators(3, scaled, scale.denominator)
-        return SphereFunction._make(SpherePolynomial._trusted(poly), base if e else one, e, True)
-
-    coords = [Fraction(0)] * len(nums)
-    for n, part, c in chart:
-        for r, x in _chart_entry(n, part == "im", Fraction(c)).items():
-            coords[r] += x
-    den = math.lcm(*(c.denominator for c in coords))
-    vector = [int(c * den) for c in coords]
-    used = [j for j, x in enumerate(vector) if x]
-    # A combination whose top terms cancel keeps the larger exponent of its sum.
-    shift = start.exp - (used[-1] + 1) // 2 if used else 0
-    if shift < 0 or rebuild(vector, Fraction(1, den)) != start:
-        raise ValueError(f"the chart {chart} does not give the function it comes with")
-    matrices = chart_matrices(top)
-    for field, columns in zip(rotation_fields(3), matrices if k else ()):
-        for j in (1, 2):
-            column = [columns[j].get(r, 0) for r in range(len(vector))]
-            element = SphereFunction._make(nums[j], base, 1, canonical=True)
-            if apply_rotation_field(field, element) != rebuild(column, Fraction(1, 2)):
-                raise linalg.EngineFault(f"the chart matrix of {field} is wrong on element {j}")
-
-    def images_of(basis: list[list[int]]) -> list[list[int]]:
-        out = []
-        for columns in matrices:
-            for v in basis:
-                image = [0] * len(v)
-                for j, x in enumerate(v):
-                    if x:
-                        for r, y in columns[j].items():
-                            image[r] += x * y
-                out.append(image)
-        return out
-
-    span = _span([] if start.is_zero() else [vector], k, 3, images_of,
-                 lambda images: [row for row in zip(*images) if any(row)])
-    # Level j's vectors are den 2^j times its functions' coordinates.
-    levels = [[start] if span.levels[0] else []]
-    levels += [[rebuild(v, Fraction(1, den << j)) for v in level]
-               for j, level in enumerate(span.levels[1:], start=1)]
-    return span._replace(levels=levels)
+    if k < 0:
+        raise ValueError(f"need k >= 0, got {k}")
+    basis = [] if start.is_zero() else [start]
+    levels, matrices, denominators = [basis], [], []
+    for _ in range(k):
+        images = [field(v) for field in fields for v in basis]
+        pivots, coords, den = linalg.column_basis(_coefficient_rows(images), len(images))
+        # Field a's matrix: the coordinates of its n images, as columns.
+        n = len(basis)
+        matrices.append([[list(r) for r in zip(*coords[a * n :][:n])] for a in range(len(fields))])
+        denominators.append(den)
+        basis = [images[c] for c in pivots]
+        levels.append(basis)
+    return WordSpan(levels=levels, matrices=matrices, denominators=denominators)
 
 
 def gram_matrix(span: WordSpan) -> Matrix:
@@ -378,41 +282,132 @@ def gram_squares(
     u = L^T v on the level-k basis v.
 
     G is the Gram matrix of the word terms, which include the basis itself,
-    so it is positive definite; a pivot d_i <= 0, on which ``linalg.ldl``
-    raises ValueError, is an engine bug and raises EngineFault.
+    so it is positive definite; a pivot d_i <= 0 (``linalg.ldl`` raises
+    ValueError on a negative one) is an engine bug and raises EngineFault.
     """
     try:
         lower, pivots = linalg.ldl(gram)
     except ValueError as exc:
-        raise linalg.EngineFault(f"the Gram matrix has no LDL factors: {exc}") from exc
-    basis = span.levels[-1]
+        raise linalg.EngineFault(f"the Gram matrix is not positive definite: {exc}") from exc
+    if not all(pivots):
+        raise linalg.EngineFault("the Gram matrix is not positive definite: a pivot is zero")
+    return pivots, _combinations(lower, span.levels[-1], range(len(pivots)))
+
+
+def _combinations(lower: Matrix, basis: Sequence, columns: Sequence[int]) -> list:
+    """u_i = sum_r L_ri basis_r for each i in columns, with L unit lower triangular."""
     u = []
-    for i, v in enumerate(basis):
+    for i in columns:
+        v = basis[i]
         for r in range(i + 1, len(basis)):
             if lower[r][i]:
                 v = v + basis[r].scale(lower[r][i])
         u.append(v)
-    return pivots, u
+    return u
+
+
+# ----------------------------------------------------------------------
+# the Hermitian recursion in the chart
+# ----------------------------------------------------------------------
+
+
+def hermitian_form(form: dict[tuple, tuple[int, int]], k: int) -> dict[tuple, tuple[int, int]]:
+    """C^(k) from C^(0) = form, each C as {(p, q): (A_pq, B_pq)} with C = A + iB:
+    each step takes C_pq to pq C_pq at (p - 1, q - 1), 2pq C_pq at (p, q) and
+    pq C_pq at (p + 1, q + 1), the Laplacian on w^p wbar^q (module docstring)."""
+    for _ in range(k):
+        step: dict[tuple, tuple[int, int]] = {}
+        for (p, q), (a, b) in form.items():
+            for s, factor in ((-1, p * q), (0, 2 * p * q), (1, p * q)):
+                if factor:
+                    a0, b0 = step.get((p + s, q + s), (0, 0))
+                    step[p + s, q + s] = (a0 + factor * a, b0 + factor * b)
+        form = step
+    return form
+
+
+def chart_squares(
+    f: SphereFunction, chart: Sequence[tuple], k: int
+) -> tuple[list[Fraction], list[SphereFunction], list[SphereFunction]]:
+    """(weights, u, elements) with delta_power(f^2, k) = 2^k sum_i weights_i u_i^2,
+    every weight positive, by the Hermitian recursion on f's chart terms
+    (n, part, c) of c Re w^n or c Im w^n (module docstring); k = 0 gives the
+    single square f.  A chart that does not give f is a ValueError; a real
+    form that ``linalg.ldl`` refuses is an EngineFault."""
+    top = max((n for n, _, _ in chart), default=0) + k
+    # f = Re sum_n b_n w^n, as Im(c w^n) = Re(-i c w^n); b = (x + i y) / den.
+    b = [[Fraction(0)] * (top + 1) for _ in "xy"]
+    for n, part, c in chart:
+        b[part == "im"][n] += Fraction(c) if part == "re" else -Fraction(c)
+    den = math.lcm(*(z.denominator for z in b[0] + b[1]))
+    x, y = ([int(z * den) for z in zs] for zs in b)
+    # SphereFunction keeps 1 - x3 as the base x3 - 1 (primitive, leading
+    # coefficient positive), so w^p = (-z)^p / base^p with z = x1 + i x2.
+    one = SpherePolynomial.one(3)
+    base = SpherePolynomial.variable(3, 3) - one
+    z1, z2 = -Polynomial.variable(3, 1), -Polynomial.variable(3, 2)
+    re, im, elements = Polynomial.one(3), Polynomial.zero(3), {}
+    for p in range(top + 1):
+        for part, num in ((0, re), (1, im)) if p else ((0, re),):
+            elements[p, part] = SphereFunction._make(SpherePolynomial._trusted(num),
+                                                     base if p else one, p, True)
+        re, im = re * z1 - im * z2, re * z2 + im * z1
+    # Re(b w^p) = Re(b) Re w^p - Im(b) Im w^p.
+    value = SphereFunction.zero(3)
+    for (p, part), e in elements.items():
+        if c := -y[p] if part else x[p]:
+            value = value + e.scale(Fraction(c, den))
+    if value != f:
+        raise ValueError(f"the chart {chart} does not give the function it comes with")
+    if k == 0:
+        return ([Fraction(1)], [f], [f]) if not f.is_zero() else ([], [], [])
+    # The real form M = [[A, B], [B^T, A]] on the elements (p, 0) = Re w^p and
+    # (p, 1) = Im w^p, from the top power down.
+    order = list(reversed(elements))
+    index = {element: i for i, element in enumerate(order)}
+    m = [[0] * len(order) for _ in order]
+    # C^(0) = b b*: (x_p + i y_p)(x_q - i y_q) on the powers that f uses.
+    used = [p for p in range(top + 1) if x[p] or y[p]]
+    initial = {(p, q): (x[p] * x[q] + y[p] * y[q], y[p] * x[q] - x[p] * y[q])
+               for p in used for q in used}
+    for (p, q), (a, b) in hermitian_form(initial, k).items():
+        for sp, sq, entry in ((0, 0, a), (1, 1, a), (0, 1, b), (1, 0, -b)):
+            if (p, sp) in index and (q, sq) in index:
+                m[index[p, sp]][index[q, sq]] = entry
+    try:
+        lower, pivots = linalg.ldl(m)
+    except ValueError as exc:
+        raise linalg.EngineFault(f"the real form of C^({k}) has no LDL factors: {exc}") from exc
+    # Delta^k(f^2) = v^T M v / (2 den^2) = 2^k sum_i d_i / (2^(k+1) den^2) u_i^2.
+    positive = [i for i, d in enumerate(pivots) if d]
+    basis = [elements[element] for element in order]
+    return ([pivots[i] / (2 ** (k + 1) * den * den) for i in positive],
+            _combinations(lower, basis, positive),
+            [e for e, row in zip(basis, m) if any(row)])
 
 
 def _certificate(f: Polynomial | SphereFunction, k: int, fields: Sequence[Callable],
                  points: Sequence[tuple[Fraction, ...]], family: str, seed: int,
                  start: float, chart: Sequence[tuple] = ()) -> CertificateReport:
-    """The certificate stages of S^(m-1) and R^m, for the word terms of f in
-    the fields, on f's chart coordinates when it has them; ``wall_time`` runs
-    from the perf_counter reading ``start``."""
+    """The certificate stages of S^(m-1) and R^m: by the Hermitian recursion
+    on f's chart when it has one, else on the span of the word terms of f in
+    the fields; ``wall_time`` runs from the perf_counter reading ``start``."""
     lhs = delta_power(f * f, k)
-    span = chart_span(f, chart, k) if chart else word_span(f, k, fields)
-    weights, u = gram_squares(span, gram_matrix(span))
-    per_square = _map_ordered(_square_and_harmonicity, u, span.levels[-1])
-    squares = [sq.scale(d) for d, (sq, _) in zip(weights, per_square)]
+    if chart:
+        weights, u, basis = chart_squares(f, chart, k)
+    else:
+        span = word_span(f, k, fields)
+        weights, u = gram_squares(span, gram_matrix(span))
+        basis = span.levels[-1]
+    squares = [sq.scale(d) for d, sq in zip(weights, _map_ordered(_square, u))]
+    harmonic = all(_map_ordered(lambda term: _laplacian(term).is_zero(), basis))
     rhs = _weighted_sum(squares, k) if squares else type(f).zero(f.m)
-    # Keyword arguments run in order: equality, harmonicity, then the samples.
+    # Keyword arguments run in order: equality, then the samples.
     return CertificateReport(
         family=family, k=k, term_count=len(fields) ** k,
-        equality_verified=lhs == rhs, terms_harmonic=all(flag for _, flag in per_square),
+        equality_verified=lhs == rhs, terms_harmonic=harmonic,
         samples=[SamplePoint(point=pt, value=lhs.evaluate(pt)) for pt in points], seed=seed,
-        wall_time=time.perf_counter() - start, span_dimension=span.dimension,
+        wall_time=time.perf_counter() - start, span_dimension=len(u),
     )
 
 
@@ -424,10 +419,11 @@ def verify_certificate(
 ) -> CertificateReport:
     """Exact equality of delta_power(h^2, k) with its certificate, plus signs.
 
-    The right-hand side 2^k sum_w (X_w h)^2 is built on the span of the word
-    terms as 2^k sum_i d_i u_i^2 (see the module docstring); k = 0 is the
-    single empty word with term h itself.  An equality failure or a negative
-    sample is recorded in the report, never dropped.
+    The right-hand side 2^k sum_w (X_w h)^2 is built as 2^k sum_i d_i u_i^2,
+    by the Hermitian recursion when h has a chart and on the span of the
+    word terms otherwise (see the module docstring); k = 0 is the single
+    empty word with term h itself.  An equality failure or a negative sample
+    is recorded in the report, never dropped.
     """
     if h.m != 3:
         raise ValueError(f"sample_cap_points draws points on S^2 only, got ambient dimension {h.m}")

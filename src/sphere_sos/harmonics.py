@@ -55,9 +55,9 @@ class HarmonicFunction(NamedTuple):
     laplace_sphere(value) == 0 exactly and that the denominator vanishes only
     at the excluded pole.  ``chart`` is value's coordinates in the chart
     w = (x1 + i*x2)/(1 - x3) when a constructor knows them: terms
-    (n, part, coefficient) of Re w^n or Im w^n, which the certificate's span
-    stage runs on (``certificates.chart_span``, which checks them against
-    value); () means none are known.
+    (n, part, coefficient) of Re w^n or Im w^n, from which the certificate
+    builds its squares (``certificates.chart_squares``, which checks them
+    against value); () means none are known.
     """
 
     value: SphereFunction

@@ -163,10 +163,9 @@ class BilinearForm(NamedTuple("BilinearForm", [("matrix", tuple[Vector, ...])]))
     def is_positive_definite(self) -> bool:
         """Exact: B = L D L^T with every pivot of D positive."""
         try:
-            linalg.ldl(self.matrix)
+            return all(d > 0 for d in linalg.ldl(self.matrix)[1])
         except ValueError:
             return False
-        return True
 
     def scale(self, factor) -> "BilinearForm":
         f = exact(factor)

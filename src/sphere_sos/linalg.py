@@ -7,10 +7,11 @@ intermediate entry stays an exact integer and each two-row update divides out
 the previous pivot exactly.  ``column_basis`` reads the echelon form through
 one back-substitution and checks it, and rank, kernels and inverses are read
 off that checked column basis, in integers over one least denominator.
-``ldl`` is the loop's only other reader: without row swaps the Bareiss
-pivots are the leading principal minors (Bareiss 1968) and the rows are the
-scaled rows of D L^T, so a matrix is positive definite exactly when ``ldl``
-succeeds.
+``ldl`` is the loop's only other reader: when each pivot is taken from the
+row of its own column, the Bareiss pivots are the principal minors on the
+pivot columns (Bareiss 1968) and the rows are the scaled rows of D L^T, so a
+matrix is positive semidefinite exactly when ``ldl`` succeeds, and positive
+definite when also no pivot is zero.
 
 ``column_basis`` searches modulo PIVOT_PRIME and checks exactly (McConnell et
 al. 2011): the rows that carry the pivots mod p are eliminated alone, and then
@@ -275,37 +276,39 @@ def _square(rows: Sequence[Sequence]) -> Matrix:
 
 
 def ldl(rows: Sequence[Sequence]) -> tuple[Matrix, list[Fraction]]:
-    """Exact G = L diag(d) L^T of a symmetric positive definite matrix G.
+    """Exact G = L diag(d) L^T of a symmetric positive semidefinite matrix G.
 
-    Returns (L, d) with L unit lower triangular and every d_r > 0.  Gaussian
-    elimination without row swaps turns G into D L^T; the Bareiss row r is
-    that row times an integer, so L[j][r] is the ratio of its entries j and
-    r, and d_r is the ratio of consecutive leading principal minors.  Raises
-    ValueError when G is not symmetric or some d_r is not positive, which by
-    Sylvester's criterion is exactly when G is not positive definite.
+    Returns (L, d) with L unit lower triangular and every d_r >= 0.  Gaussian
+    elimination without row swaps turns G into D L^T; the Bareiss row of
+    pivot r is that row times an integer, so L[j][r] is the ratio of its
+    entries j and r, and d_r is the ratio of consecutive principal minors on
+    the pivot columns.  A column that is zero from the diagonal down is
+    skipped, with d_r = 0 and column r of L the unit vector: in a symmetric
+    matrix its remaining row is zero too.  Raises ValueError when G is not
+    symmetric, when some d_r is negative, or when a zero diagonal entry has a
+    nonzero entry below it (the elimination takes a lower row for it), which
+    is exactly when G is not positive semidefinite.
     """
     a = _square(rows)
     n = len(a)
     if any(a[i][j] != a[j][i] for i in range(n) for j in range(i)):
         raise ValueError("matrix must be symmetric")
     lower: Matrix = [[int(i == j) for j in range(n)] for i in range(n)]
-    pivots: list[Fraction] = []
+    pivots: list[Fraction] = [Fraction(0)] * n
     previous = 1
     m = _integer_rows(a)
     scale = 1
     for r, c, p in _bareiss(m):
-        # A step that swaps or skips a column has a zero leading minor.
-        if not r == c == p:
-            break
-        # The minor of a is the Bareiss pivot over the row scalings so far.
-        scale *= _den_lcm(a[r])
-        minor = Fraction(m[r][r], scale)
-        if minor <= 0:
-            break
-        pivots.append(minor / previous)
+        # Rows above c that hold no pivot are zero: the pivot row is row c or a lower one.
+        if p != c:
+            raise ValueError("matrix is not positive semidefinite")
+        # The minor of a is the Bareiss pivot over the pivot rows' scalings.
+        scale *= _den_lcm(a[c])
+        minor = Fraction(m[r][c], scale)
+        if minor < 0:
+            raise ValueError("matrix is not positive semidefinite")
+        pivots[c] = minor / previous
         previous = minor
-        for j in range(r + 1, n):
-            lower[j][r] = Fraction(m[r][j], m[r][r])
-    if len(pivots) < n:
-        raise ValueError("matrix is not positive definite")
+        for j in range(c + 1, n):
+            lower[j][c] = Fraction(m[r][j], m[r][c])
     return lower, pivots

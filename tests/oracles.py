@@ -796,3 +796,75 @@ def radial_sum(weights: dict[int, int]) -> SphereFunction:
 def stereo_closed_form(h: SphereFunction, k: int) -> SphereFunction:
     """Delta^k(h^2) for h = Re or Im w^K and k >= 1, in closed form."""
     return radial_sum(stereo_square_weights(stereo_power(h), k))
+
+
+def planar_coefficients(chart) -> dict[int, tuple[Fraction, Fraction]]:
+    """b_n = (Re b_n, Im b_n) with h = Re sum_n b_n w^n for chart terms
+    (n, part, c) of c Re w^n or c Im w^n: Im(c w^n) = Re(-i c w^n)."""
+    b: dict[int, tuple[Fraction, Fraction]] = {}
+    for n, part, c in chart:
+        re, im = b.get(n, (Fraction(0), Fraction(0)))
+        b[n] = (re + Fraction(c), im) if part == "re" else (re, im - Fraction(c))
+    return b
+
+
+def z_power_parts(p: int, q: int) -> tuple[Polynomial, Polynomial]:
+    """Re and Im of (x1 + i x2)^p (x1 - i x2)^q, from the two binomial
+    expansions: the term x1^(p-j) (i x2)^j x1^(q-l) (-i x2)^l has the
+    factor i^(j+l) (-1)^l."""
+    parts: tuple[dict, dict] = ({}, {})
+    for j in range(p + 1):
+        for l in range(q + 1):
+            s = j + l
+            key = (p + q - s, s, 0)
+            target = parts[s % 2]
+            c = math.comb(p, j) * math.comb(q, l) * (-1) ** l * (-1) ** (s // 2)
+            target[key] = target.get(key, 0) + c
+    return Polynomial(3, parts[0]), Polynomial(3, parts[1])
+
+
+def planar_form(chart, k: int) -> dict[tuple[int, int], tuple[Fraction, Fraction]]:
+    """C^(k) as {(p, q): (Re C_pq, Im C_pq)} for h = Re sum_n b_n w^n
+    (``planar_coefficients``): C^(0) = b b* and
+    C^(j+1)_pq = (p+1)(q+1) C_(p+1,q+1) + 2pq C_pq + (p-1)(q-1) C_(p-1,q-1),
+    which ``stereo_square_weights`` is for a single power (C diagonal)."""
+    b = planar_coefficients(chart)
+    form = {(p, q): (bp[0] * bq[0] + bp[1] * bq[1], bp[1] * bq[0] - bp[0] * bq[1])
+            for p, bp in b.items() for q, bq in b.items()}
+    for _ in range(k):
+        top = max((max(key) for key in form), default=0) + 1
+        step = {}
+        for p in range(top + 1):
+            for q in range(top + 1):
+                terms = [((p + 1) * (q + 1), (p + 1, q + 1)), (2 * p * q, (p, q)),
+                         ((p - 1) * (q - 1), (p - 1, q - 1))]
+                re = sum(c * form.get(key, (0, 0))[0] for c, key in terms)
+                im = sum(c * form.get(key, (0, 0))[1] for c, key in terms)
+                if re or im:
+                    step[p, q] = (re, im)
+        form = step
+    return form
+
+
+def hermitian_sum(form) -> SphereFunction:
+    """Re sum_pq C_pq w^p wbar^q, with
+    w^p wbar^q = (x1 + i x2)^p (x1 - i x2)^q / (1 - x3)^(p + q)."""
+    one, x3 = Polynomial.one(3), Polynomial.variable(3, 3)
+    top = max((p + q for p, q in form), default=0)
+    num = Polynomial.zero(3)
+    for (p, q), (re, im) in form.items():
+        z_re, z_im = z_power_parts(p, q)
+        # Re((re + i im) z^p zbar^q), lifted to the top power of 1 - x3.
+        term = z_re.scale(Fraction(re)) - z_im.scale(Fraction(im))
+        num = num + term * (one - x3) ** (top - p - q)
+    return SphereFunction._make(SpherePolynomial(num), SpherePolynomial(one - x3), top)
+
+
+def planar_closed_form(chart, k: int) -> SphereFunction:
+    """Delta^k(h^2) for h = Re f given by its chart and k >= 1, in closed
+    form: h^2 = Re(f^2) / 2 + |f|^2 / 2 with Re(f^2) harmonic, so it is
+    1/2 Re sum_pq C^(k)_pq w^p wbar^q (``planar_form``; C is Hermitian, so
+    the sum is real)."""
+    if k < 1:
+        raise ValueError(f"the closed form needs k >= 1, got {k}")
+    return hermitian_sum(planar_form(chart, k)).scale(Fraction(1, 2))

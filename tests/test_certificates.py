@@ -12,8 +12,7 @@ from sphere_sos.certificates import (
     CertificateReport,
     SamplePoint,
     _weighted_sum,
-    chart_matrices,
-    chart_span,
+    chart_squares,
     delta_power,
     euclid_certificate,
     gram_matrix,
@@ -48,6 +47,7 @@ from oracles import (
     certificate_words,
     euclid_word_rhs,
     function_evaluate_fraction_loop,
+    hermitian_sum,
     sos_certificate,
 )
 
@@ -426,21 +426,30 @@ class TestGramRoute:
 
     def test_perturbed_field_matrix_breaks_equality(self, monkeypatch):
         # A stereographic input runs the chart route, a copy without its chart
-        # the elimination route: perturbing either route's last matrix is caught.
+        # the span route: a diagonal entry of C^(k) changed by 1 (the real form
+        # stays semidefinite) and the span route's last field matrix perturbed
+        # are both caught by the equality check.
         h = stereographic_harmonic(2, "re")
-        for route, family in (("chart_span", h), ("word_span", h._replace(chart=()))):
-            real = getattr(certificates, route)
+        real_form, real_span = certificates.hermitian_form, word_span
 
-            def perturbed(*args, real=real):
-                span = real(*args)
-                span.matrices[-1][0][0][0] += 1
-                return span
+        def perturbed_form(form, k):
+            form = dict(real_form(form, k))
+            a, b = form[2, 2]
+            form[2, 2] = (a + 1, b)
+            return form
 
-            with monkeypatch.context() as patch:
-                patch.setattr(certificates, route, perturbed)
+        def perturbed_span(*args):
+            span = real_span(*args)
+            span.matrices[-1][0][0][0] += 1
+            return span
+
+        for name, patch, family in (("hermitian_form", perturbed_form, h),
+                                    ("word_span", perturbed_span, h._replace(chart=()))):
+            with monkeypatch.context() as context:
+                context.setattr(certificates, name, patch)
                 report = verify_certificate(family, 2, sample_count=2)
-            assert report.equality_verified is False, route
-            assert report.terms_harmonic is True, route
+            assert report.equality_verified is False, name
+            assert report.terms_harmonic is True, name
 
     def test_dropping_any_weighted_square_breaks_equality(self, monkeypatch):
         h = stereographic_harmonic(2, "re")
@@ -455,28 +464,31 @@ class TestGramRoute:
             assert verify_certificate(h, 2, sample_count=1).equality_verified is False
 
     def test_every_square_counts_for_harmonicity(self, monkeypatch):
-        # Harmonicity is checked on the level basis v (u = L^T v is unit
-        # triangular in it): a Laplacian that fails on any one basis element,
-        # the last included, fails the verdict and leaves equality alone.
+        # Harmonicity is checked on the span route's level basis v (u = L^T v
+        # is unit triangular in it) and on the chart route's elements (every
+        # u_i is a combination of them): a Laplacian that fails on any one of
+        # them, the last included, fails the verdict and leaves equality alone.
         h = stereographic_harmonic(2, "re")
-        basis = rotation_span(h, 2).levels[-1]
-        assert verify_certificate(h, 2, sample_count=1).span_dimension == len(basis) > 1
+        routes = [(h._replace(chart=()), rotation_span(h, 2).levels[-1]),
+                  (h, chart_squares(h.value, h.chart, 2)[2])]
         real = certificates._laplacian
-        for bad in basis:
-            checked = []
+        for family, checked_terms in routes:
+            assert len(checked_terms) > 1
+            for bad in checked_terms:
+                checked = []
 
-            def fails_on_bad(f, bad=bad):
-                image = real(f)
-                if isinstance(f, SphereFunction) and f.exp and f == bad:
-                    checked.append(f)
-                    return image + bad
-                return image
+                def fails_on_bad(f, bad=bad):
+                    image = real(f)
+                    if isinstance(f, SphereFunction) and f == bad:
+                        checked.append(f)
+                        return image + bad
+                    return image
 
-            monkeypatch.setattr(certificates, "_laplacian", fails_on_bad)
-            report = verify_certificate(h, 2, sample_count=1)
-            assert len(checked) == 1
-            assert report.equality_verified is True
-            assert report.terms_harmonic is False
+                monkeypatch.setattr(certificates, "_laplacian", fails_on_bad)
+                report = verify_certificate(family, 2, sample_count=1)
+                assert len(checked) == 1
+                assert report.equality_verified is True
+                assert report.terms_harmonic is False
 
     def test_squares_match_the_full_product(self):
         # Each cross term once gives the value of term * term, in another term order.
@@ -484,102 +496,192 @@ class TestGramRoute:
         terms = [random_sphere_function(rng) for _ in range(30)]
         terms += [f.num.poly for f in terms] + [SphereFunction.zero(3), Polynomial.zero(4)]
         for term in terms:
-            square, harmonic = certificates._square_and_harmonicity(term, term)
-            assert square == term * term
-            assert harmonic is certificates._laplacian(term).is_zero()
+            assert certificates._square(term) == term * term
 
     def test_a_square_past_the_degree_limit_fails_loudly(self):
         x = Polynomial.variable(2, 1)
-        assert certificates._square_and_harmonicity(x**127, x)[0] == x**254
+        assert certificates._square(x**127) == x**254
         with pytest.raises(ValueError, match="packed-key limit"):
-            certificates._square_and_harmonicity(x**128, x)
+            certificates._square(x**128)
 
 
 def span_fingerprint(span):
     return [[str(v) for v in level] for level in span.levels], span.matrices, span.denominators
 
 
-def module_element(j):
-    """Element j of the chart module: 1, then Re w^n and Im w^n at 2n - 1 and 2n."""
-    if j == 0:
-        return SphereFunction.constant(3, 1)
-    return stereographic_harmonic((j + 1) // 2, "re" if j % 2 else "im").value
-
-
-def planar_terms():
+def planar_terms(max_power=4):
     coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool)
-    term = st.tuples(st.integers(0, 4), st.sampled_from(["re", "im"]), coefficient)
+    term = st.tuples(st.integers(0, max_power), st.sampled_from(["re", "im"]), coefficient)
     return st.lists(term, min_size=1, max_size=3)
 
 
-class TestChartRoute:
-    """chart_span builds word_span's span from h's chart coordinates; the
-    elimination route over monomials is the reference, down to the str of
-    every level function."""
+def conjugate(h):
+    """The harmonic conjugate Im f of h = Re f, from h's chart: the conjugate
+    of c Re w^n is c Im w^n, and that of c Im w^n = Re(-i c w^n) is -c Re w^n."""
+    return planar_combination([(n, "im", c) if part == "re" else (n, "re", -c)
+                               for n, part, c in h.chart])
 
-    def test_every_column_is_the_field_applied_to_its_element(self):
-        top = 12
-        elements = [module_element(j) for j in range(2 * top + 1)]
-        for field, columns in zip(rotation_fields(3), chart_matrices(top - 1)):
-            assert len(columns) == 2 * top - 1
-            for j, column in enumerate(columns):
-                assert all(type(x) is int for x in column.values()) and len(column) <= 2
-                image = SphereFunction.zero(3)
-                for r, x in column.items():
-                    image = image + elements[r].scale(Fraction(x, 2))
-                assert apply_rotation_field(field, elements[j]) == image, (field, j)
+
+def rank(terms):
+    if not terms:
+        return 0
+    return len(linalg.column_basis(certificates._coefficient_rows(terms), len(terms))[0])
+
+
+def assert_squares_span_the_word_terms_and_their_conjugates(h, powers):
+    """The chart route's squares span the length-k word terms of h and of its
+    harmonic conjugate, by elimination over monomials: as many squares as
+    that span has dimensions, and adding them to the terms keeps the rank."""
+    top = max(powers)
+    spans = rotation_span(h, top), rotation_span(conjugate(h), top)
+    for k in powers:
+        terms = spans[0].levels[k] + spans[1].levels[k]
+        u = chart_squares(h.value, h.chart, k)[1]
+        assert len(u) == rank(terms) == rank(terms + u), k
+
+
+class TestChartRoute:
+    """chart_squares certifies an input with a chart by the Hermitian
+    recursion: the span route over monomials and the closed form of
+    tests/oracles.py are the references, and every wrong recursion, factor or
+    square is caught by a check that runs on the functions."""
+
+    def test_every_column_is_the_laplacian_applied_to_its_element(self):
+        # One step from C^(0) = E_pq (a real or an imaginary unit) is the
+        # Laplacian of Re or -Im of w^p wbar^q.
+        for p in range(8):
+            for q in range(8):
+                for unit in ((1, 0), (0, 1)):
+                    column = certificates.hermitian_form({(p, q): unit}, 1)
+                    assert len(column) <= 3
+                    assert all(type(x) is int for entry in column.values() for x in entry)
+                    image = laplace_sphere(hermitian_sum({(p, q): unit}))
+                    assert hermitian_sum(column) == image, (p, q, unit)
 
     @pytest.mark.parametrize("part", ["re", "im"])
     @pytest.mark.parametrize("K", [0, 1, 2, 3, 5])
     def test_the_span_is_the_elimination_span(self, K, part):
+        # k = 0 keeps the single square h (none for h = 0).
         h = stereographic_harmonic(K, part)
-        reference = span_fingerprint(rotation_span(h, 6))
-        for k in range(7):
-            levels, matrices, denominators = reference
-            truncated = levels[: k + 1], matrices[:k], denominators[:k]
-            assert span_fingerprint(chart_span(h.value, h.chart, k)) == truncated, k
+        assert chart_squares(h.value, h.chart, 0)[1] == ([] if h.value.is_zero() else [h.value])
+        assert_squares_span_the_word_terms_and_their_conjugates(h, range(1, 7))
 
-    @given(planar_terms(), st.integers(0, 4))
+    @given(planar_terms(), st.integers(1, 4))
     @settings(max_examples=40, deadline=None)
     def test_planar_combinations_span_as_by_elimination(self, terms, k):
         h = planar_combination(terms)
         assert h.chart == tuple((n, part, Fraction(c)) for n, part, c in terms)
-        expected = span_fingerprint(rotation_span(h, k))
-        assert span_fingerprint(chart_span(h.value, h.chart, k)) == expected
+        assert_squares_span_the_word_terms_and_their_conjugates(h, [k])
 
     def test_a_combination_whose_top_terms_cancel_keeps_its_exponent(self):
-        # Re w^3 + Re w - Re w^3 is Re w over (x3 - 1)^3, and so is every image's base power.
+        # Re w^3 + Re w - Re w^3 is Re w over (x3 - 1)^3: its certificate is Re w's.
         h = planar_combination([(3, "re", 1), (1, "re", 1), (3, "re", -1)])
-        assert h.value.exp == 3
-        expected = span_fingerprint(rotation_span(h, 3))
-        assert span_fingerprint(chart_span(h.value, h.chart, 3)) == expected
+        plain = planar_combination([(1, "re", 1)])
+        assert h.value.exp == 3 and h.value == plain.value
+        for k in range(4):
+            report = verify_certificate(h, k, sample_count=5)
+            assert report.passed, k
+            assert report._replace(family="", wall_time=0) == verify_certificate(
+                plain, k, sample_count=5)._replace(family="", wall_time=0)
 
     @pytest.mark.parametrize("K, part", [(1, "re"), (3, "im")])
     def test_reports_match_the_elimination_route(self, K, part):
+        # Verdicts, samples and counts agree but for the squares: below
+        # k = K + 1 the conjugate's word terms are not yet in h's span.
         h = stereographic_harmonic(K, part)
         for k in range(5):
             chart = verify_certificate(h, k, sample_count=5)
             plain = verify_certificate(h._replace(chart=()), k, sample_count=5)
-            assert chart._replace(wall_time=0) == plain._replace(wall_time=0)
+            assert chart._replace(wall_time=0, span_dimension=0) == plain._replace(
+                wall_time=0, span_dimension=0)
             assert chart.passed
+            assert chart.square_count >= plain.square_count
+            assert (chart.square_count == plain.square_count) is (k == 0 or k > K), k
 
-    @pytest.mark.parametrize("j", [1, 2])
-    @pytest.mark.parametrize("field", range(3))
-    def test_a_corrupted_first_power_column_is_an_engine_fault(self, monkeypatch, field, j):
-        real = chart_matrices
+    @pytest.mark.parametrize("terms", [[(2, "re", 1)],
+                                       [(3, "re", 1), (1, "im", 2), (2, "re", Fraction(1, 3))]])
+    def test_an_entry_of_c_changed_by_one_never_passes(self, monkeypatch, terms):
+        # A changed diagonal entry keeps M semidefinite and breaks equality;
+        # a changed Hermitian pair breaks equality or leaves M without LDL
+        # factors, an engine fault.  No change passes.
+        h = planar_combination(terms)
+        real = certificates.hermitian_form
+        entries = {}
+        monkeypatch.setattr(certificates, "hermitian_form",
+                            lambda form, k: entries.update(real(form, k)) or real(form, k))
+        chart_squares(h.value, h.chart, 2)
+        for p, q in [key for key in entries if key[0] <= key[1]]:
+            for da, db in ((1, 0), (0, 1)) if p != q else ((1, 0),):
 
-        def corrupted(top):
-            matrices = real(top)
-            column = matrices[field][j]
-            column[0] = column.get(0, 0) + 1
-            return matrices
+                def changed(form, k, p=p, q=q, da=da, db=db):
+                    form = dict(real(form, k))
+                    for key, sign in {(p, q): 1, (q, p): -1}.items():
+                        a, b = form.get(key, (0, 0))
+                        form[key] = (a + da, b + sign * db)
+                    return form
 
-        monkeypatch.setattr(certificates, "chart_matrices", corrupted)
-        h = stereographic_harmonic(2, "re")
-        with pytest.raises(linalg.EngineFault, match="chart matrix"):
-            chart_span(h.value, h.chart, 1)
-        with pytest.raises(linalg.EngineFault, match="chart matrix"):
+                monkeypatch.setattr(certificates, "hermitian_form", changed)
+                try:
+                    report = verify_certificate(h, 2, sample_count=1)
+                except linalg.EngineFault:
+                    assert p != q
+                    continue
+                assert report.equality_verified is False, (p, q, da, db)
+
+    def test_a_changed_entry_exits_1(self, monkeypatch, tmp_path):
+        from sphere_sos.cli import main
+
+        real = certificates.hermitian_form
+
+        def changed(form, k):
+            form = dict(real(form, k))
+            a, b = form[2, 2]
+            form[2, 2] = (a + 1, b)
+            return form
+
+        monkeypatch.setattr(certificates, "hermitian_form", changed)
+        argv = ["certify", "--family", "stereo:k=2:re", "--power", "2", "--samples", "3",
+                "--output", str(tmp_path / "report.json")]
+        assert main(argv) == 1
+
+    @pytest.mark.parametrize("change", ["negative pivot", "zero pivot, nonzero row"])
+    def test_a_real_form_without_ldl_factors_is_an_engine_fault(self, monkeypatch, capsys,
+                                                                change):
+        # For Re w^2 + Re w, C^(1) couples the top power 3 to 2: a zero there
+        # leaves a nonzero row.  The top diagonal entry of a single power,
+        # negated, is a negative pivot.
+        from sphere_sos.cli import main
+
+        real = certificates.hermitian_form
+
+        def broken(form, k):
+            form = dict(real(form, k))
+            top = max(p for p, _ in form)
+            a, b = form[top, top]
+            form[top, top] = (-a if change == "negative pivot" else 0, b)
+            return form
+
+        monkeypatch.setattr(certificates, "hermitian_form", broken)
+        h = planar_combination([(2, "re", 1), (1, "re", 1)])
+        with pytest.raises(linalg.EngineFault, match="no LDL factors"):
             verify_certificate(h, 1, sample_count=1)
+        if change == "negative pivot":
+            assert main(["certify", "--family", "stereo:k=2:re", "--power", "2"]) == 3
+            assert "engine fault" in capsys.readouterr().err
+
+    def test_dropping_any_square_breaks_equality(self, monkeypatch):
+        # At k = 1 the real form of a mixed combination is singular: the
+        # squares are its positive pivots only, and each one counts.
+        h = planar_combination([(3, "re", 1), (1, "im", 2), (2, "re", Fraction(1, 3))])
+        count = verify_certificate(h, 1, sample_count=1).square_count
+        assert 1 < count < 2 * (3 + 1) + 1
+        real = _weighted_sum
+        for i in range(count):
+            monkeypatch.setattr(
+                certificates, "_weighted_sum",
+                lambda squares, k, i=i: real(squares[:i] + squares[i + 1:], k),
+            )
+            assert verify_certificate(h, 1, sample_count=1).equality_verified is False
 
     @pytest.mark.parametrize("chart", [
         ((2, "im", 1),), ((2, "re", 2),), ((2, "re", 1), (0, "re", 1)), ((1, "re", 1),),
@@ -639,10 +741,14 @@ class TestBadPivotPrime:
         h = stereographic_harmonic(3, part)
         family = ["--family", f"stereo:k=3:{part}", "--power", "5", "--samples", "20"]
         good = rotation_span(h, 6)
+        # The CLI certifies h on its chart; the copy without it runs the span route.
+        good_report = verify_certificate(h._replace(chart=()), 5, sample_count=20)
         assert main(["certify", *family, "--output", str(tmp_path / "good.json")]) == 0
         assert failed_checks == []
         monkeypatch.setattr(linalg, "PIVOT_PRIME", prime)
         assert span_fingerprint(rotation_span(h, 6)) == span_fingerprint(good)
+        bad_report = verify_certificate(h._replace(chart=()), 5, sample_count=20)
+        assert bad_report._replace(wall_time=0) == good_report._replace(wall_time=0)
         assert main(["certify", *family, "--output", str(tmp_path / "bad.json")]) == 0
         assert (tmp_path / "bad.json").read_bytes() == (tmp_path / "good.json").read_bytes()
         if prime != 3:

@@ -1,26 +1,44 @@
-"""The stereographic family against closed forms on S^2.
+"""The stereographic family and its planar combinations against closed forms on S^2.
 
 For h = Re or Im w^K, w = (x1 + i x2)/(1 - x3), Delta^k(h^2) is a radial
 function with integer weights (``oracles.stereo_square_weights``), and the
-circle mean of h^2 about the south pole is tan^(2K)(r/2) / 2.  The oracle
-shares nothing with the span route but the quotient field's equality, so it
-checks the left side, the Gram route's squares and the growth means at any
-depth.
+circle mean of h^2 about the south pole is tan^(2K)(r/2) / 2.  For any
+h = Re sum_n b_n w^n it is 1/2 sum_pq C_pq w^p wbar^q by the Hermitian
+recursion (``oracles.planar_closed_form``).  The oracles share nothing with
+the certificate routes but the quotient field's equality, so they check the
+left side, both routes' squares and the growth means at any depth.
 """
 
 import functools
 import json
 import math
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from sphere_sos.certificates import delta_power, gram_matrix, gram_squares, word_span
+from sphere_sos.certificates import (
+    chart_squares,
+    delta_power,
+    gram_matrix,
+    gram_squares,
+    word_span,
+)
 from sphere_sos.cli import main
 from sphere_sos.harmonics import planar_combination, stereographic_harmonic
 from sphere_sos.polynomials import SphereFunction
 from sphere_sos.sphere_ops import RotationField, apply_rotation_field, rotation_fields
 
-from oracles import radial_sum, stereo_closed_form, stereo_power, stereo_square_weights
+from oracles import (
+    hermitian_sum,
+    planar_closed_form,
+    planar_form,
+    radial_sum,
+    stereo_closed_form,
+    stereo_power,
+    stereo_square_weights,
+)
 
 
 def harmonic(K, part):
@@ -52,10 +70,54 @@ def test_gram_squares_equal_the_closed_form(K, part, k):
     fields = [functools.partial(apply_rotation_field, field) for field in rotation_fields(3)]
     span = word_span(h, k, fields)
     weights, u = gram_squares(span, gram_matrix(span))
-    rhs = SphereFunction.zero(3)
+    assert weighted_sum_of_squares(weights, u).scale(2**k) == stereo_closed_form(h, k)
+
+
+def weighted_sum_of_squares(weights, u):
+    total = SphereFunction.zero(3)
     for d, v in zip(weights, u):
-        rhs = rhs + (v * v).scale(d)
-    assert rhs.scale(2**k) == stereo_closed_form(h, k)
+        total = total + (v * v).scale(d)
+    return total
+
+
+@pytest.mark.parametrize("K, part, k", [(1, "im", 1), (3, "re", 4), (5, "im", 2)])
+def test_the_planar_form_of_one_power_is_the_radial_one(K, part, k):
+    h = harmonic(K, part)
+    assert planar_closed_form(((K, part, 1),), k) == stereo_closed_form(h, k)
+
+
+@given(
+    st.lists(
+        st.tuples(st.integers(0, 5), st.sampled_from(["re", "im"]),
+                  st.fractions(min_value=-3, max_value=3, max_denominator=4).filter(bool)),
+        min_size=1, max_size=3,
+    ),
+    st.integers(1, 6),
+)
+@settings(max_examples=30, deadline=None)
+def test_planar_left_side_and_chart_squares_equal_the_closed_form(terms, k):
+    """delta_power(h^2, k) and 2^k sum_i d_i u_i^2 from chart_squares, for
+    mixed Re and Im parts and rational coefficients."""
+    h = planar_combination(terms)
+    expected = planar_closed_form(h.chart, k)
+    assert delta_power(h.value * h.value, k) == expected
+    weights, u, _ = chart_squares(h.value, h.chart, k)
+    assert all(d > 0 for d in weights)
+    assert weighted_sum_of_squares(weights, u).scale(2**k) == expected
+
+
+def test_a_planar_entry_changed_by_one_fails():
+    # The closed form sees every entry of C^(3): each one changed by 1, in
+    # its real part or, off the diagonal (where Im |w|^(2p) = 0), its
+    # imaginary part.
+    terms = ((3, "re", 1), (1, "im", 2), (2, "re", Fraction(1, 3)))
+    h = planar_combination(terms).value
+    lhs = delta_power(h * h, 3)
+    form = planar_form(terms, 3)
+    assert lhs == hermitian_sum(form).scale(Fraction(1, 2))
+    for key, (re, im) in form.items():
+        for changed in ((re + 1, im), (re, im + 1))[: 1 + (key[0] != key[1])]:
+            assert lhs != hermitian_sum({**form, key: changed}).scale(Fraction(1, 2)), key
 
 
 def test_a_weight_changed_by_one_fails():

@@ -157,15 +157,18 @@ def test_invert_and_minors_on_random_square(n, seed):
             linalg.invert(a)
     else:
         assert linalg.invert(a) == from_sympy(s.inv())
-    # ldl succeeds on a + a^T iff its leading minors are all positive, and
-    # the products of its pivots are those minors.
+    # ldl gives positive pivots on a + a^T iff its leading minors are all
+    # positive, and the products of its pivots are those minors; it succeeds
+    # iff a + a^T is positive semidefinite.
     sym = [[a[i][j] + a[j][i] for j in range(n)] for i in range(n)]
     minors = [to_sympy(sym)[: k + 1, : k + 1].det() for k in range(n)]
     if all(x > 0 for x in minors):
         _, d = linalg.ldl(sym)
         assert [math.prod(d[: k + 1]) for k in range(n)] == minors
+    elif to_sympy(sym).is_positive_semidefinite:
+        assert 0 in linalg.ldl(sym)[1]
     else:
-        with pytest.raises(ValueError, match="positive definite"):
+        with pytest.raises(ValueError, match="positive semidefinite"):
             linalg.ldl(sym)
 
 
@@ -206,7 +209,7 @@ def test_singular_matrix_rejected(rows):
 def test_swap_trap_is_not_positive_definite():
     # A swapping elimination of [[0,1],[1,0]] ends on the identity; the
     # leading minors (0, -1) show the form is indefinite.
-    with pytest.raises(ValueError, match="positive definite"):
+    with pytest.raises(ValueError, match="positive semidefinite"):
         linalg.ldl([[0, 1], [1, 0]])
     assert not BilinearForm.from_rows([[0, 1], [1, 0]]).is_positive_definite()
     assert not BilinearForm.from_rows([[1, 0], [0, 0]]).is_positive_definite()
@@ -231,7 +234,7 @@ def test_minors_undo_the_row_scaling():
     assert linalg.ldl(rows)[1] == [Fraction(1, 2), (Fraction(1, 8) - Fraction(1, 9)) * 2]
     # Second minor 1/10 - 1/9 < 0.
     rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 3), Fraction(1, 5)]]
-    with pytest.raises(ValueError, match="positive definite"):
+    with pytest.raises(ValueError, match="positive semidefinite"):
         linalg.ldl(rows)
 
 
@@ -377,7 +380,50 @@ NOT_POSITIVE_DEFINITE = [
 
 @pytest.mark.parametrize("rows", NOT_POSITIVE_DEFINITE)
 def test_ldl_rejects_a_matrix_that_is_not_positive_definite(rows):
-    with pytest.raises(ValueError, match="positive definite"):
+    # A semidefinite matrix factors with a zero pivot; any other one raises.
+    if to_sympy(rows).is_positive_semidefinite:
+        assert 0 in linalg.ldl(rows)[1]
+    else:
+        with pytest.raises(ValueError, match="positive semidefinite"):
+            linalg.ldl(rows)
+    assert not BilinearForm.from_rows(rows).is_positive_definite()
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("n, rank", [(1, 0), (3, 1), (4, 2), (6, 3), (7, 6)])
+def test_ldl_factors_a_rank_deficient_semidefinite_matrix(n, rank, seed):
+    # g^T g for a rank x n matrix g whose columns are drawn fresh or as
+    # multiples of earlier ones, so zero pivots fall anywhere: exactly
+    # L diag(d) L^T, as many positive pivots as the rank, and the column of L
+    # at a zero pivot the unit vector.
+    rng = random.Random(3000 * n + 100 * rank + seed)
+    columns = []
+    for _ in range(n):
+        if columns and rng.random() < 0.4:
+            factor = rng.randint(-2, 2)
+            columns.append([factor * x for x in rng.choice(columns)])
+        else:
+            columns.append([Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(rank)])
+    sym = [[sum((a * b for a, b in zip(ci, cj)), Fraction(0)) for cj in columns] for ci in columns]
+    lower, d = linalg.ldl(sym)
+    assert all(x >= 0 for x in d) and sum(x > 0 for x in d) == to_sympy(sym).rank()
+    assert all(lower[i][i] == 1 and not any(lower[i][i + 1:]) for i in range(n))
+    for i in (i for i in range(n) if d[i] == 0):
+        assert not any(lower[j][i] for j in range(i + 1, n))
+    product = [[sum(lower[i][r] * d[r] * lower[j][r] for r in range(n)) for j in range(n)]
+               for i in range(n)]
+    assert product == sym
+
+
+@pytest.mark.parametrize("rows", [
+    [[0, 1], [1, 1]],  # a zero pivot whose row is not zero
+    [[1, 1, 1], [1, 1, 0], [1, 0, 1]],  # the same after one step
+    [[1, 1, 0], [1, 1, 1], [0, 1, -1]],  # a negative pivot after a zero one
+    [[4, 2], [2, -3]],
+])
+def test_ldl_rejects_an_indefinite_matrix(rows):
+    assert not to_sympy(rows).is_positive_semidefinite
+    with pytest.raises(ValueError, match="not positive semidefinite"):
         linalg.ldl(rows)
 
 
