@@ -509,9 +509,9 @@ def span_fingerprint(span):
     return [[str(v) for v in level] for level in span.levels], span.matrices, span.denominators
 
 
-def planar_terms(max_power=4):
+def planar_terms():
     coefficient = st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool)
-    term = st.tuples(st.integers(0, max_power), st.sampled_from(["re", "im"]), coefficient)
+    term = st.tuples(st.integers(0, 4), st.sampled_from(["re", "im"]), coefficient)
     return st.lists(term, min_size=1, max_size=3)
 
 
