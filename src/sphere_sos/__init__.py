@@ -44,8 +44,8 @@ _EXPORTS = {
         (quotients, "SphereFunction"),
         (sphere_ops, "RotationField apply_rotation_field generate_harmonic_basis laplace_sphere "
                      "rotation_fields"),
-        (harmonics, "CapDomain HarmonicFunction HarmonicityError custom_harmonic "
-                    "euclidean_harmonic planar_combination stereographic_harmonic"),
+        (harmonics, "CapDomain HarmonicFunction HarmonicityError euclidean_harmonic "
+                    "planar_combination stereographic_harmonic"),
         (certificates, "CertificateReport delta_power euclid_certificate verify_certificate"),
     )
     for name in names.split()

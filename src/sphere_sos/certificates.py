@@ -77,7 +77,7 @@ from itertools import product
 from typing import Callable, NamedTuple, Sequence
 
 from . import linalg
-from .harmonics import HarmonicFunction
+from .harmonics import HarmonicFunction, chart_basis, chart_sum
 from .linalg import Matrix
 from .polynomials import (
     DEFAULT_SAMPLE_COUNT,
@@ -331,9 +331,10 @@ def chart_squares(
 ) -> tuple[list[Fraction], list[SphereFunction], list[SphereFunction]]:
     """(weights, u, elements) with delta_power(f^2, k) = 2^k sum_i weights_i u_i^2,
     every weight positive, by the Hermitian recursion on f's chart terms
-    (n, part, c) of c Re w^n or c Im w^n (module docstring); k = 0 gives the
-    single square f.  A chart that does not give f is a ValueError; a real
-    form that ``linalg.ldl`` refuses is an EngineFault."""
+    (n, part, c) of c Re w^n or c Im w^n (module docstring), over the
+    elements of ``harmonics.chart_basis``; k = 0 gives the single square f.
+    A chart that does not give f is a ValueError; a real form that
+    ``linalg.ldl`` refuses is an EngineFault."""
     top = max((n for n, _, _ in chart), default=0) + k
     # f = Re sum_n b_n w^n, as Im(c w^n) = Re(-i c w^n); b = (x + i y) / den.
     b = [[Fraction(0)] * (top + 1) for _ in "xy"]
@@ -341,23 +342,8 @@ def chart_squares(
         b[part == "im"][n] += Fraction(c) if part == "re" else -Fraction(c)
     den = math.lcm(*(z.denominator for z in b[0] + b[1]))
     x, y = ([int(z * den) for z in zs] for zs in b)
-    # SphereFunction keeps 1 - x3 as the base x3 - 1 (primitive, leading
-    # coefficient positive), so w^p = (-z)^p / base^p with z = x1 + i x2.
-    one = SpherePolynomial.one(3)
-    base = SpherePolynomial.variable(3, 3) - one
-    z1, z2 = -Polynomial.variable(3, 1), -Polynomial.variable(3, 2)
-    re, im, elements = Polynomial.one(3), Polynomial.zero(3), {}
-    for p in range(top + 1):
-        for part, num in ((0, re), (1, im)) if p else ((0, re),):
-            elements[p, part] = SphereFunction._make(SpherePolynomial._trusted(num),
-                                                     base if p else one, p, True)
-        re, im = re * z1 - im * z2, re * z2 + im * z1
-    # Re(b w^p) = Re(b) Re w^p - Im(b) Im w^p.
-    value = SphereFunction.zero(3)
-    for (p, part), e in elements.items():
-        if c := -y[p] if part else x[p]:
-            value = value + e.scale(Fraction(c, den))
-    if value != f:
+    elements = chart_basis(top)
+    if chart_sum(chart, elements) != f:
         raise ValueError(f"the chart {chart} does not give the function it comes with")
     if k == 0:
         return ([Fraction(1)], [f], [f]) if not f.is_zero() else ([], [], [])

@@ -48,7 +48,11 @@ SECOND_DERIVATIVE_ABS_TOL = 1e-8
 # SECOND_DERIVATIVE_POLE_STEPS: h varies on the scale of that distance.
 SECOND_DERIVATIVE_STEP = 0.04
 SECOND_DERIVATIVE_POLE_STEPS = 25
+# The node and radius counts are bounded before any table or radius list is
+# built: a count that would not fit in memory is a usage error, not a verdict.
 MIN_QUADRATURE_ORDER = 8
+MAX_QUADRATURE_ORDER = 1 << 14
+MAX_GRID = 1 << 10
 
 
 class GrowthReport(NamedTuple):
@@ -96,14 +100,20 @@ def spherical_mean(
     """
     if h.m != 3:
         raise ValueError("spherical means are implemented on S^2 (ambient dim 3)")
-    if order < MIN_QUADRATURE_ORDER:
-        raise ValueError(f"quadrature order must be >= {MIN_QUADRATURE_ORDER}")
+    _check_order(order)
     if not 0 <= r < math.pi:
         raise ValueError(f"radius must lie in [0, pi), got {r}")
     center = _finite_point(center)
     cr, sr = math.cos(r), math.sin(r)
     a0, a1, a2 = (cr * c for c in center)
     return _circle_kernel(h)(a0, a1, a2, sr, _tangent_table(center, order)) / order
+
+
+def _check_order(order: int) -> None:
+    if order < MIN_QUADRATURE_ORDER:
+        raise ValueError(f"quadrature order must be >= {MIN_QUADRATURE_ORDER}")
+    if order > MAX_QUADRATURE_ORDER:
+        raise ValueError(f"quadrature order must be <= {MAX_QUADRATURE_ORDER}, got {order}")
 
 
 def _finite_point(center) -> tuple[float, float, float]:
@@ -307,14 +317,16 @@ def analyze_growth(
     center's distance to the pole; every center at least 1 rad from the
     pole keeps SECOND_DERIVATIVE_STEP."""
     center = _finite_point(center)
-    if grid < 2:
-        raise ValueError(f"need at least 2 grid radii, got {grid}")
+    if not 2 <= grid <= MAX_GRID:
+        bound = "at least 2" if grid < 2 else f"at most {MAX_GRID}"
+        raise ValueError(f"need {bound} grid radii, got {grid}")
     if not 0 < r_max < math.pi:
         raise ValueError(f"r_max must be finite and lie in (0, pi), got {r_max}")
     along_pole = sum(c * float(p) for c, p in zip(center, h.domain.pole))
     offset = math.acos(max(-1.0, min(1.0, -along_pole)))
     if offset + r_max > h.domain.radius:
         raise ValueError("circles of radius r_max about this center leave the working cap")
+    _check_order(order)
     radii = [r_max * (i + 1) / grid for i in range(grid)]
     means = [spherical_mean(h.value, center, r, order) for r in radii]
     monotone, violation = check_mean_monotonicity(means)

@@ -108,56 +108,55 @@ def _check_denominator_pole_only(value: SphereFunction, domain: CapDomain) -> No
     )
 
 
-def complex_power_parts(k: int) -> tuple[Polynomial, Polynomial]:
-    """Real and imaginary parts of (x1 + i*x2)^k as exact raw polynomials in 3 vars."""
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
+def chart_basis(top: int) -> dict[tuple[int, int], SphereFunction]:
+    """The chart basis: Re w^n at (n, 0) and Im w^n at (n, 1) for
+    0 <= n <= top, Im w^0 = 0 left out, in ascending n.  SphereFunction keeps
+    1 - x3 as the primitive base x3 - 1, constant term first, so
+    w^n = (-z)^n / (x3 - 1)^n with z = x1 + i*x2.  Each element is stored as
+    the normal form of its quotient, in the term order growth's float kernel
+    sums in."""
+    base = -SpherePolynomial.one(3) + SpherePolynomial.variable(3, 3)
+    z1, z2 = -Polynomial.variable(3, 1), -Polynomial.variable(3, 2)
     re, im = Polynomial.one(3), Polynomial.zero(3)
-    x1, x2 = Polynomial.variable(3, 1), Polynomial.variable(3, 2)
-    for _ in range(k):
-        re, im = re * x1 - im * x2, re * x2 + im * x1
-    return re, im
+    elements = {(0, 0): SphereFunction.constant(3, 1)}
+    for n in range(1, top + 1):
+        re, im = re * z1 - im * z2, re * z2 + im * z1
+        for part, num in enumerate((re, im)):
+            elements[n, part] = SphereFunction._make(SpherePolynomial._trusted(num), base, n, True)
+    return elements
 
 
-def stereographic_harmonic(
-    k: int, part: str, domain: CapDomain | None = None
-) -> HarmonicFunction:
+def chart_sum(chart: Sequence[tuple], elements: dict) -> SphereFunction:
+    """sum c * (Re or Im w^n) over the chart terms (n, part, c), in term
+    order, from the elements of ``chart_basis`` (0 + t is stored as t, so
+    the sum starts from its first term)."""
+    terms = [elements[n, part == "im"].scale(Fraction(c))
+             for n, part, c in chart if (n, part == "im") in elements]
+    return sum(terms[1:], terms[0]) if terms else SphereFunction.zero(3)
+
+
+def _charted(chart: tuple, provenance: str) -> HarmonicFunction:
+    """The sum of the chart terms (n, part, c) over ``chart_basis``, certified once."""
+    for n, part, _ in chart:
+        if part not in ("re", "im"):
+            raise ValueError(f"part must be 're' or 'im', got {part!r}")
+        if n < 0:
+            raise ValueError(f"need k >= 0, got {n}")
+    elements = chart_basis(max((n for n, _, _ in chart), default=0))
+    return _certify(chart_sum(chart, elements), CapDomain(), provenance, chart)
+
+
+def stereographic_harmonic(k: int, part: str) -> HarmonicFunction:
     """Re or Im of ((x1 + i*x2)/(1 - x3))^k as a certified harmonic function on S^2."""
-    if part not in ("re", "im"):
-        raise ValueError(f"part must be 're' or 'im', got {part!r}")
-    # complex_power_parts rejects k < 0.
-    re, im = complex_power_parts(k)
-    domain = domain or CapDomain()
-    if domain.ambient_dim != 3:
-        raise ValueError("the stereographic family lives on S^2 (ambient dimension 3)")
-    numerator = SpherePolynomial(re if part == "re" else im)
-    base = SpherePolynomial.one(3) - SpherePolynomial.variable(3, 3)
-    value = SphereFunction._make(numerator, base, k)
-    return _certify(value, domain, f"stereo:k={k}:{part}", ((k, part, 1),))
+    return _charted(((k, part, 1),), f"stereo:k={k}:{part}")
 
 
-def custom_harmonic(
-    value: SphereFunction, tag: str = "custom", domain: CapDomain | None = None
-) -> HarmonicFunction:
-    """Certify an externally built SphereFunction as harmonic on the cap."""
-    return _certify(value, domain or CapDomain(), f"custom:{tag}")
-
-
-def planar_combination(
-    coefficients: Sequence[tuple[int, str, RationalLike]],
-    domain: CapDomain | None = None,
-) -> HarmonicFunction:
+def planar_combination(coefficients: Sequence[tuple[int, str, RationalLike]]) -> HarmonicFunction:
     """Exact linear combination sum_c c * (stereographic harmonic k, part)."""
-    domain = domain or CapDomain()
-    total = SphereFunction.zero(3)
-    tags = []
-    for k, part, coeff in coefficients:
-        h = stereographic_harmonic(k, part, domain)
-        total = total + h.value.scale(Fraction(coeff))
-        tags.append(f"{coeff}*(k={k}:{part})")
+    tags = [f"{coeff}*(k={k}:{part})" for k, part, coeff in coefficients]
     provenance = "combo:" + "+".join(tags) if tags else "combo:zero"
-    chart = tuple((k, part, Fraction(coeff)) for k, part, coeff in coefficients)
-    return _certify(total, domain, provenance, chart)
+    return _charted(tuple((k, part, Fraction(coeff)) for k, part, coeff in coefficients),
+                    provenance)
 
 
 def euclidean_harmonic(m: int, d: int, coefficients: Sequence[RationalLike]) -> Polynomial:

@@ -21,15 +21,14 @@ Monomials are keyed by packed ints (Monagan & Pearce 2009): the degree in the
 top slot, then e_1..e_m, SLOT bits each, so int order is graded-lex order and
 multiplying monomials adds keys.  A degree past DEGREE_LIMIT = 2^SLOT - 1 would
 carry into a neighbouring slot, so the constructor and every product raise
-ValueError there.  Exponent tuples appear only in the constructor, ``terms``,
-``str`` and ``parse``.
+ValueError there.  Exponent tuples appear only in the constructor, ``terms``
+and ``str``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import re
 from fractions import Fraction
 from itertools import accumulate, repeat
 from operator import mul
@@ -38,10 +37,6 @@ from typing import Callable, Mapping, Sequence
 
 Exponents = tuple[int, ...]
 RationalLike = Fraction | int
-
-# Read by ``Polynomial.parse`` alone, which compiles it on first use.
-_TERM_PATTERN = r"x(\d+)(?:\^(\d+))?"
-
 
 def _as_fraction(value: RationalLike) -> Fraction:
     if isinstance(value, Fraction):
@@ -374,39 +369,6 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial(m={self.m}, {self})"
-
-    @classmethod
-    def parse(cls, text: str, m: int) -> "Polynomial":
-        """Inverse of ``str``: parse ``c * x1^a1 x2^a2`` fragments joined by ``+``."""
-        text = text.strip()
-        if text == "0":
-            return cls.zero(m)
-        terms: dict[Exponents, Fraction] = {}
-        for fragment in text.split(" + "):
-            pieces = fragment.split(" * ")
-            if len(pieces) == 1:
-                coeff_text, factor_text = pieces[0], ""
-            elif len(pieces) == 2:
-                coeff_text, factor_text = pieces
-            else:
-                raise ValueError(f"malformed term {fragment!r}")
-            try:
-                coeff = Fraction(coeff_text.strip())
-            except ZeroDivisionError:
-                raise ValueError(f"malformed term {fragment!r}") from None
-            exps = [0] * m
-            if factor_text:
-                for factor in factor_text.split():
-                    match = re.fullmatch(_TERM_PATTERN, factor)
-                    if not match:
-                        raise ValueError(f"malformed variable factor {factor!r}")
-                    index = int(match.group(1))
-                    if not 1 <= index <= m:
-                        raise ValueError(f"variable x{index} out of range for m={m}")
-                    exps[index - 1] += int(match.group(2) or 1)
-            key = tuple(exps)
-            terms[key] = terms.get(key, Fraction(0)) + coeff
-        return cls(m, terms)
 
 
 def laplace_euclid(p: Polynomial) -> Polynomial:

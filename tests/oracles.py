@@ -169,11 +169,6 @@ def standard_test_suite(
     return suite
 
 
-def term_order_key(exponents: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
-    """Graded-lexicographic sort key (total degree first, then exponents)."""
-    return (sum(exponents), exponents)
-
-
 def evaluate_fraction_loop(p: Polynomial, point) -> Fraction:
     """Exact value as a Fraction sum over every monomial."""
     pt = [Fraction(v) for v in point]
@@ -742,6 +737,30 @@ def substitute_linear(f, matrix):
 # ----------------------------------------------------------------------
 # closed forms on S^2 for the stereographic family
 # ----------------------------------------------------------------------
+
+
+def stored_form(f: SphereFunction) -> tuple:
+    """Every stored piece of f, term order included: the numerator's and the
+    base's items and denominators, and the exponent."""
+    pieces = tuple((list(p.poly.numerators.items()), p.poly.denominator) for p in (f.num, f.base))
+    return pieces + (f.exp,)
+
+
+def complex_power_parts(k: int) -> tuple[Polynomial, Polynomial]:
+    """Real and imaginary parts of (x1 + i*x2)^k as raw polynomials in 3 vars,
+    by the recursion the stereographic family was first built with."""
+    re, im = Polynomial.one(3), Polynomial.zero(3)
+    x1, x2 = Polynomial.variable(3, 1), Polynomial.variable(3, 2)
+    for _ in range(k):
+        re, im = re * x1 - im * x2, re * x2 + im * x1
+    return re, im
+
+
+def stereo_reference(k: int, part: str) -> SphereFunction:
+    """Re or Im of w^k as the normal form of (Re or Im (x1 + i*x2)^k) / (1 - x3)^k."""
+    re, im = complex_power_parts(k)
+    one_minus_x3 = SpherePolynomial.one(3) - SpherePolynomial.variable(3, 3)
+    return SphereFunction._make(SpherePolynomial(re if part == "re" else im), one_minus_x3, k)
 
 
 def stereo_power(h: SphereFunction) -> int:

@@ -23,7 +23,6 @@ from sphere_sos.certificates import (
 from sphere_sos.harmonics import (
     CapDomain,
     HarmonicFunction,
-    custom_harmonic,
     planar_combination,
     stereographic_harmonic,
 )
@@ -279,7 +278,7 @@ class TestSphereOnlySampler:
         # A constant is harmonic on every sphere, but the sample points are
         # drawn on S^2 alone, so the check must stop before Delta^k runs.
         pole = (Fraction(0),) * (m - 1) + (Fraction(1),)
-        h = custom_harmonic(SphereFunction.constant(m, 2), domain=CapDomain(pole))
+        h = HarmonicFunction(SphereFunction.constant(m, 2), CapDomain(pole), "two")
         self.no_exact_work(monkeypatch)
         with pytest.raises(ValueError, match=r"sample_cap_points draws points on S\^2 only"):
             verify_certificate(h, 3)

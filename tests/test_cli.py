@@ -18,7 +18,7 @@ from sphere_sos.cli import (
 )
 from sphere_sos.harmonics import CapDomain, stereographic_harmonic
 from sphere_sos.polynomials import SphereFunction, SpherePolynomial
-from sphere_sos.sphere_ops import laplace_sphere
+from sphere_sos.sphere_ops import generate_harmonic_basis, laplace_sphere
 
 
 def run(capsys, *argv):
@@ -644,13 +644,14 @@ class TestGenHarmonic:
         assert len(out.strip().splitlines()) == 9
 
     def test_output_round_trips(self, capsys):
-        from sphere_sos.polynomials import Polynomial, laplace_euclid
+        # The printed lines are the text forms of the harmonic basis.
+        from sphere_sos.polynomials import laplace_euclid
 
         code, out, _ = run(capsys, "gen-harmonic", "--ambient-dim", "3", "--degree", "3")
         assert code == 0
-        for line in out.strip().splitlines():
-            p = Polynomial.parse(line, 3)
-            assert laplace_euclid(p).is_zero()
+        basis = generate_harmonic_basis(3, 3)
+        assert out.splitlines() == [str(p) for p in basis]
+        assert all(laplace_euclid(p).is_zero() for p in basis)
 
 
 # Bounds that only the library checks: each still exits 2 with one error line.
@@ -673,6 +674,24 @@ def test_library_bounds_are_usage_errors(capsys, argv):
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, bound",
+    [
+        ("--quad", "100000000", f"quadrature order must be <= {growth.MAX_QUADRATURE_ORDER}"),
+        ("--grid", str(2**30), f"need at most {growth.MAX_GRID} grid radii"),
+    ],
+    ids=["quad", "grid"],
+)
+def test_oversized_growth_counts_exit_2_with_the_bound(capsys, flag, value, bound):
+    # An unbounded count builds a node table or radius list for minutes, and
+    # a MemoryError there would exit 1, the falsified-verdict code.
+    argv = ["growth", "--family", "stereo:k=2:re", "--center", "0,0,-1", "--quad", "8",
+            "--grid", "2", flag, value]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {bound}") and err.count("\n") == 1
 
 
 class TestResolveFamily:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sphere_sos.harmonics import HarmonicityError, custom_harmonic, stereographic_harmonic
+from sphere_sos.harmonics import CapDomain, HarmonicityError, _certify, stereographic_harmonic
 from sphere_sos.polynomials import Polynomial, SphereFunction, SpherePolynomial
 from sphere_sos.sphere_ops import generate_harmonic_basis, laplace_sphere
 
@@ -95,5 +95,5 @@ def test_non_harmonic_quotient_is_rejected():
     f = SphereFunction(x(3, 1), SpherePolynomial.constant(3, 2) - x(3, 3))
     assert not laplace_sphere(f).is_zero()
     with pytest.raises(HarmonicityError):
-        custom_harmonic(f)
+        _certify(f, CapDomain(), "x1 / (2 - x3)")
 

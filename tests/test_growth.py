@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -471,3 +472,26 @@ class TestAnalyzeGrowth:
             analyze_growth(h, north, 1.1, 4, 8)
         with pytest.raises(ValueError, match="leave the working cap"):
             analyze_growth(h, SOUTH, 0.5, 4, 8)
+
+    def test_counts_up_to_the_bounds_are_accepted(self):
+        h = stereographic_harmonic(1, "re")
+        assert analyze_growth(h, SOUTH, 1.2, growth.MAX_GRID, 8).passed
+        assert analyze_growth(h, SOUTH, 1.2, 2, growth.MAX_QUADRATURE_ORDER).passed
+
+    def test_oversized_counts_fail_before_any_table_or_radius_list(self):
+        # 2**30 nodes or radii would take gigabytes: each bound is checked
+        # before anything of that size is built.
+        h = stereographic_harmonic(2, "re")
+        quad = rf"quadrature order must be <= {growth.MAX_QUADRATURE_ORDER}, got {2**30}"
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=quad):
+                spherical_mean(h.value, SOUTH, 0.5, 2**30)
+            with pytest.raises(ValueError, match=quad):
+                analyze_growth(h, SOUTH, 1.2, 2, 2**30)
+            with pytest.raises(ValueError, match=rf"need at most {growth.MAX_GRID} grid radii"):
+                analyze_growth(h, SOUTH, 1.2, 2**30, 8)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

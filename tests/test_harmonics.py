@@ -2,12 +2,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sphere_sos.harmonics import (
     CapDomain,
     HarmonicityError,
-    complex_power_parts,
-    custom_harmonic,
+    _certify,
     euclidean_harmonic,
     planar_combination,
     stereographic_harmonic,
@@ -24,6 +25,8 @@ from sphere_sos.sphere_ops import (
     generate_harmonic_basis,
     laplace_sphere,
 )
+
+from oracles import complex_power_parts, stereo_reference, stored_form
 
 
 def var(m, i):
@@ -61,12 +64,12 @@ class TestStereographicFamily:
     @pytest.mark.parametrize("k", range(1, 7))
     def test_closure_under_axis_rotation(self, k):
         # X12 fixes the pole axis, so it maps the family into itself; the
-        # image must be accepted by the certifying constructor.
+        # image must pass the certification the constructors run.
         h = stereographic_harmonic(k, "re")
         rotated = apply_rotation_field(RotationField(1, 2), h.value)
         assert laplace_sphere(rotated).is_zero()
-        accepted = custom_harmonic(rotated, tag=f"X12(stereo:k={k}:re)")
-        assert accepted.provenance.startswith("custom:")
+        accepted = _certify(rotated, CapDomain(), f"X12(stereo:k={k}:re)")
+        assert accepted.value is rotated and accepted.chart == ()
 
     def test_denominator_vanishes_only_at_pole(self):
         # base = 0 with the sphere relation forces x3 = 1 then x1 = x2 = 0.
@@ -92,8 +95,8 @@ class TestStereographicFamily:
 
     def test_non_harmonic_value_rejected(self):
         bad = SphereFunction.from_polynomial(SpherePolynomial(var(3, 1) ** 2))
-        with pytest.raises(HarmonicityError):
-            custom_harmonic(bad)
+        with pytest.raises(HarmonicityError, match="x1sq: spherical Laplacian is .*, not 0"):
+            _certify(bad, CapDomain(), "x1sq")
 
     def test_a_pole_off_the_excluded_point_is_rejected(self):
         # x1 / (1 + x3) is harmonic, but its pole is the south pole, inside the cap.
@@ -101,20 +104,26 @@ class TestStereographicFamily:
         south = SphereFunction(SpherePolynomial(var(3, 1)), base)
         assert laplace_sphere(south).is_zero()
         with pytest.raises(HarmonicityError, match="avoids the cap"):
-            custom_harmonic(south)
+            _certify(south, CapDomain(), "south")
+        # The shipped base about any pole but the north pole is refused too.
+        north = stereographic_harmonic(1, "re").value
+        with pytest.raises(HarmonicityError, match="avoids the cap"):
+            _certify(north, CapDomain(pole=(Fraction(0), Fraction(0), Fraction(-1))), "x")
 
     def test_provenance_tags(self):
         assert stereographic_harmonic(3, "im").provenance == "stereo:k=3:im"
 
     def test_function_and_domain_must_share_the_ambient_dimension(self):
         two = SphereFunction.constant(4, 2)
-        with pytest.raises(ValueError, match="ambient dimension 4, domain has 3"):
-            custom_harmonic(two)
+        with pytest.raises(ValueError, match="two: function has ambient dimension 4, domain has 3"):
+            _certify(two, CapDomain(), "two")
         domain = CapDomain((Fraction(0), Fraction(0), Fraction(0), Fraction(1)))
-        assert custom_harmonic(two, domain=domain).m == 4
+        assert _certify(two, domain, "two").m == 4
 
 
 class TestComplexPowerParts:
+    """The reference recursion of ``oracles`` that pins the stored forms."""
+
     def test_small_powers(self):
         x1, x2 = var(3, 1), var(3, 2)
         re0, im0 = complex_power_parts(0)
@@ -122,6 +131,28 @@ class TestComplexPowerParts:
         re2, im2 = complex_power_parts(2)
         assert re2 == x1**2 - x2**2
         assert im2 == 2 * (x1 * x2)
+
+
+class TestStoredForms:
+    """growth's float kernel sums h's terms in their stored order, so the chart
+    basis must store each function exactly as the normal form of its quotient."""
+
+    @pytest.mark.parametrize("k", range(11))
+    @pytest.mark.parametrize("part", ["re", "im"])
+    def test_family_matches_the_reference_recursion(self, k, part):
+        assert stored_form(stereographic_harmonic(k, part).value) == stored_form(
+            stereo_reference(k, part)
+        )
+
+    @given(st.lists(st.tuples(st.integers(0, 6), st.sampled_from(["re", "im"]),
+                              st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6))),
+                    max_size=3))
+    @settings(max_examples=60, deadline=None)
+    def test_combination_is_the_sum_of_family_members(self, chart):
+        total = SphereFunction.zero(3)
+        for k, part, c in chart:
+            total = total + stereographic_harmonic(k, part).value.scale(c)
+        assert stored_form(planar_combination(chart).value) == stored_form(total)
 
 
 class TestPlanarCombination:

@@ -21,7 +21,6 @@ from oracles import (
     apply_raw_loop,
     evaluate_fraction_loop,
     reduce_terms_loop,
-    term_order_key,
 )
 
 M = 3
@@ -167,9 +166,6 @@ def test_evaluation_matches(terms, point):
 def test_text_and_pickle_round_trips(terms):
     p, op = both(terms)
     assert str(p) == str(op)
-    by_text = Polynomial.parse(str(p), M)
-    descending = sorted(op.terms.items(), key=lambda kv: term_order_key(kv[0]), reverse=True)
-    assert list(by_text.terms.items()) == descending
     # Nothing pickles a polynomial, so a round trip must fail loudly, not
     # rebuild one around the immutability guard.
     with pytest.raises((AttributeError, TypeError)):

@@ -163,7 +163,7 @@ def test_polynomials_reaches_quotients_only_through_its_forward():
 PUBLIC = [
     "CapDomain", "CertificateReport", "HarmonicFunction", "HarmonicityError", "Polynomial",
     "RotationField", "SphereFunction", "SpherePolynomial", "apply_rotation_field",
-    "custom_harmonic", "delta_power", "euclid_certificate", "euclidean_harmonic",
+    "delta_power", "euclid_certificate", "euclidean_harmonic",
     "euler_operator", "generate_harmonic_basis", "laplace_euclid", "laplace_sphere",
     "planar_combination", "rotation_fields", "stereographic_harmonic", "verify_certificate",
 ]

@@ -20,7 +20,6 @@ from sphere_sos.growth import GrowthReport
 from sphere_sos.harmonics import (
     CapDomain,
     HarmonicFunction,
-    custom_harmonic,
     stereographic_harmonic,
 )
 from sphere_sos.lie import (
@@ -153,7 +152,7 @@ def test_defaults_and_keywords():
 @pytest.mark.parametrize(
     "make, span",
     [
-        (lambda: custom_harmonic(SphereFunction.zero(3), "zero"), 0),
+        (lambda: HarmonicFunction(SphereFunction.zero(3), CapDomain(), "zero"), 0),
         (lambda: resolve_family(NON_HARMONIC_CONTROL, NON_HARMONIC_CONTROL), 1),
     ],
     ids=["zero", NON_HARMONIC_CONTROL],
