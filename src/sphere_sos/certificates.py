@@ -4,30 +4,35 @@ For a harmonic h the k-th spherical Laplacian power of h^2 equals
 2^k times the sum of (X_w h)^2 over all length-k words w in the rotation
 fields; every word term is again harmonic because the fields commute with the
 Laplacian.  ``verify_certificate`` proves the identity as 2^k sum_i d_i u_i^2
-with every d_i > 0 and every u_i harmonic, never listing the 3^k words, by
-one of two routes.
+with every d_i > 0 and every u_i harmonic, never listing the 3^k words.
 
-The span route (the Gram-matrix form of a sum of squares, Parrilo 2003)
-serves every input:
+Two routes reduce the sum of the squared word terms to one object, a Gram
+form (the Gram-matrix form of a sum of squares, Parrilo 2003): an integer
+symmetric matrix G, a scale s and a basis v of harmonic functions with
+sum_w (X_w h)^2 = v^T G v / s.  One tail, ``ldl_squares``, factors every
+such form: G = L diag(d) L^T exactly (``linalg.ldl``), one square per
+positive pivot with weight d_i / s and u_i = sum_r L_ri v_r.  A zero row of
+G stays zero in elimination, so every u_i is a combination of the v_r whose
+rows are nonzero, and harmonicity is checked on those.  A form that ``ldl``
+refuses is not positive semidefinite, an engine bug, and raises EngineFault.
+
+The span route serves k = 0 and every input without a chart:
 
   * level by level, the fields are applied to a basis of the span of the
     length-(j-1) terms; exact elimination keeps the first independent images
     as the level-j basis and reads off each field's exact matrix A_a, which
     is re-checked on every image;
-  * the sum of the squared terms is then v^T G_k v over the level-k basis v,
-    with G_0 = [1] and G_j = sum_a A_a G_(j-1) A_a^T;
-  * G_k = L diag(d) L^T exactly, so u = L^T v: as many squares as the span
-    has dimensions (2(K + k) + 1 at most for the stereographic family of
-    degree K), where the word route has 3^k.
+  * G_0 = [1] on [h] and G_j = sum_a A_a G_(j-1) A_a^T, in integers over the
+    squared level denominators (``gram_matrix``);
+  * the level-k basis is made of word terms, so G is positive definite: as
+    many squares as the span has dimensions (2(K + k) + 1 at most for the
+    stereographic family of degree K), where the word route has 3^k.  Fewer
+    positive pivots than that is an EngineFault.
 
-Harmonicity is checked on the basis v itself: L^T is unit upper triangular,
-so the u_i are all harmonic exactly when the v_i are, and every v_i is a word
-term and every word term a combination of them.
-
-The chart route serves an input that carries its coordinates in the chart
-w = (x1 + i x2)/(1 - x3) (``HarmonicFunction.chart``: the stereographic
-family and its planar combinations).  Such an h is Re f, f = sum_n b_n w^n
-with b_n in Q(i), as Im(c w^n) = Re(-i c w^n):
+The chart route serves k >= 1 for an input that carries its coordinates in
+the chart w = (x1 + i x2)/(1 - x3) (``HarmonicFunction.chart``: the
+stereographic family and its planar combinations).  Such an h is Re f,
+f = sum_n b_n w^n with b_n in Q(i), as Im(c w^n) = Re(-i c w^n):
 
   * the round metric is 4 |dw|^2 / (1 + |w|^2)^2, so the Laplacian is
     (1 + |w|^2)^2 d dbar: it takes w^p wbar^q to
@@ -40,30 +45,26 @@ with b_n in Q(i), as Im(c w^n) = Re(-i c w^n):
     x_p = Re w^p and y_p = Im w^p the cross terms of (x + iy)^T C (x - iy)
     cancel: the sum is x^T A x + 2 x^T B y + y^T A y, the quadratic form of
     M = [[A, B], [B^T, A]] on the elements Re w^p and Im w^p (Im w^0 = 0
-    is left out);
-  * M = L diag(d) L^T exactly (``linalg.ldl`` skips a zero pivot whose row
-    is zero: M is only semidefinite when k is small against the spread of
-    the degrees), and u_i = sum_r L_ri e_r over the elements e_r.
+    is left out), with s = 2^(k+1) den^2 (``chart_form``).
 
-No word term, level or field matrix is built; k = 0 keeps the single square
-h.  Harmonicity is checked on the elements whose row of M is nonzero: a zero
-row stays zero in elimination, so every u_i is a combination of them.  The
-square count is the rank of M, the dimension of the span of the word terms
-of h and of its harmonic conjugate Im f: in the chart each rotation field
-acts on f as a holomorphic field V_a, and X_w Re f = Re(V_w f).
+No word term, level or field matrix is built there.  M is only semidefinite
+when k is small against the spread of the degrees, so the square count is
+the rank of M, the dimension of the span of the word terms of h and of its
+harmonic conjugate Im f: in the chart each rotation field acts on f as a
+holomorphic field V_a, and X_w Re f = Re(V_w f).  A chart that does not give
+its function is refused with ValueError at every k, before a route is chosen.
 
 Either route only builds the right-hand side: equality, the signs of the d_i
 and harmonicity are checked on the functions, so a wrong span or recursion
-can only turn a true verdict false.  A chart that does not give its function
-is refused with ValueError.  The squares are added in ascending denominator
-exponent.  Equality is verified exactly (cross-multiplication in the
-quotient field) and nonnegativity is then re-checked by exact rational sign
-tests at deterministic sample points on the cap, drawn first (a count below
-1 fails before any certificate work) and built and evaluated in integers.
-Both statements run one engine: with the coordinate partials as fields,
-``euclid_certificate`` runs the span route on a harmonic polynomial of R^m
-and returns the same report, ``terms_harmonic`` included (checked against
-the Euclidean Laplacian).
+can only turn a true verdict false.  The squares are added in ascending
+denominator exponent.  Equality is verified exactly (cross-multiplication in
+the quotient field) and nonnegativity is then re-checked by exact rational
+sign tests at deterministic sample points on the cap, drawn first (a count
+out of range fails before any certificate work) and built and evaluated in
+integers.  Both statements run one engine: with the coordinate partials as
+fields, ``euclid_certificate`` runs the span route on a harmonic polynomial
+of R^m and returns the same report, ``terms_harmonic`` included (checked
+against the Euclidean Laplacian).
 """
 
 from __future__ import annotations
@@ -248,15 +249,15 @@ def word_span(start: Polynomial | SphereFunction, k: int, fields: Sequence[Calla
     return WordSpan(levels=levels, matrices=matrices, denominators=denominators)
 
 
-def gram_matrix(span: WordSpan) -> Matrix:
-    """G_k with sum over words w of (Y_w s)^2 = v^T G_k v on the level-k basis
-    v: G_0 = [1] on the basis [s], G_j = sum_a A_a G_(j-1) A_a^T.
+def gram_matrix(span: WordSpan) -> tuple[list[list[int]], int]:
+    """(G, den) with sum over words w of (Y_w s)^2 = v^T G v / den on the
+    level-k basis v: G_0 = [1] on the basis [s], G_j = sum_a A_a G_(j-1) A_a^T.
 
-    Runs in integers: G_j is an integer matrix over one denominator, and the
-    level's integer field matrices share the level's denominator q, so G_j
-    takes the denominator of G_(j-1) times q^2.  That q is the lcm of the
-    reduced denominators of the level's coordinates y_i / D, since
-    v_p(lcm_i D / gcd(D, y_i)) = v_p(D / gcd(D, y_1, ...)) for every prime p.
+    Runs in integers: the level's integer field matrices share the level's
+    denominator q, so G_j takes the denominator of G_(j-1) times q^2.  That q
+    is the lcm of the reduced denominators of the level's coordinates y_i / D,
+    since v_p(lcm_i D / gcd(D, y_i)) = v_p(D / gcd(D, y_1, ...)) for every
+    prime p.
     """
     gram, den = [[1] for _ in span.levels[0]], 1
     for field_matrices, q in zip(span.matrices, span.denominators):
@@ -272,26 +273,23 @@ def gram_matrix(span: WordSpan) -> Matrix:
             for s in range(r):
                 total[r][s] = total[s][r]
         gram, den = total, den * q * q
-    return [[Fraction(x, den) for x in row] for row in gram]
+    return gram, den
 
 
-def gram_squares(
-    span: WordSpan, gram: Matrix
-) -> tuple[list[Fraction], list[Polynomial | SphereFunction]]:
-    """(d, u) with v^T G v = sum_i d_i u_i^2, from G = L diag(d) L^T and
-    u = L^T v on the level-k basis v.
-
-    G is the Gram matrix of the word terms, which include the basis itself,
-    so it is positive definite; a pivot d_i <= 0 (``linalg.ldl`` raises
-    ValueError on a negative one) is an engine bug and raises EngineFault.
-    """
+def ldl_squares(form: list[list[int]], scale: int, basis: Sequence) -> tuple[list, list, list]:
+    """(weights, u, used) with v^T form v / scale = sum_i weights_i u_i^2 on
+    the basis v, from form = L diag(d) L^T: one square per positive pivot
+    d_i, weights_i = d_i / scale and u_i = sum_r L_ri v_r.  ``used`` is the
+    elements whose row of the form is nonzero, of which every u_i is a
+    combination.  A form that ``linalg.ldl`` refuses is an EngineFault."""
     try:
-        lower, pivots = linalg.ldl(gram)
+        lower, pivots = linalg.ldl(form)
     except ValueError as exc:
-        raise linalg.EngineFault(f"the Gram matrix is not positive definite: {exc}") from exc
-    if not all(pivots):
-        raise linalg.EngineFault("the Gram matrix is not positive definite: a pivot is zero")
-    return pivots, _combinations(lower, span.levels[-1], range(len(pivots)))
+        raise linalg.EngineFault(f"the Gram form has no LDL factors: {exc}") from exc
+    positive = [i for i, d in enumerate(pivots) if d]
+    return ([pivots[i] / scale for i in positive],
+            _combinations(lower, basis, positive),
+            [v for v, row in zip(basis, form) if any(row)])
 
 
 def _combinations(lower: Matrix, basis: Sequence, columns: Sequence[int]) -> list:
@@ -326,29 +324,23 @@ def hermitian_form(form: dict[tuple, tuple[int, int]], k: int) -> dict[tuple, tu
     return form
 
 
-def chart_squares(
-    f: SphereFunction, chart: Sequence[tuple], k: int
-) -> tuple[list[Fraction], list[SphereFunction], list[SphereFunction]]:
-    """(weights, u, elements) with delta_power(f^2, k) = 2^k sum_i weights_i u_i^2,
-    every weight positive, by the Hermitian recursion on f's chart terms
-    (n, part, c) of c Re w^n or c Im w^n (module docstring), over the
-    elements of ``harmonics.chart_basis``; k = 0 gives the single square f.
-    A chart that does not give f is a ValueError; a real form that
-    ``linalg.ldl`` refuses is an EngineFault."""
-    top = max((n for n, _, _ in chart), default=0) + k
+def chart_form(chart: Sequence[tuple], k: int) -> tuple[list[list[int]], int, list]:
+    """(M, scale, elements) with delta_power(f^2, k) = 2^k v^T M v / scale on
+    the elements v of ``harmonics.chart_basis``, for k >= 1, by the Hermitian
+    recursion on the chart terms (n, part, c) of f = sum c Re w^n or
+    c Im w^n (module docstring)."""
+    if k < 1:
+        raise ValueError(f"the chart route needs k >= 1, got {k}")
+    top = max(n for n, _, _ in chart) + k
     # f = Re sum_n b_n w^n, as Im(c w^n) = Re(-i c w^n); b = (x + i y) / den.
     b = [[Fraction(0)] * (top + 1) for _ in "xy"]
     for n, part, c in chart:
         b[part == "im"][n] += Fraction(c) if part == "re" else -Fraction(c)
     den = math.lcm(*(z.denominator for z in b[0] + b[1]))
     x, y = ([int(z * den) for z in zs] for zs in b)
-    elements = chart_basis(top)
-    if chart_sum(chart, elements) != f:
-        raise ValueError(f"the chart {chart} does not give the function it comes with")
-    if k == 0:
-        return ([Fraction(1)], [f], [f]) if not f.is_zero() else ([], [], [])
     # The real form M = [[A, B], [B^T, A]] on the elements (p, 0) = Re w^p and
     # (p, 1) = Im w^p, from the top power down.
+    elements = chart_basis(top)
     order = list(reversed(elements))
     index = {element: i for i, element in enumerate(order)}
     m = [[0] * len(order) for _ in order]
@@ -360,31 +352,27 @@ def chart_squares(
         for sp, sq, entry in ((0, 0, a), (1, 1, a), (0, 1, b), (1, 0, -b)):
             if (p, sp) in index and (q, sq) in index:
                 m[index[p, sp]][index[q, sq]] = entry
-    try:
-        lower, pivots = linalg.ldl(m)
-    except ValueError as exc:
-        raise linalg.EngineFault(f"the real form of C^({k}) has no LDL factors: {exc}") from exc
-    # Delta^k(f^2) = v^T M v / (2 den^2) = 2^k sum_i d_i / (2^(k+1) den^2) u_i^2.
-    positive = [i for i, d in enumerate(pivots) if d]
-    basis = [elements[element] for element in order]
-    return ([pivots[i] / (2 ** (k + 1) * den * den) for i in positive],
-            _combinations(lower, basis, positive),
-            [e for e, row in zip(basis, m) if any(row)])
+    # Delta^k(f^2) = v^T M v / (2 den^2) = 2^k v^T M v / (2^(k+1) den^2).
+    return m, 2 ** (k + 1) * den * den, [elements[element] for element in order]
 
 
 def _certificate(f: Polynomial | SphereFunction, k: int, fields: Sequence[Callable],
                  points: Sequence[tuple[Fraction, ...]], family: str, seed: int,
                  start: float, chart: Sequence[tuple] = ()) -> CertificateReport:
     """The certificate stages of S^(m-1) and R^m: by the Hermitian recursion
-    on f's chart when it has one, else on the span of the word terms of f in
-    the fields; ``wall_time`` runs from the perf_counter reading ``start``."""
+    on f's chart when it has one and k >= 1, else on the span of the word
+    terms of f in the fields; ``wall_time`` runs from the perf_counter
+    reading ``start``."""
+    if chart and chart_sum(chart, chart_basis(max(n for n, _, _ in chart))) != f:
+        raise ValueError(f"the chart {chart} does not give the function it comes with")
     lhs = delta_power(f * f, k)
-    if chart:
-        weights, u, basis = chart_squares(f, chart, k)
+    if chart and k:
+        weights, u, basis = ldl_squares(*chart_form(chart, k))
     else:
         span = word_span(f, k, fields)
-        weights, u = gram_squares(span, gram_matrix(span))
-        basis = span.levels[-1]
+        weights, u, basis = ldl_squares(*gram_matrix(span), span.levels[-1])
+        if len(u) < span.dimension:
+            raise linalg.EngineFault("the Gram matrix of the word terms has a zero pivot")
     squares = [sq.scale(d) for d, sq in zip(weights, _map_ordered(_square, u))]
     harmonic = all(_map_ordered(lambda term: _laplacian(term).is_zero(), basis))
     rhs = _weighted_sum(squares, k) if squares else type(f).zero(f.m)
@@ -406,9 +394,9 @@ def verify_certificate(
     """Exact equality of delta_power(h^2, k) with its certificate, plus signs.
 
     The right-hand side 2^k sum_w (X_w h)^2 is built as 2^k sum_i d_i u_i^2,
-    by the Hermitian recursion when h has a chart and on the span of the
-    word terms otherwise (see the module docstring); k = 0 is the single
-    empty word with term h itself.  An equality failure or a negative sample
+    by the Hermitian recursion when h has a chart and k >= 1 and on the span
+    of the word terms otherwise (see the module docstring); k = 0 is the
+    single empty word with term h itself.  An equality failure or a negative sample
     is recorded in the report, never dropped.
     """
     if h.m != 3:

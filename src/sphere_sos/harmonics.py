@@ -56,8 +56,8 @@ class HarmonicFunction(NamedTuple):
     at the excluded pole.  ``chart`` is value's coordinates in the chart
     w = (x1 + i*x2)/(1 - x3) when a constructor knows them: terms
     (n, part, coefficient) of Re w^n or Im w^n, from which the certificate
-    builds its squares (``certificates.chart_squares``, which checks them
-    against value); () means none are known.
+    builds its Gram form (``certificates.chart_form``; the certificate checks
+    them against value first); () means none are known.
     """
 
     value: SphereFunction

@@ -212,21 +212,24 @@ def _normalize(
 # Distinct (u, v) that sample_plane_points can draw: 981 ** 2, where
 # 981 = 3 + 2 * sum(phi(q) for q in 2..40) counts the p/q in [-1, 1] with q <= 40.
 PLANE_SAMPLE_LIMIT = 962_361
+# Checked before any point is drawn: the draws for distinct points slow down
+# as the count nears PLANE_SAMPLE_LIMIT (a coupon collector's tail).
+MAX_SAMPLE_COUNT = 1 << 16
 
 
 def sample_plane_points(count: int, seed: int) -> list[tuple[Fraction, Fraction]]:
     """Deterministic rational plane points with |u|, |v| <= 1, used for sphere sampling.
 
     Coordinates have small denominators so downstream exact evaluation stays
-    cheap.  Distinctness is enforced so sample sets never repeat a point,
-    which caps the count at PLANE_SAMPLE_LIMIT.
+    cheap.  Distinctness is enforced so sample sets never repeat a point; the
+    count is at most MAX_SAMPLE_COUNT, far below PLANE_SAMPLE_LIMIT.
     """
     import random
 
-    if not 1 <= count <= PLANE_SAMPLE_LIMIT:
-        bound = ">= 1" if count < 1 else f"<= {PLANE_SAMPLE_LIMIT}"
+    if not 1 <= count <= MAX_SAMPLE_COUNT:
+        bound = ">= 1" if count < 1 else f"<= {MAX_SAMPLE_COUNT}"
         raise ValueError(
-            f"sample count must be {bound}: need 1 to {PLANE_SAMPLE_LIMIT} "
+            f"sample count must be {bound}: need 1 to {MAX_SAMPLE_COUNT} "
             f"distinct plane points, asked for {count}"
         )
     rng = random.Random(seed)

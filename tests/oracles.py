@@ -661,6 +661,25 @@ def function_evaluate_fraction_loop(f: SphereFunction, point) -> Fraction:
 
 
 # ----------------------------------------------------------------------
+# the span route's squares before its Gram form stayed in integers
+# ----------------------------------------------------------------------
+
+
+def gram_squares_by_fractions(gram, den, basis):
+    """(d, u) as the span route built them: ``linalg.ldl`` on the Gram
+    matrix as Fractions over den, every pivot a weight, and
+    u_i = sum_r L_ri v_r over the basis v, added in row order."""
+    lower, pivots = linalg.ldl([[Fraction(x, den) for x in row] for row in gram])
+    u = []
+    for i, v in enumerate(basis):
+        for r in range(i + 1, len(basis)):
+            if lower[r][i]:
+                v = v + basis[r].scale(lower[r][i])
+        u.append(v)
+    return pivots, u
+
+
+# ----------------------------------------------------------------------
 # reference checks and helpers that only the tests use
 # ----------------------------------------------------------------------
 

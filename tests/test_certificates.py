@@ -12,11 +12,11 @@ from sphere_sos.certificates import (
     CertificateReport,
     SamplePoint,
     _weighted_sum,
-    chart_squares,
+    chart_form,
     delta_power,
     euclid_certificate,
     gram_matrix,
-    gram_squares,
+    ldl_squares,
     verify_certificate,
     word_span,
 )
@@ -46,8 +46,10 @@ from oracles import (
     certificate_words,
     euclid_word_rhs,
     function_evaluate_fraction_loop,
+    gram_squares_by_fractions,
     hermitian_sum,
     sos_certificate,
+    stored_form,
 )
 
 
@@ -297,6 +299,16 @@ def rotation_span(h, k):
     return word_span(h.value, k, fields)
 
 
+def span_squares(span):
+    """(weights, u, used) of the span route: its Gram form through the tail."""
+    return ldl_squares(*gram_matrix(span), span.levels[-1])
+
+
+def chart_squares(h, k):
+    """(weights, u, used) of the chart route: its real form through the tail."""
+    return ldl_squares(*chart_form(h.chart, k))
+
+
 def partials(m):
     return [operator.methodcaller("partial", i) for i in range(1, m + 1)]
 
@@ -304,7 +316,7 @@ def partials(m):
 def euclid_span_rhs(p, k):
     """2^k sum_i d_i u_i^2 from the span of the partial-derivative terms."""
     span = word_span(p, k, partials(p.m))
-    d, u = gram_squares(span, gram_matrix(span))
+    d, u, _ = span_squares(span)
     if not u:
         return Polynomial.zero(p.m)
     return _weighted_sum([(t * t).scale(w) for w, t in zip(d, u)], k)
@@ -320,8 +332,7 @@ def harmonic_combination(m, d):
 
 def gram_rhs(h, k):
     """2^k sum_i d_i u_i^2 from the span of the word terms."""
-    span = rotation_span(h, k)
-    d, u = gram_squares(span, gram_matrix(span))
+    d, u, _ = span_squares(rotation_span(h, k))
     if not u:
         return SphereFunction.zero(h.m)
     return _weighted_sum([(t * t).scale(w) for w, t in zip(d, u)], k)
@@ -469,7 +480,7 @@ class TestGramRoute:
         # them, the last included, fails the verdict and leaves equality alone.
         h = stereographic_harmonic(2, "re")
         routes = [(h._replace(chart=()), rotation_span(h, 2).levels[-1]),
-                  (h, chart_squares(h.value, h.chart, 2)[2])]
+                  (h, chart_squares(h, 2)[2])]
         real = certificates._laplacian
         for family, checked_terms in routes:
             assert len(checked_terms) > 1
@@ -535,13 +546,19 @@ def assert_squares_span_the_word_terms_and_their_conjugates(h, powers):
     spans = rotation_span(h, top), rotation_span(conjugate(h), top)
     for k in powers:
         terms = spans[0].levels[k] + spans[1].levels[k]
-        u = chart_squares(h.value, h.chart, k)[1]
+        u = chart_squares(h, k)[1]
         assert len(u) == rank(terms) == rank(terms + u), k
 
 
+WRONG_CHARTS = [
+    ((2, "im", 1),), ((2, "re", 2),), ((2, "re", 1), (0, "re", 1)), ((1, "re", 1),),
+    ((3, "re", 1),), ((0, "im", 1),),
+]
+
+
 class TestChartRoute:
-    """chart_squares certifies an input with a chart by the Hermitian
-    recursion: the span route over monomials and the closed form of
+    """The chart route (``chart_form`` through ``ldl_squares``) certifies an
+    input with a chart by the Hermitian recursion: the span route over monomials and the closed form of
     tests/oracles.py are the references, and every wrong recursion, factor or
     square is caught by a check that runs on the functions."""
 
@@ -560,9 +577,9 @@ class TestChartRoute:
     @pytest.mark.parametrize("part", ["re", "im"])
     @pytest.mark.parametrize("K", [0, 1, 2, 3, 5])
     def test_the_span_is_the_elimination_span(self, K, part):
-        # k = 0 keeps the single square h (none for h = 0).
+        # k = 0 takes the span route, which keeps the single square h (none for h = 0).
         h = stereographic_harmonic(K, part)
-        assert chart_squares(h.value, h.chart, 0)[1] == ([] if h.value.is_zero() else [h.value])
+        assert span_squares(rotation_span(h, 0))[1] == ([] if h.value.is_zero() else [h.value])
         assert_squares_span_the_word_terms_and_their_conjugates(h, range(1, 7))
 
     @given(planar_terms(), st.integers(1, 4))
@@ -608,7 +625,7 @@ class TestChartRoute:
         entries = {}
         monkeypatch.setattr(certificates, "hermitian_form",
                             lambda form, k: entries.update(real(form, k)) or real(form, k))
-        chart_squares(h.value, h.chart, 2)
+        chart_form(h.chart, 2)
         for p, q in [key for key in entries if key[0] <= key[1]]:
             for da, db in ((1, 0), (0, 1)) if p != q else ((1, 0),):
 
@@ -682,14 +699,31 @@ class TestChartRoute:
             )
             assert verify_certificate(h, 1, sample_count=1).equality_verified is False
 
-    @pytest.mark.parametrize("chart", [
-        ((2, "im", 1),), ((2, "re", 2),), ((2, "re", 1), (0, "re", 1)), ((1, "re", 1),),
-        ((3, "re", 1),), ((0, "im", 1),),
-    ])
+    @pytest.mark.parametrize("chart", WRONG_CHARTS)
     def test_a_chart_that_is_not_the_value_is_refused(self, chart):
         h = stereographic_harmonic(2, "re")._replace(chart=chart)
         with pytest.raises(ValueError, match="does not give the function"):
             verify_certificate(h, 2, sample_count=1)
+
+    def test_a_wrong_chart_is_refused_at_power_zero(self):
+        # k = 0 takes the span route, but the chart is checked before a route is chosen.
+        for chart in WRONG_CHARTS:
+            h = stereographic_harmonic(2, "re")._replace(chart=chart)
+            with pytest.raises(ValueError, match="does not give the function"):
+                verify_certificate(h, 0, sample_count=1)
+
+    def test_power_zero_takes_the_span_route(self, monkeypatch):
+        # Re(f^2) / 2 is not killed at k = 0, so the real form of C^(0) is not h^2's.
+        h = stereographic_harmonic(2, "re")
+        with pytest.raises(ValueError, match="needs k >= 1"):
+            chart_form(h.chart, 0)
+
+        def no_chart_route(chart, k):
+            raise AssertionError("chart_form ran")
+
+        monkeypatch.setattr(certificates, "chart_form", no_chart_route)
+        report = verify_certificate(h, 0, sample_count=1)
+        assert report.passed and report.square_count == 1
 
 
 class TestCoefficientRows:
@@ -709,9 +743,99 @@ class TestCoefficientRows:
 class TestGramFault:
     def test_a_gram_matrix_without_ldl_factors_is_an_engine_fault(self):
         span = rotation_span(stereographic_harmonic(2, "re"), 2)
-        negated = [[-x for x in row] for row in gram_matrix(span)]
-        with pytest.raises(linalg.EngineFault, match="not positive definite"):
-            gram_squares(span, negated)
+        gram, den = gram_matrix(span)
+        negated = [[-x for x in row] for row in gram]
+        with pytest.raises(linalg.EngineFault, match="no LDL factors"):
+            ldl_squares(negated, den, span.levels[-1])
+
+    def test_a_zero_pivot_on_the_span_route_is_an_engine_fault(self, monkeypatch):
+        # The last row and column set to zero leave a semidefinite form that
+        # ldl factors with one zero pivot: one square fewer than the span has
+        # dimensions, which the word terms' Gram matrix never gives.
+        real = gram_matrix
+
+        def singular(span):
+            gram, den = real(span)
+            return [row[:-1] + [0] for row in gram[:-1]] + [[0] * len(gram)], den
+
+        monkeypatch.setattr(certificates, "gram_matrix", singular)
+        h = stereographic_harmonic(2, "re")._replace(chart=())
+        with pytest.raises(linalg.EngineFault, match="zero pivot"):
+            verify_certificate(h, 2, sample_count=1)
+
+
+def stored(v):
+    """Every stored piece of a square: its term order, denominators and exponent."""
+    if isinstance(v, Polynomial):
+        return list(v.numerators.items()), v.denominator
+    return stored_form(v)
+
+
+def assert_the_tail_gives_the_fraction_route(span):
+    gram, den = gram_matrix(span)
+    assert all(type(x) is int for row in gram for x in row) and type(den) is int and den > 0
+    weights, u, used = span_squares(span)
+    reference_weights, reference_u = gram_squares_by_fractions(gram, den, span.levels[-1])
+    assert weights == reference_weights
+    assert all(type(d) is Fraction and d > 0 for d in weights)
+    assert [stored(v) for v in u] == [stored(v) for v in reference_u]
+    assert len(used) == span.dimension and all(a is b for a, b in zip(used, span.levels[-1]))
+
+
+# Square counts for k = 0..6, as the two routes gave them with their own
+# factoring code: the chart route's at k >= 1, the span route's otherwise.
+CHARTED_COUNTS = {0: [1, 0, 0, 0, 0, 0, 0], 1: [1, 5, 7, 9, 11, 13, 15],
+                  2: [1, 6, 9, 11, 13, 15, 17], 3: [1, 6, 10, 13, 15, 17, 19]}
+PLAIN_COUNTS = {0: [1, 0, 0, 0, 0, 0, 0], 1: [1, 3, 7, 9, 11, 13, 15],
+                2: [1, 3, 8, 11, 13, 15, 17], 3: [1, 3, 8, 12, 15, 17, 19]}
+
+
+def square_counts(h, powers=range(7)):
+    reports = [verify_certificate(h, k, sample_count=1) for k in powers]
+    assert all(r.square_count == r.span_dimension for r in reports)
+    return [r.square_count for r in reports]
+
+
+class TestOneTail:
+    """ldl_squares factors both routes' Gram forms.  On the span route it
+    gives what ldl on the Gram matrix as Fractions over its denominator gave
+    (``oracles.gram_squares_by_fractions``), and no square count moves."""
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("K", [0, 1, 2, 3])
+    def test_stereographic_spans_give_the_fraction_route(self, K, part):
+        h = stereographic_harmonic(K, part)
+        for k in range(5):
+            assert_the_tail_gives_the_fraction_route(rotation_span(h, k))
+
+    def test_the_control_and_a_euclidean_harmonic_give_the_fraction_route(self):
+        x3 = SphereFunction.from_polynomial(SpherePolynomial(var(3, 3)))
+        control = HarmonicFunction(value=x3, domain=CapDomain(), provenance="control:x3")
+        p = harmonic_combination(4, 3)
+        for k in range(5):
+            assert_the_tail_gives_the_fraction_route(rotation_span(control, k))
+            assert_the_tail_gives_the_fraction_route(word_span(p, k, partials(p.m)))
+
+    @pytest.mark.parametrize("part", ["re", "im"])
+    @pytest.mark.parametrize("K", [0, 1, 2, 3])
+    def test_stereographic_square_counts_are_unchanged(self, K, part):
+        h = stereographic_harmonic(K, part)
+        zero = [0] * 7
+        assert square_counts(h) == (CHARTED_COUNTS[K] if K or part == "re" else zero)
+        assert square_counts(h._replace(chart=())) == (PLAIN_COUNTS[K] if K or part == "re"
+                                                        else zero)
+
+    def test_other_square_counts_are_unchanged(self):
+        h = planar_combination([(3, "re", 1), (1, "im", 2), (2, "re", Fraction(1, 3))])
+        assert square_counts(h) == [1, 6, 11, 13, 15, 17, 19]
+        assert square_counts(h._replace(chart=())) == [1, 3, 8, 13, 15, 17, 19]
+        x3 = SphereFunction.from_polynomial(SpherePolynomial(var(3, 3)))
+        control = HarmonicFunction(value=x3, domain=CapDomain(), provenance="control:x3")
+        assert square_counts(control) == [1, 2, 3, 3, 3, 3, 3]
+        for (m, d), counts in (((3, 2), [1, 3, 1, 0, 0, 0, 0]), ((4, 3), [1, 3, 3, 1, 0, 0, 0])):
+            basis = generate_harmonic_basis(m, d)
+            p = basis[0] + basis[-1].scale(2)
+            assert [euclid_certificate(p, k, grid=2).square_count for k in range(7)] == counts
 
 
 class TestBadPivotPrime:

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import time
 
 import pytest
 
@@ -211,7 +212,19 @@ class TestCertify:
         )
         assert code == 2
         assert out == ""
-        assert "sample count must be <= 962361" in err
+        assert "sample count must be <= 65536" in err
+
+    def test_a_sample_count_past_the_bound_is_usage_error(self, capsys):
+        # The bound is checked before any point is drawn, in well under a second.
+        start = time.perf_counter()
+        code, out, err = run(
+            capsys,
+            "certify", "--family", "stereo:k=3:re", "--power", "5", "--samples", "65537",
+        )
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert err == ("error: sample count must be <= 65536: need 1 to 65536 distinct plane "
+                       "points, asked for 65537\n")
 
     def test_io_fault_is_usage_error_not_verdict(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "report.json"
@@ -346,7 +359,7 @@ class TestEngineFault:
         return err
 
     @pytest.mark.parametrize(
-        "site", ["column_basis", "zero_denominator", "back_substitute", "gram_squares"]
+        "site", ["column_basis", "zero_denominator", "back_substitute", "ldl"]
     )
     def test_each_fault_exits_3(self, capsys, monkeypatch, site):
         if site == "column_basis":
@@ -369,9 +382,9 @@ class TestEngineFault:
             monkeypatch.setattr(linalg, "ldl", self.not_positive)
         # A stereographic family is certified on its chart, which runs ldl
         # but no column basis; the control x3 has no chart, so its span does.
-        family = "stereo:k=2:re" if site == "gram_squares" else NON_HARMONIC_CONTROL
+        family = "stereo:k=2:re" if site == "ldl" else NON_HARMONIC_CONTROL
         self.assert_fault(capsys, "certify", "--family", family, "--power", "2", "--samples", "5")
-        if site == "gram_squares":
+        if site == "ldl":
             self.assert_fault(capsys, "certify", "--family", NON_HARMONIC_CONTROL, "--power", "2")
 
     def test_a_wrong_inverse_fails_the_gram_check(self, capsys, monkeypatch):

@@ -19,10 +19,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sphere_sos.certificates import (
-    chart_squares,
+    chart_form,
     delta_power,
     gram_matrix,
-    gram_squares,
+    ldl_squares,
     word_span,
 )
 from sphere_sos.cli import main
@@ -69,7 +69,7 @@ def test_gram_squares_equal_the_closed_form(K, part, k):
     h = harmonic(K, part)
     fields = [functools.partial(apply_rotation_field, field) for field in rotation_fields(3)]
     span = word_span(h, k, fields)
-    weights, u = gram_squares(span, gram_matrix(span))
+    weights, u, _ = ldl_squares(*gram_matrix(span), span.levels[-1])
     assert weighted_sum_of_squares(weights, u).scale(2**k) == stereo_closed_form(h, k)
 
 
@@ -96,12 +96,12 @@ def test_the_planar_form_of_one_power_is_the_radial_one(K, part, k):
 )
 @settings(max_examples=30, deadline=None)
 def test_planar_left_side_and_chart_squares_equal_the_closed_form(terms, k):
-    """delta_power(h^2, k) and 2^k sum_i d_i u_i^2 from chart_squares, for
-    mixed Re and Im parts and rational coefficients."""
+    """delta_power(h^2, k) and 2^k sum_i d_i u_i^2 from the chart route's
+    form, for mixed Re and Im parts and rational coefficients."""
     h = planar_combination(terms)
     expected = planar_closed_form(h.chart, k)
     assert delta_power(h.value * h.value, k) == expected
-    weights, u, _ = chart_squares(h.value, h.chart, k)
+    weights, u, _ = ldl_squares(*chart_form(h.chart, k))
     assert all(d > 0 for d in weights)
     assert weighted_sum_of_squares(weights, u).scale(2**k) == expected
 

@@ -14,6 +14,7 @@ from sphere_sos.polynomials import (
     laplace_euclid,
 )
 from sphere_sos.quotients import (
+    MAX_SAMPLE_COUNT,
     PLANE_SAMPLE_LIMIT,
     SphereFunction,
     _normalize,
@@ -193,10 +194,17 @@ class TestEvaluation:
             raise AssertionError("drew a point")
 
         monkeypatch.setattr(random_module, "Random", no_draws)
-        with pytest.raises(ValueError, match="distinct plane points"):
-            sample_plane_points(PLANE_SAMPLE_LIMIT + 1, seed=0)
+        # Past the bound, which is far below the points there are, nothing is drawn either.
+        for count in (MAX_SAMPLE_COUNT + 1, PLANE_SAMPLE_LIMIT + 1):
+            with pytest.raises(ValueError, match=f"must be <= {MAX_SAMPLE_COUNT}: .* distinct plane"):
+                sample_plane_points(count, seed=0)
         with pytest.raises(ValueError, match="distinct plane points"):
             sample_cap_points(10**9, seed=0)
+
+    def test_the_sample_bound_is_accepted(self):
+        assert MAX_SAMPLE_COUNT == 65_536 < PLANE_SAMPLE_LIMIT
+        points = sample_plane_points(MAX_SAMPLE_COUNT, seed=0)
+        assert len(set(points)) == MAX_SAMPLE_COUNT
 
 
 # ----------------------------------------------------------------------
